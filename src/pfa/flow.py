@@ -34,6 +34,7 @@ from .exemplars import Exemplar, ensure_mesh_binding
 from .geometry import project_camera_points
 from .mesh import face_normals
 from .raster import SceneSpec, rasterize, scene_depth_map
+from .seeds import derive_seed
 
 
 @dataclass(eq=False)
@@ -311,8 +312,6 @@ class OracleFlowSource:
             scene_depth=self._scene_depth,
         )
         if self.noise is not None:
-            from .pipeline import derive_seed
-
             seeded = replace(
                 self.noise, seed=derive_seed(self.base_seed, "flow-noise", exemplar.id)
             )

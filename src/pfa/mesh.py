@@ -104,13 +104,6 @@ def mesh_digest(mesh: MeshModel) -> bytes:
 # File loading
 # ---------------------------------------------------------------------------
 
-_PLY_SIZES = {
-    "char": 1, "int8": 1, "uchar": 1, "uint8": 1,
-    "short": 2, "int16": 2, "ushort": 2, "uint16": 2,
-    "int": 4, "int32": 4, "uint": 4, "uint32": 4,
-    "float": 4, "float32": 4, "double": 8, "float64": 8,
-}
-
 _PLY_STRUCT = {
     "char": "b", "int8": "b", "uchar": "B", "uint8": "B",
     "short": "h", "int16": "h", "ushort": "H", "uint16": "H",
@@ -155,17 +148,29 @@ def _parse_ply(data: bytes, path: str):
         tokens = line.strip().split()
         if not tokens or tokens[0] in ("ply", "comment", "obj_info"):
             continue
-        if tokens[0] == "format":
-            fmt = tokens[1]
-        elif tokens[0] == "element":
-            elements.append((tokens[1], int(tokens[2]), []))
-        elif tokens[0] == "property":
-            if not elements:
-                raise MeshParseError("property before element", path, 0)
-            if tokens[1] == "list":
-                elements[-1][2].append(("list", tokens[2], tokens[3], tokens[4]))
-            else:
-                elements[-1][2].append((tokens[2], tokens[1]))
+        try:
+            if tokens[0] == "format":
+                fmt = tokens[1]
+            elif tokens[0] == "element":
+                count = int(tokens[2])
+                if count < 0:
+                    raise ValueError
+                elements.append((tokens[1], count, []))
+            elif tokens[0] == "property":
+                if not elements:
+                    raise MeshParseError("property before element", path, 0)
+                if tokens[1] == "list":
+                    prop = ("list", tokens[2], tokens[3], tokens[4])
+                    types = prop[1:3]
+                else:
+                    prop = (tokens[2], tokens[1])
+                    types = prop[1:]
+                unknown = [t for t in types if t not in _PLY_STRUCT]
+                if unknown:
+                    raise MeshParseError(f"unknown property type {unknown[0]!r}", path, 0)
+                elements[-1][2].append(prop)
+        except (ValueError, IndexError):
+            raise MeshParseError(f"malformed header line {line.strip()!r}", path, 0) from None
     if fmt not in ("ascii", "binary_little_endian"):
         raise MeshParseError(f"unsupported PLY format {fmt!r}", path, 0)
 
@@ -236,9 +241,9 @@ def _parse_ply_binary(data: bytes, offset: int, elements, path: str):
                 raise MeshParseError("face element must be a single list", path, pos)
             _, count_t, idx_t, _ = props[0]
             cfmt = "<" + _PLY_STRUCT[count_t]
-            csize = _PLY_SIZES[count_t]
-            isize = _PLY_SIZES[idx_t]
+            csize = struct.calcsize(cfmt)
             ifmt_ch = _PLY_STRUCT[idx_t]
+            isize = struct.calcsize("<" + ifmt_ch)
             for _ in range(count):
                 if len(data) - pos < csize:
                     raise MeshParseError("face record truncated", path, pos)

@@ -10,7 +10,6 @@ in the records file and never in reports.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import os
 import time
@@ -43,6 +42,7 @@ from .mesh import MeshModel, load_mesh, make_box, mesh_digest
 from .metrics import auc_metric, pose_error_report
 from .raster import SceneSpec
 from .refine import MAX_CORRESPONDENCES, RansacConfig, refine_pose
+from .seeds import derive_seed
 
 SCHEMA_VERSION = 1
 
@@ -58,12 +58,6 @@ _TRIAL_FAILURES = (
     DegeneracyError,
     BehindCameraError,
 )
-
-
-def derive_seed(master: int, *parts) -> int:
-    """Stable 63-bit seed derived from the master seed and any labels."""
-    text = repr((int(master),) + tuple(parts)).encode("utf-8")
-    return int.from_bytes(hashlib.sha256(text).digest()[:8], "little") >> 1
 
 
 def worker_count() -> int:

@@ -1,12 +1,16 @@
 """Perspective-n-point solving: closed-form initialization plus refinement.
 
-The closed form expresses the 3D points in a barycentric basis of four
-control points (three when the cloud is planar), solves the projection
+The closed form (EPnP) expresses the 3D points in a barycentric basis of
+four control points (three when the cloud is planar), solves the projection
 constraints for the control points' camera coordinates via the null space
-of the constraint matrix, resolves the combination weights from pairwise
-control-point distances, and recovers the pose by rigid alignment. A
-damped Gauss-Newton pass then minimizes the reprojection error directly;
-damping guarantees the cost never increases between accepted steps.
+of the constraint matrix, resolves the combination weights (betas) from
+pairwise control-point distances, and recovers the pose by rigid alignment.
+It runs batched over K correspondence sets (``epnp_batch``), which is how
+RANSAC solves its minimal samples; a single set is a batch of one. The
+betas are refined by Gauss-Newton on the distance residuals from several
+starts, which makes the closed form exact on noise-free minimal samples.
+``solve_pnp`` then runs a damped Gauss-Newton pass on the reprojection
+error; damping guarantees the cost never increases between accepted steps.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .geometry import (
 DEGENERACY_TOL = 1e-6
 GN_MAX_ITERATIONS = 20
 GN_STEP_TOL = 1e-10
+BETA_ITERATIONS = 12
 
 _PAIRS4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 _PAIRS3 = [(0, 1), (0, 2), (1, 2)]
@@ -144,7 +149,8 @@ def solve_pnp(points, pixels, camera: CameraIntrinsics) -> RigidPose:
     """Recover the pose from >= 4 3D-to-2D correspondences.
 
     Raises:
-        SolverError: fewer than 4 points, or a collinear configuration.
+        SolverError: fewer than 4 points, a collinear configuration, or no
+            closed-form pose that puts the points in front of the camera.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     obs = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
@@ -153,197 +159,248 @@ def solve_pnp(points, pixels, camera: CameraIntrinsics) -> RigidPose:
     if len(pts) != len(obs):
         raise SolverError("point and pixel counts disagree")
 
-    s = singular_profile(pts)
-    if s[0] <= 0 or s[1] < DEGENERACY_TOL * s[0]:
-        raise SolverError("correspondence points are collinear or coincident")
-    planar = s[2] < DEGENERACY_TOL * s[0]
-
-    initial = _epnp(pts, obs, camera, planar)
-    if initial is None:
+    rotations, translations, valid = epnp_batch(pts[None], obs[None], camera)
+    if not valid[0]:
+        s = singular_profile(pts)
+        if s[0] <= 0 or s[1] < DEGENERACY_TOL * s[0]:
+            raise SolverError("correspondence points are collinear or coincident")
         raise SolverError("closed-form initialization found no valid pose")
-    pose, _ = gauss_newton(camera, initial, pts, obs)
+    pose, _ = gauss_newton(camera, RigidPose(rotations[0], translations[0]), pts, obs)
     return pose
 
 
 # ---------------------------------------------------------------------------
-# Closed-form core
+# Closed-form core, batched over a leading axis of K correspondence sets
 # ---------------------------------------------------------------------------
 
 
-def _epnp(pts, obs, camera, planar: bool) -> RigidPose | None:
-    centroid = pts.mean(axis=0)
-    centered = pts - centroid
+def epnp_batch(points, pixels, camera: CameraIntrinsics):
+    """Closed-form poses for K sets of n >= 4 correspondences at once.
+
+    ``points`` is (K, n, 3) and ``pixels`` (K, n, 2). Returns rotations
+    (K, 3, 3), translations (K, 3) and a (K,) bool mask of valid solves. A
+    set is invalid when its points are collinear or coincident, or when no
+    candidate puts all of its points in front of the camera; its pose is
+    left at the identity. Coplanar sets (within ``DEGENERACY_TOL``) use
+    three control points. No reprojection refinement is applied.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    obs = np.asarray(pixels, dtype=np.float64)
+    k = len(pts)
+    centered = pts - pts.mean(axis=1, keepdims=True)
     _, s, vt = np.linalg.svd(centered, full_matrices=False)
-    scales = s / np.sqrt(len(pts))
+    spread = (s[:, 0] > 0) & (s[:, 1] >= DEGENERACY_TOL * s[:, 0])
+    planar = s[:, 2] < DEGENERACY_TOL * s[:, 0]
 
-    if planar:
-        ctrl = np.vstack(
-            [centroid + scales[0] * vt[0], centroid + scales[1] * vt[1], centroid]
-        )
-        rel0 = centered @ vt[0] / scales[0]
-        rel1 = centered @ vt[1] / scales[1]
-        alphas = np.stack([rel0, rel1, 1.0 - rel0 - rel1], axis=1)
-        pairs = _PAIRS3
-    else:
-        ctrl = np.vstack([centroid + scales[i] * vt[i] for i in range(3)] + [centroid])
-        system = np.vstack([ctrl.T, np.ones((1, 4))])
-        rhs = np.vstack([pts.T, np.ones((1, len(pts)))])
-        alphas = np.linalg.solve(system, rhs).T
-        pairs = _PAIRS4
+    rotations = np.tile(np.eye(3), (k, 1, 1))
+    translations = np.zeros((k, 3))
+    valid = np.zeros(k, dtype=bool)
+    for flat in (False, True):
+        idx = np.flatnonzero(spread & (planar == flat))
+        if len(idx):
+            rotations[idx], translations[idx], valid[idx] = _epnp(
+                pts[idx], obs[idx], s[idx], vt[idx], camera, flat
+            )
+    return rotations, translations, valid
 
-    n_ctrl = len(ctrl)
-    basis = _null_basis(_constraint_matrix(alphas, obs, camera), n_ctrl)
-    dist_w = np.array([np.linalg.norm(ctrl[i] - ctrl[j]) for i, j in pairs])
+
+def _epnp(pts, obs, s, vt, camera, planar: bool):
+    k, n = pts.shape[:2]
+    m = 2 if planar else 3  # principal axes that carry a control point
+    centroid = pts.mean(axis=1, keepdims=True)
+    scales = s[:, :m] / np.sqrt(n)
+    axes = vt[:, :m]
+    # control points: centroid + scaled principal axes, then the centroid
+    ctrl = np.concatenate([centroid + scales[:, :, None] * axes, centroid], axis=1)
+    rel = (pts - centroid) @ np.swapaxes(axes, 1, 2) / scales[:, None, :]
+    alphas = np.concatenate([rel, 1.0 - rel.sum(axis=2, keepdims=True)], axis=2)
+    first, second = np.array(_PAIRS3 if planar else _PAIRS4).T
+
+    basis = _null_basis(_constraint_matrix(alphas, obs, camera), m + 1)
+    # per pair, per basis vector: the control-point difference, (K, P, b, 3)
+    vecs = basis.transpose(0, 2, 1).reshape(k, m + 1, m + 1, 3)
+    diffs = (vecs[:, :, first] - vecs[:, :, second]).transpose(0, 2, 1, 3)
+    dist_w = np.linalg.norm(ctrl[:, first] - ctrl[:, second], axis=2)
     rho = dist_w**2
 
-    candidates = [_betas_case1(n_ctrl)]
-    if planar:
-        candidates.append(_betas_case2_planar(basis, pairs, rho))
-    else:
-        ell = _distance_constraints(basis, pairs)
-        candidates.append(_betas_case2(ell, rho))
-        candidates.append(_betas_case3(ell, rho))
-        candidates = [
-            _refine_betas(basis, b, pairs, rho) for b in candidates if b is not None
-        ]
+    ell = _distance_constraints(diffs)
+    starts = [_betas_case1(k, m + 1), _betas_case2(ell, rho, m + 1)]
+    if not planar:
+        starts.append(_betas_case3(ell, rho))
+    # two starts in depth space, from the weak-perspective relief both ways round
+    rays = np.concatenate(
+        [(obs - [camera.cx, camera.cy]) / [camera.fx, camera.fy], np.ones((k, n, 1))], axis=2
+    )
+    relief = _weak_perspective_relief(pts - centroid, rays)
+    to_ctrl = np.linalg.pinv(alphas)
+    for sign in (1.0, -1.0):
+        starts.append(
+            _betas_from_depths(1.0 + sign * relief, to_ctrl, basis, rays, diffs, dist_w)
+        )
+    candidates = _refine_betas(diffs, np.stack(starts), rho)
 
-    best = None
-    for betas in candidates:
-        if betas is None:
-            continue
-        solved = _pose_from_betas(basis, betas, alphas, pts, obs, camera, pairs, dist_w)
-        if solved is None:
-            continue
-        err, pose = solved
-        if best is None or err < best[0]:
-            best = (err, pose)
-    return None if best is None else best[1]
+    err, rotation, translation = _pose_from_betas(
+        basis, candidates, alphas, pts, obs, camera, first, second, dist_w
+    )
+    pick = np.argmin(err, axis=0), np.arange(k)  # first of equals on ties
+    return rotation[pick], translation[pick], np.isfinite(err[pick])
 
 
 def _constraint_matrix(alphas, obs, camera) -> np.ndarray:
-    n, k = alphas.shape
-    m = np.zeros((2 * n, 3 * k))
-    u = obs[:, 0]
-    v = obs[:, 1]
-    m[0::2, 0::3] = alphas * camera.fx
-    m[0::2, 2::3] = alphas * (camera.cx - u)[:, None]
-    m[1::2, 1::3] = alphas * camera.fy
-    m[1::2, 2::3] = alphas * (camera.cy - v)[:, None]
+    k, n, c = alphas.shape
+    m = np.zeros((k, 2 * n, 3 * c))
+    u = obs[:, :, 0, None]
+    v = obs[:, :, 1, None]
+    m[:, 0::2, 0::3] = alphas * camera.fx
+    m[:, 0::2, 2::3] = alphas * (camera.cx - u)
+    m[:, 1::2, 1::3] = alphas * camera.fy
+    m[:, 1::2, 2::3] = alphas * (camera.cy - v)
     return m
 
 
 def _null_basis(m: np.ndarray, n_ctrl: int) -> np.ndarray:
     """Eigenvectors of M^T M for the ``n_ctrl`` smallest eigenvalues."""
-    _, vectors = np.linalg.eigh(m.T @ m)
-    return vectors[:, :n_ctrl]
+    _, vectors = np.linalg.eigh(m.transpose(0, 2, 1) @ m)
+    return vectors[:, :, :n_ctrl]
 
 
-def _distance_constraints(basis, pairs) -> np.ndarray:
+def _distance_constraints(diffs) -> np.ndarray:
     """Rows: one per control-point pair; columns: quadratic beta terms.
 
     Column order for 4 basis vectors:
     B11 B12 B13 B14 B22 B23 B24 B33 B34 B44.
     """
-    k = basis.shape[1]
-    vecs = [basis[:, i].reshape(-1, 3) for i in range(k)]
-    rows = []
-    for i, j in pairs:
-        diffs = [v[i] - v[j] for v in vecs]
-        row = []
-        for a in range(k):
-            for b in range(a, k):
-                coeff = 1.0 if a == b else 2.0
-                row.append(coeff * float(diffs[a] @ diffs[b]))
-        rows.append(row)
-    return np.array(rows)
+    a, b = np.triu_indices(diffs.shape[2])
+    gram = np.einsum("kpad,kpbd->kpab", diffs, diffs)
+    return gram[:, :, a, b] * np.where(a == b, 1.0, 2.0)
 
 
-def _betas_case1(n_ctrl: int) -> np.ndarray:
-    betas = np.zeros(n_ctrl)
-    betas[0] = 1.0
+def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Batched least squares ``a @ x ~ b``, minimum-norm where rank-deficient."""
+    return (np.linalg.pinv(a) @ b[:, :, None])[:, :, 0]
+
+
+def _signed_root(b11, b1j, bjj):
+    """Beta_j from the products B11, B1j, Bjj: sign taken from B1j vs B11."""
+    return np.where((b11 > 0) != (b1j > 0), -1.0, 1.0) * np.sqrt(np.abs(bjj))
+
+
+def _betas_case1(k: int, n_ctrl: int) -> np.ndarray:
+    betas = np.zeros((k, n_ctrl))
+    betas[:, 0] = 1.0
     return betas
 
 
-def _betas_case2(ell: np.ndarray, rho: np.ndarray) -> np.ndarray | None:
-    sub = ell[:, [0, 1, 4]]
-    sol, *_ = np.linalg.lstsq(sub, rho, rcond=None)
-    b11, b12, b22 = sol
-    betas = np.zeros(4)
-    betas[0] = np.sqrt(abs(b11))
-    sign = -1.0 if (b11 > 0) != (b12 > 0) else 1.0
-    betas[1] = sign * np.sqrt(abs(b22))
+def _betas_case2(ell, rho, n_ctrl: int) -> np.ndarray:
+    # columns B11 B12 B22 in both the 4- and the 3-control-point layout
+    b11, b12, b22 = _lstsq(ell[:, :, [0, 1, 4 if n_ctrl == 4 else 3]], rho).T
+    betas = np.zeros((len(rho), n_ctrl))
+    betas[:, 0] = np.sqrt(np.abs(b11))
+    betas[:, 1] = _signed_root(b11, b12, b22)
     return betas
 
 
-def _betas_case3(ell: np.ndarray, rho: np.ndarray) -> np.ndarray | None:
-    sub = ell[:, [0, 1, 2, 4, 5, 7]]
-    try:
-        sol = np.linalg.solve(sub, rho)
-    except np.linalg.LinAlgError:
-        return None
-    b11, b12, b13, b22, _, b33 = sol
-    betas = np.zeros(4)
-    betas[0] = np.sqrt(abs(b11))
-    betas[1] = (-1.0 if (b11 > 0) != (b12 > 0) else 1.0) * np.sqrt(abs(b22))
-    betas[2] = (-1.0 if (b11 > 0) != (b13 > 0) else 1.0) * np.sqrt(abs(b33))
+def _betas_case3(ell, rho) -> np.ndarray:
+    b11, b12, b13, b22, _, b33 = _lstsq(ell[:, :, [0, 1, 2, 4, 5, 7]], rho).T
+    betas = np.zeros((len(rho), 4))
+    betas[:, 0] = np.sqrt(np.abs(b11))
+    betas[:, 1] = _signed_root(b11, b12, b22)
+    betas[:, 2] = _signed_root(b11, b13, b33)
     return betas
 
 
-def _betas_case2_planar(basis, pairs, rho) -> np.ndarray | None:
-    ell = _distance_constraints(basis[:, :2], pairs)  # columns B11 B12 B22
-    sol, *_ = np.linalg.lstsq(ell, rho, rcond=None)
-    b11, b12, b22 = sol
-    betas = np.zeros(basis.shape[1])
-    betas[0] = np.sqrt(abs(b11))
-    betas[1] = (-1.0 if (b11 > 0) != (b12 > 0) else 1.0) * np.sqrt(abs(b22))
-    return betas
+def _weak_perspective_relief(centered, rays) -> np.ndarray:
+    """Relative depth offsets (K, n) of the points under the affine camera.
+
+    Fits the affine projection x ~ A (p - c) + x0 to the normalized image
+    coordinates; the cross product of A's rows is the depth axis scaled by
+    the inverse squared mean depth. Near-affine views also fit the relief
+    negated (the Necker reversal), a second basin of the distance
+    residuals, so callers start from both signs and let the reprojection
+    error pick.
+    """
+    design = np.concatenate([centered, np.ones(centered.shape[:2] + (1,))], axis=2)
+    rows = np.swapaxes(np.linalg.pinv(design) @ rays[:, :, :2], 1, 2)[:, :, :3]
+    axis = np.cross(rows[:, 0], rows[:, 1])
+    norm = np.maximum(np.linalg.norm(axis, axis=1, keepdims=True), 1e-300)
+    return (centered @ axis[:, :, None])[:, :, 0] / np.sqrt(norm)
 
 
-def _refine_betas(basis, betas, pairs, rho, iterations: int = 5) -> np.ndarray:
-    """Gauss-Newton on the pairwise-distance residuals of the betas."""
-    k = basis.shape[1]
-    vecs = [basis[:, i].reshape(-1, 3) for i in range(k)]
-    diffs = np.array([[v[i] - v[j] for v in vecs] for i, j in pairs])  # (P, k, 3)
+def _betas_from_depths(depths, to_ctrl, basis, rays, diffs, dist_w) -> np.ndarray:
+    """Betas of the null-space point nearest to ``rays * depths``, rescaled so
+    the control-point distances match the model's in the least-squares sense."""
+    ctrl = to_ctrl @ (rays * depths[:, :, None])
+    betas = (basis.transpose(0, 2, 1) @ ctrl.reshape(len(rays), -1, 1))[:, :, 0]
+    dist_c = np.linalg.norm(np.einsum("kpbd,kb->kpd", diffs, betas), axis=2)
+    num = np.einsum("kp,kp->k", dist_c, dist_w)
+    den = np.einsum("kp,kp->k", dist_c, dist_c)
+    return betas * (num / np.where(den > 0, den, np.inf))[:, None]
+
+
+def _refine_betas(diffs, betas, rho, iterations: int = BETA_ITERATIONS) -> np.ndarray:
+    """Gauss-Newton on the pairwise-distance residuals of the betas.
+
+    ``betas`` is (C, K, b): C candidate starts for each of the K sets. The
+    normal equations carry a 1e-12 relative ridge so that a rank-deficient
+    Jacobian gives a short step instead of an error.
+    """
+    gram = diffs @ np.swapaxes(diffs, -1, -2)  # (K, P, b, b): |D_p beta|^2 = b'G_p b
     betas = betas.copy()
+    ridge = np.eye(betas.shape[-1])
     for _ in range(iterations):
-        combo = np.einsum("pkd,k->pd", diffs, betas)
-        res = np.einsum("pd,pd->p", combo, combo) - rho
-        jac = 2.0 * np.einsum("pd,pkd->pk", combo, diffs)
-        try:
-            step = np.linalg.lstsq(jac, -res, rcond=None)[0]
-        except np.linalg.LinAlgError:
-            break
-        betas += step
+        half_jac = gram @ betas[:, :, None, :, None]  # G_p beta, (C, K, P, b, 1)
+        res = (betas[:, :, None, None, :] @ half_jac)[..., 0] - rho[..., None]
+        half_jac = half_jac[..., 0]
+        jac_t = np.swapaxes(half_jac, -1, -2)
+        normal = jac_t @ half_jac
+        normal += ridge * (1e-12 * np.trace(normal, axis1=2, axis2=3) + 1e-300)[..., None, None]
+        grad = jac_t @ res
+        ok = np.isfinite(normal).all(axis=(2, 3)) & np.isfinite(grad).all(axis=(2, 3))
+        normal[~ok] = ridge
+        grad[~ok] = 0.0
+        # J = 2 G beta, so J'J = 4 N and J'r = 2 g: the step is -(N^-1 g) / 2
+        betas -= 0.5 * np.linalg.solve(normal, grad)[..., 0]
     return betas
 
 
-def _pose_from_betas(basis, betas, alphas, pts, obs, camera, pairs, dist_w):
-    ctrl_cam = (basis @ betas).reshape(-1, 3)
-    dist_c = np.array([np.linalg.norm(ctrl_cam[i] - ctrl_cam[j]) for i, j in pairs])
-    denom = float(dist_c @ dist_c)
-    if denom <= 0:
-        return None
-    ctrl_cam = ctrl_cam * (float(dist_c @ dist_w) / denom)
-    cam_pts = alphas @ ctrl_cam
-    if cam_pts[:, 2].mean() < 0:
-        cam_pts = -cam_pts
-    if np.any(cam_pts[:, 2] <= 0):
-        return None
-    rotation, translation = _rigid_align(pts, cam_pts)
-    try:
-        pose = RigidPose(rotation, translation)
-    except ValueError:
-        return None
-    res = reprojection_residuals(camera, pose, pts, obs)
-    return float(np.linalg.norm(res, axis=1).mean()), pose
+def _pose_from_betas(basis, betas, alphas, pts, obs, camera, first, second, dist_w):
+    """Pose per candidate and set from (C, K, b) betas.
 
+    Returns the (C, K) mean reprojection error, inf where the candidate puts
+    a point behind the camera, and the (C, K) rotations and translations.
+    The camera-frame points are ``alphas @ ctrl_cam``, so their alignment to
+    the model points is formed from control points alone.
+    """
+    c, k = betas.shape[:2]
+    ctrl_cam = (basis @ betas[..., None]).reshape(c, k, -1, 3)
+    dist_c = np.linalg.norm(ctrl_cam[:, :, first] - ctrl_cam[:, :, second], axis=3)
+    denom = np.einsum("ckp,ckp->ck", dist_c, dist_c)
+    usable = denom > 0
+    scale = np.einsum("ckp,kp->ck", dist_c, dist_w) / np.where(usable, denom, 1.0)
+    ctrl_cam *= scale[..., None, None]
+    depth = (alphas @ ctrl_cam[..., 2:])[..., 0]  # (C, K, n)
+    sign = np.where(depth.mean(axis=2) < 0, -1.0, 1.0)
+    ctrl_cam *= sign[..., None, None]
+    usable &= np.all(depth * sign[..., None] > 0, axis=2) & np.isfinite(ctrl_cam).all(axis=(2, 3))
+    ctrl_cam[~usable] = 0.0  # keeps the alignment below finite
 
-def _rigid_align(src: np.ndarray, dst: np.ndarray):
-    """Least-squares rotation and translation with dst ~ R @ src + t."""
-    cs = src.mean(axis=0)
-    cd = dst.mean(axis=0)
-    h = (src - cs).T @ (dst - cd)
-    u, _, vt = np.linalg.svd(h)
-    d = np.sign(np.linalg.det(vt.T @ u.T))
-    rotation = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
-    return rotation, cd - rotation @ cs
+    # least-squares R, t with alphas @ ctrl_cam ~ R @ pts + t
+    centroid = pts.mean(axis=1, keepdims=True)
+    cross = np.swapaxes(pts - centroid, 1, 2) @ alphas  # (K, 3, c)
+    u, _, vt = np.linalg.svd(cross @ ctrl_cam)
+    v = np.swapaxes(vt, -1, -2)
+    ut = np.swapaxes(u, -1, -2)
+    v[..., 2] *= np.sign(np.linalg.det(v @ ut))[..., None]
+    rotation = v @ ut
+    translation = (
+        alphas.mean(axis=1, keepdims=True) @ ctrl_cam - centroid @ np.swapaxes(rotation, -1, -2)
+    )[..., 0, :]
+
+    q = rotation @ np.swapaxes(pts, 1, 2) + translation[..., None]  # (C, K, 3, n)
+    x, y, z = q[..., 0, :], q[..., 1, :], q[..., 2, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        du = camera.fx * x / z + (camera.cx - obs[..., 0])
+        dv = camera.fy * y / z + (camera.cy - obs[..., 1])
+        err = np.sqrt(du * du + dv * dv).mean(axis=-1)
+    err[~usable | ~np.isfinite(err)] = np.inf
+    return err, rotation, translation

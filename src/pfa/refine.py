@@ -20,14 +20,22 @@ from .exemplars import ExemplarSet, ensure_mesh_binding, query_nearest
 from .flow import FlowField
 from .geometry import CameraIntrinsics, RigidPose, geodesic_distance
 from .mesh import MeshModel
-from .pnp import is_degenerate_sample, reprojection_residuals, solve_pnp
+# bench/layers.py patches solve_pnp, reprojection_residuals and is_degenerate_sample here
+from .pnp import epnp_batch, is_degenerate_sample, reprojection_residuals, solve_pnp  # noqa: F401
 
 MAX_CORRESPONDENCES = 20000
+HYPOTHESES_PER_ROUND = 64  # minimal samples solved and scored together
+_SCORE_TILE = 1024  # correspondences per column tile of the (K, N) score
 
 
 @dataclass(frozen=True)
 class RansacConfig:
-    """Hypothesize-and-verify parameters for robust PnP."""
+    """Hypothesize-and-verify parameters for robust PnP.
+
+    ``max_iterations`` caps the minimal samples drawn across all rounds of
+    ``ransac_pnp``; degenerate samples count against it. ``min_inliers`` is
+    the consensus a hypothesis needs to be accepted.
+    """
 
     inlier_threshold: float = 2.0  # pixels
     max_iterations: int = 1000
@@ -97,14 +105,71 @@ def _adaptive_iterations(inlier_ratio: float, confidence: float, cap: int) -> in
     return min(cap, int(math.ceil(math.log(1.0 - confidence) / denom)))
 
 
+def _draw_samples(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
+    """(k, 4) indices, four distinct per row (Floyd's algorithm, vectorized)."""
+    samples = np.empty((k, 4), dtype=np.intp)
+    for col, top in enumerate(range(n - 4, n)):
+        pick = rng.integers(top + 1, size=k)
+        taken = (samples[:, :col] == pick[:, None]).any(axis=1)
+        samples[:, col] = np.where(taken, top, pick)
+    return samples
+
+
+def score_hypotheses(rotations, translations, points, pixels, camera, threshold):
+    """(K, N) inlier mask of K poses over N correspondences.
+
+    A point votes for a pose when its reprojection lies within ``threshold``
+    pixels of the observation and its depth z under the pose is positive, so
+    a point behind the camera whose mirrored projection lands on the
+    observation casts no vote. With P = K_cam [R | t] and p~ = (p, 1), the
+    test runs without division as ``du^2 + dv^2 < (threshold z)^2`` where
+    du = P_0 p~ - u P_2 p~, dv = P_1 p~ - v P_2 p~ and z = P_2 p~: one matrix
+    product per column tile yields all three for every pose, and the tiles
+    keep the float temporaries to a few MB.
+    """
+    k = len(rotations)
+    kmat = np.array([[camera.fx, 0.0, camera.cx], [0.0, camera.fy, camera.cy], [0.0, 0.0, 1.0]])
+    proj = kmat @ np.concatenate([rotations, translations[:, :, None]], axis=2)  # (K, 3, 4)
+    zero = np.zeros((k, 4))
+    coeffs = np.concatenate([  # rows: du for each pose, then dv, then z
+        np.concatenate([proj[:, 0], -proj[:, 2], zero], axis=1),
+        np.concatenate([proj[:, 1], zero, -proj[:, 2]], axis=1),
+        np.concatenate([proj[:, 2], zero, zero], axis=1),
+    ])
+    homog = np.concatenate([points, np.ones((len(points), 1))], axis=1)
+    features = np.concatenate(
+        [homog, pixels[:, :1] * homog, pixels[:, 1:] * homog], axis=1
+    ).T  # (12, N)
+    inliers = np.empty((k, len(points)), dtype=bool)
+    for lo in range(0, len(points), _SCORE_TILE):
+        cols = slice(lo, lo + _SCORE_TILE)
+        out = coeffs @ features[:, cols]
+        du, dv, z = out[:k], out[k : 2 * k], out[2 * k :]
+        front = z > 0
+        du *= du
+        dv *= dv
+        du += dv
+        z *= threshold
+        z *= z
+        np.less(du, z, out=inliers[:, cols])
+        inliers[:, cols] &= front
+    return inliers
+
+
 def ransac_pnp(
     correspondences: CorrespondenceSet, camera: CameraIntrinsics, cfg: RansacConfig
 ) -> PoseEstimate:
-    """Robust PnP: minimal 4-point hypotheses, inlier voting, final solve.
+    """Robust PnP: batched minimal 4-point hypotheses, inlier voting, final solve.
 
-    Deterministic for a fixed seed. Minimal samples within 1e-6 of coplanar
-    are rejected. The iteration budget shrinks adaptively with the best
-    inlier ratio under the configured confidence.
+    Each round draws up to ``HYPOTHESES_PER_ROUND`` 4-point samples, solves
+    them together in closed form (``epnp_batch``: coplanar samples use three
+    control points, only collinear or coincident samples are skipped) and
+    scores them as one (K, N) inlier mask that gives no vote to points behind
+    the camera. The hypothesis budget ``cfg.max_iterations`` counts samples
+    drawn across rounds and shrinks adaptively with the best inlier ratio
+    under the configured confidence, re-evaluated after every round. The best
+    hypothesis is then refit on its consensus set with ``solve_pnp``.
+    Deterministic for a fixed seed.
 
     Raises:
         RobustFailureError: no hypothesis reached ``min_inliers``; the error
@@ -121,31 +186,31 @@ def ransac_pnp(
 
     best_count = 0
     best_inliers = None
-    best_pose = None
+    best_pose = None  # (rotation, translation) of the best hypothesis
     needed = cfg.max_iterations
-    iteration = 0
-    while iteration < needed:
-        iteration += 1
-        sample = rng.choice(n, size=4, replace=False)
-        if is_degenerate_sample(pts[sample]):
+    drawn = 0
+    while drawn < needed:
+        samples = _draw_samples(rng, n, min(HYPOTHESES_PER_ROUND, needed - drawn))
+        drawn += len(samples)
+        rotations, translations, valid = epnp_batch(pts[samples], obs[samples], camera)
+        if not valid.any():
             continue
-        try:
-            hypothesis = solve_pnp(pts[sample], obs[sample], camera)
-        except SolverError:
-            continue
-        residuals = np.linalg.norm(
-            reprojection_residuals(camera, hypothesis, pts, obs), axis=1
+        rotations, translations = rotations[valid], translations[valid]
+        inliers = score_hypotheses(
+            rotations, translations, pts, obs, camera, cfg.inlier_threshold
         )
-        inliers = residuals < cfg.inlier_threshold
-        count = int(inliers.sum())
-        if count > best_count:
-            best_count = count
-            best_inliers = inliers
-            best_pose = hypothesis
+        counts = np.count_nonzero(inliers, axis=1)
+        top = int(np.argmax(counts))  # first of equals, as in drawing order
+        if counts[top] > best_count:
+            best_count = int(counts[top])
+            best_inliers = inliers[top].copy()
+            best_pose = (rotations[top], translations[top])
             needed = min(
                 cfg.max_iterations,
-                max(iteration, _adaptive_iterations(count / n, cfg.confidence, cfg.max_iterations)),
+                max(drawn, _adaptive_iterations(best_count / n, cfg.confidence, cfg.max_iterations)),
             )
+    if best_pose is not None:
+        best_pose = RigidPose(*best_pose)
 
     if best_count < cfg.min_inliers:
         best = None

@@ -120,6 +120,19 @@ class TestLoadMesh:
         with pytest.raises(MeshParseError):
             load_mesh(path)
 
+    def test_unknown_binary_property_type(self, tmp_path):
+        data = _binary_tetra_ply().replace(b"property float x", b"property half x")
+        path = tmp_path / "half.ply"
+        path.write_bytes(data)
+        with pytest.raises(MeshParseError, match="half"):
+            load_mesh(path)
+
+    def test_non_integer_element_count(self, tmp_path):
+        path = tmp_path / "count.ply"
+        path.write_text(TETRA_PLY.replace("element vertex 4", "element vertex abc"))
+        with pytest.raises(MeshParseError, match="abc"):
+            load_mesh(path)
+
     def test_empty_obj(self, tmp_path):
         path = tmp_path / "empty.obj"
         path.write_text("# nothing here\n")

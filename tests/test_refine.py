@@ -25,7 +25,7 @@ from pfa.mesh import make_box
 from pfa.metrics import add_error
 from pfa.pnp import reprojection_residuals, solve_pnp
 from pfa.raster import SceneSpec
-from pfa.refine import PoseEstimate, RansacConfig, ransac_pnp, refine_pose
+from pfa.refine import PoseEstimate, RansacConfig, ransac_pnp, refine_pose, score_hypotheses
 
 K_R = CameraIntrinsics(400.0, 400.0, 128.0, 128.0, 256, 256)
 K_T = CameraIntrinsics(600.0, 600.0, 320.0, 240.0, 640, 480)
@@ -207,6 +207,53 @@ class TestRansac:
         b = ransac_pnp(corr, K_T, RansacConfig(seed=33))
         assert np.array_equal(a.pose.rotation, b.pose.rotation)
         assert np.array_equal(a.inlier_ids, b.inlier_ids)
+
+    def test_coplanar_correspondences(self):
+        # every minimal sample is coplanar; each is still a valid hypothesis
+        rng = np.random.default_rng(77)
+        pts = np.zeros((500, 3))
+        pts[:, :2] = rng.uniform(-0.06, 0.06, size=(500, 2))
+        gt = _random_target(rng)
+        uv = project_points(K_T, gt, pts) + rng.normal(0, 0.05, size=(500, 2))
+        corr = CorrespondenceSet(pts, uv, np.zeros(500, dtype=np.int32))
+        direct = solve_pnp(pts, uv, K_T)
+        assert geodesic_distance(gt.rotation, direct.rotation) < 0.1
+        est = ransac_pnp(corr, K_T, RansacConfig(seed=0))
+        assert est.inlier_count == 500
+        assert geodesic_distance(gt.rotation, est.pose.rotation) < 0.1
+        assert np.linalg.norm(gt.translation - est.pose.translation) < 1e-3
+
+    def test_points_behind_the_camera_cast_no_votes(self):
+        # for model points on z=0, R' = -R diag(1, 1, -1), t' = -t maps every
+        # point to -q: behind the camera, on the same projection ray
+        rng = np.random.default_rng(78)
+        pts = np.zeros((50, 3))
+        pts[:, :2] = rng.uniform(-0.06, 0.06, size=(50, 2))
+        front = _random_target(rng)
+        mirrored = RigidPose(-front.rotation @ np.diag([1.0, 1.0, -1.0]), -front.translation)
+        uv = project_points(K_T, front, pts)
+        assert np.all(mirrored.transform(pts)[:, 2] < 0)
+        assert np.abs(reprojection_residuals(K_T, mirrored, pts, uv)).max() < 1e-9
+        rotations = np.stack([front.rotation, mirrored.rotation])
+        translations = np.stack([front.translation, mirrored.translation])
+        votes = score_hypotheses(rotations, translations, pts, uv, K_T, 2.0)
+        assert votes.shape == (2, 50)
+        assert votes[0].all()
+        assert not votes[1].any()
+
+    def test_score_matches_residual_threshold(self):
+        rng = np.random.default_rng(79)
+        gt, corr = _synthetic_correspondences(rng, 3000, outlier_ratio=0.3, sigma=1.5)
+        poses = [gt] + [pose_jitter(gt, K_T, BOX, 2.0, 1.0, seed=s) for s in range(5)]
+        votes = score_hypotheses(
+            np.stack([p.rotation for p in poses]), np.stack([p.translation for p in poses]),
+            corr.points, corr.pixels, K_T, 2.0,
+        )
+        for pose, row in zip(poses, votes):
+            res = np.linalg.norm(
+                reprojection_residuals(K_T, pose, corr.points, corr.pixels), axis=1
+            )
+            assert np.array_equal(row, res < 2.0)
 
     def test_estimate_validation(self):
         with pytest.raises(ValueError):
