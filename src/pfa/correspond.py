@@ -9,7 +9,7 @@ import numpy as np
 from .crops import CropTransform, apply_homography
 from .errors import ConfigurationError
 from .exemplars import Exemplar
-from .flow import FlowField, bilinear_masked, crop_pixel_centers
+from .flow import FlowField, sample_exemplar
 from .geometry import CameraIntrinsics
 
 IMAGE_MARGIN = 0.20  # lifted pixels may exit the image by this fraction
@@ -68,16 +68,19 @@ def lift_correspondences(
             f"flow is {flow.width}x{flow.height}, crops are {size}x{size}"
         )
 
-    valid = flow.valid
-    if not valid.any():
+    if not flow.valid.any():
         return CorrespondenceSet.empty()
-    centers = crop_pixel_centers(size)[valid]  # row-major order
-    cmap = exemplar.coordinate_map()
-    exemplar_px = apply_homography(crop_exemplar.inverse_matrix(), centers)
-    points, ok = bilinear_masked(cmap.points, cmap.mask, exemplar_px)
-
+    pixels, points, _ = sample_exemplar(
+        exemplar, crop_exemplar, np.flatnonzero(flow.valid)  # row-major order
+    )
+    rows, cols = np.divmod(pixels, size)
+    centers = np.stack([cols + 0.5, rows + 0.5], axis=-1)
     displaced = centers + np.stack(
-        [flow.du[valid].astype(np.float64), flow.dv[valid].astype(np.float64)], axis=-1
+        [
+            flow.du.reshape(-1)[pixels].astype(np.float64),
+            flow.dv.reshape(-1)[pixels].astype(np.float64),
+        ],
+        axis=-1,
     )
     back = (
         target_camera.matrix
@@ -88,7 +91,7 @@ def lift_correspondences(
 
     mx = IMAGE_MARGIN * target_camera.width
     my = IMAGE_MARGIN * target_camera.height
-    ok &= (
+    ok = (
         (lifted[:, 0] >= -mx)
         & (lifted[:, 0] < target_camera.width + mx)
         & (lifted[:, 1] >= -my)

@@ -2,11 +2,12 @@
 
 An exemplar is one pre-rendered view of the object at a known rotation,
 with the translation fixed to (0, 0, z_bar) for the whole set. Pixel data
-is stored sparsely (bit-packed mask plus per-masked-pixel arrays in
-float32), which is also exactly the on-disk layout, so save/load round
-trips are bit-exact.
+is stored sparsely (bit-packed mask plus per-masked-pixel model points in
+float32 and winning triangle ids in int32), which is also exactly the
+on-disk layout, so save/load round trips are bit-exact and a loaded set
+never renders again.
 
-File format (little-endian), magic "PFAX", version 1:
+File format (little-endian), magic "PFAX", version 2:
 
     header:  magic[4] | u32 version | u32 count | f64 z_bar |
              f64 fx, fy, cx, cy, width, height | mesh_hash[32] |
@@ -15,7 +16,10 @@ File format (little-endian), magic "PFAX", version 1:
              u32 id | f64 rotation[9] (row-major) |
              mask bits (256*256/8 bytes, row-major, MSB first) |
              f32 points[3 * n_masked] (row-major mask order) |
-             f32 shade[n_masked]
+             i32 tri[n_masked] (same order)
+
+Version 1 stored an f32 shade per masked pixel where version 2 stores the
+triangle id, so both have the same size; version 1 files are rejected.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from .raster import CoordinateMap, rasterize
 
 EXEMPLAR_SIZE = 256
 MAGIC = b"PFAX"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _MASK_BYTES = EXEMPLAR_SIZE * EXEMPLAR_SIZE // 8
 
@@ -59,9 +63,8 @@ class Exemplar:
     camera: CameraIntrinsics
     mask_bits: np.ndarray  # (MASK_BYTES,) uint8, row-major, MSB first
     points: np.ndarray  # (n_masked, 3) float32, model frame
-    shade: np.ndarray  # (n_masked,) float32
+    tri: np.ndarray  # (n_masked,) int32, triangle drawn at each masked pixel
     mesh_hash: bytes
-    tri: np.ndarray | None = None  # (n_masked,) int32; session-only
 
     @property
     def z_bar(self) -> float:
@@ -72,20 +75,20 @@ class Exemplar:
         return bits.reshape(EXEMPLAR_SIZE, EXEMPLAR_SIZE).astype(bool)
 
     def coordinate_map(self) -> CoordinateMap:
-        """Materialize dense buffers; depth is recomputed from the points."""
+        """Materialize dense buffers; depth is recomputed from the points.
+
+        Refinement samples the sparse arrays directly; the dense form is for
+        inspection and tests. It has no shade.
+        """
         size = EXEMPLAR_SIZE
         mask = self.mask()
         points = np.full((size, size, 3), np.nan)
         points[mask] = self.points.astype(np.float64)
         depth = np.full((size, size), np.inf)
         depth[mask] = self.pose.transform(self.points.astype(np.float64))[:, 2]
-        shade = np.zeros((size, size))
-        shade[mask] = self.shade.astype(np.float64)
-        tri = None
-        if self.tri is not None:
-            tri = np.full((size, size), -1, dtype=np.int32)
-            tri[mask] = self.tri
-        return CoordinateMap(size, size, points, depth, mask, shade, tri)
+        tri = np.full((size, size), -1, dtype=np.int32)
+        tri[mask] = self.tri
+        return CoordinateMap(size, size, points, depth, mask, None, tri)
 
     def equals(self, other: "Exemplar") -> bool:
         return (
@@ -95,7 +98,7 @@ class Exemplar:
             and self.camera == other.camera
             and np.array_equal(self.mask_bits, other.mask_bits)
             and np.array_equal(self.points, other.points)
-            and np.array_equal(self.shade, other.shade)
+            and np.array_equal(self.tri, other.tri)
             and self.mesh_hash == other.mesh_hash
         )
 
@@ -185,11 +188,8 @@ def compact_exemplar(
     mask = cmap.mask
     bits = np.packbits(mask.reshape(-1))
     points = np.ascontiguousarray(cmap.points[mask], dtype="<f4")
-    shade = np.ascontiguousarray(cmap.shade[mask], dtype="<f4")
-    tri = None
-    if cmap.tri is not None:
-        tri = np.ascontiguousarray(cmap.tri[mask], dtype=np.int32)
-    return Exemplar(index, pose, camera, bits, points, shade, digest, tri)
+    tri = np.ascontiguousarray(cmap.tri[mask], dtype="<i4")
+    return Exemplar(index, pose, camera, bits, points, tri, digest)
 
 
 def generate_exemplar_set(
@@ -289,7 +289,7 @@ def save_set(exemplar_set: ExemplarSet, path) -> None:
             f.write(np.ascontiguousarray(ex.pose.rotation, dtype="<f8").tobytes())
             f.write(ex.mask_bits.tobytes())
             f.write(np.ascontiguousarray(ex.points, dtype="<f4").tobytes())
-            f.write(np.ascontiguousarray(ex.shade, dtype="<f4").tobytes())
+            f.write(np.ascontiguousarray(ex.tri, dtype="<i4").tobytes())
 
 
 def load_set(path) -> ExemplarSet:
@@ -324,11 +324,13 @@ def load_set(path) -> ExemplarSet:
             points = np.frombuffer(
                 reader.read_exact(12 * n_masked, f"exemplar {i} points"), dtype="<f4"
             ).reshape(n_masked, 3).copy()
-            shade = np.frombuffer(
-                reader.read_exact(4 * n_masked, f"exemplar {i} shade"), dtype="<f4"
+            tri = np.frombuffer(
+                reader.read_exact(4 * n_masked, f"exemplar {i} triangle ids"), dtype="<i4"
             ).copy()
+            if n_masked and tri.min() < 0:
+                raise FileFormatError(f"exemplar {i} has a negative triangle id")
             pose = RigidPose(rotation, translation)
-            exemplars.append(Exemplar(ex_id, pose, camera, bits, points, shade, digest))
+            exemplars.append(Exemplar(ex_id, pose, camera, bits, points, tri, digest))
         if f.read(1):
             raise FileFormatError("unexpected trailing data after last exemplar")
     return ExemplarSet(name, digest, z_bar, camera, exemplars)

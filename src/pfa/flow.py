@@ -31,9 +31,10 @@ from .errors import (
     VersionMismatchError,
 )
 from .exemplars import Exemplar, ensure_mesh_binding
-from .geometry import project_camera_points
+from .geometry import CameraIntrinsics, project_camera_points
 from .mesh import face_normals
-from .raster import SceneSpec, rasterize, scene_depth_map
+# bench/layers.py patches rasterize here; nothing in this module renders exemplars
+from .raster import SceneSpec, rasterize, scene_depth_map  # noqa: F401
 from .seeds import derive_seed
 
 
@@ -104,49 +105,82 @@ class FlowNoiseSpec:
         )
 
 
-def bilinear_masked(values: np.ndarray, mask: np.ndarray, pixels: np.ndarray):
-    """Bilinear sample (H, W, C) values at continuous pixels with a mask guard.
-
-    A sample is accepted only when all four contributing pixels exist and
-    are masked; returns (samples, ok). Pixel centers sit at integer + 0.5.
-    """
-    h, w = mask.shape
-    p = np.asarray(pixels, dtype=np.float64)
-    x = p[..., 0] - 0.5
-    y = p[..., 1] - 0.5
-    x0 = np.floor(x).astype(np.int64)
-    y0 = np.floor(y).astype(np.int64)
-    ok = (x0 >= 0) & (y0 >= 0) & (x0 + 1 <= w - 1) & (y0 + 1 <= h - 1)
-    x0c = np.clip(x0, 0, w - 2)
-    y0c = np.clip(y0, 0, h - 2)
-    fx = x - x0c
-    fy = y - y0c
-    m00 = mask[y0c, x0c]
-    m01 = mask[y0c, x0c + 1]
-    m10 = mask[y0c + 1, x0c]
-    m11 = mask[y0c + 1, x0c + 1]
-    ok &= m00 & m01 & m10 & m11
-    w00 = (1 - fx) * (1 - fy)
-    w01 = fx * (1 - fy)
-    w10 = (1 - fx) * fy
-    w11 = fx * fy
-    v00 = values[y0c, x0c]
-    v01 = values[y0c, x0c + 1]
-    v10 = values[y0c + 1, x0c]
-    v11 = values[y0c + 1, x0c + 1]
-    samples = (
-        w00[..., None] * v00
-        + w01[..., None] * v01
-        + w10[..., None] * v10
-        + w11[..., None] * v11
-    )
-    return samples, ok
-
-
 def crop_pixel_centers(size: int) -> np.ndarray:
     """(S, S, 2) array of crop pixel centers (col + 0.5, row + 0.5)."""
     cols, rows = np.meshgrid(np.arange(size) + 0.5, np.arange(size) + 0.5)
     return np.stack([cols, rows], axis=-1)
+
+
+def _axis_cells(coords: np.ndarray, n: int):
+    """Left cell, fraction and in-range flag of samples along one image axis."""
+    c = coords - 0.5
+    c0 = np.floor(c).astype(np.int64)
+    inside = (c0 >= 0) & (c0 + 1 <= n - 1)
+    c0 = np.clip(c0, 0, n - 2)
+    return c0, c - c0, inside
+
+
+def sample_exemplar(exemplar: Exemplar, crop_exemplar: CropTransform, pixels=None):
+    """Bilinear model points of an exemplar at exemplar-crop pixel centers.
+
+    ``pixels`` are flat row-major crop indices in increasing order (every
+    crop pixel when None). A sample is kept only when the four exemplar
+    pixels around it are all in the mask; pixel centers sit at integer +
+    0.5. Returns the kept indices, their (M, 3) float64 model points, and
+    the triangle id of the exemplar pixel containing each sample.
+
+    The points are gathered from the stored sparse rows, never from a dense
+    map. A crop is a similarity, so a crop pixel's exemplar x depends on its
+    column alone and its y on its row alone: the sample grid is two axes.
+    """
+    size = crop_exemplar.out_size
+    axis = np.arange(size) + 0.5
+    ex = apply_homography(crop_exemplar.inverse_matrix(), np.stack([axis, axis], axis=-1))
+    mask = exemplar.mask()
+    x0, fx, x_in = _axis_cells(ex[:, 0], mask.shape[1])
+    y0, fy, y_in = _axis_cells(ex[:, 1], mask.shape[0])
+    cells = mask[:-1, :-1] & mask[:-1, 1:] & mask[1:, :-1] & mask[1:, 1:]
+    if pixels is None:
+        ok = cells[np.ix_(y0, x0)] & y_in[:, None] & x_in[None, :]
+        pixels = np.flatnonzero(ok)
+        rows, cols = np.divmod(pixels, size)
+    else:
+        rows, cols = np.divmod(pixels, size)
+        ok = cells[y0[rows], x0[cols]] & y_in[rows] & x_in[cols]
+        pixels, rows, cols = pixels[ok], rows[ok], cols[ok]
+
+    width = mask.shape[1]
+    row_of = np.full(mask.size, -1, dtype=np.int32)  # flat exemplar pixel -> stored row
+    row_of[mask.reshape(-1)] = np.arange(len(exemplar.points), dtype=np.int32)
+    values = exemplar.points.T.astype(np.float64)  # (3, n): one gather per corner
+    corner = y0[rows] * width + x0[cols]
+    fx, fy = fx[cols], fy[rows]
+    weights = ((1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy, fx * fy)
+    points = weights[0] * values.take(row_of[corner], axis=1)
+    for weight, offset in zip(weights[1:], (1, width, width + 1)):
+        points += weight * values.take(row_of[corner + offset], axis=1)
+    # the pixel containing the sample is one of the four, so it is in the mask
+    holder = np.floor(ex[rows, 1]).astype(np.int64) * width + np.floor(ex[cols, 0]).astype(np.int64)
+    return pixels, np.ascontiguousarray(points.T), exemplar.tri[row_of[holder]]
+
+
+def target_window(
+    crop_target: CropTransform, k_render: CameraIntrinsics, k_target: CameraIntrinsics
+) -> tuple[int, int, int, int]:
+    """Target-image pixels that can map into the target crop.
+
+    Returns half-open bounds (x0, y0, x1, y1) of the crop's preimage under
+    the intrinsics alignment, widened by one pixel against rounding and
+    clipped to the image; the window is empty when the crop misses it.
+    """
+    size = crop_target.out_size
+    warp = crop_target.matrix @ intrinsics_align_matrix(k_render, k_target)
+    corners = apply_homography(np.linalg.inv(warp), np.array([[0.0, 0.0], [size, size]]))
+    lo = np.floor(corners.min(axis=0)).astype(np.int64) - 1
+    hi = np.ceil(corners.max(axis=0)).astype(np.int64) + 1
+    x0, x1 = np.clip([lo[0], hi[0]], 0, k_target.width)
+    y0, y1 = np.clip([lo[1], hi[1]], 0, k_target.height)
+    return int(x0), int(y0), int(x1), int(y1)
 
 
 def oracle_flow(
@@ -160,13 +194,18 @@ def oracle_flow(
 ) -> FlowField:
     """Ground-truth flow from an exemplar crop to the target crop.
 
-    For every valid exemplar-crop pixel the stored model point is projected
+    Every exemplar-crop pixel whose sample has a full 2x2 footprint in the
+    exemplar mask takes the bilinearly interpolated stored model point and
+    the stored triangle id (``sample_exemplar``). The point is projected
     into the target image under ``target_pose``, re-expressed under the
     exemplar camera's intrinsics, and mapped by the target crop. Pixels are
-    invalidated when the point is occluded in the scene (joint z-buffer
-    strictly nearer than the point by more than a depth tolerance), when
-    the target pixel leaves the image or the crop, or when the surface
-    faces away from the target camera.
+    invalidated when the target pixel leaves the image or the crop, when
+    the surface faces away from the target camera, or when the point is
+    occluded in the scene (joint z-buffer strictly nearer than the point by
+    more than a depth tolerance). Only pixels landing in the crop are depth
+    tested, so the z-buffer covers the crop's ``target_window`` alone;
+    ``scene_depth``, if given, must be ``scene_depth_map`` over that window.
+    No rendering happens here.
     """
     ensure_mesh_binding(exemplar, scene.object_mesh)
     size = crop_exemplar.out_size
@@ -175,29 +214,16 @@ def oracle_flow(
             f"crop sizes disagree: {size} vs {crop_target.out_size}"
         )
 
-    cmap = exemplar.coordinate_map()
-    tri_map = cmap.tri
-    if tri_map is None:
-        # loaded sets drop triangle ids; re-rendering reproduces them exactly
-        tri_map = rasterize(
-            scene.object_mesh, exemplar.pose, exemplar.camera, cmap.width
-        ).tri
-
-    centers = crop_pixel_centers(size)
-    exemplar_px = apply_homography(crop_exemplar.inverse_matrix(), centers)
-    points, ok = bilinear_masked(cmap.points, cmap.mask, exemplar_px)
-
-    flat_ok = ok.reshape(-1)
-    flat_points = points.reshape(-1, 3)[flat_ok]
-    if flat_points.size == 0:
+    pixels, points, tri_idx = sample_exemplar(exemplar, crop_exemplar)
+    if len(pixels) == 0:
         zero = np.zeros((size, size), dtype=np.float32)
         return FlowField(zero, zero.copy(), np.zeros((size, size), dtype=bool))
 
     k_target = scene.camera
-    q_target = target_pose.transform(flat_points)
+    q_target = target_pose.transform(points)
     keep = q_target[:, 2] > 0
 
-    u_target = np.zeros((len(flat_points), 2))
+    u_target = np.zeros((len(points), 2))
     u_target[keep] = project_camera_points(k_target, q_target[keep])
     keep &= (
         (u_target[:, 0] >= 0.0)
@@ -206,23 +232,10 @@ def oracle_flow(
         & (u_target[:, 1] < k_target.height)
     )
 
-    if scene_depth is None:
-        scene_depth = scene_depth_map(scene)
-    eps = max(1e-4, 1e-3 * exemplar.z_bar)
-    px = np.clip(np.floor(u_target[:, 0]).astype(np.int64), 0, k_target.width - 1)
-    py = np.clip(np.floor(u_target[:, 1]).astype(np.int64), 0, k_target.height - 1)
-    keep &= ~(scene_depth[py, px] < q_target[:, 2] - eps)
-
     # back-face cull against the target view; triangle orientation is fixed
     # per pixel so that the normal faces the exemplar camera
-    normals = face_normals(scene.object_mesh)
-    sample_px = exemplar_px.reshape(-1, 2)[flat_ok]
-    tx = np.clip(np.floor(sample_px[:, 0]).astype(np.int64), 0, cmap.width - 1)
-    ty = np.clip(np.floor(sample_px[:, 1]).astype(np.int64), 0, cmap.height - 1)
-    tri_idx = tri_map[ty, tx]
-    n_model = normals[np.clip(tri_idx, 0, len(normals) - 1)]
-    keep &= tri_idx >= 0
-    q_exemplar = exemplar.pose.transform(flat_points)
+    n_model = face_normals(scene.object_mesh)[tri_idx]
+    q_exemplar = exemplar.pose.transform(points)
     n_exemplar = n_model @ exemplar.pose.rotation.T
     toward_exemplar = np.sum(n_exemplar * q_exemplar, axis=1)
     flip = np.where(toward_exemplar > 0, -1.0, 1.0)
@@ -238,14 +251,25 @@ def oracle_flow(
         & (u_crop[:, 1] < size)
     )
 
+    x0, y0, x1, y1 = window = target_window(crop_target, exemplar.camera, k_target)
+    if scene_depth is None:
+        scene_depth = scene_depth_map(scene, window=window)
+    if scene_depth.shape != (y1 - y0, x1 - x0):
+        raise ValueError(f"scene_depth does not cover the target window {window}")
+    eps = max(1e-4, 1e-3 * exemplar.z_bar)
+    tested = np.flatnonzero(keep)
+    px = np.floor(u_target[tested, 0]).astype(np.int64) - x0
+    py = np.floor(u_target[tested, 1]).astype(np.int64) - y0
+    keep[tested] = ~(scene_depth[py, px] < q_target[tested, 2] - eps)
+
+    valid_idx = pixels[keep]
     valid = np.zeros(size * size, dtype=bool)
-    valid_idx = np.flatnonzero(flat_ok)[keep]
     valid[valid_idx] = True
+    rows, cols = np.divmod(valid_idx, size)
     du = np.zeros(size * size, dtype=np.float32)
     dv = np.zeros(size * size, dtype=np.float32)
-    flat_centers = centers.reshape(-1, 2)
-    du[valid_idx] = (u_crop[keep, 0] - flat_centers[valid_idx, 0]).astype(np.float32)
-    dv[valid_idx] = (u_crop[keep, 1] - flat_centers[valid_idx, 1]).astype(np.float32)
+    du[valid_idx] = (u_crop[keep, 0] - (cols + 0.5)).astype(np.float32)
+    dv[valid_idx] = (u_crop[keep, 1] - (rows + 0.5)).astype(np.float32)
     return FlowField(
         du.reshape(size, size), dv.reshape(size, size), valid.reshape(size, size)
     )
@@ -302,11 +326,15 @@ class OracleFlowSource:
         self.target_pose = target_pose
         self.noise = noise
         self.base_seed = base_seed
+        self._window = None
         self._scene_depth = None
 
     def flow_for(self, exemplar, rank, crop_exemplar, crop_target) -> FlowField:
-        if self._scene_depth is None:
-            self._scene_depth = scene_depth_map(self.scene)
+        # one z-buffer per target window: a trial's exemplars share it
+        window = target_window(crop_target, exemplar.camera, self.scene.camera)
+        if window != self._window:
+            self._window = window
+            self._scene_depth = scene_depth_map(self.scene, window=window)
         field = oracle_flow(
             exemplar, crop_exemplar, self.scene, self.target_pose, crop_target,
             scene_depth=self._scene_depth,

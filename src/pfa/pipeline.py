@@ -25,6 +25,7 @@ from .errors import (
     BehindCameraError,
     ConfigurationError,
     DegeneracyError,
+    FileFormatError,
     FlowFileMissingError,
     MeshHashMismatchError,
     RobustFailureError,
@@ -51,10 +52,12 @@ DEFAULT_EXEMPLAR_CAMERA = CameraIntrinsics(
     400.0, 400.0, 128.0, 128.0, EXEMPLAR_SIZE, EXEMPLAR_SIZE
 )
 
+# errors local to one trial: each becomes that trial's failure record
 _TRIAL_FAILURES = (
     RobustFailureError,
     SolverError,
     FlowFileMissingError,
+    FileFormatError,  # a corrupt flow file
     DegeneracyError,
     BehindCameraError,
 )

@@ -68,26 +68,27 @@ def reprojection_jacobian(
     q = rotated + pose.translation
     x, y, z = q[:, 0], q[:, 1], q[:, 2]
     inv_z = 1.0 / z
-    n = len(pts)
+    du_dx = camera.fx * inv_z
+    du_dz = -camera.fx * x * inv_z * inv_z
+    dv_dy = camera.fy * inv_z
+    dv_dz = -camera.fy * y * inv_z * inv_z
+    rx, ry, rz = rotated[:, 0], rotated[:, 1], rotated[:, 2]
 
-    duv_dq = np.zeros((n, 2, 3))
-    duv_dq[:, 0, 0] = camera.fx * inv_z
-    duv_dq[:, 0, 2] = -camera.fx * x * inv_z * inv_z
-    duv_dq[:, 1, 1] = camera.fy * inv_z
-    duv_dq[:, 1, 2] = -camera.fy * y * inv_z * inv_z
-
-    # dq/dw = -[rotated]_x, dq/dt = identity
-    dq_dw = np.zeros((n, 3, 3))
-    dq_dw[:, 0, 1] = rotated[:, 2]
-    dq_dw[:, 0, 2] = -rotated[:, 1]
-    dq_dw[:, 1, 0] = -rotated[:, 2]
-    dq_dw[:, 1, 2] = rotated[:, 0]
-    dq_dw[:, 2, 0] = rotated[:, 1]
-    dq_dw[:, 2, 1] = -rotated[:, 0]
-
-    jac = np.empty((n, 2, 6))
-    jac[:, :, :3] = np.einsum("nij,njk->nik", duv_dq, dq_dw)
-    jac[:, :, 3:] = duv_dq
+    # d(u, v)/dq = [[du_dx, 0, du_dz], [0, dv_dy, dv_dz]] times
+    # dq/dw = -[rotated]_x, written out; dq/dt = identity
+    jac = np.empty((len(pts), 2, 6))
+    jac[:, 0, 0] = du_dz * ry
+    jac[:, 0, 1] = du_dx * rz - du_dz * rx
+    jac[:, 0, 2] = -du_dx * ry
+    jac[:, 0, 3] = du_dx
+    jac[:, 0, 4] = 0.0
+    jac[:, 0, 5] = du_dz
+    jac[:, 1, 0] = dv_dz * ry - dv_dy * rz
+    jac[:, 1, 1] = -dv_dz * rx
+    jac[:, 1, 2] = dv_dy * rx
+    jac[:, 1, 3] = 0.0
+    jac[:, 1, 4] = dv_dy
+    jac[:, 1, 5] = dv_dz
     return jac
 
 

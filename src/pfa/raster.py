@@ -12,6 +12,9 @@ but the inputs.
 Triangles with any vertex at depth <= 1e-9 m are dropped whole (no near
 plane clipping); objects fully behind the camera rasterize to an empty
 mask rather than an error.
+
+Scene z-buffers (``scene_depth_map``) run the same triangle loop for depth
+alone and may be limited to a pixel window of the image.
 """
 
 from __future__ import annotations
@@ -33,9 +36,10 @@ class CoordinateMap:
     """Per-pixel geometry buffers for one rendered view.
 
     mask is True exactly where depth is finite and positive and the points
-    entry is valid; elsewhere points are NaN, depth is +inf, shade is 0.
-    ``tri`` (winning triangle index, -1 outside the mask) is a session-only
-    byproduct of rasterization; it is not persisted by any file format.
+    entry is valid; elsewhere points are NaN, depth is +inf, shade is 0 and
+    ``tri`` (the winning triangle index) is -1. Exemplar sets persist ``tri``
+    with the points; they do not keep ``shade``, which is None in maps
+    rebuilt from a stored exemplar.
     """
 
     width: int
@@ -43,8 +47,8 @@ class CoordinateMap:
     points: np.ndarray  # (H, W, 3)
     depth: np.ndarray  # (H, W)
     mask: np.ndarray  # (H, W) bool
-    shade: np.ndarray  # (H, W) in [0, 1]
-    tri: np.ndarray | None = None  # (H, W) int32 or None
+    shade: np.ndarray | None  # (H, W) in [0, 1]
+    tri: np.ndarray  # (H, W) int32
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,6 +84,23 @@ def rasterize(
 ) -> CoordinateMap:
     """Render a mesh into a CoordinateMap of the given (width, height)."""
     width, height = _parse_size(out_size)
+    depth = np.full((height, width), np.inf)
+    points = np.full((height, width, 3), np.nan)
+    shade = np.zeros((height, width))
+    tri = np.full((height, width), -1, dtype=np.int32)
+    _z_buffer(mesh, pose, camera, (0, 0, width, height), depth, (points, shade, tri))
+    mask = np.isfinite(depth)
+    return CoordinateMap(width, height, points, depth, mask, shade, tri)
+
+
+def _z_buffer(mesh, pose, camera, window, depth, attributes=None):
+    """Draw the mesh's triangles, in index order, into a window's z-buffer.
+
+    ``window`` is (x0, y0, x1, y1), half-open pixel bounds of the image;
+    ``depth`` and the optional (points, shade, tri) buffers cover exactly
+    that window. Pixels are sampled at their image coordinates, so a
+    window holds the same values as the full image has there.
+    """
     cam = pose.transform(mesh.vertices)
     z = cam[:, 2]
     usable = z > NEAR_CLIP
@@ -89,11 +110,6 @@ def rasterize(
     np.divide(cam[:, 1], z, out=uv[:, 1], where=usable)
     uv[:, 0] = camera.fx * uv[:, 0] + camera.cx
     uv[:, 1] = camera.fy * uv[:, 1] + camera.cy
-
-    depth = np.full((height, width), np.inf)
-    points = np.full((height, width, 3), np.nan)
-    shade = np.zeros((height, width))
-    tri = np.full((height, width), -1, dtype=np.int32)
 
     for index in range(len(mesh.triangles)):
         ia, ib, ic = mesh.triangles[index]
@@ -106,16 +122,10 @@ def rasterize(
             z,
             mesh.vertices,
             cam,
-            width,
-            height,
+            window,
             depth,
-            points,
-            shade,
-            tri,
+            attributes,
         )
-
-    mask = np.isfinite(depth)
-    return CoordinateMap(width, height, points, depth, mask, shade, tri)
 
 
 def _edge(p, q, x, y):
@@ -128,8 +138,7 @@ def _top_left(p, q) -> bool:
 
 
 def _raster_triangle(
-    index, vids, uv, z, model_vertices, cam_vertices, width, height,
-    depth, points, shade, tri,
+    index, vids, uv, z, model_vertices, cam_vertices, window, depth, attributes,
 ):
     ia, ib, ic = vids
     pa, pb, pc = uv[ia], uv[ib], uv[ic]
@@ -146,10 +155,11 @@ def _raster_triangle(
     ys_min = min(pa[1], pb[1], pc[1])
     ys_max = max(pa[1], pb[1], pc[1])
     # pixel centers j + 0.5 inside [xs_min, xs_max]
-    x0 = max(0, int(np.ceil(xs_min - 0.5)))
-    x1 = min(width - 1, int(np.floor(xs_max - 0.5)))
-    y0 = max(0, int(np.ceil(ys_min - 0.5)))
-    y1 = min(height - 1, int(np.floor(ys_max - 0.5)))
+    wx0, wy0, wx1, wy1 = window
+    x0 = max(wx0, int(np.ceil(xs_min - 0.5)))
+    x1 = min(wx1 - 1, int(np.floor(xs_max - 0.5)))
+    y0 = max(wy0, int(np.ceil(ys_min - 0.5)))
+    y1 = min(wy1 - 1, int(np.floor(ys_max - 0.5)))
     if x0 > x1 or y0 > y1:
         return
 
@@ -175,9 +185,12 @@ def _raster_triangle(
     inv_z = la / za + lb / zb + lc / zc
     z_pix = 1.0 / inv_z
 
-    window = depth[y0 : y1 + 1, x0 : x1 + 1]
-    update = cover & (z_pix < window - DEPTH_TIE)
+    block = (slice(y0 - wy0, y1 - wy0 + 1), slice(x0 - wx0, x1 - wx0 + 1))
+    update = cover & (z_pix < depth[block] - DEPTH_TIE)
     if not update.any():
+        return
+    depth[block][update] = z_pix[update]
+    if attributes is None:
         return
 
     va, vb, vc = model_vertices[ia], model_vertices[ib], model_vertices[ic]
@@ -190,10 +203,10 @@ def _raster_triangle(
     n = np.cross(cam_vertices[ib] - cam_vertices[ia], cam_vertices[ic] - cam_vertices[ia])
     shade_value = abs(n[2]) / np.linalg.norm(n)
 
-    window[update] = z_pix[update]
-    points[y0 : y1 + 1, x0 : x1 + 1][update] = interp[update]
-    shade[y0 : y1 + 1, x0 : x1 + 1][update] = shade_value
-    tri[y0 : y1 + 1, x0 : x1 + 1][update] = index
+    points, shade, tri = attributes
+    points[block][update] = interp[update]
+    shade[block][update] = shade_value
+    tri[block][update] = index
 
 
 def rasterize_scene(scene: SceneSpec, out_size=None):
@@ -206,23 +219,33 @@ def rasterize_scene(scene: SceneSpec, out_size=None):
     if out_size is None:
         out_size = (scene.camera.width, scene.camera.height)
     cmap = rasterize(scene.object_mesh, scene.object_pose, scene.camera, out_size)
-    occluder_depth = _occluder_depth(scene, out_size)
+    occluder_depth = _joint_depth(scene.occluders, scene.camera, (0, 0, *_parse_size(out_size)))
     visibility = cmap.mask & ~(occluder_depth < cmap.depth)
     return cmap, visibility
 
 
-def scene_depth_map(scene: SceneSpec, out_size=None) -> np.ndarray:
-    """Joint z-buffer over the object and every occluder."""
+def scene_depth_map(scene: SceneSpec, out_size=None, window=None) -> np.ndarray:
+    """Joint z-buffer over the object and every occluder, depth only.
+
+    ``window`` (x0, y0, x1, y1) limits rendering to those half-open pixel
+    bounds of the ``out_size`` image (default: the whole image); the result
+    covers just the window and equals the full z-buffer there.
+    """
     if out_size is None:
         out_size = (scene.camera.width, scene.camera.height)
-    cmap = rasterize(scene.object_mesh, scene.object_pose, scene.camera, out_size)
-    return np.minimum(cmap.depth, _occluder_depth(scene, out_size))
+    if window is None:
+        window = (0, 0, *_parse_size(out_size))
+    meshes = ((scene.object_mesh, scene.object_pose), *scene.occluders)
+    return _joint_depth(meshes, scene.camera, window)
 
 
-def _occluder_depth(scene: SceneSpec, out_size) -> np.ndarray:
-    width, height = _parse_size(out_size)
-    joint = np.full((height, width), np.inf)
-    for mesh, pose in scene.occluders:
-        layer = rasterize(mesh, pose, scene.camera, out_size)
-        np.minimum(joint, layer.depth, out=joint)
+def _joint_depth(meshes, camera: CameraIntrinsics, window) -> np.ndarray:
+    """Per-pixel minimum of the meshes' separately resolved depth buffers."""
+    x0, y0, x1, y1 = window
+    shape = (y1 - y0, x1 - x0)
+    joint = np.full(shape, np.inf)
+    for mesh, pose in meshes:
+        layer = np.full(shape, np.inf)
+        _z_buffer(mesh, pose, camera, window, layer)
+        np.minimum(joint, layer, out=joint)
     return joint

@@ -124,8 +124,8 @@ def score_hypotheses(rotations, translations, points, pixels, camera, threshold)
     observation casts no vote. With P = K_cam [R | t] and p~ = (p, 1), the
     test runs without division as ``du^2 + dv^2 < (threshold z)^2`` where
     du = P_0 p~ - u P_2 p~, dv = P_1 p~ - v P_2 p~ and z = P_2 p~: one matrix
-    product per column tile yields all three for every pose, and the tiles
-    keep the float temporaries to a few MB.
+    product per column tile yields all three for every pose. The features
+    and the product are built per tile in two reused buffers of a few MB.
     """
     k = len(rotations)
     kmat = np.array([[camera.fx, 0.0, camera.cx], [0.0, camera.fy, camera.cy], [0.0, 0.0, 1.0]])
@@ -136,14 +136,19 @@ def score_hypotheses(rotations, translations, points, pixels, camera, threshold)
         np.concatenate([proj[:, 1], zero, -proj[:, 2]], axis=1),
         np.concatenate([proj[:, 2], zero, zero], axis=1),
     ])
-    homog = np.concatenate([points, np.ones((len(points), 1))], axis=1)
-    features = np.concatenate(
-        [homog, pixels[:, :1] * homog, pixels[:, 1:] * homog], axis=1
-    ).T  # (12, N)
-    inliers = np.empty((k, len(points)), dtype=bool)
-    for lo in range(0, len(points), _SCORE_TILE):
+    n = len(points)
+    features_buf = np.empty((12, min(n, _SCORE_TILE)))  # rows: p~, u p~, v p~
+    out_buf = np.empty((3 * k, min(n, _SCORE_TILE)))
+    inliers = np.empty((k, n), dtype=bool)
+    for lo in range(0, n, _SCORE_TILE):
         cols = slice(lo, lo + _SCORE_TILE)
-        out = coeffs @ features[:, cols]
+        width = min(_SCORE_TILE, n - lo)
+        features, out = features_buf[:, :width], out_buf[:, :width]
+        features[:3] = points[cols].T
+        features[3] = 1.0
+        np.multiply(pixels[cols, 0], features[:4], out=features[4:8])
+        np.multiply(pixels[cols, 1], features[:4], out=features[8:])
+        np.matmul(coeffs, features, out=out)
         du, dv, z = out[:k], out[k : 2 * k], out[2 * k :]
         front = z > 0
         du *= du

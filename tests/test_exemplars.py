@@ -2,6 +2,7 @@
 
 import hashlib
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from helpers import reprojection_residual_max
 from pfa.errors import (
     BadMagicError,
     ConfigurationError,
+    FileFormatError,
     MeshHashMismatchError,
     TruncationError,
     VersionMismatchError,
@@ -26,6 +28,7 @@ from pfa.exemplars import (
 from pfa.geometry import RigidPose, geodesic_distance, sample_rotations
 from pfa.geometry import CameraIntrinsics
 from pfa.mesh import make_box, make_tetrahedron
+from pfa.raster import rasterize
 
 K_R = CameraIntrinsics(400.0, 400.0, 128.0, 128.0, 256, 256)
 BOX = make_box((0.10, 0.08, 0.06))
@@ -172,11 +175,51 @@ class TestPersistence:
         path = tmp_path / "set.pfax"
         save_set(small_set, path)
         data = bytearray(path.read_bytes())
-        data[4:8] = struct.pack("<I", 2)
+        data[4:8] = struct.pack("<I", 1)  # version 1 stored shade, not triangle ids
         path.write_bytes(bytes(data))
         with pytest.raises(VersionMismatchError) as info:
             load_set(path)
-        assert "2" in str(info.value) and "1" in str(info.value)
+        assert info.value.found == 1 and info.value.expected == 2
+        assert "1" in str(info.value) and "2" in str(info.value)
+
+    def test_round_trip_keeps_triangle_ids(self, tmp_path, small_set):
+        path = tmp_path / "set.pfax"
+        save_set(small_set, path)
+        loaded = load_set(path)
+        for src, back in zip(small_set.exemplars, loaded.exemplars):
+            assert back.tri.dtype == np.int32
+            assert np.array_equal(src.tri, back.tri)
+            rendered = rasterize(BOX, back.pose, K_R, EXEMPLAR_SIZE)
+            assert np.array_equal(back.coordinate_map().tri, rendered.tri)
+
+    def test_triangle_ids_take_part_in_equality(self, small_set):
+        a = small_set.exemplars[0]
+        b = replace(a, tri=a.tri.copy())
+        assert a.equals(b)
+        b.tri[0] += 1
+        assert not a.equals(b)
+
+    def test_truncated_triangle_ids(self, tmp_path):
+        one = generate_exemplar_set(BOX, 1, 1.0, K_R, seed=2)
+        path = tmp_path / "one.pfax"
+        save_set(one, path)
+        data = path.read_bytes()
+        n_masked = len(one.exemplars[0].points)
+        path.write_bytes(data[: len(data) - 4 * n_masked + 6])  # inside the tri section
+        with pytest.raises(TruncationError) as info:
+            load_set(path)
+        assert "triangle ids" in str(info.value)
+        assert info.value.expected_bytes == 4 * n_masked and info.value.actual_bytes == 6
+
+    def test_negative_triangle_id_rejected(self, tmp_path):
+        one = generate_exemplar_set(BOX, 1, 1.0, K_R, seed=2)
+        path = tmp_path / "one.pfax"
+        save_set(one, path)
+        data = bytearray(path.read_bytes())
+        data[-4:] = struct.pack("<i", -1)
+        path.write_bytes(bytes(data))
+        with pytest.raises(FileFormatError):
+            load_set(path)
 
     def test_truncation_reports_counts(self, tmp_path, small_set):
         path = tmp_path / "set.pfax"

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from pfa.crops import CropTransform, compute_crop, lift_to_image
+from helpers import dense_lift, dense_oracle_flow
+from pfa.correspond import lift_correspondences
+from pfa.crops import CropTransform, apply_homography, compute_crop, lift_to_image
 from pfa.errors import (
     BadMagicError,
     FileFormatError,
@@ -14,13 +16,15 @@ from pfa.exemplars import generate_exemplar_set, load_set, save_set
 from pfa.flow import (
     FlowField,
     FlowNoiseSpec,
+    OracleFlowSource,
     crop_pixel_centers,
     degrade_flow,
     load_flow,
     oracle_flow,
     save_flow,
+    target_window,
 )
-from pfa.geometry import CameraIntrinsics, RigidPose, project_points
+from pfa.geometry import CameraIntrinsics, RigidPose, project_points, rotation_about_axis
 from pfa.mesh import MeshModel, make_box, make_tetrahedron
 from pfa.raster import SceneSpec
 
@@ -176,6 +180,112 @@ class TestOracleGeometry:
         field = oracle_flow(ex, IDENTITY_CROP, scene, flipped, IDENTITY_CROP)
         # a tetrahedron has no face visible from both opposite directions
         assert field.valid.sum() == 0
+
+
+def _dense_case(name):
+    """Target camera, gt rotation relative to the exemplar, gt translation, occluders."""
+    rotation = rotation_about_axis([0.3, 1.0, 0.2], 7.0)
+    camera = CameraIntrinsics(600.0, 600.0, 320.0, 240.0, 640, 480)
+    if name == "occluded":
+        translation = [0.01, -0.005, 0.9]
+        occluders = (
+            (make_box((0.05, 0.12, 0.02)), RigidPose(np.eye(3), [0.02, 0.0, 0.7])),
+            (make_box((0.04, 0.04, 0.04)), RigidPose(np.eye(3), [-0.03, 0.02, 0.8])),
+        )
+    elif name == "overflow":  # unoccluded; the test halves the target crop
+        translation = [0.01, -0.005, 0.9]
+        occluders = ()
+    elif name == "border":  # the object sits ~15 px from the left image edge
+        translation = [(15.0 - 320.0) / 600.0 * 0.9, 0.0, 0.9]
+        occluders = ((make_box((0.06, 0.06, 0.02)), RigidPose(np.eye(3), [-0.38, 0.0, 0.75])),)
+    else:  # fx != fy and an off-center principal point
+        camera = CameraIntrinsics(640.0, 540.0, 300.0, 260.0, 640, 480)
+        translation = [0.02, 0.015, 1.1]
+        occluders = ((make_box((0.03, 0.10, 0.02)), RigidPose(np.eye(3), [0.02, 0.01, 0.9])),)
+    return camera, rotation, np.array(translation), occluders
+
+
+class TestDenseEquivalence:
+    """The sparse sampler and windowed z-buffer reproduce the dense algorithm bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def loaded_box_set(self, box_set, tmp_path_factory):
+        path = tmp_path_factory.mktemp("sets") / "box.pfax"
+        save_set(box_set, path)
+        return load_set(path)
+
+    @pytest.mark.parametrize("case", ["occluded", "overflow", "border", "anisotropic"])
+    @pytest.mark.parametrize("pad", [1.2, 1.6])
+    @pytest.mark.parametrize("loaded", [False, True])
+    def test_oracle_and_lift_match_dense(self, case, pad, loaded, box_set, loaded_box_set):
+        exemplar_set = loaded_box_set if loaded else box_set
+        camera, rotation, translation, occluders = _dense_case(case)
+        jitter = rotation_about_axis([1.0, 0.0, 0.5], 3.0)
+        checked = 0
+        low, high = np.full(2, np.inf), np.full(2, -np.inf)  # valid target-crop extent
+        for index in (0, 5, 11):
+            ex = exemplar_set.exemplars[index]
+            gt = RigidPose(rotation @ ex.pose.rotation, translation)
+            initial = RigidPose(jitter @ gt.rotation, translation + [0.004, -0.003, 0.01])
+            scene = SceneSpec(BOX, gt, occluders, camera)
+            crop_r = compute_crop(ex.pose, K_R, BOX, pad=pad)
+            # "overflow" halves the target crop so the object crosses all four
+            # of its edges and valid pixels reach every side of the window
+            crop_t = compute_crop(initial, K_R, BOX, pad=pad / 2 if case == "overflow" else pad)
+            if case == "border":
+                x0, _, x1, _ = target_window(crop_t, K_R, camera)
+                unclipped = apply_homography(
+                    np.linalg.inv(crop_t.matrix @ K_R.matrix @ camera.inverse_matrix),
+                    np.zeros(2),
+                )
+                assert x0 == 0 and unclipped[0] < 0 < x1
+
+            source = OracleFlowSource(scene, gt)
+            sparse = source.flow_for(ex, 0, crop_r, crop_t)
+            dense = dense_oracle_flow(ex, crop_r, scene, gt, crop_t)
+            assert sparse.equals(dense)
+            assert np.array_equal(sparse.du, dense.du) and np.array_equal(sparse.dv, dense.dv)
+            checked += int(dense.valid.sum())
+            centers = crop_pixel_centers(256)[dense.valid]
+            landed = centers + np.stack([dense.du, dense.dv], axis=-1)[dense.valid]
+            low, high = np.minimum(low, landed.min(axis=0)), np.maximum(high, landed.max(axis=0))
+
+            noise = FlowNoiseSpec.default_preset(seed=index, dropout_ratio=0.3)
+            noisy = degrade_flow(dense, noise)
+            corr = lift_correspondences(ex, noisy, crop_r, crop_t, camera)
+            points, pixels = dense_lift(ex, noisy, crop_r, crop_t, camera)
+            assert np.array_equal(corr.points, points)
+            assert np.array_equal(corr.pixels, pixels)
+            assert np.all(corr.exemplar_ids == ex.id)
+        assert checked > 1000
+        if case == "overflow":
+            assert np.all(low < 1.0) and np.all(high > 255.0)
+
+    def test_occluders_remove_pixels(self, box_set):
+        camera, rotation, translation, occluders = _dense_case("occluded")
+        ex = box_set.exemplars[0]
+        gt = RigidPose(rotation @ ex.pose.rotation, translation)
+        crop_r = compute_crop(ex.pose, K_R, BOX)
+        crop_t = compute_crop(gt, K_R, BOX)
+        clear = oracle_flow(ex, crop_r, SceneSpec(BOX, gt, (), camera), gt, crop_t)
+        blocked = oracle_flow(ex, crop_r, SceneSpec(BOX, gt, occluders, camera), gt, crop_t)
+        assert blocked.valid.sum() < clear.valid.sum()
+
+    def test_crop_sample_grid_is_separable(self):
+        # the sampler reads a crop's exemplar x from the column and y from
+        # the row; on the full grid apply_homography gives the same bits
+        rng = np.random.default_rng(8)
+        centers = crop_pixel_centers(256)
+        axis = np.arange(256) + 0.5
+        for _ in range(2000):
+            scale = rng.uniform(0.2, 8.0)
+            shift = rng.uniform(-3000.0, 3000.0, size=2)
+            crop = CropTransform([[scale, 0, shift[0]], [0, scale, shift[1]], [0, 0, 1]], 256)
+            inverse = crop.inverse_matrix()
+            grid = apply_homography(inverse, centers)
+            axes = apply_homography(inverse, np.stack([axis, axis], axis=-1))
+            assert np.array_equal(grid[..., 0], np.broadcast_to(axes[:, 0], (256, 256)))
+            assert np.array_equal(grid[..., 1], np.broadcast_to(axes[:, 1, None], (256, 256)))
 
 
 class TestDegradeFlow:

@@ -202,6 +202,28 @@ class TestRunRefinement:
             assert a["refined_pose"] == b["refined_pose"]
 
 
+    def test_corrupt_flow_file_fails_only_its_trial(self, run_artifacts, tmp_path):
+        config, mesh, exemplar_set, manifest, records = run_artifacts
+        from dataclasses import replace
+
+        from pfa.pipeline import flow_file_name
+
+        dump_dir = tmp_path / "flows"
+        run_refinement(replace(config, dump_flow_dir=str(dump_dir)), mesh, exemplar_set, manifest)
+        (dump_dir / flow_file_name(1, 0)).write_bytes(b"garbage!")
+
+        ingesting = replace(config, flow_source="files", flow_directory=str(dump_dir))
+        replayed = run_refinement(ingesting, mesh, exemplar_set, manifest)
+        assert [t["trial_id"] for t in replayed["trials"]] == [0, 1, 2, 3]
+        for a, b in zip(records["trials"], replayed["trials"]):
+            if b["trial_id"] == 1:
+                assert b["failure_reason"].startswith("BadMagicError")
+                assert b["refined_pose"] is None and b["refined_report"] is None
+            else:
+                assert b["failure_reason"] is None
+                assert a["refined_pose"] == b["refined_pose"]
+
+
 class TestEval:
     def _perfect_records(self):
         pose = {"rotation": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "translation": [0, 0, 1]}

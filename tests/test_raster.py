@@ -169,6 +169,26 @@ class TestScene:
         )
         assert np.array_equal(joint, parts)
 
+    def test_windowed_depth_map_equals_full_inside_window(self):
+        occluders = (
+            (make_box((0.3, 0.3, 0.02)), RigidPose(np.eye(3), [0.05, 0.0, 1.0])),
+            (make_box((0.2, 0.4, 0.05)), RigidPose(sample_rotations(1, 4)[0], [-0.1, 0.05, 1.3])),
+        )
+        scene = SceneSpec(self.mesh, self.pose, occluders, self.camera)
+        full = scene_depth_map(scene, 256)
+        windows = [
+            (0, 0, 256, 256),
+            (90, 70, 170, 150),  # inside the object
+            (0, 0, 40, 256),  # on the image border
+            (200, 180, 256, 256),
+            (128, 0, 129, 256),  # one column
+            (60, 60, 60, 90),  # empty
+        ]
+        for x0, y0, x1, y1 in windows:
+            part = scene_depth_map(scene, 256, window=(x0, y0, x1, y1))
+            assert part.shape == (y1 - y0, x1 - x0)
+            assert np.array_equal(part, full[y0:y1, x0:x1])
+
     def test_rejects_mesh_behind_camera(self):
         with pytest.raises(ConfigurationError):
             SceneSpec(self.mesh, RigidPose(np.eye(3), [0, 0, -1.0]), (), self.camera)
