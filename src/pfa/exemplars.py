@@ -78,7 +78,7 @@ class Exemplar:
         """Materialize dense buffers; depth is recomputed from the points.
 
         Refinement samples the sparse arrays directly; the dense form is for
-        inspection and tests. It has no shade.
+        inspection and tests.
         """
         size = EXEMPLAR_SIZE
         mask = self.mask()
@@ -88,7 +88,7 @@ class Exemplar:
         depth[mask] = self.pose.transform(self.points.astype(np.float64))[:, 2]
         tri = np.full((size, size), -1, dtype=np.int32)
         tri[mask] = self.tri
-        return CoordinateMap(size, size, points, depth, mask, None, tri)
+        return CoordinateMap(size, size, points, depth, mask, tri)
 
     def equals(self, other: "Exemplar") -> bool:
         return (

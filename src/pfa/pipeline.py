@@ -14,7 +14,7 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +57,7 @@ _TRIAL_FAILURES = (
     RobustFailureError,
     SolverError,
     FlowFileMissingError,
-    FileFormatError,  # a corrupt flow file
+    FileFormatError,  # a corrupt or wrong-size flow file
     DegeneracyError,
     BehindCameraError,
 )
@@ -77,26 +77,14 @@ def worker_count() -> int:
 # ---------------------------------------------------------------------------
 
 
-def _camera_from_dict(d: dict) -> CameraIntrinsics:
-    try:
-        return CameraIntrinsics(
-            float(d["fx"]), float(d["fy"]), float(d["cx"]), float(d["cy"]),
-            int(d["width"]), int(d["height"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigurationError(f"bad camera spec {d!r}: {exc}") from exc
-
-
-def _camera_to_dict(c: CameraIntrinsics) -> dict:
-    return {
-        "fx": c.fx, "fy": c.fy, "cx": c.cx, "cy": c.cy,
-        "width": c.width, "height": c.height,
-    }
-
-
 @dataclass
 class ExperimentConfig:
-    """Everything one refinement experiment needs, JSON round-trippable."""
+    """Everything one refinement experiment needs, JSON round-trippable.
+
+    ``CONFIG_JSON_PATHS`` is the reference for the JSON layout: it gives
+    each field's key path in the file. An absent key, or a key in an absent
+    or null section, takes the default written here.
+    """
 
     mesh_path: str = ""
     trials: int = 100
@@ -126,10 +114,10 @@ class ExperimentConfig:
     noise: FlowNoiseSpec | None = None
     dump_flow_dir: str | None = None
 
-    inlier_threshold: float = 2.0
-    max_iterations: int = 1000
-    confidence: float = 0.999
-    min_inliers: int = 12
+    inlier_threshold: float = RansacConfig.inlier_threshold
+    max_iterations: int = RansacConfig.max_iterations
+    confidence: float = RansacConfig.confidence
+    min_inliers: int = RansacConfig.min_inliers
 
     crop_pad: float = DEFAULT_CROP_PAD
     max_correspondences: int = MAX_CORRESPONDENCES
@@ -149,6 +137,10 @@ class ExperimentConfig:
             raise ConfigurationError("jitter bounds must be non-negative")
         if self.occluder_count < 0 or self.occluder_coverage < 0:
             raise ConfigurationError("invalid occluder parameters")
+        try:
+            self.ransac(0)
+        except ValueError as exc:
+            raise ConfigurationError(f"invalid RANSAC parameters: {exc}") from exc
 
     @property
     def scene_z_center(self) -> float:
@@ -164,60 +156,13 @@ class ExperimentConfig:
         )
 
     def to_dict(self) -> dict:
-        noise = None
-        if self.noise is not None:
-            noise = {
-                "gaussian_sigma": self.noise.gaussian_sigma,
-                "outlier_ratio": self.noise.outlier_ratio,
-                "outlier_range": self.noise.outlier_range,
-                "dropout_ratio": self.noise.dropout_ratio,
-            }
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "label": self.label,
-            "mesh": self.mesh_path,
-            "trials": self.trials,
-            "seed": self.seed,
-            "n_exemplars": self.n_exemplars,
-            "exemplars": {
-                "path": self.exemplar_path,
-                "generate": {
-                    "count": self.gen_count,
-                    "z_bar": self.gen_z_bar,
-                    "seed": self.gen_seed,
-                    "name": self.gen_name,
-                    "camera": _camera_to_dict(self.exemplar_camera),
-                },
-            },
-            "target_camera": _camera_to_dict(self.target_camera),
-            "scene": {
-                "occluder_count": self.occluder_count,
-                "occluder_coverage": self.occluder_coverage,
-                "lateral_range": self.lateral_range,
-                "depth_fraction": self.depth_fraction,
-                "z_center": self.z_center,
-            },
-            "jitter": {
-                "max_rot_deg": self.jitter_max_rot_deg,
-                "max_reproj_px": self.jitter_max_reproj_px,
-            },
-            "flow": {
-                "source": self.flow_source,
-                "directory": self.flow_directory,
-                "noise": noise,
-                "dump_dir": self.dump_flow_dir,
-            },
-            "ransac": {
-                "inlier_threshold": self.inlier_threshold,
-                "max_iterations": self.max_iterations,
-                "confidence": self.confidence,
-                "min_inliers": self.min_inliers,
-            },
-            "crop": {
-                "pad": self.crop_pad,
-                "max_correspondences": self.max_correspondences,
-            },
-        }
+        out = {"schema_version": SCHEMA_VERSION}
+        for name, path in CONFIG_JSON_PATHS.items():
+            node = out
+            for key in path[:-1]:
+                node = node.setdefault(key, {})
+            node[path[-1]] = _dump_value(getattr(self, name))
+        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -228,76 +173,125 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"config schema version {version} unsupported, expected {SCHEMA_VERSION}"
             )
-        exemplars = data.get("exemplars", {}) or {}
-        generate = exemplars.get("generate", {}) or {}
-        scene = data.get("scene", {}) or {}
-        jitter = data.get("jitter", {}) or {}
-        flow = data.get("flow", {}) or {}
-        ransac = data.get("ransac", {}) or {}
-        crop = data.get("crop", {}) or {}
-        noise_dict = flow.get("noise")
-        noise = None
-        if noise_dict is not None:
-            preset = noise_dict.get("preset")
-            if preset == "default":
-                noise = FlowNoiseSpec.default_preset(
-                    dropout_ratio=float(noise_dict.get("dropout_ratio", 0.20))
-                )
-            elif preset in (None, "none"):
-                noise = FlowNoiseSpec(
-                    gaussian_sigma=float(noise_dict.get("gaussian_sigma", 0.0)),
-                    outlier_ratio=float(noise_dict.get("outlier_ratio", 0.0)),
-                    outlier_range=float(noise_dict.get("outlier_range", 0.0)),
-                    dropout_ratio=float(noise_dict.get("dropout_ratio", 0.0)),
-                )
-            else:
-                raise ConfigurationError(f"unknown noise preset {preset!r}")
-        try:
-            return cls(
-                mesh_path=data.get("mesh", ""),
-                trials=int(data.get("trials", 100)),
-                seed=int(data.get("seed", 0)),
-                label=str(data.get("label", "experiment")),
-                n_exemplars=int(data.get("n_exemplars", 4)),
-                exemplar_path=exemplars.get("path"),
-                gen_count=int(generate.get("count", 2048)),
-                gen_z_bar=float(generate.get("z_bar", 1.0)),
-                gen_seed=int(generate.get("seed", 0)),
-                gen_name=str(generate.get("name", "object")),
-                exemplar_camera=(
-                    _camera_from_dict(generate["camera"])
-                    if "camera" in generate
-                    else DEFAULT_EXEMPLAR_CAMERA
-                ),
-                target_camera=(
-                    _camera_from_dict(data["target_camera"])
-                    if "target_camera" in data
-                    else DEFAULT_TARGET_CAMERA
-                ),
-                occluder_count=int(scene.get("occluder_count", 0)),
-                occluder_coverage=float(scene.get("occluder_coverage", 0.4)),
-                lateral_range=float(scene.get("lateral_range", 0.05)),
-                depth_fraction=float(scene.get("depth_fraction", 0.2)),
-                z_center=(
-                    float(scene["z_center"]) if scene.get("z_center") is not None else None
-                ),
-                jitter_max_rot_deg=float(jitter.get("max_rot_deg", 20.0)),
-                jitter_max_reproj_px=float(jitter.get("max_reproj_px", 10.0)),
-                flow_source=str(flow.get("source", "oracle")),
-                flow_directory=flow.get("directory"),
-                noise=noise,
-                dump_flow_dir=flow.get("dump_dir"),
-                inlier_threshold=float(ransac.get("inlier_threshold", 2.0)),
-                max_iterations=int(ransac.get("max_iterations", 1000)),
-                confidence=float(ransac.get("confidence", 0.999)),
-                min_inliers=int(ransac.get("min_inliers", 12)),
-                crop_pad=float(crop.get("pad", DEFAULT_CROP_PAD)),
-                max_correspondences=int(
-                    crop.get("max_correspondences", MAX_CORRESPONDENCES)
-                ),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"malformed config value: {exc}") from exc
+        kinds = {f.name: f.type for f in fields(cls)}
+        values = {}
+        for name, path in CONFIG_JSON_PATHS.items():
+            section = data
+            for depth in range(1, len(path)):
+                section = _object(section.get(path[depth - 1]), path[:depth])
+            if path[-1] in section:
+                values[name] = _parse_value(kinds[name], section[path[-1]], path)
+        return cls(**values)
+
+
+# ExperimentConfig field -> its key path in the config JSON, in file order
+CONFIG_JSON_PATHS = {
+    "label": ("label",),
+    "mesh_path": ("mesh",),
+    "trials": ("trials",),
+    "seed": ("seed",),
+    "n_exemplars": ("n_exemplars",),
+    "exemplar_path": ("exemplars", "path"),
+    "gen_count": ("exemplars", "generate", "count"),
+    "gen_z_bar": ("exemplars", "generate", "z_bar"),
+    "gen_seed": ("exemplars", "generate", "seed"),
+    "gen_name": ("exemplars", "generate", "name"),
+    "exemplar_camera": ("exemplars", "generate", "camera"),
+    "target_camera": ("target_camera",),
+    "occluder_count": ("scene", "occluder_count"),
+    "occluder_coverage": ("scene", "occluder_coverage"),
+    "lateral_range": ("scene", "lateral_range"),
+    "depth_fraction": ("scene", "depth_fraction"),
+    "z_center": ("scene", "z_center"),
+    "jitter_max_rot_deg": ("jitter", "max_rot_deg"),
+    "jitter_max_reproj_px": ("jitter", "max_reproj_px"),
+    "flow_source": ("flow", "source"),
+    "flow_directory": ("flow", "directory"),
+    "noise": ("flow", "noise"),
+    "dump_flow_dir": ("flow", "dump_dir"),
+    "inlier_threshold": ("ransac", "inlier_threshold"),
+    "max_iterations": ("ransac", "max_iterations"),
+    "confidence": ("ransac", "confidence"),
+    "min_inliers": ("ransac", "min_inliers"),
+    "crop_pad": ("crop", "pad"),
+    "max_correspondences": ("crop", "max_correspondences"),
+}
+
+# FlowNoiseSpec fields kept in the JSON; the oracle derives its seed per trial
+_NOISE_KEYS = ("gaussian_sigma", "outlier_ratio", "outlier_range", "dropout_ratio")
+
+
+def _dump_value(value):
+    if isinstance(value, CameraIntrinsics):
+        return asdict(value)
+    if isinstance(value, FlowNoiseSpec):
+        return {key: getattr(value, key) for key in _NOISE_KEYS}
+    return value
+
+
+def _object(value, path: tuple) -> dict:
+    """A JSON object found at key ``path``; null reads as {}."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"config {'.'.join(path)}: expected an object, got {value!r}")
+    return value
+
+
+def _parse_value(kind: str, value, path: tuple):
+    """A JSON value read as a field annotated ``kind``, found at key ``path``.
+
+    Raises:
+        ConfigurationError: naming the path, if the value is malformed.
+    """
+    if value is None and kind.endswith(" | None"):
+        return None
+    parse = _PARSERS[kind.removesuffix(" | None")]
+    try:
+        return parse(value, path)
+    except KeyError as exc:
+        raise ConfigurationError(f"config {'.'.join(path)}: missing key {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigurationError(f"config {'.'.join(path)}: {exc}, got {value!r}") from exc
+
+
+def _parse_string(value, path) -> str:
+    if not isinstance(value, str):
+        raise TypeError("expected a string")
+    return value
+
+
+def _parse_camera(value, path) -> CameraIntrinsics:
+    value = _object(value, path)
+    return CameraIntrinsics(**{
+        f.name: _parse_value(f.type, value[f.name], path + (f.name,))
+        for f in fields(CameraIntrinsics)
+    })
+
+
+def _parse_noise(value, path) -> FlowNoiseSpec:
+    value = _object(value, path)
+    given = {
+        key: _parse_value("float", value[key], path + (key,))
+        for key in _NOISE_KEYS
+        if key in value
+    }
+    preset = value.get("preset")
+    if preset == "default":  # the preset fixes everything but the dropout
+        dropout = {"dropout_ratio": given["dropout_ratio"]} if "dropout_ratio" in given else {}
+        return FlowNoiseSpec.default_preset(**dropout)
+    if preset not in (None, "none"):
+        raise ValueError(f"unknown noise preset {preset!r}")
+    return FlowNoiseSpec(**given)
+
+
+_PARSERS = {
+    "int": lambda value, path: int(value),
+    "float": lambda value, path: float(value),
+    "str": _parse_string,
+    "CameraIntrinsics": _parse_camera,
+    "FlowNoiseSpec": _parse_noise,
+}
 
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
@@ -309,9 +303,9 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
         raise ConfigurationError(f"{path}: invalid JSON: {exc}") from exc
     config = ExperimentConfig.from_dict(data)
     if overrides:
-        fields = {k: v for k, v in overrides.items() if v is not None}
-        if fields:
-            config = replace(config, **fields)
+        given = {k: v for k, v in overrides.items() if v is not None}
+        if given:
+            config = replace(config, **given)
     return config
 
 
@@ -400,7 +394,7 @@ def synth_scene_manifest(config: ExperimentConfig, mesh: MeshModel) -> dict:
         "label": config.label,
         "mesh_hash": mesh_digest(mesh).hex(),
         "z_center": z_center,
-        "target_camera": _camera_to_dict(cam),
+        "target_camera": asdict(cam),
         "trials": trials,
     }
 
@@ -437,7 +431,13 @@ class DirectoryFlowSource:
         path = self.directory / flow_file_name(self.trial_id, rank)
         if not path.exists():
             raise FlowFileMissingError(f"flow file not found: {path}")
-        return load_flow(path)
+        flow = load_flow(path)
+        size = crop_exemplar.out_size
+        if flow.width != size or flow.height != size:
+            raise FileFormatError(
+                f"{path}: flow is {flow.width}x{flow.height}, crops are {size}x{size}"
+            )
+        return flow
 
 
 class _DumpingSource:

@@ -2,9 +2,8 @@
 
 The rasterizer samples triangles at pixel centers (col + 0.5, row + 0.5),
 resolves visibility with a z-buffer, and stores for every covered pixel the
-perspective-correct interpolated model-frame point, its camera depth, a
-two-sided Lambertian shade for a light along the camera axis, and the index
-of the winning triangle. Coverage uses a top-left fill rule so triangles
+perspective-correct interpolated model-frame point, its camera depth and
+the index of the winning triangle. Coverage uses a top-left fill rule so triangles
 sharing an edge never both claim a pixel. Depth ties closer than 1e-9 m
 keep the lower triangle index, which makes output independent of nothing
 but the inputs.
@@ -36,10 +35,9 @@ class CoordinateMap:
     """Per-pixel geometry buffers for one rendered view.
 
     mask is True exactly where depth is finite and positive and the points
-    entry is valid; elsewhere points are NaN, depth is +inf, shade is 0 and
-    ``tri`` (the winning triangle index) is -1. Exemplar sets persist ``tri``
-    with the points; they do not keep ``shade``, which is None in maps
-    rebuilt from a stored exemplar.
+    entry is valid; elsewhere points are NaN, depth is +inf and ``tri`` (the
+    winning triangle index) is -1. Exemplar sets persist ``tri`` with the
+    points.
     """
 
     width: int
@@ -47,7 +45,6 @@ class CoordinateMap:
     points: np.ndarray  # (H, W, 3)
     depth: np.ndarray  # (H, W)
     mask: np.ndarray  # (H, W) bool
-    shade: np.ndarray | None  # (H, W) in [0, 1]
     tri: np.ndarray  # (H, W) int32
 
 
@@ -86,18 +83,17 @@ def rasterize(
     width, height = _parse_size(out_size)
     depth = np.full((height, width), np.inf)
     points = np.full((height, width, 3), np.nan)
-    shade = np.zeros((height, width))
     tri = np.full((height, width), -1, dtype=np.int32)
-    _z_buffer(mesh, pose, camera, (0, 0, width, height), depth, (points, shade, tri))
+    _z_buffer(mesh, pose, camera, (0, 0, width, height), depth, (points, tri))
     mask = np.isfinite(depth)
-    return CoordinateMap(width, height, points, depth, mask, shade, tri)
+    return CoordinateMap(width, height, points, depth, mask, tri)
 
 
 def _z_buffer(mesh, pose, camera, window, depth, attributes=None):
     """Draw the mesh's triangles, in index order, into a window's z-buffer.
 
     ``window`` is (x0, y0, x1, y1), half-open pixel bounds of the image;
-    ``depth`` and the optional (points, shade, tri) buffers cover exactly
+    ``depth`` and the optional (points, tri) buffers cover exactly
     that window. Pixels are sampled at their image coordinates, so a
     window holds the same values as the full image has there.
     """
@@ -121,7 +117,6 @@ def _z_buffer(mesh, pose, camera, window, depth, attributes=None):
             uv,
             z,
             mesh.vertices,
-            cam,
             window,
             depth,
             attributes,
@@ -138,7 +133,7 @@ def _top_left(p, q) -> bool:
 
 
 def _raster_triangle(
-    index, vids, uv, z, model_vertices, cam_vertices, window, depth, attributes,
+    index, vids, uv, z, model_vertices, window, depth, attributes,
 ):
     ia, ib, ic = vids
     pa, pb, pc = uv[ia], uv[ib], uv[ic]
@@ -200,12 +195,8 @@ def _raster_triangle(
         + lc[..., None] * (vc / zc)
     ) * z_pix[..., None]
 
-    n = np.cross(cam_vertices[ib] - cam_vertices[ia], cam_vertices[ic] - cam_vertices[ia])
-    shade_value = abs(n[2]) / np.linalg.norm(n)
-
-    points, shade, tri = attributes
+    points, tri = attributes
     points[block][update] = interp[update]
-    shade[block][update] = shade_value
     tri[block][update] = index
 
 

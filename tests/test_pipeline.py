@@ -10,6 +10,7 @@ import pytest
 from pfa.cli import main
 from pfa.errors import ConfigurationError
 from pfa.exemplars import generate_exemplar_set
+from pfa.flow import FlowField, FlowNoiseSpec, save_flow
 from pfa.geometry import CameraIntrinsics
 from pfa.mesh import load_mesh, make_box, make_tetrahedron, mesh_digest, save_obj
 from pfa.pipeline import (
@@ -47,11 +48,144 @@ def workspace(tmp_path_factory):
     return root, mesh_path, config_path
 
 
+DEFAULT_CONFIG_DICT = {
+    "schema_version": 1,
+    "label": "experiment",
+    "mesh": "",
+    "trials": 100,
+    "seed": 0,
+    "n_exemplars": 4,
+    "exemplars": {
+        "path": None,
+        "generate": {
+            "count": 2048, "z_bar": 1.0, "seed": 0, "name": "object",
+            "camera": {
+                "fx": 400.0, "fy": 400.0, "cx": 128.0, "cy": 128.0,
+                "width": 256, "height": 256,
+            },
+        },
+    },
+    "target_camera": {
+        "fx": 600.0, "fy": 600.0, "cx": 320.0, "cy": 240.0, "width": 640, "height": 480,
+    },
+    "scene": {
+        "occluder_count": 0, "occluder_coverage": 0.4, "lateral_range": 0.05,
+        "depth_fraction": 0.2, "z_center": None,
+    },
+    "jitter": {"max_rot_deg": 20.0, "max_reproj_px": 10.0},
+    "flow": {"source": "oracle", "directory": None, "noise": None, "dump_dir": None},
+    "ransac": {
+        "inlier_threshold": 2.0, "max_iterations": 1000, "confidence": 0.999, "min_inliers": 12,
+    },
+    "crop": {"pad": 1.2, "max_correspondences": 20000},
+}
+
+FULL_CONFIG = ExperimentConfig(
+    mesh_path="meshes/duck.ply", trials=7, seed=42, label="sweep-n8", n_exemplars=8,
+    exemplar_path="sets/duck.pfax", gen_count=512, gen_z_bar=0.75, gen_seed=9, gen_name="duck",
+    exemplar_camera=CameraIntrinsics(350.0, 360.0, 127.5, 126.5, 256, 256),
+    target_camera=CameraIntrinsics(572.4, 573.6, 325.3, 242.0, 640, 480),
+    occluder_count=2, occluder_coverage=0.6, lateral_range=0.03, depth_fraction=0.1,
+    z_center=0.9, jitter_max_rot_deg=15.0, jitter_max_reproj_px=8.0,
+    flow_source="files", flow_directory="flows/in",
+    noise=FlowNoiseSpec(
+        gaussian_sigma=0.5, outlier_ratio=0.3, outlier_range=16.0, dropout_ratio=0.4
+    ),
+    dump_flow_dir="flows/out", inlier_threshold=3.0, max_iterations=500, confidence=0.99,
+    min_inliers=20, crop_pad=1.4, max_correspondences=5000,
+)
+
+FULL_CONFIG_DICT = {
+    "schema_version": 1,
+    "label": "sweep-n8",
+    "mesh": "meshes/duck.ply",
+    "trials": 7,
+    "seed": 42,
+    "n_exemplars": 8,
+    "exemplars": {
+        "path": "sets/duck.pfax",
+        "generate": {
+            "count": 512, "z_bar": 0.75, "seed": 9, "name": "duck",
+            "camera": {
+                "fx": 350.0, "fy": 360.0, "cx": 127.5, "cy": 126.5,
+                "width": 256, "height": 256,
+            },
+        },
+    },
+    "target_camera": {
+        "fx": 572.4, "fy": 573.6, "cx": 325.3, "cy": 242.0, "width": 640, "height": 480,
+    },
+    "scene": {
+        "occluder_count": 2, "occluder_coverage": 0.6, "lateral_range": 0.03,
+        "depth_fraction": 0.1, "z_center": 0.9,
+    },
+    "jitter": {"max_rot_deg": 15.0, "max_reproj_px": 8.0},
+    "flow": {
+        "source": "files",
+        "directory": "flows/in",
+        "noise": {
+            "gaussian_sigma": 0.5, "outlier_ratio": 0.3, "outlier_range": 16.0,
+            "dropout_ratio": 0.4,
+        },
+        "dump_dir": "flows/out",
+    },
+    "ransac": {
+        "inlier_threshold": 3.0, "max_iterations": 500, "confidence": 0.99, "min_inliers": 20,
+    },
+    "crop": {"pad": 1.4, "max_correspondences": 5000},
+}
+
+# each is malformed at the JSON path given with it
+MALFORMED_CONFIGS = [
+    ({"flow": {"noise": 3}}, "flow.noise"),
+    ({"flow": {"source": "files", "directory": 7}}, "flow.directory"),
+    ({"scene": [1]}, "scene"),
+    ({"exemplars": {"generate": {"camera": {"fx": "a"}}}}, "exemplars.generate.camera.fx"),
+    ({"flow": {"noise": {"preset": "bogus"}}}, "flow.noise"),
+    ({"flow": {"noise": {"outlier_ratio": 1.5}}}, "flow.noise"),
+    ({"target_camera": {"fx": 600.0}}, "target_camera"),
+    ({"label": {"a": 1}}, "label"),
+    ({"trials": None}, "trials"),
+]
+
+
 class TestConfig:
     def test_defaults_round_trip(self):
         config = ExperimentConfig(mesh_path="m.obj")
         back = ExperimentConfig.from_dict(config.to_dict())
         assert back == config
+
+    @pytest.mark.parametrize(
+        "config, expected",
+        [(ExperimentConfig(), DEFAULT_CONFIG_DICT), (FULL_CONFIG, FULL_CONFIG_DICT)],
+        ids=["default", "all-non-default"],
+    )
+    def test_to_dict_layout_and_round_trip(self, config, expected):
+        assert json.dumps(config.to_dict(), sort_keys=True) == json.dumps(expected, sort_keys=True)
+        assert ExperimentConfig.from_dict(expected) == config
+
+    def test_default_noise_preset(self):
+        data = {"flow": {"noise": {"preset": "default", "dropout_ratio": 0.6}}}
+        noise = ExperimentConfig.from_dict(data).noise
+        assert noise == FlowNoiseSpec.default_preset(dropout_ratio=0.6)
+        assert ExperimentConfig.from_dict({"flow": {"noise": {"preset": "none"}}}).noise == (
+            FlowNoiseSpec()
+        )
+
+    def test_null_or_absent_sections_take_defaults(self):
+        data = {"exemplars": {"generate": None}, "scene": None, "flow": {"noise": None}}
+        assert ExperimentConfig.from_dict(data) == ExperimentConfig()
+
+    @pytest.mark.parametrize("data, path", MALFORMED_CONFIGS)
+    def test_malformed_value_names_its_path(self, data, path):
+        with pytest.raises(ConfigurationError, match=f"config {path}:"):
+            ExperimentConfig.from_dict(data)
+
+    def test_ransac_fields_validated_on_construction(self):
+        with pytest.raises(ConfigurationError, match="confidence"):
+            ExperimentConfig(confidence=1.5)
+        with pytest.raises(ConfigurationError, match="min_inliers"):
+            ExperimentConfig.from_dict({"ransac": {"min_inliers": 3}})
 
     def test_flags_override_file(self, workspace):
         _, _, config_path = workspace
@@ -280,7 +414,7 @@ class TestEval:
         config = ExperimentConfig(
             mesh_path=str(mesh_path), trials=4, seed=11, n_exemplars=1,
             gen_count=96, gen_seed=3,
-            noise=__import__("pfa.flow", fromlist=["FlowNoiseSpec"]).FlowNoiseSpec.default_preset(),
+            noise=FlowNoiseSpec.default_preset(),
         )
         exemplar_set = generate_exemplar_set(mesh, 96, 1.0, DEFAULT_EXEMPLAR_CAMERA, 3)
         manifest = synth_scene_manifest(config, mesh)
@@ -319,6 +453,41 @@ class TestCli:
         assert main(["eval", "--records", str(run_dir), "--out", str(eval_dir)]) == 0
         assert (eval_dir / "metrics.csv").exists()
         assert (eval_dir / "curves.csv").exists()
+
+    @pytest.mark.parametrize("command", ["synth-scenes", "refine"])
+    @pytest.mark.parametrize("data, path", MALFORMED_CONFIGS)
+    def test_malformed_config_is_exit_2(self, workspace, tmp_path, capsys, command, data, path):
+        _, mesh_path, _ = workspace
+        config_path = tmp_path / "bad.json"
+        config_path.write_text(json.dumps(dict(data, mesh=str(mesh_path))))
+        argv = [command, "--config", str(config_path), "--out", str(tmp_path / "out")]
+        if command == "refine":
+            argv += ["--manifest", str(tmp_path / "manifest.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"config {path}:" in err and "Traceback" not in err
+
+    def test_wrong_size_flow_file_fails_only_its_trial(self, workspace, tmp_path):
+        _, _, config_path = workspace
+        set_path, manifest_path = tmp_path / "set.pfax", tmp_path / "manifest.json"
+        flows, run_dir = tmp_path / "flows", tmp_path / "run"
+        common = ["--config", str(config_path), "--manifest", str(manifest_path),
+                  "--exemplars", str(set_path)]
+        assert main(["gen-exemplars", "--config", str(config_path), "--out", str(set_path)]) == 0
+        assert main(["synth-scenes", "--config", str(config_path), "--trials", "3",
+                     "--out", str(manifest_path)]) == 0
+        assert main(["refine", *common, "--out", str(tmp_path / "dump"),
+                     "--dump-flows", str(flows)]) == 0
+        small = np.zeros((8, 8), dtype=np.float32)
+        bad = flows / "trial00001_rank0.pfaf"
+        save_flow(FlowField(small, small, np.ones((8, 8), dtype=bool)), bad)
+
+        assert main(["refine", *common, "--out", str(run_dir), "--flow-dir", str(flows)]) == 0
+        trials = json.loads((run_dir / "records.json").read_text())["trials"]
+        assert [t["trial_id"] for t in trials] == [0, 1, 2]
+        assert [t["failure_reason"] is not None for t in trials] == [False, True, False]
+        assert trials[1]["failure_reason"].startswith("FileFormatError")
+        assert str(bad) in trials[1]["failure_reason"]
 
     def test_gen_zero_count_is_config_error(self, workspace, tmp_path):
         _, mesh_path, config_path = workspace

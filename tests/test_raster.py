@@ -57,7 +57,6 @@ class TestCoverage:
         assert np.all(np.isfinite(cmap.points[cmap.mask]))
         assert np.all(np.isnan(cmap.points[~cmap.mask]))
         assert np.all(cmap.depth[cmap.mask] > 0)
-        assert np.all((cmap.shade[cmap.mask] > 0) & (cmap.shade[cmap.mask] <= 1))
 
 
 class TestDepthOrder:
