@@ -62,7 +62,7 @@ from .metrics import (
     pose_error_report,
 )
 from .pnp import gauss_newton, reprojection_jacobian, solve_pnp
-from .raster import CoordinateMap, SceneSpec, rasterize, rasterize_scene
+from .raster import CoordinateMap, SceneSpec, rasterize
 from .refine import PoseEstimate, RansacConfig, RefineResult, ransac_pnp, refine_pose
 
 __version__ = "0.1.0"

@@ -9,7 +9,6 @@ Every flag has a config-file equivalent; flags override file values.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -21,6 +20,7 @@ from .pipeline import (
     SCHEMA_VERSION,
     evaluate_records,
     load_config,
+    load_manifest,
     load_records_documents,
     resolve_exemplar_set,
     run_refinement,
@@ -94,16 +94,9 @@ def cmd_refine(args) -> int:
     config = _config_from_args(args, overrides)
     if not config.mesh_path:
         raise ConfigurationError("a mesh path is required (--mesh or config file)")
+    manifest = load_manifest(args.manifest)
     mesh = load_mesh(config.mesh_path)
     exemplar_set = resolve_exemplar_set(config, mesh)
-    with open(args.manifest, "r", encoding="utf-8") as f:
-        try:
-            manifest = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"{args.manifest}: invalid JSON: {exc}") from exc
-    if manifest.get("schema_version") != SCHEMA_VERSION:
-        raise ConfigurationError(f"{args.manifest}: unsupported manifest schema")
-
     records = run_refinement(config, mesh, exemplar_set, manifest)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -305,10 +305,16 @@ def load_set(path) -> ExemplarSet:
         fx, fy, cx, cy, width, height = struct.unpack(
             "<6d", reader.read_exact(48, "camera")
         )
-        camera = CameraIntrinsics(fx, fy, cx, cy, int(width), int(height))
+        try:
+            camera = CameraIntrinsics(fx, fy, cx, cy, int(width), int(height))
+        except (ValueError, OverflowError) as exc:
+            raise FileFormatError(f"bad camera: {exc}") from exc
         digest = reader.read_exact(32, "mesh hash")
         (name_len,) = struct.unpack("<I", reader.read_exact(4, "name length"))
-        name = reader.read_exact(name_len, "object name").decode("utf-8")
+        try:
+            name = reader.read_exact(name_len, "object name").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FileFormatError(f"object name is not UTF-8: {exc}") from exc
 
         translation = np.array([0.0, 0.0, z_bar])
         exemplars = []
@@ -329,8 +335,14 @@ def load_set(path) -> ExemplarSet:
             ).copy()
             if n_masked and tri.min() < 0:
                 raise FileFormatError(f"exemplar {i} has a negative triangle id")
-            pose = RigidPose(rotation, translation)
+            try:
+                pose = RigidPose(rotation, translation)
+            except ValueError as exc:
+                raise FileFormatError(f"exemplar {i} has a bad rotation: {exc}") from exc
             exemplars.append(Exemplar(ex_id, pose, camera, bits, points, tri, digest))
         if f.read(1):
             raise FileFormatError("unexpected trailing data after last exemplar")
-    return ExemplarSet(name, digest, z_bar, camera, exemplars)
+    try:
+        return ExemplarSet(name, digest, z_bar, camera, exemplars)
+    except ValueError as exc:
+        raise FileFormatError(str(exc)) from exc

@@ -105,12 +105,6 @@ class FlowNoiseSpec:
         )
 
 
-def crop_pixel_centers(size: int) -> np.ndarray:
-    """(S, S, 2) array of crop pixel centers (col + 0.5, row + 0.5)."""
-    cols, rows = np.meshgrid(np.arange(size) + 0.5, np.arange(size) + 0.5)
-    return np.stack([cols, rows], axis=-1)
-
-
 def _axis_cells(coords: np.ndarray, n: int):
     """Left cell, fraction and in-range flag of samples along one image axis."""
     c = coords - 0.5

@@ -19,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .correspond import CorrespondenceSet  # noqa: F401  (re-export convenience)
 from .crops import DEFAULT_CROP_PAD
 from .errors import (
     BehindCameraError,
@@ -175,12 +174,13 @@ class ExperimentConfig:
             )
         kinds = {f.name: f.type for f in fields(cls)}
         values = {}
-        for name, path in CONFIG_JSON_PATHS.items():
+        for name, keys in CONFIG_JSON_PATHS.items():
+            path = ("config",) + keys
             section = data
-            for depth in range(1, len(path)):
+            for depth in range(2, len(path)):
                 section = _object(section.get(path[depth - 1]), path[:depth])
-            if path[-1] in section:
-                values[name] = _parse_value(kinds[name], section[path[-1]], path)
+            if keys[-1] in section:
+                values[name] = _parse_value(kinds[name], section[keys[-1]], path)
         return cls(**values)
 
 
@@ -220,6 +220,27 @@ CONFIG_JSON_PATHS = {
 # FlowNoiseSpec fields kept in the JSON; the oracle derives its seed per trial
 _NOISE_KEYS = ("gaussian_sigma", "outlier_ratio", "outlier_range", "dropout_ratio")
 
+# manifest key -> the kind of its value, for every key ``run_refinement`` reads
+MANIFEST_FIELDS = {"trials": "list[manifest trial]"}
+MANIFEST_TRIAL_FIELDS = {
+    "trial_id": "int",
+    "gt_pose": "RigidPose",
+    "initial_pose": "RigidPose",
+    "occluders": "list[occluder]",
+    "background_seed": "int",
+}
+_OCCLUDER_FIELDS = {"extents": "extents", "pose": "RigidPose"}
+
+# records key -> the kind of its value, for every key ``pfa eval`` reads
+RECORDS_FIELDS = {
+    "label": "str",
+    "n_exemplars": "int",
+    "diameter": "float",
+    "trials": "list[record trial]",
+}
+_RECORD_TRIAL_FIELDS = {"initial_report": "report | None", "refined_report": "report | None"}
+_REPORT_FIELDS = dict.fromkeys(("add", "add_s", "rotation_err_deg", "translation_err_m"), "float")
+
 
 def _dump_value(value):
     if isinstance(value, CameraIntrinsics):
@@ -229,17 +250,23 @@ def _dump_value(value):
     return value
 
 
+def _where(path: tuple) -> str:
+    """A JSON path for messages: the document, then its keys (``manifest trials[3].gt_pose``)."""
+    keys = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path[1:])
+    return f"{path[0]} {keys.removeprefix('.')}" if keys else path[0]
+
+
 def _object(value, path: tuple) -> dict:
-    """A JSON object found at key ``path``; null reads as {}."""
+    """A JSON object found at ``path`` (document name, then keys); null reads as {}."""
     if value is None:
         return {}
     if not isinstance(value, dict):
-        raise ConfigurationError(f"config {'.'.join(path)}: expected an object, got {value!r}")
+        raise ConfigurationError(f"{_where(path)}: expected an object, got {value!r}")
     return value
 
 
 def _parse_value(kind: str, value, path: tuple):
-    """A JSON value read as a field annotated ``kind``, found at key ``path``.
+    """A JSON value read as a field annotated ``kind``, found at ``path``.
 
     Raises:
         ConfigurationError: naming the path, if the value is malformed.
@@ -250,9 +277,19 @@ def _parse_value(kind: str, value, path: tuple):
     try:
         return parse(value, path)
     except KeyError as exc:
-        raise ConfigurationError(f"config {'.'.join(path)}: missing key {exc}") from exc
+        raise ConfigurationError(f"{_where(path)}: missing key {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigurationError(f"config {'.'.join(path)}: {exc}, got {value!r}") from exc
+        raise ConfigurationError(f"{_where(path)}: {exc}, got {value!r}") from exc
+
+
+def _check_fields(value, table: dict, path: tuple) -> dict:
+    """A JSON object at ``path`` holding every key of ``table``, each of its kind."""
+    value = _object(value, path)
+    for key, kind in table.items():
+        if key not in value:
+            raise ConfigurationError(f"{_where(path)}: missing key {key!r}")
+        _parse_value(kind, value[key], path + (key,))
+    return value
 
 
 def _parse_string(value, path) -> str:
@@ -285,23 +322,79 @@ def _parse_noise(value, path) -> FlowNoiseSpec:
     return FlowNoiseSpec(**given)
 
 
+def _parse_pose(value, path) -> RigidPose:
+    value = _object(value, path)
+    pose = RigidPose(np.array(value["rotation"], dtype=np.float64),
+                     np.array(value["translation"], dtype=np.float64))
+    if not np.isfinite(pose.translation).all():
+        raise ValueError("translation must be finite")
+    return pose
+
+
+def _parse_extents(value, path) -> np.ndarray:
+    extents = np.array(value, dtype=np.float64)
+    if extents.shape != (3,) or not (np.isfinite(extents) & (extents > 0)).all():
+        raise ValueError("expected three positive extents")
+    return extents
+
+
+def _list_of(kind: str):
+    def parse(value, path) -> list:
+        if not isinstance(value, list):
+            raise TypeError("expected a list")
+        return [_parse_value(kind, item, path + (i,)) for i, item in enumerate(value)]
+    return parse
+
+
 _PARSERS = {
     "int": lambda value, path: int(value),
     "float": lambda value, path: float(value),
     "str": _parse_string,
     "CameraIntrinsics": _parse_camera,
     "FlowNoiseSpec": _parse_noise,
+    "RigidPose": _parse_pose,
+    "extents": _parse_extents,
+    "list[occluder]": _list_of("occluder"),
+    "occluder": lambda value, path: _check_fields(value, _OCCLUDER_FIELDS, path),
+    "list[manifest trial]": _list_of("manifest trial"),
+    "manifest trial": lambda value, path: _check_fields(value, MANIFEST_TRIAL_FIELDS, path),
+    "list[record trial]": _list_of("record trial"),
+    "record trial": lambda value, path: _check_fields(value, _RECORD_TRIAL_FIELDS, path),
+    "report": lambda value, path: _check_fields(value, _REPORT_FIELDS, path),
 }
+
+
+def _read_json(path):
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return json.load(f)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def _load_document(path, document: str, table: dict) -> dict:
+    """A JSON file of the current schema holding every key of ``table``.
+
+    Raises:
+        ConfigurationError: naming the file and the JSON path of the first
+            malformed value.
+    """
+    data = _read_json(path)
+    try:
+        data = _object(data, (document,))
+        if data.get("schema_version") != SCHEMA_VERSION:
+            raise ConfigurationError(
+                f"{document}: schema version {data.get('schema_version')!r} unsupported, "
+                f"expected {SCHEMA_VERSION}"
+            )
+        return _check_fields(data, table, (document,))
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc
 
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     """Read a config file and apply flag overrides (flags win)."""
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            data = json.load(f)
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"{path}: invalid JSON: {exc}") from exc
-    config = ExperimentConfig.from_dict(data)
+    config = ExperimentConfig.from_dict(_read_json(path))
     if overrides:
         given = {k: v for k, v in overrides.items() if v is not None}
         if given:
@@ -397,6 +490,11 @@ def synth_scene_manifest(config: ExperimentConfig, mesh: MeshModel) -> dict:
         "target_camera": asdict(cam),
         "trials": trials,
     }
+
+
+def load_manifest(path) -> dict:
+    """Read a scene manifest, checking once every value refinement reads."""
+    return _load_document(path, "manifest", MANIFEST_FIELDS)
 
 
 def scene_from_manifest_entry(
@@ -703,16 +801,7 @@ def load_records_documents(records_dir) -> list:
         paths = [root]
     else:
         paths = sorted(root.rglob("records*.json"))
-    documents = []
-    for path in paths:
-        try:
-            with open(path, "r", encoding="utf-8") as f:
-                doc = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"{path}: malformed records: {exc}") from exc
-        if doc.get("schema_version") != SCHEMA_VERSION or "trials" not in doc:
-            raise ConfigurationError(f"{path}: not a records document")
-        documents.append(doc)
+    documents = [_load_document(path, "records", RECORDS_FIELDS) for path in paths]
     if not documents:
         raise ConfigurationError(f"no records files found under {records_dir}")
     return documents

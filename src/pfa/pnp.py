@@ -1,16 +1,20 @@
-"""Perspective-n-point solving: closed-form initialization plus refinement.
+"""Perspective-n-point solving: minimal 3-point samples, consensus-set solves.
 
-The closed form (EPnP) expresses the 3D points in a barycentric basis of
-four control points (three when the cloud is planar), solves the projection
-constraints for the control points' camera coordinates via the null space
-of the constraint matrix, resolves the combination weights (betas) from
-pairwise control-point distances, and recovers the pose by rigid alignment.
-It runs batched over K correspondence sets (``epnp_batch``), which is how
-RANSAC solves its minimal samples; a single set is a batch of one. The
-betas are refined by Gauss-Newton on the distance residuals from several
-starts, which makes the closed form exact on noise-free minimal samples.
-``solve_pnp`` then runs a damped Gauss-Newton pass on the reprojection
-error; damping guarantees the cost never increases between accepted steps.
+Two closed forms feed one refinement. P3P (``p3p_batch``, Lambda Twist)
+solves minimal 3-point samples, batched over K samples, and returns every
+real root that puts the sample in front of the camera; RANSAC scores those
+roots as hypotheses. EPnP initializes consensus-set solves: it expresses
+the 3D points in a barycentric basis of four control points (three when
+the cloud is planar), solves the projection constraints for the control
+points' camera coordinates via the null space of the constraint matrix,
+resolves the combination weights (betas) from pairwise control-point
+distances, and recovers the pose by rigid alignment. It runs batched over
+K correspondence sets (``epnp_batch``); a single set is a batch of one.
+The betas are refined by Gauss-Newton on the distance residuals from
+several starts, which makes the closed form exact on noise-free 4-point
+sets. ``solve_pnp`` then runs a damped Gauss-Newton pass on the
+reprojection error; damping guarantees the cost never increases between
+accepted steps.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ DEGENERACY_TOL = 1e-6
 GN_MAX_ITERATIONS = 20
 GN_STEP_TOL = 1e-10
 BETA_ITERATIONS = 12
+CUBIC_ITERATIONS = 50  # Newton steps on the P3P cubic, at most
+LAMBDA_ITERATIONS = 5  # Gauss-Newton steps on the P3P depths
 
 _PAIRS4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 _PAIRS3 = [(0, 1), (0, 2), (1, 2)]
@@ -65,31 +71,42 @@ def reprojection_jacobian(
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     rotated = pts @ pose.rotation.T
-    q = rotated + pose.translation
-    x, y, z = q[:, 0], q[:, 1], q[:, 2]
+    return _jacobian_rows(camera, rotated, rotated + pose.translation).transpose(2, 1, 0)
+
+
+def _jacobian_rows(camera: CameraIntrinsics, rotated, q) -> np.ndarray:
+    """The Jacobian laid out (6, 2, N): parameter, then u or v, then point."""
+    x, y, z = q.T
     inv_z = 1.0 / z
     du_dx = camera.fx * inv_z
     du_dz = -camera.fx * x * inv_z * inv_z
     dv_dy = camera.fy * inv_z
     dv_dz = -camera.fy * y * inv_z * inv_z
-    rx, ry, rz = rotated[:, 0], rotated[:, 1], rotated[:, 2]
+    rx, ry, rz = rotated.T
 
     # d(u, v)/dq = [[du_dx, 0, du_dz], [0, dv_dy, dv_dz]] times
     # dq/dw = -[rotated]_x, written out; dq/dt = identity
-    jac = np.empty((len(pts), 2, 6))
-    jac[:, 0, 0] = du_dz * ry
-    jac[:, 0, 1] = du_dx * rz - du_dz * rx
-    jac[:, 0, 2] = -du_dx * ry
-    jac[:, 0, 3] = du_dx
-    jac[:, 0, 4] = 0.0
-    jac[:, 0, 5] = du_dz
-    jac[:, 1, 0] = dv_dz * ry - dv_dy * rz
-    jac[:, 1, 1] = -dv_dz * rx
-    jac[:, 1, 2] = dv_dy * rx
-    jac[:, 1, 3] = 0.0
-    jac[:, 1, 4] = dv_dy
-    jac[:, 1, 5] = dv_dz
+    jac = np.empty((6, 2, len(q)))
+    jac[0, 0] = du_dz * ry
+    jac[1, 0] = du_dx * rz - du_dz * rx
+    jac[2, 0] = -du_dx * ry
+    jac[3, 0] = du_dx
+    jac[4, 0] = 0.0
+    jac[5, 0] = du_dz
+    jac[0, 1] = dv_dz * ry - dv_dy * rz
+    jac[1, 1] = -dv_dz * rx
+    jac[2, 1] = dv_dy * rx
+    jac[3, 1] = 0.0
+    jac[4, 1] = dv_dy
+    jac[5, 1] = dv_dz
     return jac
+
+
+def _reprojection_terms(camera: CameraIntrinsics, pose: RigidPose, pts, obs):
+    """Rotated points, camera-frame points and the (2, N) residuals of a pose."""
+    rotated = pts @ pose.rotation.T
+    q = rotated + pose.translation
+    return rotated, q, (project_camera_points(camera, q) - obs).T
 
 
 def gauss_newton(
@@ -103,20 +120,23 @@ def gauss_newton(
     """Minimize the summed squared reprojection error from a starting pose.
 
     Returns (pose, costs) where costs lists the accepted cost after each
-    iteration, starting with the initial cost; it is non-increasing.
+    iteration, starting with the initial cost; it is non-increasing. The
+    normal equations come from the Jacobian laid out one row per parameter,
+    and an accepted pose's camera-frame points are reused for the next
+    Jacobian.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     obs = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
     current = pose
-    residuals = reprojection_residuals(camera, current, pts, obs)
+    rotated, q, residuals = _reprojection_terms(camera, current, pts, obs)
     cost = float(np.sum(residuals**2))
     costs = [cost]
     damping = 0.0
 
     for _ in range(max_iterations):
-        jac = reprojection_jacobian(camera, current, pts).reshape(-1, 6)
-        grad = jac.T @ residuals.reshape(-1)
-        hess = jac.T @ jac
+        jac = _jacobian_rows(camera, rotated, q).reshape(6, -1)
+        grad = jac @ residuals.reshape(-1)
+        hess = jac @ jac.T
         scale = np.diag(np.maximum(np.diag(hess), 1e-12))
 
         accepted = None
@@ -130,15 +150,15 @@ def gauss_newton(
                 rotation_from_rotvec(step[:3]) @ current.rotation,
                 current.translation + step[3:],
             )
-            new_residuals = reprojection_residuals(camera, candidate, pts, obs)
-            new_cost = float(np.sum(new_residuals**2))
+            terms = _reprojection_terms(camera, candidate, pts, obs)
+            new_cost = float(np.sum(terms[2] ** 2))
             if new_cost <= cost:
-                accepted = (candidate, new_residuals, new_cost, step)
+                accepted = (candidate, terms, new_cost, step)
                 break
             damping = max(damping * 10.0, 1e-8)
         if accepted is None:
             break
-        current, residuals, cost, step = accepted
+        current, (rotated, q, residuals), cost, step = accepted
         costs.append(cost)
         damping *= 0.1
         if float(np.abs(step).max()) < step_tol:
@@ -168,6 +188,184 @@ def solve_pnp(points, pixels, camera: CameraIntrinsics) -> RigidPose:
         raise SolverError("closed-form initialization found no valid pose")
     pose, _ = gauss_newton(camera, RigidPose(rotations[0], translations[0]), pts, obs)
     return pose
+
+
+# ---------------------------------------------------------------------------
+# Minimal 3-point solver (Lambda Twist), batched over K samples
+# ---------------------------------------------------------------------------
+
+
+def p3p_batch(points, pixels, camera: CameraIntrinsics):
+    """Every pose that maps each of K 3-point samples onto its pixels.
+
+    ``points`` is (K, 3, 3) and ``pixels`` (K, 3, 2). Returns rotations
+    (K, 4, 3, 3), translations (K, 4, 3) and a (K, 4) bool mask of the
+    real roots, at most four per sample, that put all three points at a
+    positive depth. A collinear or coincident sample has no valid root;
+    an invalid root's pose is the identity.
+
+    Lambda Twist (Persson & Nordberg, ECCV 2018): the unknown depths l of
+    the three unit rays satisfy one distance equation per point pair. One
+    real root of a cubic makes a combination of two of these quadrics a
+    degenerate conic, a pair of planes through the origin; on each plane
+    the depths follow from a quadratic, and a few Gauss-Newton steps on the
+    distance equations polish them. The pose aligns orthonormal frames
+    built on the model and the camera-frame triangles, so every rotation
+    is orthonormal to machine precision.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    obs = np.asarray(pixels, dtype=np.float64)
+    k = len(pts)
+    first, second = np.array(_PAIRS3).T
+    rays = np.concatenate(
+        [(obs - [camera.cx, camera.cy]) / [camera.fx, camera.fy], np.ones((k, 3, 1))], axis=2
+    )
+    rays /= np.linalg.norm(rays, axis=2, keepdims=True)
+    cos12, cos13, cos23 = np.einsum("kpd,kpd->kp", rays[:, first], rays[:, second]).T
+    edges = pts[:, first] - pts[:, second]  # pairs (0, 1), (0, 2), (1, 2)
+    sq_dists = np.einsum("kpd,kpd->kp", edges, edges)
+    a12, a13, a23 = sq_dists.T
+    area = np.linalg.norm(np.cross(edges[:, 0], edges[:, 1]), axis=1)
+    spread = area > DEGENERACY_TOL * sq_dists.max(axis=1)
+
+    with np.errstate(all="ignore"):
+        # the cubic det(D1 + g D2) = 0 of the paper, made monic
+        blob = cos12 * cos23 * cos13 - 1.0
+        s12, s13, s23 = 1.0 - cos12**2, 1.0 - cos13**2, 1.0 - cos23**2
+        p3 = a13 * (a23 * s13 - a13 * s23)
+        p2 = 2.0 * blob * a23 * a13 + a13 * (2.0 * a12 + a13) * s23 + a23 * (a23 - a12) * s13
+        p1 = a23 * (a13 - a23) * s12 - a12 * a12 * s23 - 2.0 * a12 * (blob * a23 + a13 * s23)
+        p0 = a12 * (a12 * s23 - a23 * s12)
+        g = _cubic_root(p2 / p3, p1 / p3, p0 / p3)
+
+        conic = np.empty((k, 3, 3))
+        conic[:, 0, 0] = a23 * (1.0 - g)
+        conic[:, 0, 1] = conic[:, 1, 0] = -a23 * cos12
+        conic[:, 0, 2] = conic[:, 2, 0] = a23 * cos13 * g
+        conic[:, 1, 1] = a23 - a12 + a13 * g
+        conic[:, 1, 2] = conic[:, 2, 1] = cos23 * (a12 - a13 * g)
+        conic[:, 2, 2] = g * (a13 - a23) - a12
+        ok = spread & np.isfinite(conic).all(axis=(1, 2))
+        conic[~ok] = np.eye(3)
+        # eigenpairs by decreasing magnitude; the last eigenvalue is the zero one
+        values, vectors = np.linalg.eigh(conic)
+        order = np.argsort(-np.abs(values), axis=1)
+        values = np.take_along_axis(values, order, axis=1)
+        vectors = np.take_along_axis(vectors, order[:, None, :], axis=2)
+        slope = np.sqrt(np.maximum(0.0, -values[:, 1] / values[:, 0]))
+
+        # each plane: l1 = w0 l2 + w1 l3; then tau = l3 / l2 solves a quadratic
+        s = np.stack([slope, -slope], axis=1)[:, :, None]  # (K, 2 planes, 1)
+        v = vectors[:, None, :, :, None]  # v[:, :, i, j]: component i of eigenvector j
+        w2 = 1.0 / (s * v[:, :, 0, 1] - v[:, :, 0, 0])
+        w0 = (v[:, :, 1, 0] - s * v[:, :, 1, 1]) * w2
+        w1 = (v[:, :, 2, 0] - s * v[:, :, 2, 1]) * w2
+        a12, a13, a23 = a12[:, None, None], a13[:, None, None], a23[:, None, None]
+        b12, b13 = -2.0 * cos12[:, None, None], -2.0 * cos13[:, None, None]
+        inv = 1.0 / ((a13 - a12) * w1 * w1 - a12 * b13 * w1 - a12)
+        b = (a13 * b12 * w1 - a12 * b13 * w0 - 2.0 * w0 * w1 * (a12 - a13)) * inv
+        c = ((a13 - a12) * w0 * w0 + a13 * b12 * w0 + a13) * inv
+        disc = b * b - 4.0 * c
+        far = np.where(b < 0, -b + np.sqrt(disc), -b - np.sqrt(disc)) * 0.5
+        tau = np.concatenate([far, c / far], axis=2)  # (K, 2 planes, 2 roots)
+        l2_sq = a23 / (tau * (tau - 2.0 * cos23[:, None, None]) + 1.0)
+        l2 = np.sqrt(l2_sq)
+        depths = np.stack([w0 * l2 + w1 * tau * l2, l2, tau * l2], axis=3).reshape(k, 4, 3)
+        valid = (ok & (p3 != 0))[:, None] & ((disc >= 0) & (tau > 0) & (l2_sq > 0)).reshape(k, 4)
+        depths[~valid] = 1.0
+        depths = _refine_depths(depths, sq_dists, -2.0 * np.stack([cos12, cos13, cos23], axis=1))
+        valid &= np.isfinite(depths).all(axis=2) & (depths > 0).all(axis=2)
+        depths[~valid] = 1.0
+
+        cam = depths[..., None] * rays[:, None]  # (K, 4, 3 points, 3)
+        cam_edges = cam[..., first, :] - cam[..., second, :]
+        cam_frames = _triangle_frames(cam_edges[..., 0, :], cam_edges[..., 1, :])
+        model_frames = _triangle_frames(edges[:, 0], edges[:, 1])
+        rotations = cam_frames @ np.swapaxes(model_frames, 1, 2)[:, None]
+        translations = cam.mean(axis=2) - (rotations @ pts.mean(axis=1)[:, None, :, None])[..., 0]
+        # a root whose depths miss the distance equations aligns a different
+        # triangle, so the depths are checked again under the pose itself
+        z = (rotations[..., 2:, :] @ np.swapaxes(pts, 1, 2)[:, None])[..., 0, :]
+        valid &= (z + translations[..., 2:] > 0).all(axis=2)
+    valid &= np.isfinite(rotations).all(axis=(2, 3)) & np.isfinite(translations).all(axis=2)
+    rotations[~valid] = np.eye(3)
+    translations[~valid] = 0.0
+    return rotations, translations, valid
+
+
+def _cubic_root(b, c, d):
+    """One real root of g^3 + b g^2 + c g + d, per element.
+
+    Starts where the cubic is guaranteed to have a root on one side (left
+    of the local maximum if that is positive, else right of the local
+    minimum), from a second-order model there, and runs Newton's method.
+    """
+    disc = b * b - 3.0 * c
+    spread = np.sqrt(np.maximum(disc, 0.0))
+    t1 = (-b - spread) / 3.0  # local maximum
+    t2 = (-b + spread) / 3.0  # local minimum
+    k1 = ((t1 + b) * t1 + c) * t1 + d
+    k2 = ((t2 + b) * t2 + c) * t2 + d
+    left = t1 - np.sqrt(np.maximum(k1 / spread, 0.0))
+    right = t2 + np.sqrt(np.maximum(-k2 / spread, 0.0))
+    # monotonic cubic: start at the inflection, moved off a near-flat one
+    flat = -b / 3.0 + (np.abs(disc) < 3e-4)
+    root = np.where(disc > 0, np.where(k1 > 0, left, right), flat)
+    for _ in range(CUBIC_ITERATIONS):
+        step = (((root + b) * root + c) * root + d) / ((3.0 * root + 2.0 * b) * root + c)
+        step[~np.isfinite(step)] = 0.0
+        root -= step
+        if not (np.abs(step) > 1e-15 * (1.0 + np.abs(root))).any():
+            break
+    return root
+
+
+def _refine_depths(depths, sq_dists, b):
+    """Gauss-Newton on the P3P distance equations, per root.
+
+    ``depths`` is (K, R, 3); equation p of pair (i, j) reads
+    l_i^2 + l_j^2 + b_p l_i l_j = a_p. A step is kept only where it lowers
+    the summed absolute residual, so a root never gets worse; the loop ends
+    early once no root improves.
+    """
+    first, second = np.array(_PAIRS3).T
+    a, b = sq_dists[:, None], b[:, None]
+    b12, b13, b23 = np.moveaxis(b, -1, 0)
+
+    def residual(lam):
+        li, lj = lam[..., first], lam[..., second]
+        return li * li + lj * lj + b * li * lj - a
+
+    res = residual(depths)
+    for _ in range(LAMBDA_ITERATIONS):
+        l1, l2, l3 = np.moveaxis(depths, -1, 0)
+        r0, r1, r2 = np.moveaxis(res, -1, 0)
+        # Jacobian [[j00, j01, 0], [j10, 0, j12], [0, j21, j22]], inverted by its adjugate
+        j00, j01 = 2.0 * l1 + b12 * l2, 2.0 * l2 + b12 * l1
+        j10, j12 = 2.0 * l1 + b13 * l3, 2.0 * l3 + b13 * l1
+        j21, j22 = 2.0 * l2 + b23 * l3, 2.0 * l3 + b23 * l2
+        det = -(j00 * j12 * j21 + j01 * j10 * j22)
+        step = np.stack([
+            -j12 * j21 * r0 - j01 * j22 * r1 + j01 * j12 * r2,
+            -j10 * j22 * r0 + j00 * j22 * r1 - j00 * j12 * r2,
+            j10 * j21 * r0 - j00 * j21 * r1 - j01 * j10 * r2,
+        ], axis=-1) / det[..., None]
+        candidate = depths - step
+        new = residual(candidate)
+        better = np.abs(new).sum(axis=-1) < np.abs(res).sum(axis=-1)
+        if not better.any():
+            break
+        depths = np.where(better[..., None], candidate, depths)
+        res = np.where(better[..., None], new, res)
+    return depths
+
+
+def _triangle_frames(e1, e2):
+    """Orthonormal frames (..., 3, 3), columns: e1, in-plane normal, plane normal."""
+    normal = np.cross(e1, e2)
+    x = e1 / np.linalg.norm(e1, axis=-1, keepdims=True)
+    z = normal / np.linalg.norm(normal, axis=-1, keepdims=True)
+    return np.stack([x, np.cross(z, x), z], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +415,7 @@ def _epnp(pts, obs, s, vt, camera, planar: bool):
     alphas = np.concatenate([rel, 1.0 - rel.sum(axis=2, keepdims=True)], axis=2)
     first, second = np.array(_PAIRS3 if planar else _PAIRS4).T
 
-    basis = _null_basis(_constraint_matrix(alphas, obs, camera), m + 1)
+    basis = _null_basis(_constraint_gram(alphas, obs, camera), m + 1)
     # per pair, per basis vector: the control-point difference, (K, P, b, 3)
     vecs = basis.transpose(0, 2, 1).reshape(k, m + 1, m + 1, 3)
     diffs = (vecs[:, :, first] - vecs[:, :, second]).transpose(0, 2, 1, 3)
@@ -247,21 +445,30 @@ def _epnp(pts, obs, s, vt, camera, planar: bool):
     return rotation[pick], translation[pick], np.isfinite(err[pick])
 
 
-def _constraint_matrix(alphas, obs, camera) -> np.ndarray:
+def _constraint_gram(alphas, obs, camera) -> np.ndarray:
+    """M^T M of the (2n, 3c) projection constraints M, from per-point terms.
+
+    Point i contributes the rows alpha_i (x) (fx, 0, cx - u_i) and
+    alpha_i (x) (0, fy, cy - v_i), so the block of control points (j, k)
+    is the sum over points of alpha_ij alpha_ik times a 3x3 weight.
+    """
     k, n, c = alphas.shape
-    m = np.zeros((k, 2 * n, 3 * c))
-    u = obs[:, :, 0, None]
-    v = obs[:, :, 1, None]
-    m[:, 0::2, 0::3] = alphas * camera.fx
-    m[:, 0::2, 2::3] = alphas * (camera.cx - u)
-    m[:, 1::2, 1::3] = alphas * camera.fy
-    m[:, 1::2, 2::3] = alphas * (camera.cy - v)
-    return m
+    du = camera.cx - obs[:, :, 0, None]
+    dv = camera.cy - obs[:, :, 1, None]
+    at = alphas.transpose(0, 2, 1)
+    plain = at @ alphas
+    gram = np.zeros((k, c, 3, c, 3))
+    gram[:, :, 0, :, 0] = camera.fx**2 * plain
+    gram[:, :, 1, :, 1] = camera.fy**2 * plain
+    gram[:, :, 0, :, 2] = gram[:, :, 2, :, 0] = camera.fx * (at @ (alphas * du))
+    gram[:, :, 1, :, 2] = gram[:, :, 2, :, 1] = camera.fy * (at @ (alphas * dv))
+    gram[:, :, 2, :, 2] = at @ (alphas * (du * du + dv * dv))
+    return gram.reshape(k, 3 * c, 3 * c)
 
 
-def _null_basis(m: np.ndarray, n_ctrl: int) -> np.ndarray:
+def _null_basis(gram: np.ndarray, n_ctrl: int) -> np.ndarray:
     """Eigenvectors of M^T M for the ``n_ctrl`` smallest eigenvalues."""
-    _, vectors = np.linalg.eigh(m.transpose(0, 2, 1) @ m)
+    _, vectors = np.linalg.eigh(gram)
     return vectors[:, :, :n_ctrl]
 
 

@@ -200,21 +200,6 @@ def _raster_triangle(
     tri[block][update] = index
 
 
-def rasterize_scene(scene: SceneSpec, out_size=None):
-    """Render the target object and compute its occlusion-aware visibility.
-
-    Returns the object's CoordinateMap and a boolean visibility mask that
-    is False exactly where some occluder is strictly nearer than the
-    object surface.
-    """
-    if out_size is None:
-        out_size = (scene.camera.width, scene.camera.height)
-    cmap = rasterize(scene.object_mesh, scene.object_pose, scene.camera, out_size)
-    occluder_depth = _joint_depth(scene.occluders, scene.camera, (0, 0, *_parse_size(out_size)))
-    visibility = cmap.mask & ~(occluder_depth < cmap.depth)
-    return cmap, visibility
-
-
 def scene_depth_map(scene: SceneSpec, out_size=None, window=None) -> np.ndarray:
     """Joint z-buffer over the object and every occluder, depth only.
 

@@ -20,21 +20,28 @@ from .exemplars import ExemplarSet, ensure_mesh_binding, query_nearest
 from .flow import FlowField
 from .geometry import CameraIntrinsics, RigidPose, geodesic_distance
 from .mesh import MeshModel
-# bench/layers.py patches solve_pnp, reprojection_residuals and is_degenerate_sample here
-from .pnp import epnp_batch, is_degenerate_sample, reprojection_residuals, solve_pnp  # noqa: F401
+from . import pnp
+# bench/layers.py patches solve_pnp, reprojection_residuals and is_degenerate_sample here,
+# and pnp.gauss_newton in its module, which is why the refit calls it through ``pnp``
+from .pnp import is_degenerate_sample, p3p_batch, reprojection_residuals, solve_pnp  # noqa: F401
 
 MAX_CORRESPONDENCES = 20000
 HYPOTHESES_PER_ROUND = 64  # minimal samples solved and scored together
+SAMPLE_SIZE = 3  # correspondences per minimal sample
+MAX_REFIT_ROUNDS = 10
 _SCORE_TILE = 1024  # correspondences per column tile of the (K, N) score
+_SCORE_SUBSET = 2048  # correspondences every root is scored on before the round's winner
 
 
 @dataclass(frozen=True)
 class RansacConfig:
     """Hypothesize-and-verify parameters for robust PnP.
 
-    ``max_iterations`` caps the minimal samples drawn across all rounds of
-    ``ransac_pnp``; degenerate samples count against it. ``min_inliers`` is
-    the consensus a hypothesis needs to be accepted.
+    ``max_iterations`` caps the minimal 3-point samples drawn across all
+    rounds of ``ransac_pnp``, not the hypotheses scored: a sample yields up
+    to four P3P roots, and a degenerate sample yields none but still
+    counts. ``min_inliers`` is the consensus a hypothesis needs to be
+    accepted; the consensus-set refit needs at least four points.
     """
 
     inlier_threshold: float = 2.0  # pixels
@@ -98,7 +105,7 @@ class FlowSource(Protocol):
 def _adaptive_iterations(inlier_ratio: float, confidence: float, cap: int) -> int:
     if inlier_ratio >= 1.0:
         return 0
-    p_sample = inlier_ratio**4
+    p_sample = inlier_ratio**SAMPLE_SIZE
     if p_sample <= 0.0:
         return cap
     denom = math.log1p(-min(p_sample, 1.0 - 1e-15))
@@ -106,9 +113,9 @@ def _adaptive_iterations(inlier_ratio: float, confidence: float, cap: int) -> in
 
 
 def _draw_samples(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
-    """(k, 4) indices, four distinct per row (Floyd's algorithm, vectorized)."""
-    samples = np.empty((k, 4), dtype=np.intp)
-    for col, top in enumerate(range(n - 4, n)):
+    """(k, SAMPLE_SIZE) indices, distinct within a row (Floyd's algorithm, vectorized)."""
+    samples = np.empty((k, SAMPLE_SIZE), dtype=np.intp)
+    for col, top in enumerate(range(n - SAMPLE_SIZE, n)):
         pick = rng.integers(top + 1, size=k)
         taken = (samples[:, :col] == pick[:, None]).any(axis=1)
         samples[:, col] = np.where(taken, top, pick)
@@ -164,17 +171,28 @@ def score_hypotheses(rotations, translations, points, pixels, camera, threshold)
 def ransac_pnp(
     correspondences: CorrespondenceSet, camera: CameraIntrinsics, cfg: RansacConfig
 ) -> PoseEstimate:
-    """Robust PnP: batched minimal 4-point hypotheses, inlier voting, final solve.
+    """Robust PnP: batched 3-point hypotheses, subset-first voting, refit.
 
-    Each round draws up to ``HYPOTHESES_PER_ROUND`` 4-point samples, solves
-    them together in closed form (``epnp_batch``: coplanar samples use three
-    control points, only collinear or coincident samples are skipped) and
-    scores them as one (K, N) inlier mask that gives no vote to points behind
-    the camera. The hypothesis budget ``cfg.max_iterations`` counts samples
-    drawn across rounds and shrinks adaptively with the best inlier ratio
-    under the configured confidence, re-evaluated after every round. The best
-    hypothesis is then refit on its consensus set with ``solve_pnp``.
-    Deterministic for a fixed seed.
+    Each round draws up to ``HYPOTHESES_PER_ROUND`` 3-point samples and
+    solves them together with P3P (``p3p_batch``). Every real root that
+    puts its sample in front of the camera is a hypothesis, up to four per
+    sample; collinear or coincident samples yield none. With more than
+    ``_SCORE_SUBSET`` correspondences, one sorted random subset of that
+    size is drawn per call, every root of a round is scored on it, and
+    only the round's winner (by subset count, first of equals) is scored
+    on all N points; otherwise every root is scored on all N. A point
+    votes only if it reprojects within the threshold at a positive depth.
+    The full count decides the best hypothesis and drives the adaptive
+    budget: ``cfg.max_iterations`` counts samples drawn across rounds and
+    shrinks with the best inlier ratio under the configured confidence,
+    re-evaluated after every round.
+
+    The best hypothesis is refit on its consensus set until the set stops
+    changing. The first refit round runs ``solve_pnp``, EPnP on the whole
+    consensus set plus Gauss-Newton: the best minimal-sample pose of a
+    view of one planar face can be the mirrored solution, which
+    Gauss-Newton started from it would keep. Later rounds run Gauss-Newton
+    from the previous round's pose. Deterministic for a fixed seed.
 
     Raises:
         RobustFailureError: no hypothesis reached ``min_inliers``; the error
@@ -188,6 +206,10 @@ def ransac_pnp(
     pts = correspondences.points
     obs = correspondences.pixels
     rng = np.random.default_rng(cfg.seed)
+    vote_pts, vote_obs = pts, obs  # where every root of a round is scored
+    if n > _SCORE_SUBSET:
+        subset = np.sort(rng.choice(n, _SCORE_SUBSET, replace=False))
+        vote_pts, vote_obs = pts[subset], obs[subset]
 
     best_count = 0
     best_inliers = None
@@ -197,18 +219,24 @@ def ransac_pnp(
     while drawn < needed:
         samples = _draw_samples(rng, n, min(HYPOTHESES_PER_ROUND, needed - drawn))
         drawn += len(samples)
-        rotations, translations, valid = epnp_batch(pts[samples], obs[samples], camera)
+        rotations, translations, valid = p3p_batch(pts[samples], obs[samples], camera)
         if not valid.any():
             continue
         rotations, translations = rotations[valid], translations[valid]
-        inliers = score_hypotheses(
-            rotations, translations, pts, obs, camera, cfg.inlier_threshold
+        votes = score_hypotheses(
+            rotations, translations, vote_pts, vote_obs, camera, cfg.inlier_threshold
         )
-        counts = np.count_nonzero(inliers, axis=1)
-        top = int(np.argmax(counts))  # first of equals, as in drawing order
-        if counts[top] > best_count:
-            best_count = int(counts[top])
-            best_inliers = inliers[top].copy()
+        top = int(np.argmax(np.count_nonzero(votes, axis=1)))  # first of equals
+        top_inliers = votes[top]
+        if n > _SCORE_SUBSET:  # the round's winner, on all points
+            top_inliers = score_hypotheses(
+                rotations[top : top + 1], translations[top : top + 1], pts, obs, camera,
+                cfg.inlier_threshold,
+            )[0]
+        count = int(np.count_nonzero(top_inliers))
+        if count > best_count:
+            best_count = count
+            best_inliers = top_inliers.copy()
             best_pose = (rotations[top], translations[top])
             needed = min(
                 cfg.max_iterations,
@@ -233,26 +261,28 @@ def ransac_pnp(
 
     # final stage: re-solve on the consensus set, re-select, and iterate to
     # the fixed point so the estimate sheds the minimal-sample selection bias
-    pose = best_pose
-    inliers = best_inliers
-    for _ in range(10):
-        try:
-            refined = solve_pnp(pts[inliers], obs[inliers], camera)
-        except SolverError:
-            break  # keep the previous pose; its inliers remain valid
+    pose, inliers, pose_res = best_pose, best_inliers, None
+    for refit_round in range(MAX_REFIT_ROUNDS):
+        if refit_round == 0:
+            try:
+                refined = solve_pnp(pts[inliers], obs[inliers], camera)
+            except SolverError:
+                break  # keep the previous pose; its inliers remain valid
+        else:
+            refined, _ = pnp.gauss_newton(camera, pose, pts[inliers], obs[inliers])
         res = np.linalg.norm(reprojection_residuals(camera, refined, pts, obs), axis=1)
         refit = res < cfg.inlier_threshold
         if int(refit.sum()) < cfg.min_inliers:
             break
-        pose = refined
-        if np.array_equal(refit, inliers):
-            inliers = refit
-            break
+        pose, pose_res = refined, res
+        settled = np.array_equal(refit, inliers)
         inliers = refit
+        if settled:
+            break
 
-    final_res = np.linalg.norm(reprojection_residuals(camera, pose, pts, obs), axis=1)
-    mean_err = float(final_res[inliers].mean())
-    return PoseEstimate(pose, int(inliers.sum()), inliers, mean_err)
+    if pose_res is None:
+        pose_res = np.linalg.norm(reprojection_residuals(camera, pose, pts, obs), axis=1)
+    return PoseEstimate(pose, int(inliers.sum()), inliers, float(pose_res[inliers].mean()))
 
 
 def refine_pose(

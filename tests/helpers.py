@@ -6,6 +6,30 @@ import numpy as np
 
 from pfa.geometry import CameraIntrinsics, RigidPose
 from pfa.mesh import MeshModel
+from pfa.raster import rasterize
+
+
+def crop_pixel_centers(size: int) -> np.ndarray:
+    """(S, S, 2) array of crop pixel centers (col + 0.5, row + 0.5)."""
+    cols, rows = np.meshgrid(np.arange(size) + 0.5, np.arange(size) + 0.5)
+    return np.stack([cols, rows], axis=-1)
+
+
+def rasterize_scene(scene, out_size=None):
+    """Render the target object and compute its occlusion-aware visibility.
+
+    Returns the object's CoordinateMap and a boolean visibility mask that
+    is False exactly where some occluder is strictly nearer than the
+    object surface.
+    """
+    if out_size is None:
+        out_size = (scene.camera.width, scene.camera.height)
+    cmap = rasterize(scene.object_mesh, scene.object_pose, scene.camera, out_size)
+    occluder_depth = np.full(cmap.depth.shape, np.inf)
+    for mesh, pose in scene.occluders:
+        np.minimum(occluder_depth, rasterize(mesh, pose, scene.camera, out_size).depth,
+                   out=occluder_depth)
+    return cmap, cmap.mask & ~(occluder_depth < cmap.depth)
 
 
 def ray_trace_reference(mesh: MeshModel, pose: RigidPose, camera: CameraIntrinsics, size):
@@ -132,7 +156,7 @@ def bilinear_masked(values: np.ndarray, mask: np.ndarray, pixels: np.ndarray):
 def dense_oracle_flow(exemplar, crop_exemplar, scene, target_pose, crop_target):
     """Reference ground-truth flow over the full crop grid and full image."""
     from pfa.crops import apply_homography, intrinsics_align_matrix
-    from pfa.flow import FlowField, crop_pixel_centers
+    from pfa.flow import FlowField
     from pfa.geometry import project_camera_points
     from pfa.mesh import face_normals
     from pfa.raster import rasterize, scene_depth_map
@@ -208,7 +232,6 @@ def dense_lift(exemplar, flow, crop_exemplar, crop_target, target_camera):
     """Reference lifting: (points, pixels) arrays over the dense exemplar map."""
     from pfa.correspond import IMAGE_MARGIN
     from pfa.crops import apply_homography
-    from pfa.flow import crop_pixel_centers
 
     valid = flow.valid
     centers = crop_pixel_centers(crop_exemplar.out_size)[valid]

@@ -182,6 +182,30 @@ class TestPersistence:
         assert info.value.found == 1 and info.value.expected == 2
         assert "1" in str(info.value) and "2" in str(info.value)
 
+    def _header_size(self, exemplar_set):
+        # magic, version and count, z_bar, camera, mesh hash, name length, name
+        return 4 + 8 + 8 + 48 + 32 + 4 + len(exemplar_set.object_name.encode("utf-8"))
+
+    def test_bad_rotation_names_the_exemplar(self, tmp_path, small_set):
+        path = tmp_path / "set.pfax"
+        save_set(small_set, path)
+        first = small_set.exemplars[0]
+        offset = self._header_size(small_set) + 4 + 72 + len(first.mask_bits) + 16 * len(first.points)
+        data = bytearray(path.read_bytes())
+        data[offset + 4 : offset + 12] = struct.pack("<d", 2.0)  # exemplar 1, R[0, 0]
+        path.write_bytes(bytes(data))
+        with pytest.raises(FileFormatError, match="exemplar 1 has a bad rotation"):
+            load_set(path)
+
+    def test_non_utf8_name(self, tmp_path, small_set):
+        path = tmp_path / "set.pfax"
+        save_set(small_set, path)
+        data = bytearray(path.read_bytes())
+        data[self._header_size(small_set) - 1] = 0xFF  # last byte of the name
+        path.write_bytes(bytes(data))
+        with pytest.raises(FileFormatError, match="object name is not UTF-8"):
+            load_set(path)
+
     def test_round_trip_keeps_triangle_ids(self, tmp_path, small_set):
         path = tmp_path / "set.pfax"
         save_set(small_set, path)

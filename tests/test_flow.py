@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import dense_lift, dense_oracle_flow
+from helpers import crop_pixel_centers, dense_lift, dense_oracle_flow
 from pfa.correspond import lift_correspondences
 from pfa.crops import CropTransform, apply_homography, compute_crop, lift_to_image
 from pfa.errors import (
@@ -17,7 +17,6 @@ from pfa.flow import (
     FlowField,
     FlowNoiseSpec,
     OracleFlowSource,
-    crop_pixel_centers,
     degrade_flow,
     load_flow,
     oracle_flow,

@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -146,6 +147,40 @@ MALFORMED_CONFIGS = [
     ({"target_camera": {"fx": 600.0}}, "target_camera"),
     ({"label": {"a": 1}}, "label"),
     ({"trials": None}, "trials"),
+]
+
+
+def _drop_gt_pose(manifest):
+    del manifest["trials"][0]["gt_pose"]
+
+
+def _bad_extents(manifest):
+    pose = manifest["trials"][1]["gt_pose"]
+    manifest["trials"][1]["occluders"] = [{"extents": [0.1, 0.1], "pose": pose}]
+
+
+def _bad_rotation(manifest):
+    manifest["trials"][0]["initial_pose"]["rotation"][2][2] = 2.0
+
+
+# each edit leaves the manifest malformed at the JSON path given with it
+MALFORMED_MANIFESTS = [
+    (lambda m: [m], "manifest: expected an object"),
+    (_drop_gt_pose, "manifest trials[0]: missing key 'gt_pose'"),
+    (lambda m: m.update(trials={}), "manifest trials: expected a list"),
+    (_bad_extents, "manifest trials[1].occluders[0].extents:"),
+    (_bad_rotation, "manifest trials[0].initial_pose:"),
+    (lambda m: m["trials"][2].update(trial_id="x"), "manifest trials[2].trial_id:"),
+]
+
+
+# each edit leaves a records document malformed at the JSON path given with it
+MALFORMED_RECORDS = [
+    (lambda d: [1], "records: expected an object"),
+    (lambda d: d.update(trials=[1]), "records trials[0]: expected an object"),
+    (lambda d: d["trials"][1].update(refined_report={"add": 0.0}),
+     "records trials[1].refined_report: missing key 'add_s'"),
+    (lambda d: d.pop("diameter"), "records: missing key 'diameter'"),
 ]
 
 
@@ -296,6 +331,19 @@ class TestRunRefinement:
 
         assert strip(records) == strip(again)
 
+    def test_reports_identical_across_thread_counts(self, run_artifacts, monkeypatch):
+        # noisy flow from two exemplars: RANSAC sees more than 2048 points
+        config, mesh, exemplar_set, manifest, _ = run_artifacts
+        noisy = replace(config, noise=FlowNoiseSpec.default_preset(dropout_ratio=0.3))
+        reports = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("PFA_THREADS", threads)
+            records = run_refinement(noisy, mesh, exemplar_set, manifest)
+            assert min(sum(e["n_correspondences"] for e in t["exemplars"])
+                       for t in records["trials"]) > 2048
+            reports.append(json.dumps(summarize_records(records), sort_keys=True).encode())
+        assert reports[0] == reports[1]
+
     def test_threaded_run_matches_sequential(self, run_artifacts, monkeypatch):
         config, mesh, exemplar_set, manifest, records = run_artifacts
         monkeypatch.setenv("PFA_THREADS", "4")
@@ -359,7 +407,8 @@ class TestRunRefinement:
 
 
 class TestEval:
-    def _perfect_records(self):
+    @staticmethod
+    def _perfect_records():
         pose = {"rotation": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "translation": [0, 0, 1]}
         report = {"add": 0.0, "add_s": 0.0, "rotation_err_deg": 0.0, "translation_err_m": 0.0}
         return {
@@ -517,6 +566,31 @@ class TestCli:
             "--out", str(tmp_path / "r"), "--mesh", str(other_mesh),
         ])
         assert code == 4
+
+    @pytest.mark.parametrize("edit, message", MALFORMED_MANIFESTS)
+    def test_malformed_manifest_is_exit_2(self, workspace, tmp_path, capsys, edit, message):
+        _, _, config_path = workspace
+        manifest_path = tmp_path / "manifest.json"
+        assert main(["synth-scenes", "--config", str(config_path), "--out", str(manifest_path)]) == 0
+        manifest = json.loads(manifest_path.read_text())
+        manifest = edit(manifest) or manifest
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["refine", "--config", str(config_path), "--manifest", str(manifest_path),
+                     "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert f"{manifest_path}: {message}" in err and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("edit, message", MALFORMED_RECORDS)
+    def test_malformed_records_is_exit_2(self, tmp_path, capsys, edit, message):
+        records = TestEval._perfect_records()
+        edited = edit(records)
+        path = tmp_path / "records.json"
+        path.write_text(json.dumps(edited if isinstance(edited, list) else records))
+        assert main(["eval", "--records", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: {message}" in err and "Traceback" not in err
 
     def test_eval_without_records_is_config_error(self, tmp_path):
         empty = tmp_path / "none"

@@ -16,6 +16,7 @@ from pfa.pnp import (
     epnp_batch,
     gauss_newton,
     is_degenerate_sample,
+    p3p_batch,
     reprojection_jacobian,
     reprojection_residuals,
     solve_pnp,
@@ -150,6 +151,46 @@ class TestEpnpBatch:
             pixels[i] = project_points(K, _random_pose(rng), bad)
         _, _, valid = epnp_batch(points, pixels, K)
         assert valid.tolist() == [True, True, False, True, True, False, True, True]
+
+
+class TestP3pBatch:
+    def test_noise_free_samples_have_an_exact_root(self):
+        # 4,000 seeded noise-free 3-point samples: for every one, some root is
+        # within 0.01 deg and 1e-5 m of the truth
+        rng = np.random.default_rng(61)
+        count = 4000
+        points = rng.uniform(-0.06, 0.06, size=(count, 3, 3))
+        rotations = sample_rotations(count, 62)
+        translations = np.stack([
+            rng.uniform(-0.08, 0.08, count), rng.uniform(-0.08, 0.08, count),
+            rng.uniform(0.7, 1.4, count),
+        ], axis=1)
+        cam = np.einsum("kij,knj->kni", rotations, points) + translations[:, None]
+        pixels = np.stack([
+            K.fx * cam[..., 0] / cam[..., 2] + K.cx, K.fy * cam[..., 1] / cam[..., 2] + K.cy,
+        ], axis=2)
+        est_r, est_t, valid = p3p_batch(points, pixels, K)
+        traces = np.einsum("kij,krij->kr", rotations, est_r)
+        rot_err = np.degrees(np.arccos(np.clip((traces - 1.0) / 2.0, -1.0, 1.0)))
+        trans_err = np.linalg.norm(est_t - translations[:, None], axis=2)
+        exact = valid & (rot_err < 0.01) & (trans_err < 1e-5)
+        assert exact.any(axis=1).all(), np.flatnonzero(~exact.any(axis=1))
+
+    def test_degenerate_samples_invalid_and_roots_in_front(self):
+        rng = np.random.default_rng(63)
+        points = rng.uniform(-0.06, 0.06, size=(200, 3, 3))
+        pixels = rng.uniform([0, 0], [640, 480], size=(200, 3, 2))  # mostly no exact pose
+        points[0] = np.outer(np.linspace(-1, 1, 3), [0.05, 0.02, 0.01])  # collinear
+        points[1, 1] = points[1, 0]  # two coincident points
+        points[2] = 0.0  # all coincident
+        pixels[3, 1] = pixels[3, 0]  # two points on one ray
+        rotations, translations, valid = p3p_batch(points, pixels, K)
+        assert rotations.shape == (200, 4, 3, 3) and translations.shape == (200, 4, 3)
+        assert not valid[:3].any()
+        assert valid[4:].any()
+        for k, r in zip(*np.nonzero(valid)):
+            pose = RigidPose(rotations[k, r], translations[k, r])  # orthonormal, det +1
+            assert (pose.transform(points[k])[:, 2] > 0).all()
 
 
 class TestGaussNewton:

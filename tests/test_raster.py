@@ -3,11 +3,16 @@
 import numpy as np
 import pytest
 
-from helpers import ray_trace_reference, random_small_mesh, reprojection_residual_max
+from helpers import (
+    rasterize_scene,
+    ray_trace_reference,
+    random_small_mesh,
+    reprojection_residual_max,
+)
 from pfa.errors import ConfigurationError
 from pfa.geometry import CameraIntrinsics, RigidPose, sample_rotations
 from pfa.mesh import MeshModel, make_box
-from pfa.raster import SceneSpec, rasterize, rasterize_scene, scene_depth_map
+from pfa.raster import SceneSpec, rasterize, scene_depth_map
 
 K_EXEMPLAR = CameraIntrinsics(100.0, 100.0, 128.0, 128.0, 256, 256)
 

@@ -19,13 +19,21 @@ from pfa.geometry import (
     geodesic_distance,
     pose_jitter,
     project_points,
+    rotation_about_axis,
     sample_rotations,
 )
 from pfa.mesh import make_box
 from pfa.metrics import add_error
-from pfa.pnp import reprojection_residuals, solve_pnp
+from pfa.pnp import gauss_newton, reprojection_residuals, solve_pnp
 from pfa.raster import SceneSpec
-from pfa.refine import PoseEstimate, RansacConfig, ransac_pnp, refine_pose, score_hypotheses
+from pfa.refine import (
+    PoseEstimate,
+    RansacConfig,
+    _adaptive_iterations,
+    ransac_pnp,
+    refine_pose,
+    score_hypotheses,
+)
 
 K_R = CameraIntrinsics(400.0, 400.0, 128.0, 128.0, 256, 256)
 K_T = CameraIntrinsics(600.0, 600.0, 320.0, 240.0, 640, 480)
@@ -254,6 +262,91 @@ class TestRansac:
                 reprojection_residuals(K_T, pose, corr.points, corr.pixels), axis=1
             )
             assert np.array_equal(row, res < 2.0)
+
+    def test_three_point_sample_budget(self):
+        # 50% inliers at 0.999 confidence: 52 samples, one round of 64
+        assert _adaptive_iterations(0.5, 0.999, 1000) == 52
+        assert _adaptive_iterations(1.0, 0.999, 1000) == 0
+        assert _adaptive_iterations(0.0, 0.999, 1000) == 1000
+
+    def test_mirrored_planar_minimum_left_by_the_first_refit(self, monkeypatch):
+        # a tilted plane seen from afar: the depth-mirrored pose is a second
+        # local minimum of the reprojection error with most points within
+        # the threshold; Gauss-Newton started there stays there
+        rng = np.random.default_rng(90)
+        pts = np.zeros((400, 3))
+        pts[:, :2] = rng.uniform(-0.05, 0.05, size=(400, 2))
+        truth = RigidPose(rotation_about_axis([1.0, 0.3, 0.0], 35.0), [0.02, -0.01, 1.0])
+        uv = project_points(K_T, truth, pts) + rng.normal(0, 0.5, size=(400, 2))
+        ray = truth.translation / np.linalg.norm(truth.translation)
+        flip = np.eye(3) - 2.0 * np.outer(ray, ray)
+        start = RigidPose(flip @ truth.rotation @ np.diag([1.0, 1.0, -1.0]), truth.translation)
+        mirrored, _ = gauss_newton(K_T, start, pts, uv)
+        assert geodesic_distance(truth.rotation, mirrored.rotation) > 60.0
+        votes = score_hypotheses(
+            mirrored.rotation[None], mirrored.translation[None], pts, uv, K_T, 2.0
+        )
+        assert votes.sum() >= 380
+
+        # make the mirrored pose the only root of every sample: the refit's
+        # first round (EPnP on the consensus set) must still find the truth
+        def mirrored_roots(points, pixels, camera):
+            k = len(points)
+            rotations = np.tile(np.eye(3), (k, 4, 1, 1))
+            translations = np.zeros((k, 4, 3))
+            rotations[:, 0], translations[:, 0] = mirrored.rotation, mirrored.translation
+            valid = np.zeros((k, 4), dtype=bool)
+            valid[:, 0] = True
+            return rotations, translations, valid
+
+        monkeypatch.setattr("pfa.refine.p3p_batch", mirrored_roots)
+        corr = CorrespondenceSet(pts, uv, np.zeros(400, dtype=np.int32))
+        est = ransac_pnp(corr, K_T, RansacConfig(seed=0))
+        assert geodesic_distance(truth.rotation, est.pose.rotation) < 1.0
+        assert np.linalg.norm(truth.translation - est.pose.translation) < 0.01
+
+    def test_subset_first_scoring(self, monkeypatch):
+        # above 2048 points every root is scored on one fixed sorted subset
+        # and only each round's winner on all points
+        rng = np.random.default_rng(91)
+        gt, corr = _synthetic_correspondences(rng, 6000, outlier_ratio=0.5, sigma=1.0)
+        shapes, columns = [], []
+
+        def recording(rotations, translations, points, pixels, camera, threshold):
+            shapes.append((len(rotations), len(points)))
+            columns.append(points)
+            return score_hypotheses(rotations, translations, points, pixels, camera, threshold)
+
+        monkeypatch.setattr("pfa.refine.score_hypotheses", recording)
+        est = ransac_pnp(corr, K_T, RansacConfig(seed=4))
+        assert geodesic_distance(gt.rotation, est.pose.rotation) < 0.5
+        assert len(shapes) % 2 == 0
+        for (k, n_subset), (one, n_all) in zip(shapes[::2], shapes[1::2]):
+            assert n_subset == 2048 and k >= 1
+            assert one == 1 and n_all == 6000
+        subset = columns[0]
+        assert all(np.array_equal(c, subset) for c in columns[::2])
+        rows = [np.flatnonzero((corr.points == p).all(axis=1))[0] for p in subset[:50]]
+        assert rows == sorted(rows)
+
+    def test_refit_runs_epnp_once_then_warm_starts(self, monkeypatch):
+        rng = np.random.default_rng(92)
+        gt, corr = _synthetic_correspondences(rng, 3000, outlier_ratio=0.4, sigma=1.0)
+        calls = []
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr("pfa.refine.solve_pnp", counting("solve_pnp", solve_pnp))
+        monkeypatch.setattr("pfa.pnp.gauss_newton", counting("gauss_newton", gauss_newton))
+        est = ransac_pnp(corr, K_T, RansacConfig(seed=6))
+        assert geodesic_distance(gt.rotation, est.pose.rotation) < 0.5
+        assert calls[0] == "solve_pnp" and calls.count("solve_pnp") == 1
+        # solve_pnp runs its own Gauss-Newton, so later rounds add one call each
+        assert calls.count("gauss_newton") >= 2
 
     def test_estimate_validation(self):
         with pytest.raises(ValueError):
