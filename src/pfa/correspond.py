@@ -2,40 +2,57 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .crops import CropTransform, apply_homography
 from .errors import ConfigurationError
 from .exemplars import Exemplar
-from .flow import FlowField, sample_exemplar
+from .flow import CropSampler, FlowField
 from .geometry import CameraIntrinsics
 
 IMAGE_MARGIN = 0.20  # lifted pixels may exit the image by this fraction
 
 
-@dataclass(eq=False)
 class CorrespondenceSet:
-    """Columnar storage of (model point, target pixel, source exemplar)."""
+    """Columnar storage of (model point, target pixel, source exemplar).
 
-    points: np.ndarray  # (N, 3) float64, model frame
-    pixels: np.ndarray  # (N, 2) float64, original target image
-    exemplar_ids: np.ndarray  # (N,) int32
+    A set made by lifting leaves its model points pending: it keeps each
+    row's exemplar-crop pixel and the sampler that reads it, and ``points``
+    gathers them on first access. ``take`` narrows the pending rows, so
+    thinning a set before reading its points gathers only the rows kept.
+    """
 
-    def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
-        self.pixels = np.asarray(self.pixels, dtype=np.float64).reshape(-1, 2)
-        self.exemplar_ids = np.asarray(self.exemplar_ids, dtype=np.int32).reshape(-1)
-        if not (len(self.points) == len(self.pixels) == len(self.exemplar_ids)):
+    def __init__(self, points, pixels, exemplar_ids, *, pending=None):
+        self.pixels = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
+        self.exemplar_ids = np.asarray(exemplar_ids, dtype=np.int32).reshape(-1)
+        self._pending = pending  # (CropSampler, crop pixels) until gathered
+        self._points = None
+        if pending is None:
+            self._points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+        rows = len(self._points) if pending is None else len(pending[1])
+        if not (rows == len(self.pixels) == len(self.exemplar_ids)):
             raise ValueError("correspondence columns disagree in length")
 
+    @property
+    def points(self) -> np.ndarray:
+        """(N, 3) float64 model points, gathered on first access if pending."""
+        if self._points is None:
+            sampler, crop_pixels = self._pending
+            self._points, self._pending = sampler.points(crop_pixels), None
+        return self._points
+
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.pixels)
 
     def take(self, indices) -> "CorrespondenceSet":
+        if self._points is None:
+            sampler, crop_pixels = self._pending
+            return CorrespondenceSet(
+                None, self.pixels[indices], self.exemplar_ids[indices],
+                pending=(sampler, crop_pixels[indices]),
+            )
         return CorrespondenceSet(
-            self.points[indices], self.pixels[indices], self.exemplar_ids[indices]
+            self._points[indices], self.pixels[indices], self.exemplar_ids[indices]
         )
 
     @classmethod
@@ -57,6 +74,11 @@ def lift_correspondences(
     target crop and the intrinsics alignment. Pixels whose model point
     cannot be sampled inside the exemplar mask, or whose lifted pixel exits
     the image bounds by more than 20%, are dropped.
+
+    This is the cheap pass: it runs both tests and lifts the pixels of every
+    valid flow vector, but leaves the model points pending (see
+    ``CorrespondenceSet``). Subsampling quotas come from these counts, and
+    the points are gathered afterwards, for the kept rows only.
     """
     size = crop_exemplar.out_size
     if crop_target.out_size != size:
@@ -68,20 +90,11 @@ def lift_correspondences(
             f"flow is {flow.width}x{flow.height}, crops are {size}x{size}"
         )
 
-    if not flow.valid.any():
-        return CorrespondenceSet.empty()
-    pixels, points, _ = sample_exemplar(
-        exemplar, crop_exemplar, np.flatnonzero(flow.valid)  # row-major order
-    )
+    sampler = CropSampler(exemplar, crop_exemplar)
+    sampled = sampler.footprint(flow.indices)
+    pixels = flow.indices[sampled]
     rows, cols = np.divmod(pixels, size)
-    centers = np.stack([cols + 0.5, rows + 0.5], axis=-1)
-    displaced = centers + np.stack(
-        [
-            flow.du.reshape(-1)[pixels].astype(np.float64),
-            flow.dv.reshape(-1)[pixels].astype(np.float64),
-        ],
-        axis=-1,
-    )
+    displaced = np.stack([cols + 0.5, rows + 0.5], axis=-1) + flow.vectors[sampled]
     back = (
         target_camera.matrix
         @ exemplar.camera.inverse_matrix
@@ -98,13 +111,14 @@ def lift_correspondences(
         & (lifted[:, 1] < target_camera.height + my)
     )
     ids = np.full(int(ok.sum()), exemplar.id, dtype=np.int32)
-    return CorrespondenceSet(points[ok], lifted[ok], ids)
+    return CorrespondenceSet(None, lifted[ok], ids, pending=(sampler, pixels[ok]))
 
 
 def aggregate(sets) -> CorrespondenceSet:
     """Concatenate per-exemplar correspondences, ordered by exemplar id.
 
     Within one exemplar the row-major pixel order of lifting is preserved.
+    Pending model points are gathered here.
     """
     sets = list(sets)
     if not sets:

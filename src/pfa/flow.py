@@ -1,4 +1,9 @@
-"""Dense 2D correspondence fields between exemplar crops and target crops.
+"""Sparse 2D correspondence fields between exemplar crops and target crops.
+
+A ``FlowField`` lists the valid pixels of a crop as increasing flat
+row-major indices, each with one float32 (du, dv) displacement; no dense
+buffer is kept. The oracle writes this form, degradation and the file
+format below walk it in index order, and lifting reads it.
 
 The in-tree flow provider is a geometric oracle: for every valid pixel of
 the exemplar crop it projects the known model point into the target view
@@ -40,40 +45,45 @@ from .seeds import derive_seed
 
 @dataclass(eq=False)
 class FlowField:
-    """Per-pixel crop-frame displacements with a validity mask."""
+    """Crop-frame displacements at the valid pixels of a width x height crop.
 
-    du: np.ndarray  # (H, W) float32
-    dv: np.ndarray  # (H, W) float32
-    valid: np.ndarray  # (H, W) bool
+    ``indices`` lists the valid pixels as strictly increasing flat row-major
+    indices, and ``vectors`` holds the float32 (du, dv) of each, in the same
+    order. Nothing dense is kept: ``valid`` builds the (height, width) mask
+    on demand, for the file format, tests and inspection.
+    """
+
+    width: int
+    height: int
+    indices: np.ndarray  # (M,) int64, strictly increasing
+    vectors: np.ndarray  # (M, 2) float32, (du, dv) per index
 
     def __post_init__(self):
-        self.du = np.asarray(self.du, dtype=np.float32)
-        self.dv = np.asarray(self.dv, dtype=np.float32)
-        self.valid = np.asarray(self.valid, dtype=bool)
-        if not (self.du.shape == self.dv.shape == self.valid.shape):
-            raise ValueError("flow component shapes disagree")
-        if self.valid.any() and not (
-            np.isfinite(self.du[self.valid]).all()
-            and np.isfinite(self.dv[self.valid]).all()
+        self.indices = np.asarray(self.indices, dtype=np.int64).reshape(-1)
+        self.vectors = np.asarray(self.vectors, dtype=np.float32).reshape(-1, 2)
+        if len(self.indices) != len(self.vectors):
+            raise ValueError("flow indices and vectors disagree in length")
+        if len(self.indices) and not (
+            self.indices[0] >= 0
+            and self.indices[-1] < self.width * self.height
+            and (np.diff(self.indices) > 0).all()
         ):
+            raise ValueError("flow indices must increase and lie inside the crop")
+        if not np.isfinite(self.vectors).all():
             raise ValueError("valid flow vectors must be finite")
 
     @property
-    def width(self) -> int:
-        return self.du.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.du.shape[0]
-
-    def copy(self) -> "FlowField":
-        return FlowField(self.du.copy(), self.dv.copy(), self.valid.copy())
+    def valid(self) -> np.ndarray:
+        """The (height, width) bool mask of the valid pixels, built on demand."""
+        valid = np.zeros(self.width * self.height, dtype=bool)
+        valid[self.indices] = True
+        return valid.reshape(self.height, self.width)
 
     def equals(self, other: "FlowField") -> bool:
         return (
-            np.array_equal(self.valid, other.valid)
-            and np.array_equal(self.du[self.valid], other.du[other.valid])
-            and np.array_equal(self.dv[self.valid], other.dv[other.valid])
+            (self.width, self.height) == (other.width, other.height)
+            and np.array_equal(self.indices, other.indices)
+            and np.array_equal(self.vectors, other.vectors)
         )
 
 
@@ -114,48 +124,63 @@ def _axis_cells(coords: np.ndarray, n: int):
     return c0, c - c0, inside
 
 
-def sample_exemplar(exemplar: Exemplar, crop_exemplar: CropTransform, pixels=None):
-    """Bilinear model points of an exemplar at exemplar-crop pixel centers.
+class CropSampler:
+    """Bilinear model points of an exemplar at the pixel centers of its crop.
 
-    ``pixels`` are flat row-major crop indices in increasing order (every
-    crop pixel when None). A sample is kept only when the four exemplar
-    pixels around it are all in the mask; pixel centers sit at integer +
-    0.5. Returns the kept indices, their (M, 3) float64 model points, and
-    the triangle id of the exemplar pixel containing each sample.
-
-    The points are gathered from the stored sparse rows, never from a dense
-    map. A crop is a similarity, so a crop pixel's exemplar x depends on its
-    column alone and its y on its row alone: the sample grid is two axes.
+    Pixels are flat row-major crop indices in increasing order, and pixel
+    centers sit at integer + 0.5. A sample has a full footprint when the
+    four exemplar pixels around it are all in the mask; only such samples
+    may be gathered. Points and triangle ids come from the stored sparse
+    rows, never from a dense map. A crop is a similarity, so a crop pixel's
+    exemplar x depends on its column alone and its y on its row alone: the
+    sample grid is two axes, and the footprint test is one lookup per pixel.
+    Gathering is the dearer step, so callers test every pixel first and
+    gather only the pixels they keep.
     """
-    size = crop_exemplar.out_size
-    axis = np.arange(size) + 0.5
-    ex = apply_homography(crop_exemplar.inverse_matrix(), np.stack([axis, axis], axis=-1))
-    mask = exemplar.mask()
-    x0, fx, x_in = _axis_cells(ex[:, 0], mask.shape[1])
-    y0, fy, y_in = _axis_cells(ex[:, 1], mask.shape[0])
-    cells = mask[:-1, :-1] & mask[:-1, 1:] & mask[1:, :-1] & mask[1:, 1:]
-    if pixels is None:
-        ok = cells[np.ix_(y0, x0)] & y_in[:, None] & x_in[None, :]
-        pixels = np.flatnonzero(ok)
-        rows, cols = np.divmod(pixels, size)
-    else:
-        rows, cols = np.divmod(pixels, size)
-        ok = cells[y0[rows], x0[cols]] & y_in[rows] & x_in[cols]
-        pixels, rows, cols = pixels[ok], rows[ok], cols[ok]
 
-    width = mask.shape[1]
-    row_of = np.full(mask.size, -1, dtype=np.int32)  # flat exemplar pixel -> stored row
-    row_of[mask.reshape(-1)] = np.arange(len(exemplar.points), dtype=np.int32)
-    values = exemplar.points.T.astype(np.float64)  # (3, n): one gather per corner
-    corner = y0[rows] * width + x0[cols]
-    fx, fy = fx[cols], fy[rows]
-    weights = ((1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy, fx * fy)
-    points = weights[0] * values.take(row_of[corner], axis=1)
-    for weight, offset in zip(weights[1:], (1, width, width + 1)):
-        points += weight * values.take(row_of[corner + offset], axis=1)
-    # the pixel containing the sample is one of the four, so it is in the mask
-    holder = np.floor(ex[rows, 1]).astype(np.int64) * width + np.floor(ex[cols, 0]).astype(np.int64)
-    return pixels, np.ascontiguousarray(points.T), exemplar.tri[row_of[holder]]
+    def __init__(self, exemplar: Exemplar, crop_exemplar: CropTransform):
+        self.exemplar = exemplar
+        self.size = size = crop_exemplar.out_size
+        axis = np.arange(size) + 0.5
+        self._grid = apply_homography(
+            crop_exemplar.inverse_matrix(), np.stack([axis, axis], axis=-1)
+        )
+        mask = exemplar.mask()
+        self._width = mask.shape[1]
+        self._x0, self._fx, self._x_in = _axis_cells(self._grid[:, 0], mask.shape[1])
+        self._y0, self._fy, self._y_in = _axis_cells(self._grid[:, 1], mask.shape[0])
+        self._cells = mask[:-1, :-1] & mask[:-1, 1:] & mask[1:, :-1] & mask[1:, 1:]
+        self._row_of = np.full(mask.size, -1, dtype=np.int32)  # exemplar pixel -> stored row
+        self._row_of[mask.reshape(-1)] = np.arange(len(exemplar.points), dtype=np.int32)
+
+    def footprint(self, pixels=None) -> np.ndarray:
+        """Bool mask over ``pixels`` (every crop pixel when None): full footprint."""
+        if pixels is None:
+            ok = self._cells[np.ix_(self._y0, self._x0)]
+            return (ok & self._y_in[:, None] & self._x_in[None, :]).reshape(-1)
+        rows, cols = np.divmod(pixels, self.size)
+        return self._cells[self._y0[rows], self._x0[cols]] & self._y_in[rows] & self._x_in[cols]
+
+    def points(self, pixels) -> np.ndarray:
+        """(M, 3) float64 model points at pixels with a full footprint."""
+        rows, cols = np.divmod(pixels, self.size)
+        corner = self._y0[rows] * self._width + self._x0[cols]
+        fx, fy = self._fx[cols, None], self._fy[rows, None]
+        weights = ((1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy, fx * fy)
+        stored = self.exemplar.points
+        points = weights[0] * stored[self._row_of[corner]]
+        for weight, offset in zip(weights[1:], (1, self._width, self._width + 1)):
+            points += weight * stored[self._row_of[corner + offset]]
+        return points
+
+    def triangles(self, pixels) -> np.ndarray:
+        """Triangle id of the exemplar pixel holding each sample (full footprint)."""
+        rows, cols = np.divmod(pixels, self.size)
+        holder = (
+            np.floor(self._grid[rows, 1]).astype(np.int64) * self._width
+            + np.floor(self._grid[cols, 0]).astype(np.int64)
+        )
+        return self.exemplar.tri[self._row_of[holder]]
 
 
 def target_window(
@@ -190,7 +215,7 @@ def oracle_flow(
 
     Every exemplar-crop pixel whose sample has a full 2x2 footprint in the
     exemplar mask takes the bilinearly interpolated stored model point and
-    the stored triangle id (``sample_exemplar``). The point is projected
+    the stored triangle id (``CropSampler``). The point is projected
     into the target image under ``target_pose``, re-expressed under the
     exemplar camera's intrinsics, and mapped by the target crop. Pixels are
     invalidated when the target pixel leaves the image or the crop, when
@@ -208,10 +233,11 @@ def oracle_flow(
             f"crop sizes disagree: {size} vs {crop_target.out_size}"
         )
 
-    pixels, points, tri_idx = sample_exemplar(exemplar, crop_exemplar)
+    sampler = CropSampler(exemplar, crop_exemplar)
+    pixels = np.flatnonzero(sampler.footprint())
     if len(pixels) == 0:
-        zero = np.zeros((size, size), dtype=np.float32)
-        return FlowField(zero, zero.copy(), np.zeros((size, size), dtype=bool))
+        return FlowField(size, size, pixels, np.empty((0, 2)))
+    points, tri_idx = sampler.points(pixels), sampler.triangles(pixels)
 
     k_target = scene.camera
     q_target = target_pose.transform(points)
@@ -256,54 +282,31 @@ def oracle_flow(
     py = np.floor(u_target[tested, 1]).astype(np.int64) - y0
     keep[tested] = ~(scene_depth[py, px] < q_target[tested, 2] - eps)
 
-    valid_idx = pixels[keep]
-    valid = np.zeros(size * size, dtype=bool)
-    valid[valid_idx] = True
-    rows, cols = np.divmod(valid_idx, size)
-    du = np.zeros(size * size, dtype=np.float32)
-    dv = np.zeros(size * size, dtype=np.float32)
-    du[valid_idx] = (u_crop[keep, 0] - (cols + 0.5)).astype(np.float32)
-    dv[valid_idx] = (u_crop[keep, 1] - (rows + 0.5)).astype(np.float32)
-    return FlowField(
-        du.reshape(size, size), dv.reshape(size, size), valid.reshape(size, size)
-    )
+    rows, cols = np.divmod(pixels[keep], size)
+    vectors = u_crop[keep] - np.stack([cols + 0.5, rows + 0.5], axis=-1)
+    return FlowField(size, size, pixels[keep], vectors.astype(np.float32))
 
 
 def degrade_flow(flow: FlowField, spec: FlowNoiseSpec) -> FlowField:
     """Gaussian noise, outlier replacement, and dropout on valid pixels.
 
-    Stages with zero parameters draw nothing from the generator, so an
-    all-zero spec returns a bit-exact copy. Validity only ever shrinks.
+    The stages walk the valid pixels in index order. Stages with zero
+    parameters draw nothing from the generator, so an all-zero spec returns
+    a bit-exact copy. Validity only ever shrinks.
     """
-    out = flow.copy()
-    idx = np.flatnonzero(out.valid.reshape(-1))
-    if idx.size == 0:
-        return out
+    n = len(flow.indices)
     rng = np.random.default_rng(spec.seed)
-    du = out.du.reshape(-1)
-    dv = out.dv.reshape(-1)
-
+    vectors = flow.vectors.copy()
     if spec.gaussian_sigma > 0:
-        noise = rng.normal(0.0, spec.gaussian_sigma, size=(idx.size, 2))
-        du[idx] += noise[:, 0].astype(np.float32)
-        dv[idx] += noise[:, 1].astype(np.float32)
-
+        vectors += rng.normal(0.0, spec.gaussian_sigma, size=(n, 2)).astype(np.float32)
     if spec.outlier_ratio > 0:
-        hit = rng.random(idx.size) < spec.outlier_ratio
-        n_hit = int(hit.sum())
-        if n_hit:
-            repl = rng.uniform(-spec.outlier_range, spec.outlier_range, size=(n_hit, 2))
-            du[idx[hit]] = repl[:, 0].astype(np.float32)
-            dv[idx[hit]] = repl[:, 1].astype(np.float32)
-
+        hit = rng.random(n) < spec.outlier_ratio
+        repl = rng.uniform(-spec.outlier_range, spec.outlier_range, size=(int(hit.sum()), 2))
+        vectors[hit] = repl.astype(np.float32)
+    keep = slice(None)
     if spec.dropout_ratio > 0:
-        drop = rng.random(idx.size) < spec.dropout_ratio
-        valid = out.valid.reshape(-1)
-        valid[idx[drop]] = False
-        du[idx[drop]] = 0.0
-        dv[idx[drop]] = 0.0
-
-    return out
+        keep = rng.random(n) >= spec.dropout_ratio
+    return FlowField(flow.width, flow.height, flow.indices[keep], vectors[keep])
 
 
 class OracleFlowSource:
@@ -350,19 +353,15 @@ FORMAT_VERSION = 1
 
 
 def save_flow(flow: FlowField, path) -> None:
-    h, w = flow.valid.shape
-    bits = np.packbits(flow.valid.reshape(-1))
-    pairs = np.empty((int(flow.valid.sum()), 2), dtype="<f4")
-    pairs[:, 0] = flow.du[flow.valid]
-    pairs[:, 1] = flow.dv[flow.valid]
     with open(path, "wb") as f:
         f.write(MAGIC)
-        f.write(struct.pack("<III", FORMAT_VERSION, w, h))
-        f.write(bits.tobytes())
-        f.write(pairs.tobytes())
+        f.write(struct.pack("<III", FORMAT_VERSION, flow.width, flow.height))
+        f.write(np.packbits(flow.valid.reshape(-1)).tobytes())
+        f.write(flow.vectors.astype("<f4", copy=False).tobytes())
 
 
 def load_flow(path) -> FlowField:
+    """Read a flow file; every malformed file raises a ``FileFormatError``."""
     with open(path, "rb") as f:
         data = f.read()
     if len(data) < 4 or data[:4] != MAGIC:
@@ -378,18 +377,16 @@ def load_flow(path) -> FlowField:
     offset = 16
     if len(data) < offset + n_bits:
         raise TruncationError(offset + n_bits, len(data), "valid mask")
-    bits = np.frombuffer(data[offset : offset + n_bits], dtype=np.uint8)
-    valid = np.unpackbits(bits)[: w * h].reshape(h, w).astype(bool)
+    bits = np.frombuffer(data, dtype=np.uint8, count=n_bits, offset=offset)
+    indices = np.flatnonzero(np.unpackbits(bits, count=w * h))
     offset += n_bits
-    n_valid = int(valid.sum())
-    need = offset + 8 * n_valid
+    need = offset + 8 * len(indices)
     if len(data) < need:
         raise TruncationError(need, len(data), "flow vectors")
     if len(data) > need:
         raise FileFormatError("unexpected trailing data after flow vectors")
-    pairs = np.frombuffer(data[offset:need], dtype="<f4").reshape(n_valid, 2)
-    du = np.zeros((h, w), dtype=np.float32)
-    dv = np.zeros((h, w), dtype=np.float32)
-    du[valid] = pairs[:, 0]
-    dv[valid] = pairs[:, 1]
-    return FlowField(du, dv, valid)
+    vectors = np.frombuffer(data, dtype="<f4", offset=offset).reshape(-1, 2)
+    try:
+        return FlowField(w, h, indices, vectors)
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc

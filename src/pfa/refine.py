@@ -304,7 +304,10 @@ def refine_pose(
     each exemplar view and one crop for the target (from the initial pose,
     expressed under the exemplar camera so crops compose with the
     intrinsics alignment), lifts every flow field to correspondences,
-    aggregates, and runs robust PnP once.
+    aggregates, and runs robust PnP once. Lifting leaves the model points
+    pending, so the per-exemplar subsampling quotas are fixed from the
+    lifted counts before any point is gathered, and aggregation gathers
+    the kept rows only.
     """
     ensure_mesh_binding(exemplar_set, mesh)
     neighbors = query_nearest(exemplar_set, initial, n_exemplars)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from pfa.geometry import CameraIntrinsics, RigidPose
@@ -113,13 +115,121 @@ def reprojection_residual_max(cmap, pose: RigidPose, camera: CameraIntrinsics) -
 
 
 # ---------------------------------------------------------------------------
-# Dense reference for the flow oracle and lifting
+# Dense reference for the flow oracle, degradation, flow files and lifting
 # ---------------------------------------------------------------------------
 #
-# The straightforward algorithm the package's sparse sampler must reproduce
-# bit for bit: materialize the exemplar's dense coordinate map, bilinearly
-# sample every crop pixel, re-render the exemplar for its triangle ids and
-# z-buffer the whole target image.
+# The straightforward algorithms the package's sparse code must reproduce
+# bit for bit: flow lives in dense (H, W) du/dv/valid buffers, the oracle
+# materializes the exemplar's dense coordinate map, bilinearly samples
+# every crop pixel, re-renders the exemplar for its triangle ids and
+# z-buffers the whole target image, and lifting gathers every model point
+# before subsampling thins the sets.
+
+
+class DenseFlow(NamedTuple):
+    du: np.ndarray  # (H, W) float32, zero where invalid
+    dv: np.ndarray  # (H, W) float32, zero where invalid
+    valid: np.ndarray  # (H, W) bool
+
+
+def dense_view(field) -> DenseFlow:
+    """The dense buffers of a sparse FlowField."""
+    valid = field.valid
+    du = np.zeros(valid.shape, dtype=np.float32)
+    dv = np.zeros(valid.shape, dtype=np.float32)
+    du[valid], dv[valid] = field.vectors[:, 0], field.vectors[:, 1]
+    return DenseFlow(du, dv, valid)
+
+
+def sparse_field(du, dv, valid):
+    """A FlowField holding the valid entries of dense buffers."""
+    from pfa.flow import FlowField
+
+    valid = np.asarray(valid, dtype=bool)
+    vectors = np.stack([np.asarray(du)[valid], np.asarray(dv)[valid]], axis=-1)
+    return FlowField(valid.shape[1], valid.shape[0], np.flatnonzero(valid), vectors)
+
+
+def same_flow(field, dense: DenseFlow) -> bool:
+    """Bit-exact equality of a sparse field and dense buffers, zeros included."""
+    view = dense_view(field)
+    return all(
+        a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(view, dense)
+    )
+
+
+def dense_degrade_flow(flow: DenseFlow, spec) -> DenseFlow:
+    """Reference degradation on dense buffers: same draws, same order."""
+    du, dv, valid = (a.copy().reshape(-1) for a in flow)
+    idx = np.flatnonzero(valid)
+    if idx.size == 0:
+        return flow
+    rng = np.random.default_rng(spec.seed)
+    if spec.gaussian_sigma > 0:
+        noise = rng.normal(0.0, spec.gaussian_sigma, size=(idx.size, 2))
+        du[idx] += noise[:, 0].astype(np.float32)
+        dv[idx] += noise[:, 1].astype(np.float32)
+    if spec.outlier_ratio > 0:
+        hit = rng.random(idx.size) < spec.outlier_ratio
+        n_hit = int(hit.sum())
+        if n_hit:
+            repl = rng.uniform(-spec.outlier_range, spec.outlier_range, size=(n_hit, 2))
+            du[idx[hit]] = repl[:, 0].astype(np.float32)
+            dv[idx[hit]] = repl[:, 1].astype(np.float32)
+    if spec.dropout_ratio > 0:
+        drop = idx[rng.random(idx.size) < spec.dropout_ratio]
+        valid[drop] = False
+        du[drop] = 0.0
+        dv[drop] = 0.0
+    shape = flow.valid.shape
+    return DenseFlow(du.reshape(shape), dv.reshape(shape), valid.reshape(shape))
+
+
+def dense_save_flow(flow: DenseFlow, path) -> None:
+    """Reference PFAF writer over dense buffers."""
+    import struct
+
+    h, w = flow.valid.shape
+    pairs = np.empty((int(flow.valid.sum()), 2), dtype="<f4")
+    pairs[:, 0] = flow.du[flow.valid]
+    pairs[:, 1] = flow.dv[flow.valid]
+    with open(path, "wb") as f:
+        f.write(b"PFAF" + struct.pack("<III", 1, w, h))
+        f.write(np.packbits(flow.valid.reshape(-1)).tobytes())
+        f.write(pairs.tobytes())
+
+
+def dense_load_flow(path) -> DenseFlow:
+    """Reference PFAF reader into dense buffers (well-formed files only)."""
+    import struct
+
+    data = open(path, "rb").read()
+    _, w, h = struct.unpack("<III", data[4:16])
+    n_bits = (w * h + 7) // 8
+    bits = np.frombuffer(data[16 : 16 + n_bits], dtype=np.uint8)
+    valid = np.unpackbits(bits)[: w * h].reshape(h, w).astype(bool)
+    pairs = np.frombuffer(data[16 + n_bits :], dtype="<f4").reshape(-1, 2)
+    du = np.zeros((h, w), dtype=np.float32)
+    dv = np.zeros((h, w), dtype=np.float32)
+    du[valid] = pairs[:, 0]
+    dv[valid] = pairs[:, 1]
+    return DenseFlow(du, dv, valid)
+
+
+def dense_subsample(sets, cap: int) -> list:
+    """Reference per-exemplar thinning of fully gathered (points, pixels) pairs."""
+    total = sum(len(points) for points, _ in sets)
+    if total <= cap or total == 0:
+        return list(sets)
+    out = []
+    for points, pixels in sets:
+        quota = int(np.floor(cap * len(points) / total))
+        if quota >= len(points):
+            out.append((points, pixels))
+            continue
+        idx = np.round(np.linspace(0, len(points) - 1, quota)).astype(np.int64)
+        out.append((points[idx], pixels[idx]))
+    return out
 
 
 def bilinear_masked(values: np.ndarray, mask: np.ndarray, pixels: np.ndarray):
@@ -156,7 +266,6 @@ def bilinear_masked(values: np.ndarray, mask: np.ndarray, pixels: np.ndarray):
 def dense_oracle_flow(exemplar, crop_exemplar, scene, target_pose, crop_target):
     """Reference ground-truth flow over the full crop grid and full image."""
     from pfa.crops import apply_homography, intrinsics_align_matrix
-    from pfa.flow import FlowField
     from pfa.geometry import project_camera_points
     from pfa.mesh import face_normals
     from pfa.raster import rasterize, scene_depth_map
@@ -172,7 +281,7 @@ def dense_oracle_flow(exemplar, crop_exemplar, scene, target_pose, crop_target):
     flat_points = points.reshape(-1, 3)[flat_ok]
     if flat_points.size == 0:
         zero = np.zeros((size, size), dtype=np.float32)
-        return FlowField(zero, zero.copy(), np.zeros((size, size), dtype=bool))
+        return DenseFlow(zero, zero.copy(), np.zeros((size, size), dtype=bool))
 
     k_target = scene.camera
     q_target = target_pose.transform(flat_points)
@@ -223,12 +332,12 @@ def dense_oracle_flow(exemplar, crop_exemplar, scene, target_pose, crop_target):
     flat_centers = centers.reshape(-1, 2)
     du[valid_idx] = (u_crop[keep, 0] - flat_centers[valid_idx, 0]).astype(np.float32)
     dv[valid_idx] = (u_crop[keep, 1] - flat_centers[valid_idx, 1]).astype(np.float32)
-    return FlowField(
+    return DenseFlow(
         du.reshape(size, size), dv.reshape(size, size), valid.reshape(size, size)
     )
 
 
-def dense_lift(exemplar, flow, crop_exemplar, crop_target, target_camera):
+def dense_lift(exemplar, flow: DenseFlow, crop_exemplar, crop_target, target_camera):
     """Reference lifting: (points, pixels) arrays over the dense exemplar map."""
     from pfa.correspond import IMAGE_MARGIN
     from pfa.crops import apply_homography

@@ -299,7 +299,8 @@ def test_criterion_8_round_trips(box_set, box_mesh_path, tmp_path, monkeypatch):
         save_flow(field, flow_path)
         back = load_flow(flow_path)
         assert np.array_equal(back.valid, field.valid)
-        assert np.array_equal(back.du, field.du) and np.array_equal(back.dv, field.dv)
+        assert np.array_equal(back.indices, field.indices)
+        assert np.array_equal(back.vectors, field.vectors)
 
         # transform compositions
         rng = np.random.default_rng(800)

@@ -3,8 +3,19 @@
 import numpy as np
 import pytest
 
-from helpers import crop_pixel_centers, dense_lift, dense_oracle_flow
-from pfa.correspond import lift_correspondences
+from helpers import (
+    crop_pixel_centers,
+    dense_degrade_flow,
+    dense_lift,
+    dense_load_flow,
+    dense_oracle_flow,
+    dense_save_flow,
+    dense_subsample,
+    dense_view,
+    same_flow,
+    sparse_field,
+)
+from pfa.correspond import aggregate, lift_correspondences, subsample_per_exemplar
 from pfa.crops import CropTransform, apply_homography, compute_crop, lift_to_image
 from pfa.errors import (
     BadMagicError,
@@ -14,7 +25,6 @@ from pfa.errors import (
 )
 from pfa.exemplars import generate_exemplar_set, load_set, save_set
 from pfa.flow import (
-    FlowField,
     FlowNoiseSpec,
     OracleFlowSource,
     degrade_flow,
@@ -49,8 +59,8 @@ class TestOracleGeometry:
         scene = SceneSpec(TETRA, ex.pose, (), K_R)
         field = oracle_flow(ex, IDENTITY_CROP, scene, ex.pose, IDENTITY_CROP)
         assert field.valid.sum() > 100
-        assert abs(field.du[field.valid]).max() < 1e-3
-        assert abs(field.dv[field.valid]).max() < 1e-3
+        assert abs(field.vectors[:, 0]).max() < 1e-3
+        assert abs(field.vectors[:, 1]).max() < 1e-3
 
     def test_pure_pixel_shift(self, tetra_set):
         # shifting the target by dx = 5 z / f moves every projection by
@@ -61,8 +71,8 @@ class TestOracleGeometry:
         scene = SceneSpec(TETRA, shifted, (), K_R)
         field = oracle_flow(ex, IDENTITY_CROP, scene, shifted, IDENTITY_CROP)
         assert field.valid.sum() > 100
-        assert np.abs(field.du[field.valid] - 5.0).max() < 0.75
-        assert np.abs(field.dv[field.valid]).max() < 0.75
+        assert np.abs(field.vectors[:, 0] - 5.0).max() < 0.75
+        assert np.abs(field.vectors[:, 1]).max() < 0.75
 
     def test_left_half_occluder_invalidates_mapped_pixels(self, box_set):
         ex = box_set.exemplars[0]
@@ -78,7 +88,7 @@ class TestOracleGeometry:
         # with identity crops and identical cameras the target pixel of a
         # valid pixel is (center + flow); the occluder removes exactly the
         # pixels landing left of the principal point
-        target_u = centers[..., 0] + clear.du
+        target_u = centers[..., 0] + dense_view(clear).du
         lost = clear.valid & ~blocked.valid
         kept = clear.valid & blocked.valid
         assert lost.any() and kept.any()
@@ -103,8 +113,9 @@ class TestOracleGeometry:
         expected = clear.valid.copy()
         ys, xs = np.nonzero(clear.valid)
         centers = crop_pixel_centers(256)
-        u = centers[ys, xs, 0] + clear.du[ys, xs]
-        v = centers[ys, xs, 1] + clear.dv[ys, xs]
+        du, dv, _ = dense_view(clear)
+        u = centers[ys, xs, 0] + du[ys, xs]
+        v = centers[ys, xs, 1] + dv[ys, xs]
         px = np.clip(np.floor(u).astype(int), 0, 255)
         py = np.clip(np.floor(v).astype(int), 0, 255)
         depth_here = cmap.depth[ys, xs]
@@ -126,7 +137,8 @@ class TestOracleGeometry:
         assert field.valid.sum() > 200
 
         centers = crop_pixel_centers(256)
-        displaced = centers + np.stack([field.du, field.dv], axis=-1)
+        du, dv, _ = dense_view(field)
+        displaced = centers + np.stack([du, dv], axis=-1)
         lifted = lift_to_image(displaced[field.valid], crop_t, K_R, k_t)
 
         # independent loop-based bilinear interpolation of the model points
@@ -205,7 +217,8 @@ def _dense_case(name):
 
 
 class TestDenseEquivalence:
-    """The sparse sampler and windowed z-buffer reproduce the dense algorithm bit for bit."""
+    """The sparse oracle, degradation, flow files and two-pass lifting reproduce
+    the dense algorithms bit for bit."""
 
     @pytest.fixture(scope="class")
     def loaded_box_set(self, box_set, tmp_path_factory):
@@ -216,12 +229,15 @@ class TestDenseEquivalence:
     @pytest.mark.parametrize("case", ["occluded", "overflow", "border", "anisotropic"])
     @pytest.mark.parametrize("pad", [1.2, 1.6])
     @pytest.mark.parametrize("loaded", [False, True])
-    def test_oracle_and_lift_match_dense(self, case, pad, loaded, box_set, loaded_box_set):
+    def test_oracle_and_lift_match_dense(
+        self, case, pad, loaded, box_set, loaded_box_set, tmp_path
+    ):
         exemplar_set = loaded_box_set if loaded else box_set
         camera, rotation, translation, occluders = _dense_case(case)
         jitter = rotation_about_axis([1.0, 0.0, 0.5], 3.0)
         checked = 0
         low, high = np.full(2, np.inf), np.full(2, -np.inf)  # valid target-crop extent
+        lifted, reference = [], []  # per exemplar: lazily gathered, dense
         for index in (0, 5, 11):
             ex = exemplar_set.exemplars[index]
             gt = RigidPose(rotation @ ex.pose.rotation, translation)
@@ -242,23 +258,46 @@ class TestDenseEquivalence:
             source = OracleFlowSource(scene, gt)
             sparse = source.flow_for(ex, 0, crop_r, crop_t)
             dense = dense_oracle_flow(ex, crop_r, scene, gt, crop_t)
-            assert sparse.equals(dense)
-            assert np.array_equal(sparse.du, dense.du) and np.array_equal(sparse.dv, dense.dv)
+            assert same_flow(sparse, dense)
             checked += int(dense.valid.sum())
             centers = crop_pixel_centers(256)[dense.valid]
             landed = centers + np.stack([dense.du, dense.dv], axis=-1)[dense.valid]
             low, high = np.minimum(low, landed.min(axis=0)), np.maximum(high, landed.max(axis=0))
 
             noise = FlowNoiseSpec.default_preset(seed=index, dropout_ratio=0.3)
-            noisy = degrade_flow(dense, noise)
-            corr = lift_correspondences(ex, noisy, crop_r, crop_t, camera)
-            points, pixels = dense_lift(ex, noisy, crop_r, crop_t, camera)
+            noisy = degrade_flow(sparse, noise)
+            noisy_dense = dense_degrade_flow(dense, noise)
+            assert same_flow(noisy, noisy_dense)
+
+            # flow files: the same bytes as the dense writer, read back to the
+            # dense reader's buffers, and a load-save round trip is the identity
+            path, dense_path = tmp_path / f"s{index}.pfaf", tmp_path / f"d{index}.pfaf"
+            save_flow(noisy, path)
+            dense_save_flow(noisy_dense, dense_path)
+            assert path.read_bytes() == dense_path.read_bytes()
+            back = load_flow(path)
+            assert same_flow(back, dense_load_flow(path))
+            save_flow(back, tmp_path / "again.pfaf")
+            assert (tmp_path / "again.pfaf").read_bytes() == path.read_bytes()
+
+            corr = lift_correspondences(ex, back, crop_r, crop_t, camera)
+            points, pixels = dense_lift(ex, noisy_dense, crop_r, crop_t, camera)
             assert np.array_equal(corr.points, points)
             assert np.array_equal(corr.pixels, pixels)
             assert np.all(corr.exemplar_ids == ex.id)
+            lifted.append(lift_correspondences(ex, back, crop_r, crop_t, camera))
+            reference.append((points, pixels))
         assert checked > 1000
         if case == "overflow":
             assert np.all(low < 1.0) and np.all(high > 255.0)
+
+        # quotas come from the cheap pass, points are gathered after thinning
+        total = sum(len(points) for points, _ in reference)
+        for cap in (total // 3, total - 1, total + 1):
+            merged = aggregate(subsample_per_exemplar(lifted, cap))
+            kept = dense_subsample(reference, cap)
+            assert np.array_equal(merged.points, np.concatenate([p for p, _ in kept]))
+            assert np.array_equal(merged.pixels, np.concatenate([q for _, q in kept]))
 
     def test_occluders_remove_pixels(self, box_set):
         camera, rotation, translation, occluders = _dense_case("occluded")
@@ -295,14 +334,14 @@ class TestDegradeFlow:
         valid.reshape(-1)[idx] = True
         du = np.where(valid, rng.normal(size=(128, 128)), 0).astype(np.float32)
         dv = np.where(valid, rng.normal(size=(128, 128)), 0).astype(np.float32)
-        return FlowField(du, dv, valid)
+        return sparse_field(du, dv, valid)
 
     def test_zero_spec_is_bit_exact(self):
         field = self._field()
-        out = degrade_flow(field, FlowNoiseSpec(seed=3))
-        assert np.array_equal(out.du, field.du)
-        assert np.array_equal(out.dv, field.dv)
-        assert np.array_equal(out.valid, field.valid)
+        out, ref = dense_view(degrade_flow(field, FlowNoiseSpec(seed=3))), dense_view(field)
+        assert np.array_equal(out.du, ref.du)
+        assert np.array_equal(out.dv, ref.dv)
+        assert np.array_equal(out.valid, ref.valid)
 
     def test_full_dropout(self):
         out = degrade_flow(self._field(), FlowNoiseSpec(dropout_ratio=1.0, seed=3))
@@ -313,7 +352,7 @@ class TestDegradeFlow:
         changed = 0
         spec = FlowNoiseSpec(outlier_ratio=0.3, outlier_range=32.0, seed=11)
         out = degrade_flow(field, spec)
-        changed = int((out.du[field.valid] != field.du[field.valid]).sum())
+        changed = int((dense_view(out).du[field.valid] != dense_view(field).du[field.valid]).sum())
         assert 2900 <= changed <= 3100
 
     def test_validity_never_expands(self):
@@ -325,8 +364,8 @@ class TestDegradeFlow:
     def test_deterministic(self):
         field = self._field()
         spec = FlowNoiseSpec.default_preset(seed=12)
-        a = degrade_flow(field, spec)
-        b = degrade_flow(field, spec)
+        a = dense_view(degrade_flow(field, spec))
+        b = dense_view(degrade_flow(field, spec))
         assert np.array_equal(a.du, b.du) and np.array_equal(a.valid, b.valid)
 
     def test_invalid_ratios_rejected(self):
@@ -341,10 +380,11 @@ class TestFlowFiles:
         field = oracle_flow(ex, IDENTITY_CROP, scene, ex.pose, IDENTITY_CROP)
         path = tmp_path / "f.pfaf"
         save_flow(field, path)
+        back, ref = dense_view(load_flow(path)), dense_view(field)
+        assert np.array_equal(back.valid, ref.valid)
+        assert np.array_equal(back.du, ref.du)
+        assert np.array_equal(back.dv, ref.dv)
         back = load_flow(path)
-        assert np.array_equal(back.valid, field.valid)
-        assert np.array_equal(back.du, field.du)
-        assert np.array_equal(back.dv, field.dv)
         save_flow(back, tmp_path / "g.pfaf")
         assert (tmp_path / "f.pfaf").read_bytes() == (tmp_path / "g.pfaf").read_bytes()
 
@@ -355,7 +395,7 @@ class TestFlowFiles:
             load_flow(path)
 
     def test_truncated_body_reports_counts(self, tmp_path):
-        field = FlowField(
+        field = sparse_field(
             np.ones((256, 256), dtype=np.float32),
             np.ones((256, 256), dtype=np.float32),
             np.ones((256, 256), dtype=bool),
@@ -369,7 +409,7 @@ class TestFlowFiles:
         assert info.value.expected_bytes > info.value.actual_bytes
 
     def test_trailing_garbage_rejected(self, tmp_path):
-        field = FlowField(
+        field = sparse_field(
             np.zeros((8, 8), dtype=np.float32),
             np.zeros((8, 8), dtype=np.float32),
             np.ones((8, 8), dtype=bool),

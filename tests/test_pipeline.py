@@ -527,9 +527,8 @@ class TestCli:
                      "--out", str(manifest_path)]) == 0
         assert main(["refine", *common, "--out", str(tmp_path / "dump"),
                      "--dump-flows", str(flows)]) == 0
-        small = np.zeros((8, 8), dtype=np.float32)
         bad = flows / "trial00001_rank0.pfaf"
-        save_flow(FlowField(small, small, np.ones((8, 8), dtype=bool)), bad)
+        save_flow(FlowField(8, 8, np.arange(64), np.zeros((64, 2))), bad)
 
         assert main(["refine", *common, "--out", str(run_dir), "--flow-dir", str(flows)]) == 0
         trials = json.loads((run_dir / "records.json").read_text())["trials"]
