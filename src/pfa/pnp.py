@@ -31,7 +31,7 @@ from .geometry import (
 
 DEGENERACY_TOL = 1e-6
 GN_MAX_ITERATIONS = 20
-GN_STEP_TOL = 1e-10
+GN_COST_TOL = 1e-12  # relative; smaller cost changes are rounding
 BETA_ITERATIONS = 12
 CUBIC_ITERATIONS = 50  # Newton steps on the P3P cubic, at most
 LAMBDA_ITERATIONS = 5  # Gauss-Newton steps on the P3P depths
@@ -115,7 +115,6 @@ def gauss_newton(
     points: np.ndarray,
     pixels: np.ndarray,
     max_iterations: int = GN_MAX_ITERATIONS,
-    step_tol: float = GN_STEP_TOL,
 ):
     """Minimize the summed squared reprojection error from a starting pose.
 
@@ -124,6 +123,13 @@ def gauss_newton(
     normal equations come from the Jacobian laid out one row per parameter,
     and an accepted pose's camera-frame points are reused for the next
     Jacobian.
+
+    Stopping rule: a cost change up to ``GN_COST_TOL`` times the current
+    cost, plus the rounding floor of the residuals themselves, is rounding.
+    A damped step whose predicted decrease ``-grad @ step`` is that small
+    is not evaluated, and a rejected step whose cost is within that much
+    of the current cost is not retried with more damping; either ends the
+    minimization as converged.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     obs = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
@@ -132,12 +138,16 @@ def gauss_newton(
     cost = float(np.sum(residuals**2))
     costs = [cost]
     damping = 0.0
+    # residuals are differences of pixel coordinates, each rounded by about
+    # eps times the coordinate: the cost of an exact fit is no lower
+    floor = obs.size * (np.finfo(np.float64).eps * float(np.abs(obs).max(initial=1.0))) ** 2
 
     for _ in range(max_iterations):
         jac = _jacobian_rows(camera, rotated, q).reshape(6, -1)
         grad = jac @ residuals.reshape(-1)
         hess = jac @ jac.T
         scale = np.diag(np.maximum(np.diag(hess), 1e-12))
+        rounding = GN_COST_TOL * cost + floor
 
         accepted = None
         for _ in range(30):
@@ -146,6 +156,8 @@ def gauss_newton(
             except np.linalg.LinAlgError:
                 damping = max(damping * 10.0, 1e-8)
                 continue
+            if -float(grad @ step) <= rounding:
+                break
             candidate = RigidPose(
                 rotation_from_rotvec(step[:3]) @ current.rotation,
                 current.translation + step[3:],
@@ -153,16 +165,16 @@ def gauss_newton(
             terms = _reprojection_terms(camera, candidate, pts, obs)
             new_cost = float(np.sum(terms[2] ** 2))
             if new_cost <= cost:
-                accepted = (candidate, terms, new_cost, step)
+                accepted = (candidate, terms, new_cost)
+                break
+            if new_cost - cost <= rounding:
                 break
             damping = max(damping * 10.0, 1e-8)
         if accepted is None:
             break
-        current, (rotated, q, residuals), cost, step = accepted
+        current, (rotated, q, residuals), cost = accepted
         costs.append(cost)
         damping *= 0.1
-        if float(np.abs(step).max()) < step_tol:
-            break
     return current, costs
 
 

@@ -221,6 +221,31 @@ class TestGaussNewton:
         rot_err, trans_err = _pose_errors(gt, est)
         assert rot_err < 1e-4 and trans_err < 1e-7
 
+    def test_warm_start_at_convergence_stops(self, monkeypatch):
+        # a converged fit on a 10K-point noisy set: restarting from its pose
+        # must not pay for damped steps whose gain is below rounding
+        import pfa.pnp
+
+        rng = np.random.default_rng(60)
+        pts = rng.uniform(-0.06, 0.06, size=(10000, 3))
+        gt = _random_pose(rng)
+        uv = project_points(K, gt, pts) + rng.normal(0, 1.0, size=(10000, 2))
+        start = RigidPose(
+            rotation_from_rotvec(rng.normal(0, 0.02, size=3)) @ gt.rotation,
+            gt.translation + rng.normal(0, 0.005, size=3),
+        )
+        converged, _ = gauss_newton(K, start, pts, uv)
+        evaluations = []
+        terms = pfa.pnp._reprojection_terms
+        monkeypatch.setattr(
+            pfa.pnp, "_reprojection_terms",
+            lambda *args: evaluations.append(1) or terms(*args),
+        )
+        again, costs = gauss_newton(K, converged, pts, uv)
+        assert len(evaluations) <= 2
+        assert costs[-1] <= costs[0]
+        assert np.abs(again.rotation - converged.rotation).max() < 1e-9
+
 
 class TestJacobian:
     def test_matches_central_differences(self):
