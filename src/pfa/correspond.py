@@ -16,44 +16,36 @@ IMAGE_MARGIN = 0.20  # lifted pixels may exit the image by this fraction
 class CorrespondenceSet:
     """Columnar storage of (model point, target pixel, source exemplar).
 
-    A set made by lifting leaves its model points pending: it keeps each
-    row's exemplar-crop pixel and the sampler that reads it, and ``points``
-    gathers them on first access. ``take`` narrows the pending rows, so
-    thinning a set before reading its points gathers only the rows kept.
+    ``points`` may be given pending, as a (CropSampler, exemplar-crop
+    pixels) pair, as lifting does; the model points are then gathered on
+    first access. ``take`` narrows the pending pixels, so thinning a set
+    before reading its points gathers only the rows kept.
     """
 
-    def __init__(self, points, pixels, exemplar_ids, *, pending=None):
+    def __init__(self, points, pixels, exemplar_ids):
+        pending = isinstance(points, tuple)
+        self._points = points if pending else np.asarray(points, dtype=np.float64).reshape(-1, 3)
         self.pixels = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
         self.exemplar_ids = np.asarray(exemplar_ids, dtype=np.int32).reshape(-1)
-        self._pending = pending  # (CropSampler, crop pixels) until gathered
-        self._points = None
-        if pending is None:
-            self._points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-        rows = len(self._points) if pending is None else len(pending[1])
+        rows = len(points[1]) if pending else len(self._points)
         if not (rows == len(self.pixels) == len(self.exemplar_ids)):
             raise ValueError("correspondence columns disagree in length")
 
     @property
     def points(self) -> np.ndarray:
         """(N, 3) float64 model points, gathered on first access if pending."""
-        if self._points is None:
-            sampler, crop_pixels = self._pending
-            self._points, self._pending = sampler.points(crop_pixels), None
+        if isinstance(self._points, tuple):
+            sampler, crop_pixels = self._points
+            self._points = sampler.points(crop_pixels)
         return self._points
 
     def __len__(self) -> int:
         return len(self.pixels)
 
     def take(self, indices) -> "CorrespondenceSet":
-        if self._points is None:
-            sampler, crop_pixels = self._pending
-            return CorrespondenceSet(
-                None, self.pixels[indices], self.exemplar_ids[indices],
-                pending=(sampler, crop_pixels[indices]),
-            )
-        return CorrespondenceSet(
-            self._points[indices], self.pixels[indices], self.exemplar_ids[indices]
-        )
+        points = self._points
+        points = (points[0], points[1][indices]) if isinstance(points, tuple) else points[indices]
+        return CorrespondenceSet(points, self.pixels[indices], self.exemplar_ids[indices])
 
     @classmethod
     def empty(cls) -> "CorrespondenceSet":
@@ -75,10 +67,10 @@ def lift_correspondences(
     cannot be sampled inside the exemplar mask, or whose lifted pixel exits
     the image bounds by more than 20%, are dropped.
 
-    This is the cheap pass: it runs both tests and lifts the pixels of every
-    valid flow vector, but leaves the model points pending (see
-    ``CorrespondenceSet``). Subsampling quotas come from these counts, and
-    the points are gathered afterwards, for the kept rows only.
+    This is the cheap pass: it tests and lifts every valid flow vector but
+    leaves the model points pending (see ``CorrespondenceSet``), so the
+    subsampling quotas are fixed before the points of the kept rows are
+    gathered.
     """
     size = crop_exemplar.out_size
     if crop_target.out_size != size:
@@ -111,7 +103,7 @@ def lift_correspondences(
         & (lifted[:, 1] < target_camera.height + my)
     )
     ids = np.full(int(ok.sum()), exemplar.id, dtype=np.int32)
-    return CorrespondenceSet(None, lifted[ok], ids, pending=(sampler, pixels[ok]))
+    return CorrespondenceSet((sampler, pixels[ok]), lifted[ok], ids)
 
 
 def aggregate(sets) -> CorrespondenceSet:

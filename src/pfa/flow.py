@@ -61,14 +61,10 @@ class FlowField:
     def __post_init__(self):
         self.indices = np.asarray(self.indices, dtype=np.int64).reshape(-1)
         self.vectors = np.asarray(self.vectors, dtype=np.float32).reshape(-1, 2)
-        if len(self.indices) != len(self.vectors):
-            raise ValueError("flow indices and vectors disagree in length")
-        if len(self.indices) and not (
-            self.indices[0] >= 0
-            and self.indices[-1] < self.width * self.height
-            and (np.diff(self.indices) > 0).all()
-        ):
-            raise ValueError("flow indices must increase and lie inside the crop")
+        idx = self.indices
+        inside = len(idx) == 0 or (idx[0] >= 0 and idx[-1] < self.width * self.height)
+        if len(idx) != len(self.vectors) or not inside or (np.diff(idx) <= 0).any():
+            raise ValueError("flow needs one vector per increasing pixel index inside the crop")
         if not np.isfinite(self.vectors).all():
             raise ValueError("valid flow vectors must be finite")
 
@@ -142,13 +138,12 @@ class CropSampler:
         self.exemplar = exemplar
         self.size = size = crop_exemplar.out_size
         axis = np.arange(size) + 0.5
-        self._grid = apply_homography(
-            crop_exemplar.inverse_matrix(), np.stack([axis, axis], axis=-1)
-        )
+        grid = apply_homography(crop_exemplar.inverse_matrix(), np.stack([axis, axis], axis=-1))
+        self._holder = np.floor(grid).astype(np.int64)  # exemplar pixel holding each sample
         mask = exemplar.mask()
         self._width = mask.shape[1]
-        self._x0, self._fx, self._x_in = _axis_cells(self._grid[:, 0], mask.shape[1])
-        self._y0, self._fy, self._y_in = _axis_cells(self._grid[:, 1], mask.shape[0])
+        self._x0, self._fx, self._x_in = _axis_cells(grid[:, 0], mask.shape[1])
+        self._y0, self._fy, self._y_in = _axis_cells(grid[:, 1], mask.shape[0])
         self._cells = mask[:-1, :-1] & mask[:-1, 1:] & mask[1:, :-1] & mask[1:, 1:]
         self._row_of = np.full(mask.size, -1, dtype=np.int32)  # exemplar pixel -> stored row
         self._row_of[mask.reshape(-1)] = np.arange(len(exemplar.points), dtype=np.int32)
@@ -176,10 +171,7 @@ class CropSampler:
     def triangles(self, pixels) -> np.ndarray:
         """Triangle id of the exemplar pixel holding each sample (full footprint)."""
         rows, cols = np.divmod(pixels, self.size)
-        holder = (
-            np.floor(self._grid[rows, 1]).astype(np.int64) * self._width
-            + np.floor(self._grid[cols, 0]).astype(np.int64)
-        )
+        holder = self._holder[rows, 1] * self._width + self._holder[cols, 0]
         return self.exemplar.tri[self._row_of[holder]]
 
 

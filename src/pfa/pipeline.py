@@ -606,28 +606,20 @@ def run_trial(
     except _TRIAL_FAILURES as failure:
         record["failure_reason"] = f"{type(failure).__name__}: {failure}"
         reports = getattr(failure, "exemplar_reports", None) or []
-        record["exemplars"] = [
-            {
-                "id": r.exemplar_id,
-                "distance_deg": r.distance_deg,
-                "n_correspondences": r.n_correspondences,
-                "inlier_count": r.inlier_count,
-            }
-            for r in reports
-        ]
     else:
         refined = result.estimate.pose
         record["refined_pose"] = pose_to_dict(refined)
         record["refined_report"] = _report_to_dict(pose_error_report(gt, refined, mesh))
-        record["exemplars"] = [
-            {
-                "id": r.exemplar_id,
-                "distance_deg": r.distance_deg,
-                "n_correspondences": r.n_correspondences,
-                "inlier_count": r.inlier_count,
-            }
-            for r in result.exemplar_reports
-        ]
+        reports = result.exemplar_reports
+    record["exemplars"] = [
+        {
+            "id": r.exemplar_id,
+            "distance_deg": r.distance_deg,
+            "n_correspondences": r.n_correspondences,
+            "inlier_count": r.inlier_count,
+        }
+        for r in reports
+    ]
     record["wall_time_ms"] = (time.perf_counter() - start) * 1000.0
     return record
 

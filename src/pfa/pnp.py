@@ -124,12 +124,10 @@ def gauss_newton(
     and an accepted pose's camera-frame points are reused for the next
     Jacobian.
 
-    Stopping rule: a cost change up to ``GN_COST_TOL`` times the current
-    cost, plus the rounding floor of the residuals themselves, is rounding.
-    A damped step whose predicted decrease ``-grad @ step`` is that small
-    is not evaluated, and a rejected step whose cost is within that much
-    of the current cost is not retried with more damping; either ends the
-    minimization as converged.
+    It stops at convergence: when a step's predicted decrease ``-grad @
+    step`` is within rounding of the cost (``GN_COST_TOL`` of it, plus the
+    residuals' own rounding floor), or a rejected step's cost is, no more
+    candidates are evaluated.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     obs = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
@@ -138,8 +136,7 @@ def gauss_newton(
     cost = float(np.sum(residuals**2))
     costs = [cost]
     damping = 0.0
-    # residuals are differences of pixel coordinates, each rounded by about
-    # eps times the coordinate: the cost of an exact fit is no lower
+    # each residual is rounded by about eps times its pixel coordinate
     floor = obs.size * (np.finfo(np.float64).eps * float(np.abs(obs).max(initial=1.0))) ** 2
 
     for _ in range(max_iterations):

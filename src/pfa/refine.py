@@ -305,9 +305,8 @@ def refine_pose(
     expressed under the exemplar camera so crops compose with the
     intrinsics alignment), lifts every flow field to correspondences,
     aggregates, and runs robust PnP once. Lifting leaves the model points
-    pending, so the per-exemplar subsampling quotas are fixed from the
-    lifted counts before any point is gathered, and aggregation gathers
-    the kept rows only.
+    pending: the subsampling quotas are fixed from the lifted counts, and
+    aggregation gathers the points of the kept rows only.
     """
     ensure_mesh_binding(exemplar_set, mesh)
     neighbors = query_nearest(exemplar_set, initial, n_exemplars)

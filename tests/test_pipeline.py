@@ -516,7 +516,9 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"config {path}:" in err and "Traceback" not in err
 
-    def test_wrong_size_flow_file_fails_only_its_trial(self, workspace, tmp_path):
+    @staticmethod
+    def _refine_with_bad_flow_file(workspace, tmp_path, corrupt):
+        """Three trials refined from dumped flow files, trial 1's rank-0 file corrupted."""
         _, _, config_path = workspace
         set_path, manifest_path = tmp_path / "set.pfax", tmp_path / "manifest.json"
         flows, run_dir = tmp_path / "flows", tmp_path / "run"
@@ -528,7 +530,7 @@ class TestCli:
         assert main(["refine", *common, "--out", str(tmp_path / "dump"),
                      "--dump-flows", str(flows)]) == 0
         bad = flows / "trial00001_rank0.pfaf"
-        save_flow(FlowField(8, 8, np.arange(64), np.zeros((64, 2))), bad)
+        corrupt(bad)
 
         assert main(["refine", *common, "--out", str(run_dir), "--flow-dir", str(flows)]) == 0
         trials = json.loads((run_dir / "records.json").read_text())["trials"]
@@ -536,6 +538,22 @@ class TestCli:
         assert [t["failure_reason"] is not None for t in trials] == [False, True, False]
         assert trials[1]["failure_reason"].startswith("FileFormatError")
         assert str(bad) in trials[1]["failure_reason"]
+        return trials[1]["failure_reason"]
+
+    def test_wrong_size_flow_file_fails_only_its_trial(self, workspace, tmp_path):
+        self._refine_with_bad_flow_file(
+            workspace, tmp_path,
+            lambda bad: save_flow(FlowField(8, 8, np.arange(64), np.zeros((64, 2))), bad),
+        )
+
+    def test_non_finite_flow_vector_fails_only_its_trial(self, workspace, tmp_path):
+        def put_nan(bad):
+            data = bytearray(bad.read_bytes())
+            data[-4:] = np.array([np.nan], dtype="<f4").tobytes()  # the last dv
+            bad.write_bytes(bytes(data))
+
+        reason = self._refine_with_bad_flow_file(workspace, tmp_path, put_nan)
+        assert "finite" in reason
 
     def test_gen_zero_count_is_config_error(self, workspace, tmp_path):
         _, mesh_path, config_path = workspace

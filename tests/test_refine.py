@@ -96,6 +96,32 @@ class TestLift:
         residuals = np.concatenate(residuals)
         assert np.mean(residuals < 0.75) >= 0.99
 
+    def test_points_gathered_after_subsampling_only(self, box_set, monkeypatch):
+        # the cheap pass fixes the counts; only the rows subsampling keeps
+        # are bilinearly gathered, once, when aggregation reads them
+        from pfa.flow import CropSampler
+
+        rng = np.random.default_rng(64)
+        target = _random_target(rng)
+        scene = SceneSpec(BOX, target, (), K_T)
+        crop_t = compute_crop(target, K_R, BOX)
+        inputs = []
+        for ex in box_set.exemplars[:3]:
+            crop_r = compute_crop(ex.pose, K_R, BOX)
+            inputs.append((ex, oracle_flow(ex, crop_r, scene, target, crop_t), crop_r))
+        gathered = []
+        gather = CropSampler.points
+        monkeypatch.setattr(
+            CropSampler, "points",
+            lambda self, pixels: gathered.append(len(pixels)) or gather(self, pixels),
+        )
+        sets = [lift_correspondences(ex, f, crop_r, crop_t, K_T) for ex, f, crop_r in inputs]
+        total = sum(len(s) for s in sets)
+        assert gathered == [] and total > 300
+        merged = aggregate(subsample_per_exemplar(sets, total // 3))
+        assert sum(gathered) == len(merged) <= total // 3
+        assert len(gathered) == 3
+
     def test_dimension_mismatch_rejected(self, box_set):
         ex = box_set.exemplars[0]
         scene = SceneSpec(BOX, ex.pose, (), K_R)
