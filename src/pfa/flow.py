@@ -160,13 +160,13 @@ class CropSampler:
         """(M, 3) float64 model points at pixels with a full footprint."""
         rows, cols = np.divmod(pixels, self.size)
         corner = self._y0[rows] * self._width + self._x0[cols]
-        fx, fy = self._fx[cols, None], self._fy[rows, None]
+        fx, fy = self._fx[cols], self._fy[rows]
         weights = ((1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy, fx * fy)
-        stored = self.exemplar.points
-        points = weights[0] * stored[self._row_of[corner]]
+        values = self.exemplar.points.T.astype(np.float64)  # (3, n): one gather per corner
+        points = weights[0] * values.take(self._row_of[corner], axis=1)
         for weight, offset in zip(weights[1:], (1, self._width, self._width + 1)):
-            points += weight * stored[self._row_of[corner + offset]]
-        return points
+            points += weight * values.take(self._row_of[corner + offset], axis=1)
+        return np.ascontiguousarray(points.T)
 
     def triangles(self, pixels) -> np.ndarray:
         """Triangle id of the exemplar pixel holding each sample (full footprint)."""
