@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .crops import CropTransform, apply_homography
+from .crops import CropTransform, homography_xy
 from .errors import ConfigurationError
 from .exemplars import Exemplar
 from .flow import CropSampler, FlowField
@@ -83,27 +83,23 @@ def lift_correspondences(
         )
 
     sampler = CropSampler(exemplar, crop_exemplar)
-    sampled = sampler.footprint(flow.indices)
-    pixels = flow.indices[sampled]
-    rows, cols = np.divmod(pixels, size)
-    displaced = np.stack([cols + 0.5, rows + 0.5], axis=-1) + flow.vectors[sampled]
-    back = (
-        target_camera.matrix
-        @ exemplar.camera.inverse_matrix
-        @ crop_target.inverse_matrix()
-    )
-    lifted = apply_homography(back, displaced)
+    rows, cols = np.divmod(flow.indices, size)
+    back = target_camera.matrix @ exemplar.camera.inverse_matrix @ crop_target.inverse_matrix()
+    # the flow-displaced pixel centers, lifted column by column
+    x, y = homography_xy(back, cols + 0.5 + flow.vectors[:, 0], rows + 0.5 + flow.vectors[:, 1])
 
     mx = IMAGE_MARGIN * target_camera.width
     my = IMAGE_MARGIN * target_camera.height
     ok = (
-        (lifted[:, 0] >= -mx)
-        & (lifted[:, 0] < target_camera.width + mx)
-        & (lifted[:, 1] >= -my)
-        & (lifted[:, 1] < target_camera.height + my)
+        sampler.footprint(flow.indices)
+        & (x >= -mx)
+        & (x < target_camera.width + mx)
+        & (y >= -my)
+        & (y < target_camera.height + my)
     )
     ids = np.full(int(ok.sum()), exemplar.id, dtype=np.int32)
-    return CorrespondenceSet((sampler, pixels[ok]), lifted[ok], ids)
+    lifted = np.stack([x[ok], y[ok]], axis=-1)
+    return CorrespondenceSet((sampler, flow.indices[ok]), lifted, ids)
 
 
 def aggregate(sets) -> CorrespondenceSet:

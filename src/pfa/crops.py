@@ -60,10 +60,15 @@ class CropTransform:
 def apply_homography(matrix: np.ndarray, pixels) -> np.ndarray:
     """Apply a 3x3 homogeneous transform to (..., 2) pixel coordinates."""
     p = np.asarray(pixels, dtype=np.float64)
-    x = matrix[0, 0] * p[..., 0] + matrix[0, 1] * p[..., 1] + matrix[0, 2]
-    y = matrix[1, 0] * p[..., 0] + matrix[1, 1] * p[..., 1] + matrix[1, 2]
-    w = matrix[2, 0] * p[..., 0] + matrix[2, 1] * p[..., 1] + matrix[2, 2]
-    return np.stack([x / w, y / w], axis=-1)
+    return np.stack(homography_xy(matrix, p[..., 0], p[..., 1]), axis=-1)
+
+
+def homography_xy(matrix: np.ndarray, x, y):
+    """``apply_homography`` on separate x and y arrays; returns (x', y')."""
+    u = matrix[0, 0] * x + matrix[0, 1] * y + matrix[0, 2]
+    v = matrix[1, 0] * x + matrix[1, 1] * y + matrix[1, 2]
+    w = matrix[2, 0] * x + matrix[2, 1] * y + matrix[2, 2]
+    return u / w, v / w
 
 
 def compute_crop(

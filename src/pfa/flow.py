@@ -169,7 +169,7 @@ class CropSampler:
         return np.ascontiguousarray(points.T)
 
     def triangles(self, pixels) -> np.ndarray:
-        """Triangle id of the exemplar pixel holding each sample (full footprint)."""
+        """Triangle id of the exemplar pixel holding each sample, one of its four."""
         rows, cols = np.divmod(pixels, self.size)
         holder = self._holder[rows, 1] * self._width + self._holder[cols, 0]
         return self.exemplar.tri[self._row_of[holder]]
