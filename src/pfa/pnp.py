@@ -3,18 +3,16 @@
 Two closed forms feed one refinement. P3P (``p3p_batch``, Lambda Twist)
 solves minimal 3-point samples, batched over K samples, and returns every
 real root that puts the sample in front of the camera; RANSAC scores those
-roots as hypotheses. EPnP initializes consensus-set solves: it expresses
-the 3D points in a barycentric basis of four control points (three when
-the cloud is planar), solves the projection constraints for the control
-points' camera coordinates via the null space of the constraint matrix,
-resolves the combination weights (betas) from pairwise control-point
-distances, and recovers the pose by rigid alignment. It runs batched over
-K correspondence sets (``epnp_batch``); a single set is a batch of one.
-The betas are refined by Gauss-Newton on the distance residuals from
-several starts, which makes the closed form exact on noise-free 4-point
-sets. ``solve_pnp`` then runs a damped Gauss-Newton pass on the
-reprojection error; damping guarantees the cost never increases between
-accepted steps.
+roots as hypotheses. EPnP initializes the solve of one consensus set: it
+expresses the 3D points in a barycentric basis of four control points
+(three when the cloud is planar), solves the projection constraints for
+the control points' camera coordinates via the null space of the
+constraint matrix, resolves the combination weights (betas) from pairwise
+control-point distances, and recovers the pose by rigid alignment. The
+betas are refined by Gauss-Newton on the distance residuals from several
+starts, which makes the closed form exact on noise-free 4-point sets.
+``solve_pnp`` then runs a damped Gauss-Newton pass on the reprojection
+error; damping guarantees the cost never increases between accepted steps.
 """
 
 from __future__ import annotations
@@ -40,16 +38,10 @@ _PAIRS4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 _PAIRS3 = [(0, 1), (0, 2), (1, 2)]
 
 
-def singular_profile(points: np.ndarray) -> np.ndarray:
-    """Singular values of the centered point cloud (shape analysis)."""
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    centered = pts - pts.mean(axis=0)
-    return np.linalg.svd(centered, compute_uv=False)
-
-
 def is_degenerate_sample(points, tol: float = DEGENERACY_TOL) -> bool:
     """True when points are within ``tol`` of coplanar (or worse)."""
-    s = singular_profile(points)
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    s = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
     return s[0] <= 0 or s[2] < tol * s[0]
 
 
@@ -189,13 +181,8 @@ def solve_pnp(points, pixels, camera: CameraIntrinsics) -> RigidPose:
     if len(pts) != len(obs):
         raise SolverError("point and pixel counts disagree")
 
-    rotations, translations, valid = epnp_batch(pts[None], obs[None], camera)
-    if not valid[0]:
-        s = singular_profile(pts)
-        if s[0] <= 0 or s[1] < DEGENERACY_TOL * s[0]:
-            raise SolverError("correspondence points are collinear or coincident")
-        raise SolverError("closed-form initialization found no valid pose")
-    pose, _ = gauss_newton(camera, RigidPose(rotations[0], translations[0]), pts, obs)
+    rotation, translation = _epnp(pts, obs, camera)
+    pose, _ = gauss_newton(camera, RigidPose(rotation, translation), pts, obs)
     return pose
 
 
@@ -378,80 +365,61 @@ def _triangle_frames(e1, e2):
 
 
 # ---------------------------------------------------------------------------
-# Closed-form core, batched over a leading axis of K correspondence sets
+# Closed-form core (EPnP) on one correspondence set
 # ---------------------------------------------------------------------------
 
 
-def epnp_batch(points, pixels, camera: CameraIntrinsics):
-    """Closed-form poses for K sets of n >= 4 correspondences at once.
-
-    ``points`` is (K, n, 3) and ``pixels`` (K, n, 2). Returns rotations
-    (K, 3, 3), translations (K, 3) and a (K,) bool mask of valid solves. A
-    set is invalid when its points are collinear or coincident, or when no
-    candidate puts all of its points in front of the camera; its pose is
-    left at the identity. Coplanar sets (within ``DEGENERACY_TOL``) use
-    three control points. No reprojection refinement is applied.
+def _epnp(pts, obs, camera: CameraIntrinsics):
+    """Closed-form pose (rotation, translation) of n >= 4 correspondences,
+    without reprojection refinement; coplanar points (within
+    ``DEGENERACY_TOL``) use three control points. A collinear or coincident
+    set, or one no candidate puts in front of the camera, is a ``SolverError``.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    obs = np.asarray(pixels, dtype=np.float64)
-    k = len(pts)
-    centered = pts - pts.mean(axis=1, keepdims=True)
+    n = len(pts)
+    centroid = pts.mean(axis=0)
+    centered = pts - centroid
     _, s, vt = np.linalg.svd(centered, full_matrices=False)
-    spread = (s[:, 0] > 0) & (s[:, 1] >= DEGENERACY_TOL * s[:, 0])
-    planar = s[:, 2] < DEGENERACY_TOL * s[:, 0]
-
-    rotations = np.tile(np.eye(3), (k, 1, 1))
-    translations = np.zeros((k, 3))
-    valid = np.zeros(k, dtype=bool)
-    for flat in (False, True):
-        idx = np.flatnonzero(spread & (planar == flat))
-        if len(idx):
-            rotations[idx], translations[idx], valid[idx] = _epnp(
-                pts[idx], obs[idx], s[idx], vt[idx], camera, flat
-            )
-    return rotations, translations, valid
-
-
-def _epnp(pts, obs, s, vt, camera, planar: bool):
-    k, n = pts.shape[:2]
+    if s[0] <= 0 or s[1] < DEGENERACY_TOL * s[0]:
+        raise SolverError("correspondence points are collinear or coincident")
+    planar = s[2] < DEGENERACY_TOL * s[0]
     m = 2 if planar else 3  # principal axes that carry a control point
-    centroid = pts.mean(axis=1, keepdims=True)
-    scales = s[:, :m] / np.sqrt(n)
-    axes = vt[:, :m]
+    scales = s[:m] / np.sqrt(n)
+    axes = vt[:m]
     # control points: centroid + scaled principal axes, then the centroid
-    ctrl = np.concatenate([centroid + scales[:, :, None] * axes, centroid], axis=1)
-    rel = (pts - centroid) @ np.swapaxes(axes, 1, 2) / scales[:, None, :]
-    alphas = np.concatenate([rel, 1.0 - rel.sum(axis=2, keepdims=True)], axis=2)
+    ctrl = np.concatenate([centroid + scales[:, None] * axes, centroid[None]])
+    rel = centered @ axes.T / scales
+    alphas = np.concatenate([rel, 1.0 - rel.sum(axis=1, keepdims=True)], axis=1)
     first, second = np.array(_PAIRS3 if planar else _PAIRS4).T
 
-    basis = _null_basis(_constraint_gram(alphas, obs, camera), m + 1)
-    # per pair, per basis vector: the control-point difference, (K, P, b, 3)
-    vecs = basis.transpose(0, 2, 1).reshape(k, m + 1, m + 1, 3)
-    diffs = (vecs[:, :, first] - vecs[:, :, second]).transpose(0, 2, 1, 3)
-    dist_w = np.linalg.norm(ctrl[:, first] - ctrl[:, second], axis=2)
+    # null space of M: eigenvectors of M^T M for the m + 1 smallest eigenvalues
+    basis = np.linalg.eigh(_constraint_gram(alphas, obs, camera))[1][:, :m + 1]
+    # per pair, per basis vector: the control-point difference, (P, b, 3)
+    vecs = basis.T.reshape(m + 1, m + 1, 3)
+    diffs = (vecs[:, first] - vecs[:, second]).transpose(1, 0, 2)
+    dist_w = np.linalg.norm(ctrl[first] - ctrl[second], axis=1)
     rho = dist_w**2
 
     ell = _distance_constraints(diffs)
-    starts = [_betas_case1(k, m + 1), _betas_case2(ell, rho, m + 1)]
+    starts = [np.eye(m + 1)[0], _betas_case2(ell, rho, m + 1)]  # EPnP cases 1 and 2
     if not planar:
         starts.append(_betas_case3(ell, rho))
     # two starts in depth space, from the weak-perspective relief both ways round
-    rays = np.concatenate(
-        [(obs - [camera.cx, camera.cy]) / [camera.fx, camera.fy], np.ones((k, n, 1))], axis=2
-    )
-    relief = _weak_perspective_relief(pts - centroid, rays)
+    rays = np.column_stack([(obs - [camera.cx, camera.cy]) / [camera.fx, camera.fy], np.ones(n)])
+    relief = _weak_perspective_relief(centered, rays)
     to_ctrl = np.linalg.pinv(alphas)
-    for sign in (1.0, -1.0):
-        starts.append(
-            _betas_from_depths(1.0 + sign * relief, to_ctrl, basis, rays, diffs, dist_w)
-        )
+    starts += [
+        _betas_from_depths(1.0 + sign * relief, to_ctrl, basis, rays, diffs, dist_w)
+        for sign in (1.0, -1.0)
+    ]
     candidates = _refine_betas(diffs, np.stack(starts), rho)
 
     err, rotation, translation = _pose_from_betas(
         basis, candidates, alphas, pts, obs, camera, first, second, dist_w
     )
-    pick = np.argmin(err, axis=0), np.arange(k)  # first of equals on ties
-    return rotation[pick], translation[pick], np.isfinite(err[pick])
+    best = np.argmin(err)  # first of equals on ties
+    if not np.isfinite(err[best]):
+        raise SolverError("closed-form initialization found no valid pose")
+    return rotation[best], translation[best]
 
 
 def _constraint_gram(alphas, obs, camera) -> np.ndarray:
@@ -461,24 +429,18 @@ def _constraint_gram(alphas, obs, camera) -> np.ndarray:
     alpha_i (x) (0, fy, cy - v_i), so the block of control points (j, k)
     is the sum over points of alpha_ij alpha_ik times a 3x3 weight.
     """
-    k, n, c = alphas.shape
-    du = camera.cx - obs[:, :, 0, None]
-    dv = camera.cy - obs[:, :, 1, None]
-    at = alphas.transpose(0, 2, 1)
+    c = alphas.shape[1]
+    du = camera.cx - obs[:, 0, None]
+    dv = camera.cy - obs[:, 1, None]
+    at = alphas.T
     plain = at @ alphas
-    gram = np.zeros((k, c, 3, c, 3))
-    gram[:, :, 0, :, 0] = camera.fx**2 * plain
-    gram[:, :, 1, :, 1] = camera.fy**2 * plain
-    gram[:, :, 0, :, 2] = gram[:, :, 2, :, 0] = camera.fx * (at @ (alphas * du))
-    gram[:, :, 1, :, 2] = gram[:, :, 2, :, 1] = camera.fy * (at @ (alphas * dv))
-    gram[:, :, 2, :, 2] = at @ (alphas * (du * du + dv * dv))
-    return gram.reshape(k, 3 * c, 3 * c)
-
-
-def _null_basis(gram: np.ndarray, n_ctrl: int) -> np.ndarray:
-    """Eigenvectors of M^T M for the ``n_ctrl`` smallest eigenvalues."""
-    _, vectors = np.linalg.eigh(gram)
-    return vectors[:, :, :n_ctrl]
+    gram = np.zeros((c, 3, c, 3))
+    gram[:, 0, :, 0] = camera.fx**2 * plain
+    gram[:, 1, :, 1] = camera.fy**2 * plain
+    gram[:, 0, :, 2] = gram[:, 2, :, 0] = camera.fx * (at @ (alphas * du))
+    gram[:, 1, :, 2] = gram[:, 2, :, 1] = camera.fy * (at @ (alphas * dv))
+    gram[:, 2, :, 2] = at @ (alphas * (du * du + dv * dv))
+    return gram.reshape(3 * c, 3 * c)
 
 
 def _distance_constraints(diffs) -> np.ndarray:
@@ -487,14 +449,9 @@ def _distance_constraints(diffs) -> np.ndarray:
     Column order for 4 basis vectors:
     B11 B12 B13 B14 B22 B23 B24 B33 B34 B44.
     """
-    a, b = np.triu_indices(diffs.shape[2])
-    gram = np.einsum("kpad,kpbd->kpab", diffs, diffs)
-    return gram[:, :, a, b] * np.where(a == b, 1.0, 2.0)
-
-
-def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Batched least squares ``a @ x ~ b``, minimum-norm where rank-deficient."""
-    return (np.linalg.pinv(a) @ b[:, :, None])[:, :, 0]
+    a, b = np.triu_indices(diffs.shape[1])
+    gram = np.einsum("pad,pbd->pab", diffs, diffs)
+    return gram[:, a, b] * np.where(a == b, 1.0, 2.0)
 
 
 def _signed_root(b11, b1j, bjj):
@@ -502,32 +459,22 @@ def _signed_root(b11, b1j, bjj):
     return np.where((b11 > 0) != (b1j > 0), -1.0, 1.0) * np.sqrt(np.abs(bjj))
 
 
-def _betas_case1(k: int, n_ctrl: int) -> np.ndarray:
-    betas = np.zeros((k, n_ctrl))
-    betas[:, 0] = 1.0
-    return betas
-
-
 def _betas_case2(ell, rho, n_ctrl: int) -> np.ndarray:
-    # columns B11 B12 B22 in both the 4- and the 3-control-point layout
-    b11, b12, b22 = _lstsq(ell[:, :, [0, 1, 4 if n_ctrl == 4 else 3]], rho).T
-    betas = np.zeros((len(rho), n_ctrl))
-    betas[:, 0] = np.sqrt(np.abs(b11))
-    betas[:, 1] = _signed_root(b11, b12, b22)
-    return betas
+    # columns B11 B12 B22 in both the 4- and the 3-control-point layout;
+    # least squares, minimum-norm where rank-deficient
+    b11, b12, b22 = np.linalg.pinv(ell[:, [0, 1, 4 if n_ctrl == 4 else 3]]) @ rho
+    return np.array([np.sqrt(np.abs(b11)), _signed_root(b11, b12, b22)] + [0.0] * (n_ctrl - 2))
 
 
 def _betas_case3(ell, rho) -> np.ndarray:
-    b11, b12, b13, b22, _, b33 = _lstsq(ell[:, :, [0, 1, 2, 4, 5, 7]], rho).T
-    betas = np.zeros((len(rho), 4))
-    betas[:, 0] = np.sqrt(np.abs(b11))
-    betas[:, 1] = _signed_root(b11, b12, b22)
-    betas[:, 2] = _signed_root(b11, b13, b33)
-    return betas
+    b11, b12, b13, b22, _, b33 = np.linalg.pinv(ell[:, [0, 1, 2, 4, 5, 7]]) @ rho
+    return np.array([
+        np.sqrt(np.abs(b11)), _signed_root(b11, b12, b22), _signed_root(b11, b13, b33), 0.0,
+    ])
 
 
 def _weak_perspective_relief(centered, rays) -> np.ndarray:
-    """Relative depth offsets (K, n) of the points under the affine camera.
+    """Relative depth offsets (n,) of the points under the affine camera.
 
     Fits the affine projection x ~ A (p - c) + x0 to the normalized image
     coordinates; the cross product of A's rows is the depth axis scaled by
@@ -536,88 +483,82 @@ def _weak_perspective_relief(centered, rays) -> np.ndarray:
     residuals, so callers start from both signs and let the reprojection
     error pick.
     """
-    design = np.concatenate([centered, np.ones(centered.shape[:2] + (1,))], axis=2)
-    rows = np.swapaxes(np.linalg.pinv(design) @ rays[:, :, :2], 1, 2)[:, :, :3]
-    axis = np.cross(rows[:, 0], rows[:, 1])
-    norm = np.maximum(np.linalg.norm(axis, axis=1, keepdims=True), 1e-300)
-    return (centered @ axis[:, :, None])[:, :, 0] / np.sqrt(norm)
+    design = np.concatenate([centered, np.ones((len(centered), 1))], axis=1)
+    rows = (np.linalg.pinv(design) @ rays[:, :2]).T[:, :3]
+    axis = np.cross(rows[0], rows[1])
+    return centered @ axis / np.sqrt(max(np.linalg.norm(axis), 1e-300))
 
 
 def _betas_from_depths(depths, to_ctrl, basis, rays, diffs, dist_w) -> np.ndarray:
     """Betas of the null-space point nearest to ``rays * depths``, rescaled so
     the control-point distances match the model's in the least-squares sense."""
-    ctrl = to_ctrl @ (rays * depths[:, :, None])
-    betas = (basis.transpose(0, 2, 1) @ ctrl.reshape(len(rays), -1, 1))[:, :, 0]
-    dist_c = np.linalg.norm(np.einsum("kpbd,kb->kpd", diffs, betas), axis=2)
-    num = np.einsum("kp,kp->k", dist_c, dist_w)
-    den = np.einsum("kp,kp->k", dist_c, dist_c)
-    return betas * (num / np.where(den > 0, den, np.inf))[:, None]
+    ctrl = to_ctrl @ (rays * depths[:, None])
+    betas = basis.T @ ctrl.reshape(-1)
+    dist_c = np.linalg.norm(np.einsum("pbd,b->pd", diffs, betas), axis=1)
+    den = np.einsum("p,p->", dist_c, dist_c)
+    return betas * (np.einsum("p,p->", dist_c, dist_w) / (den if den > 0 else np.inf))
 
 
 def _refine_betas(diffs, betas, rho, iterations: int = BETA_ITERATIONS) -> np.ndarray:
     """Gauss-Newton on the pairwise-distance residuals of the betas.
 
-    ``betas`` is (C, K, b): C candidate starts for each of the K sets. The
-    normal equations carry a 1e-12 relative ridge so that a rank-deficient
-    Jacobian gives a short step instead of an error.
+    ``betas`` is (C, b): C candidate starts. The normal equations carry a
+    1e-12 relative ridge so that a rank-deficient Jacobian gives a short
+    step instead of an error.
     """
-    gram = diffs @ np.swapaxes(diffs, -1, -2)  # (K, P, b, b): |D_p beta|^2 = b'G_p b
-    betas = betas.copy()
+    gram = diffs @ np.swapaxes(diffs, -1, -2)  # (P, b, b): |D_p beta|^2 = b'G_p b
     ridge = np.eye(betas.shape[-1])
     for _ in range(iterations):
-        half_jac = gram @ betas[:, :, None, :, None]  # G_p beta, (C, K, P, b, 1)
-        res = (betas[:, :, None, None, :] @ half_jac)[..., 0] - rho[..., None]
+        half_jac = gram @ betas[:, None, :, None]  # G_p beta, (C, P, b, 1)
+        res = (betas[:, None, None, :] @ half_jac)[..., 0] - rho[:, None]
         half_jac = half_jac[..., 0]
         jac_t = np.swapaxes(half_jac, -1, -2)
         normal = jac_t @ half_jac
-        normal += ridge * (1e-12 * np.trace(normal, axis1=2, axis2=3) + 1e-300)[..., None, None]
+        normal += ridge * (1e-12 * np.trace(normal, axis1=1, axis2=2) + 1e-300)[:, None, None]
         grad = jac_t @ res
-        ok = np.isfinite(normal).all(axis=(2, 3)) & np.isfinite(grad).all(axis=(2, 3))
+        ok = np.isfinite(normal).all(axis=(1, 2)) & np.isfinite(grad).all(axis=(1, 2))
         normal[~ok] = ridge
         grad[~ok] = 0.0
         # J = 2 G beta, so J'J = 4 N and J'r = 2 g: the step is -(N^-1 g) / 2
-        betas -= 0.5 * np.linalg.solve(normal, grad)[..., 0]
+        betas = betas - 0.5 * np.linalg.solve(normal, grad)[..., 0]
     return betas
 
 
 def _pose_from_betas(basis, betas, alphas, pts, obs, camera, first, second, dist_w):
-    """Pose per candidate and set from (C, K, b) betas.
+    """Pose per candidate from (C, b) betas.
 
-    Returns the (C, K) mean reprojection error, inf where the candidate puts
-    a point behind the camera, and the (C, K) rotations and translations.
+    Returns the (C,) mean reprojection error, inf where the candidate puts
+    a point behind the camera, and the (C,) rotations and translations.
     The camera-frame points are ``alphas @ ctrl_cam``, so their alignment to
     the model points is formed from control points alone.
     """
-    c, k = betas.shape[:2]
-    ctrl_cam = (basis @ betas[..., None]).reshape(c, k, -1, 3)
-    dist_c = np.linalg.norm(ctrl_cam[:, :, first] - ctrl_cam[:, :, second], axis=3)
-    denom = np.einsum("ckp,ckp->ck", dist_c, dist_c)
+    ctrl_cam = (basis @ betas[..., None]).reshape(len(betas), -1, 3)
+    dist_c = np.linalg.norm(ctrl_cam[:, first] - ctrl_cam[:, second], axis=2)
+    denom = np.einsum("cp,cp->c", dist_c, dist_c)
     usable = denom > 0
-    scale = np.einsum("ckp,kp->ck", dist_c, dist_w) / np.where(usable, denom, 1.0)
-    ctrl_cam *= scale[..., None, None]
-    depth = (alphas @ ctrl_cam[..., 2:])[..., 0]  # (C, K, n)
-    sign = np.where(depth.mean(axis=2) < 0, -1.0, 1.0)
-    ctrl_cam *= sign[..., None, None]
-    usable &= np.all(depth * sign[..., None] > 0, axis=2) & np.isfinite(ctrl_cam).all(axis=(2, 3))
+    scale = np.einsum("cp,p->c", dist_c, dist_w) / np.where(usable, denom, 1.0)
+    ctrl_cam *= scale[:, None, None]
+    depth = (alphas @ ctrl_cam[..., 2:])[..., 0]  # (C, n)
+    sign = np.where(depth.mean(axis=1) < 0, -1.0, 1.0)
+    ctrl_cam *= sign[:, None, None]
+    usable &= np.all(depth * sign[:, None] > 0, axis=1) & np.isfinite(ctrl_cam).all(axis=(1, 2))
     ctrl_cam[~usable] = 0.0  # keeps the alignment below finite
 
     # least-squares R, t with alphas @ ctrl_cam ~ R @ pts + t
-    centroid = pts.mean(axis=1, keepdims=True)
-    cross = np.swapaxes(pts - centroid, 1, 2) @ alphas  # (K, 3, c)
+    centroid = pts.mean(axis=0)
+    cross = (pts - centroid).T @ alphas  # (3, c)
     u, _, vt = np.linalg.svd(cross @ ctrl_cam)
     v = np.swapaxes(vt, -1, -2)
     ut = np.swapaxes(u, -1, -2)
-    v[..., 2] *= np.sign(np.linalg.det(v @ ut))[..., None]
+    v[..., 2] *= np.sign(np.linalg.det(v @ ut))[:, None]
     rotation = v @ ut
-    translation = (
-        alphas.mean(axis=1, keepdims=True) @ ctrl_cam - centroid @ np.swapaxes(rotation, -1, -2)
-    )[..., 0, :]
+    translation = alphas.mean(axis=0) @ ctrl_cam - centroid @ np.swapaxes(rotation, -1, -2)
 
-    q = rotation @ np.swapaxes(pts, 1, 2) + translation[..., None]  # (C, K, 3, n)
-    x, y, z = q[..., 0, :], q[..., 1, :], q[..., 2, :]
+    q = rotation @ pts.T + translation[..., None]  # (C, 3, n)
+    x, y, z = q[:, 0], q[:, 1], q[:, 2]
     with np.errstate(divide="ignore", invalid="ignore"):
-        du = camera.fx * x / z + (camera.cx - obs[..., 0])
-        dv = camera.fy * y / z + (camera.cy - obs[..., 1])
+        du = camera.fx * x / z + (camera.cx - obs[:, 0])
+        dv = camera.fy * y / z + (camera.cy - obs[:, 1])
         err = np.sqrt(du * du + dv * dv).mean(axis=-1)
     err[~usable | ~np.isfinite(err)] = np.inf
     return err, rotation, translation

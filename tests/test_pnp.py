@@ -13,7 +13,6 @@ from pfa.geometry import (
 )
 from pfa.mesh import make_box
 from pfa.pnp import (
-    epnp_batch,
     gauss_newton,
     is_degenerate_sample,
     p3p_batch,
@@ -94,6 +93,31 @@ class TestSolvePnp:
         with pytest.raises(SolverError):
             solve_pnp(pts, uv, K)
 
+    @pytest.mark.parametrize("shape", ["collinear", "coincident"])
+    def test_degenerate_four_point_sets_named(self, shape):
+        rng = np.random.default_rng(60)
+        if shape == "collinear":
+            pts = np.outer(np.linspace(-1, 1, 4), [0.05, 0.02, 0.01])
+        else:
+            pts = np.tile(rng.uniform(-0.06, 0.06, size=(1, 3)), (4, 1))
+        uv = project_points(K, _random_pose(rng), pts)
+        with pytest.raises(SolverError, match="collinear or coincident"):
+            solve_pnp(pts, uv, K)
+
+    @pytest.mark.parametrize("planar", [False, True])
+    def test_four_point_sets_exact(self, planar):
+        # 2 x 100 noise-free minimal sets, criterion-5 tolerances
+        rng = np.random.default_rng(58 + planar)
+        for _ in range(100):
+            pts = rng.uniform(-0.06, 0.06, size=(4, 3))
+            if planar:
+                pts[:, 2] = 0.0
+            gt = _random_pose(rng)
+            est = solve_pnp(pts, project_points(K, gt, pts), K)
+            rot_err, trans_err = _pose_errors(gt, est)
+            assert rot_err < 0.01
+            assert trans_err < 1e-5
+
     def test_order_invariance(self):
         rng = np.random.default_rng(55)
         pts = rng.uniform(-0.06, 0.06, size=(40, 3))
@@ -113,44 +137,6 @@ class TestSolvePnp:
         assert is_degenerate_sample(planar)
         corners = make_box((0.1, 0.1, 0.1)).vertices
         assert not is_degenerate_sample(corners[[0, 1, 2, 4]])  # spans all axes
-
-
-class TestEpnpBatch:
-    def _samples(self, rng, count, planar):
-        points, pixels, poses = [], [], []
-        for _ in range(count):
-            pts = rng.uniform(-0.06, 0.06, size=(4, 3))
-            if planar:
-                pts[:, 2] = 0.0
-            gt = _random_pose(rng)
-            points.append(pts)
-            pixels.append(project_points(K, gt, pts))
-            poses.append(gt)
-        return np.array(points), np.array(pixels), poses
-
-    @pytest.mark.parametrize("planar", [False, True])
-    def test_matches_per_sample_solve(self, planar):
-        # 2 x 100 noise-free minimal samples, criterion-5 tolerances
-        rng = np.random.default_rng(58 + planar)
-        points, pixels, _ = self._samples(rng, 100, planar)
-        rotations, translations, valid = epnp_batch(points, pixels, K)
-        assert valid.all()
-        for i in range(len(points)):
-            ref = solve_pnp(points[i], pixels[i], K)
-            rot_err, trans_err = _pose_errors(ref, RigidPose(rotations[i], translations[i]))
-            assert rot_err < 0.01
-            assert trans_err < 1e-5
-
-    def test_flags_only_degenerate_samples(self):
-        rng = np.random.default_rng(60)
-        points, pixels, _ = self._samples(rng, 8, planar=False)
-        collinear = np.outer(np.linspace(-1, 1, 4), [0.05, 0.02, 0.01])
-        coincident = np.tile(points[0, :1], (4, 1))
-        for i, bad in ((2, collinear), (5, coincident)):
-            points[i] = bad
-            pixels[i] = project_points(K, _random_pose(rng), bad)
-        _, _, valid = epnp_batch(points, pixels, K)
-        assert valid.tolist() == [True, True, False, True, True, False, True, True]
 
 
 class TestP3pBatch:
