@@ -353,9 +353,18 @@ def save_flow(flow: FlowField, path) -> None:
 
 
 def load_flow(path) -> FlowField:
-    """Read a flow file; every malformed file raises a ``FileFormatError``."""
+    """Read a flow file; every malformed file raises a ``FileFormatError``
+    whose message starts with the path."""
     with open(path, "rb") as f:
         data = f.read()
+    try:
+        return _parse_flow(data)
+    except FileFormatError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
+def _parse_flow(data: bytes) -> FlowField:
     if len(data) < 4 or data[:4] != MAGIC:
         raise BadMagicError(
             f"expected magic {MAGIC!r}, found {data[:4]!r}" if data else "empty file"
@@ -370,6 +379,9 @@ def load_flow(path) -> FlowField:
     if len(data) < offset + n_bits:
         raise TruncationError(offset + n_bits, len(data), "valid mask")
     bits = np.frombuffer(data, dtype=np.uint8, count=n_bits, offset=offset)
+    pad = 8 * n_bits - w * h
+    if pad and bits[-1] & ((1 << pad) - 1):
+        raise FileFormatError("nonzero padding bits after the valid mask")
     indices = np.flatnonzero(np.unpackbits(bits, count=w * h))
     offset += n_bits
     need = offset + 8 * len(indices)
@@ -381,4 +393,4 @@ def load_flow(path) -> FlowField:
     try:
         return FlowField(w, h, indices, vectors)
     except ValueError as exc:
-        raise FileFormatError(f"{path}: {exc}") from exc
+        raise FileFormatError(str(exc)) from exc

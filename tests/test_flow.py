@@ -22,6 +22,7 @@ from pfa.errors import (
     FileFormatError,
     MeshHashMismatchError,
     TruncationError,
+    VersionMismatchError,
 )
 from pfa.exemplars import generate_exemplar_set, load_set, save_set
 from pfa.flow import (
@@ -419,3 +420,44 @@ class TestFlowFiles:
         path.write_bytes(path.read_bytes() + b"oops")
         with pytest.raises(FileFormatError):
             load_flow(path)
+
+    def test_nonzero_padding_bits_rejected(self, tmp_path):
+        # 3x3: nine mask bits, so byte 1 holds pixel 8 and seven padding bits
+        field = sparse_field(
+            np.ones((3, 3), dtype=np.float32),
+            np.ones((3, 3), dtype=np.float32),
+            np.eye(3, dtype=bool),
+        )
+        path = tmp_path / "p.pfaf"
+        save_flow(field, path)
+        data = bytearray(path.read_bytes())
+        data[17] |= 0x01
+        path.write_bytes(bytes(data))
+        with pytest.raises(FileFormatError, match="padding") as info:
+            load_flow(path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("fault, error", [
+        ("magic", BadMagicError),
+        ("truncated", TruncationError),
+        ("version", VersionMismatchError),
+    ])
+    def test_errors_name_the_file(self, tmp_path, fault, error):
+        field = sparse_field(
+            np.ones((4, 4), dtype=np.float32),
+            np.ones((4, 4), dtype=np.float32),
+            np.ones((4, 4), dtype=bool),
+        )
+        path = tmp_path / f"{fault}.pfaf"
+        save_flow(field, path)
+        data = bytearray(path.read_bytes())
+        if fault == "magic":
+            data[:4] = b"NOPE"
+        elif fault == "truncated":
+            del data[-3:]
+        else:
+            data[4] = 99
+        path.write_bytes(bytes(data))
+        with pytest.raises(error) as info:
+            load_flow(path)
+        assert str(info.value).startswith(f"{path}: ")
