@@ -24,6 +24,7 @@ triangle id, so both have the same size; version 1 files are rejected.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -259,14 +260,16 @@ def mean_query_distance(exemplar_set: ExemplarSet, n_queries: int, seed: int) ->
 class _Reader:
     def __init__(self, f):
         self._f = f
+        self._size = os.fstat(f.fileno()).st_size
         self.offset = 0
 
     def read_exact(self, n: int, context: str) -> bytes:
-        data = self._f.read(n)
-        self.offset += len(data)
-        if len(data) != n:
-            raise TruncationError(n, len(data), context)
-        return data
+        """The next ``n`` bytes; a length past the end of the file is not read."""
+        left = self._size - self.offset
+        if n > left:
+            raise TruncationError(n, left, context)
+        self.offset += n
+        return self._f.read(n)
 
 
 def save_set(exemplar_set: ExemplarSet, path) -> None:
@@ -302,6 +305,8 @@ def load_set(path) -> ExemplarSet:
         if version != FORMAT_VERSION:
             raise VersionMismatchError(version, FORMAT_VERSION)
         (z_bar,) = struct.unpack("<d", reader.read_exact(8, "z_bar"))
+        if not 0.0 < z_bar < np.inf:
+            raise FileFormatError(f"z_bar must be finite and positive, found {z_bar}")
         fx, fy, cx, cy, width, height = struct.unpack(
             "<6d", reader.read_exact(48, "camera")
         )

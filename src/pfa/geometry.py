@@ -25,7 +25,8 @@ def _validated_rotation(matrix) -> np.ndarray:
     r = np.array(matrix, dtype=np.float64)
     if r.shape != (3, 3):
         raise ValueError(f"rotation must be 3x3, got shape {r.shape}")
-    ortho = float(np.abs(r.T @ r - np.eye(3)).max())
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite is rejected below
+        ortho = float(np.abs(r.T @ r - np.eye(3)).max())
     if not ortho < ORTHONORMAL_TOL:
         raise ValueError(f"rotation not orthonormal: max|R^T R - I| = {ortho:.3e}")
     det = float(np.linalg.det(r))

@@ -1,5 +1,6 @@
 """Fuzzed inputs: a corrupted file fails with a PfaError, never anything else."""
 
+import struct
 import tempfile
 from pathlib import Path
 
@@ -9,7 +10,10 @@ from hypothesis import strategies as st
 
 from helpers import sparse_field
 from pfa.errors import PfaError
+from pfa.exemplars import ExemplarSet, generate_exemplar_set, load_set, save_set
 from pfa.flow import FlowField, load_flow, save_flow
+from pfa.geometry import CameraIntrinsics
+from pfa.mesh import make_tetrahedron
 
 
 def _seed_flow_bytes() -> bytes:
@@ -27,17 +31,43 @@ SEED_FLOW = _seed_flow_bytes()
 FIRST_VECTOR = 16 + (12 * 10 + 7) // 8  # header, then the mask bits
 NAN_F32 = np.array([np.nan], dtype="<f4").tobytes()
 
-# (kind, position, payload): flip bits of one byte, overwrite bytes, cut the
-# file, or insert bytes
-MUTATIONS = st.lists(
-    st.tuples(
-        st.sampled_from(["flip", "overwrite", "truncate", "insert"]),
-        st.integers(min_value=0, max_value=len(SEED_FLOW)),
-        st.binary(min_size=1, max_size=8),
-    ),
-    min_size=1,
-    max_size=4,
-)
+
+def _seed_set_bytes() -> bytes:
+    """A small well-formed PFAX file: two views of a 4-cm tetrahedron."""
+    camera = CameraIntrinsics(400.0, 400.0, 128.0, 128.0, 256, 256)
+    exemplar_set = generate_exemplar_set(make_tetrahedron(0.04), 2, 1.0, camera, seed=3)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "seed.pfax"
+        save_set(exemplar_set, path)
+        return path.read_bytes()
+
+
+SEED_SET = _seed_set_bytes()
+SET_HEADER = 4 + 8 + 8 + 48 + 32 + 4 + len(b"object")  # up to the first exemplar
+Z_BAR = 12  # offset of the f64 z_bar
+
+
+def _mutations(positions):
+    """Lists of (kind, position, payload): flip bits of one byte, overwrite
+    bytes, cut the file, or insert bytes."""
+    return st.lists(
+        st.tuples(
+            st.sampled_from(["flip", "overwrite", "truncate", "insert"]),
+            positions,
+            st.binary(min_size=1, max_size=8),
+        ),
+        min_size=1,
+        max_size=4,
+    )
+
+
+MUTATIONS = _mutations(st.integers(min_value=0, max_value=len(SEED_FLOW)))
+# most of a PFAX file is mask bits: aim half the mutations at the header and
+# the first exemplar's id and rotation
+SET_MUTATIONS = _mutations(st.one_of(
+    st.integers(min_value=0, max_value=SET_HEADER + 76),
+    st.integers(min_value=0, max_value=len(SEED_SET)),
+))
 
 
 def _mutate(data: bytes, mutations) -> bytes:
@@ -71,3 +101,25 @@ def test_corrupt_flow_files_raise_only_pfa_errors(mutations):
     assert isinstance(field, FlowField)
     assert len(field.indices) == len(field.vectors)
     assert np.isfinite(field.vectors).all()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(SET_MUTATIONS)
+@example([("overwrite", Z_BAR, struct.pack("<d", 0.0))])
+@example([("overwrite", Z_BAR, struct.pack("<d", -1.0))])
+@example([("overwrite", Z_BAR, struct.pack("<d", float("nan")))])
+@example([("overwrite", SET_HEADER - 10, b"\xff\xff\xff\x7f")])  # name_len = 2^31 - 1
+def test_corrupt_exemplar_sets_raise_only_pfa_errors(mutations):
+    data = _mutate(SEED_SET, mutations)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.pfax"
+        path.write_bytes(data)
+        try:
+            loaded = load_set(path)
+        except PfaError:
+            return
+    assert isinstance(loaded, ExemplarSet)
+    assert 0.0 < loaded.z_bar < np.inf
+    for ex in loaded.exemplars:
+        assert len(ex.points) == len(ex.tri)
+        assert (ex.tri >= 0).all()
