@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigurationError, MeshHashMismatchError, PfaError
-from .exemplars import generate_exemplar_set, load_set, save_set
+from .exemplars import generate_exemplar_set, save_set
 from .mesh import load_mesh
 from .pipeline import (
     ExperimentConfig,

@@ -38,7 +38,7 @@ from .exemplars import (
 )
 from .flow import FlowNoiseSpec, OracleFlowSource, load_flow, save_flow
 from .geometry import CameraIntrinsics, RigidPose, pose_jitter, random_rotation
-from .mesh import MeshModel, load_mesh, make_box, mesh_digest
+from .mesh import MeshModel, make_box, mesh_digest
 from .metrics import auc_metric, pose_error_report
 from .raster import SceneSpec
 from .refine import MAX_CORRESPONDENCES, RansacConfig, refine_pose

@@ -1,4 +1,5 @@
-"""Package structure: the modules of ``pfa`` import one another without a cycle."""
+"""Package structure: the modules of ``pfa`` import one another without a cycle,
+and every name a module imports is used."""
 
 import ast
 from pathlib import Path
@@ -29,6 +30,31 @@ def _imported_modules(path: Path, modules: set) -> set:
             if parts[0] == "pfa":
                 found.add(parts[1] if len(parts) > 1 and parts[1] in modules else "__init__")
     return found
+
+
+def unused_imports(path: Path) -> list:
+    """Names bound by a module's top-level imports that its code never reads.
+
+    A name counts as read wherever it appears as an expression, attribute
+    bases included. An import whose lines carry ``# noqa: F401`` is exempt.
+    """
+    source = path.read_text(encoding="utf-8")
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if getattr(node, "module", None) == "__future__":
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = (alias.asname or alias.name).split(".")[0]
+            if name not in read:
+                unused.append(name)
+    return unused
 
 
 def import_graph() -> dict:
@@ -76,3 +102,27 @@ def test_cycle_detector_finds_a_lazy_import_cycle():
     assert find_cycle(graph) is None
     graph["flow"].add("pipeline")
     assert find_cycle(graph) == ["flow", "pipeline", "flow"]
+
+
+def test_no_unused_imports():
+    found = {
+        path.name: names
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py" and (names := unused_imports(path))
+    }
+    assert not found, found
+
+
+def test_unused_import_check_reads_the_module(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import numpy as np\n"
+        "import sys  # noqa: F401\n"
+        "from json import (\n    dumps,\n    loads,\n)\n"
+        "x = np.zeros(1)\n"
+        "y = dumps(x)\n",
+        encoding="utf-8",
+    )
+    assert unused_imports(path) == ["os", "loads"]
