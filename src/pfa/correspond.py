@@ -130,17 +130,9 @@ def subsample_per_exemplar(sets, cap: int):
     """
     sets = list(sets)
     total = sum(len(s) for s in sets)
-    if total <= cap or total == 0:
+    if total <= cap:
         return sets
-    out = []
-    for s in sets:
-        quota = int(np.floor(cap * len(s) / total))
-        if quota >= len(s):
-            out.append(s)
-            continue
-        if quota == 0:
-            out.append(s.take(np.empty(0, dtype=np.int64)))
-            continue
-        idx = np.round(np.linspace(0, len(s) - 1, quota)).astype(np.int64)
-        out.append(s.take(idx))
-    return out
+    return [
+        s.take(np.round(np.linspace(0, len(s) - 1, int(cap * len(s) / total))).astype(np.int64))
+        for s in sets
+    ]

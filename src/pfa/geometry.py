@@ -117,10 +117,7 @@ def project_points(camera: CameraIntrinsics, pose: RigidPose, points) -> np.ndar
         raise BehindCameraError(
             f"{int(np.sum(z <= 0))} of {z.size} points have non-positive depth"
         )
-    uv = np.empty((len(q), 2))
-    uv[:, 0] = camera.fx * q[:, 0] / z + camera.cx
-    uv[:, 1] = camera.fy * q[:, 1] / z + camera.cy
-    return uv
+    return project_camera_points(camera, q)
 
 
 def project_camera_points(camera: CameraIntrinsics, q: np.ndarray) -> np.ndarray:

@@ -63,20 +63,12 @@ def _nn_distances_brute(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def rotation_error_deg(gt: RigidPose, pred: RigidPose) -> float:
-    return geodesic_distance(gt.rotation, pred.rotation)
-
-
-def translation_error_m(gt: RigidPose, pred: RigidPose) -> float:
-    return float(np.linalg.norm(gt.translation - pred.translation))
-
-
 def pose_error_report(gt: RigidPose, pred: RigidPose, mesh: MeshModel) -> PoseErrorReport:
     return PoseErrorReport(
         add=add_error(gt, pred, mesh),
         add_s=add_s_error(gt, pred, mesh),
-        rotation_err=rotation_error_deg(gt, pred),
-        translation_err=translation_error_m(gt, pred),
+        rotation_err=geodesic_distance(gt.rotation, pred.rotation),
+        translation_err=float(np.linalg.norm(gt.translation - pred.translation)),
     )
 
 

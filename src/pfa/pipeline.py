@@ -27,7 +27,6 @@ from .errors import (
     FileFormatError,
     FlowFileMissingError,
     MeshHashMismatchError,
-    RobustFailureError,
     SolverError,
 )
 from .exemplars import (
@@ -37,7 +36,14 @@ from .exemplars import (
     load_set,
 )
 from .flow import FlowNoiseSpec, OracleFlowSource, load_flow, save_flow
-from .geometry import CameraIntrinsics, RigidPose, pose_jitter, random_rotation
+from .geometry import (
+    CameraIntrinsics,
+    RigidPose,
+    backproject,
+    pose_jitter,
+    project_camera_points,
+    random_rotation,
+)
 from .mesh import MeshModel, make_box, mesh_digest
 from .metrics import auc_metric, pose_error_report
 from .raster import SceneSpec
@@ -53,8 +59,7 @@ DEFAULT_EXEMPLAR_CAMERA = CameraIntrinsics(
 
 # errors local to one trial: each becomes that trial's failure record
 _TRIAL_FAILURES = (
-    RobustFailureError,
-    SolverError,
+    SolverError,  # RobustFailureError included
     FlowFileMissingError,
     FileFormatError,  # a corrupt or wrong-size flow file
     DegeneracyError,
@@ -423,10 +428,6 @@ def pose_to_dict(pose: RigidPose) -> dict:
     }
 
 
-def pose_from_dict(d: dict) -> RigidPose:
-    return RigidPose(np.array(d["rotation"]), np.array(d["translation"]))
-
-
 def synth_scene_manifest(config: ExperimentConfig, mesh: MeshModel) -> dict:
     """Sample ground-truth poses, occluder layouts, and jittered initials."""
     z_center = config.scene_z_center
@@ -445,20 +446,8 @@ def synth_scene_manifest(config: ExperimentConfig, mesh: MeshModel) -> dict:
             z_occ = depth * frac
             radius_px = cam.fx * mesh.bounding_radius / depth
             offset = rng.uniform(-0.7, 0.7, size=2) * radius_px
-            center_px = np.array(
-                [
-                    cam.fx * gt.translation[0] / depth + cam.cx,
-                    cam.fy * gt.translation[1] / depth + cam.cy,
-                ]
-            )
-            target_px = center_px + offset
-            center = np.array(
-                [
-                    (target_px[0] - cam.cx) / cam.fx * z_occ,
-                    (target_px[1] - cam.cy) / cam.fy * z_occ,
-                    z_occ,
-                ]
-            )
+            target_px = project_camera_points(cam, gt.translation) + offset
+            center = backproject(cam, target_px, z_occ)
             side = config.occluder_coverage * mesh.diameter * frac
             extents = (side, side, max(side * 0.2, 1e-3))
             occluders.append(
@@ -500,10 +489,11 @@ def load_manifest(path) -> dict:
 def scene_from_manifest_entry(
     entry: dict, mesh: MeshModel, camera: CameraIntrinsics
 ) -> tuple[SceneSpec, RigidPose, RigidPose]:
-    gt = pose_from_dict(entry["gt_pose"])
-    initial = pose_from_dict(entry["initial_pose"])
+    gt = _parse_pose(entry["gt_pose"], ("manifest", "gt_pose"))
+    initial = _parse_pose(entry["initial_pose"], ("manifest", "initial_pose"))
     occluders = tuple(
-        (make_box(o["extents"]), pose_from_dict(o["pose"])) for o in entry["occluders"]
+        (make_box(o["extents"]), _parse_pose(o["pose"], ("manifest", "pose")))
+        for o in entry["occluders"]
     )
     scene = SceneSpec(mesh, gt, occluders, camera, int(entry["background_seed"]))
     return scene, gt, initial
@@ -646,7 +636,6 @@ def run_refinement(
             )
     else:
         records = [run_trial(config, mesh, exemplar_set, e) for e in entries]
-    records.sort(key=lambda r: r["trial_id"])
 
     return {
         "schema_version": SCHEMA_VERSION,
@@ -718,12 +707,10 @@ def write_json(document: dict, path) -> None:
 
 
 def write_report_csv(summary: dict, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["stage"] + _SUMMARY_COLUMNS)
-        for stage in ("initial", "refined"):
-            row = [stage] + [_csv_cell(summary[stage][c]) for c in _SUMMARY_COLUMNS]
-            writer.writerow(row)
+    write_table_csv([
+        {"stage": stage, **{c: summary[stage][c] for c in _SUMMARY_COLUMNS}}
+        for stage in ("initial", "refined")
+    ], path)
 
 
 def _csv_cell(value):

@@ -49,8 +49,7 @@ def reprojection_residuals(
     camera: CameraIntrinsics, pose: RigidPose, points: np.ndarray, pixels: np.ndarray
 ) -> np.ndarray:
     """Per-correspondence residuals (N, 2): projected minus observed."""
-    q = pose.transform(points)
-    return project_camera_points(camera, q) - np.asarray(pixels, dtype=np.float64)
+    return project_camera_points(camera, pose.transform(points)) - np.asarray(pixels, dtype=np.float64)
 
 
 def reprojection_jacobian(

@@ -176,16 +176,15 @@ def ransac_pnp(
     Each round draws up to ``HYPOTHESES_PER_ROUND`` 3-point samples and
     solves them together with P3P (``p3p_batch``). Every real root that
     puts its sample in front of the camera is a hypothesis, up to four per
-    sample; collinear or coincident samples yield none. With more than
-    ``_SCORE_SUBSET`` correspondences, one sorted random subset of that
-    size is drawn per call, every root of a round is scored on it, and
-    only the round's winner (by subset count, first of equals) is scored
-    on all N points; otherwise every root is scored on all N. A point
-    votes only if it reprojects within the threshold at a positive depth.
-    The full count decides the best hypothesis and drives the adaptive
-    budget: ``cfg.max_iterations`` counts samples drawn across rounds and
-    shrinks with the best inlier ratio under the configured confidence,
-    re-evaluated after every round.
+    sample; collinear or coincident samples yield none. Every root of a
+    round votes on one vote set: a sorted random subset of
+    ``_SCORE_SUBSET`` points drawn once per call if N is larger, else all N
+    (no draw). The round's winner (by votes, first of equals) is rescored
+    alone on all N. A point votes only if it reprojects within the
+    threshold at a positive depth. The full count decides the best
+    hypothesis and drives the adaptive budget: ``cfg.max_iterations``
+    counts samples drawn across rounds and shrinks with the best inlier
+    ratio under the configured confidence, re-evaluated after every round.
 
     The best hypothesis is refit on its consensus set until the set stops
     changing. The first refit round runs ``solve_pnp``, EPnP on the whole
@@ -206,10 +205,10 @@ def ransac_pnp(
     pts = correspondences.points
     obs = correspondences.pixels
     rng = np.random.default_rng(cfg.seed)
-    vote_pts, vote_obs = pts, obs  # where every root of a round is scored
+    subset = slice(None)  # a small set draws nothing: every root votes on all N
     if n > _SCORE_SUBSET:
         subset = np.sort(rng.choice(n, _SCORE_SUBSET, replace=False))
-        vote_pts, vote_obs = pts[subset], obs[subset]
+    vote_pts, vote_obs = pts[subset], obs[subset]  # where every root of a round is scored
 
     best_count = 0
     best_inliers = None
@@ -227,16 +226,14 @@ def ransac_pnp(
             rotations, translations, vote_pts, vote_obs, camera, cfg.inlier_threshold
         )
         top = int(np.argmax(np.count_nonzero(votes, axis=1)))  # first of equals
-        top_inliers = votes[top]
-        if n > _SCORE_SUBSET:  # the round's winner, on all points
-            top_inliers = score_hypotheses(
-                rotations[top : top + 1], translations[top : top + 1], pts, obs, camera,
-                cfg.inlier_threshold,
-            )[0]
+        top_inliers = score_hypotheses(  # the round's winner, on all points
+            rotations[top : top + 1], translations[top : top + 1], pts, obs, camera,
+            cfg.inlier_threshold,
+        )[0]
         count = int(np.count_nonzero(top_inliers))
         if count > best_count:
             best_count = count
-            best_inliers = top_inliers.copy()
+            best_inliers = top_inliers
             best_pose = (rotations[top], translations[top])
             needed = min(
                 cfg.max_iterations,
@@ -295,7 +292,6 @@ def refine_pose(
     cfg: RansacConfig,
     *,
     crop_pad: float = DEFAULT_CROP_PAD,
-    crop_size: int = DEFAULT_CROP_SIZE,
     max_correspondences: int = MAX_CORRESPONDENCES,
 ) -> RefineResult:
     """One-shot refinement: retrieve, lift per-exemplar flow, solve jointly.
@@ -304,19 +300,20 @@ def refine_pose(
     each exemplar view and one crop for the target (from the initial pose,
     expressed under the exemplar camera so crops compose with the
     intrinsics alignment), lifts every flow field to correspondences,
-    aggregates, and runs robust PnP once. Lifting leaves the model points
-    pending: the subsampling quotas are fixed from the lifted counts, and
-    aggregation gathers the points of the kept rows only.
+    aggregates, and runs robust PnP once. Crops are ``DEFAULT_CROP_SIZE``
+    pixels square. Lifting leaves the model points pending: the
+    subsampling quotas are fixed from the lifted counts, and aggregation
+    gathers the points of the kept rows only.
     """
     ensure_mesh_binding(exemplar_set, mesh)
     neighbors = query_nearest(exemplar_set, initial, n_exemplars)
-    crop_target = compute_crop(initial, exemplar_set.camera, mesh, crop_size, crop_pad)
+    crop_target = compute_crop(initial, exemplar_set.camera, mesh, DEFAULT_CROP_SIZE, crop_pad)
 
     per_exemplar = []
     distances = []
     for rank, exemplar in enumerate(neighbors):
         crop_exemplar = compute_crop(
-            exemplar.pose, exemplar.camera, mesh, crop_size, crop_pad
+            exemplar.pose, exemplar.camera, mesh, DEFAULT_CROP_SIZE, crop_pad
         )
         field = flow_source.flow_for(exemplar, rank, crop_exemplar, crop_target)
         per_exemplar.append(

@@ -20,8 +20,8 @@ from pfa.pipeline import (
     derive_seed,
     evaluate_records,
     load_config,
-    pose_from_dict,
     run_refinement,
+    scene_from_manifest_entry,
     summarize_records,
     synth_scene_manifest,
     write_json,
@@ -266,8 +266,7 @@ class TestManifest:
         )
         manifest = synth_scene_manifest(config, mesh)
         for entry in manifest["trials"]:
-            gt = pose_from_dict(entry["gt_pose"])
-            init = pose_from_dict(entry["initial_pose"])
+            _, gt, init = scene_from_manifest_entry(entry, mesh, config.target_camera)
             assert np.abs(gt.rotation - init.rotation).max() < 1e-12
             assert np.abs(gt.translation - init.translation).max() < 1e-12
 
