@@ -49,7 +49,7 @@ def reprojection_residuals(
     camera: CameraIntrinsics, pose: RigidPose, points: np.ndarray, pixels: np.ndarray
 ) -> np.ndarray:
     """Per-correspondence residuals (N, 2): projected minus observed."""
-    return project_camera_points(camera, pose.transform(points)) - np.asarray(pixels, dtype=np.float64)
+    return project_camera_points(camera, pose.transform(points)) - np.asarray(pixels, dtype=float)
 
 
 def reprojection_jacobian(
