@@ -8,6 +8,7 @@ correspondences, aggregate across exemplars, and solve one robust PnP.
 from .correspond import CorrespondenceSet, aggregate, lift_correspondences
 from .crops import CropTransform, align_intrinsics, compute_crop, lift_to_image
 from .errors import (
+    ArtifactMismatchError,
     BadMagicError,
     BehindCameraError,
     ConfigurationError,

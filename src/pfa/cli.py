@@ -2,7 +2,8 @@
 
 Subcommands: gen-exemplars, synth-scenes, refine, eval. Exit codes:
 0 success, 2 configuration/validation error, 3 I/O error, 4 configuration
-mismatch between artifacts (e.g. exemplar set vs. manifest mesh).
+mismatch between artifacts (e.g. exemplar set vs. manifest mesh, or
+manifest vs. config target camera).
 Every flag has a config-file equivalent; flags override file values.
 """
 
@@ -12,7 +13,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import ConfigurationError, MeshHashMismatchError, PfaError
+from .errors import ArtifactMismatchError, ConfigurationError, PfaError
 from .exemplars import generate_exemplar_set, save_set
 from .mesh import load_mesh
 from .pipeline import (
@@ -178,7 +179,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MeshHashMismatchError as exc:
+    except ArtifactMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     except (PfaError, ValueError) as exc:

@@ -17,7 +17,11 @@ class ConfigurationError(PfaError):
     """Inconsistent or invalid configuration of a pipeline component."""
 
 
-class MeshHashMismatchError(ConfigurationError):
+class ArtifactMismatchError(ConfigurationError):
+    """Artifacts of one run were built for different inputs (mesh, camera)."""
+
+
+class MeshHashMismatchError(ArtifactMismatchError):
     """An exemplar set was used with a mesh it was not generated from."""
 
 

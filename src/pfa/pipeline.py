@@ -21,6 +21,7 @@ import numpy as np
 
 from .crops import DEFAULT_CROP_PAD
 from .errors import (
+    ArtifactMismatchError,
     BehindCameraError,
     ConfigurationError,
     DegeneracyError,
@@ -141,6 +142,12 @@ class ExperimentConfig:
             raise ConfigurationError("jitter bounds must be non-negative")
         if self.occluder_count < 0 or self.occluder_coverage < 0:
             raise ConfigurationError("invalid occluder parameters")
+        if not 0 < self.crop_pad < np.inf:
+            raise ConfigurationError(f"crop.pad must be positive and finite, got {self.crop_pad}")
+        if self.max_correspondences < 1:
+            raise ConfigurationError(
+                f"crop.max_correspondences must be >= 1, got {self.max_correspondences}"
+            )
         try:
             self.ransac(0)
         except ValueError as exc:
@@ -626,6 +633,14 @@ def run_refinement(
         raise MeshHashMismatchError("manifest was built for a different mesh")
     if exemplar_set.mesh_hash != digest:
         raise MeshHashMismatchError("exemplar set was built for a different mesh")
+    built_for = manifest.get("target_camera")
+    if built_for is not None:
+        built_for = _parse_value("CameraIntrinsics", built_for, ("manifest", "target_camera"))
+    if built_for != config.target_camera:
+        raise ArtifactMismatchError(
+            f"manifest target camera {built_for or 'missing'} differs from "
+            f"config target camera {config.target_camera}"
+        )
 
     entries = sorted(manifest["trials"], key=lambda e: int(e["trial_id"]))
     workers = worker_count()

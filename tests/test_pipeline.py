@@ -240,6 +240,14 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             ExperimentConfig(mesh_path="m", depth_fraction=1.5)
 
+    @pytest.mark.parametrize("key, value", [
+        ("max_correspondences", 0), ("max_correspondences", -5),
+        ("pad", 0.0), ("pad", -1.0), ("pad", float("nan")), ("pad", float("inf")),
+    ])
+    def test_bad_crop_settings_rejected(self, key, value):
+        with pytest.raises(ConfigurationError, match=f"crop.{key} must be"):
+            ExperimentConfig.from_dict({"crop": {key: value}})
+
     def test_seed_derivation_stable_and_distinct(self):
         a = derive_seed(5, "scene", 0)
         assert a == derive_seed(5, "scene", 0)
@@ -582,6 +590,44 @@ class TestCli:
             "--out", str(tmp_path / "r"), "--mesh", str(other_mesh),
         ])
         assert code == 4
+
+    @pytest.mark.parametrize("missing", [False, True], ids=["other-camera", "no-camera"])
+    def test_refine_camera_mismatch_is_exit_4(self, workspace, tmp_path, capsys, missing):
+        _, _, config_path = workspace
+        manifest_path = tmp_path / "manifest.json"
+        assert main(["synth-scenes", "--config", str(config_path), "--out", str(manifest_path)]) == 0
+        config = json.loads(config_path.read_text())
+        if missing:
+            manifest = json.loads(manifest_path.read_text())
+            del manifest["target_camera"]
+            manifest_path.write_text(json.dumps(manifest))
+        else:
+            config["target_camera"] = {
+                "fx": 300.0, "fy": 300.0, "cx": 100.0, "cy": 100.0, "width": 200, "height": 200,
+            }
+        refine_config = tmp_path / "refine.json"
+        refine_config.write_text(json.dumps(config))
+        capsys.readouterr()
+        assert main(["refine", "--config", str(refine_config), "--manifest", str(manifest_path),
+                     "--out", str(tmp_path / "run")]) == 4
+        err = capsys.readouterr().err
+        assert "target camera" in err and "Traceback" not in err
+        assert "width=640" in err and ("missing" if missing else "width=200") in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("key, value", [("max_correspondences", -5), ("pad", 0.0)])
+    def test_refine_bad_crop_setting_is_exit_2(self, workspace, tmp_path, capsys, key, value):
+        _, _, config_path = workspace
+        manifest_path = tmp_path / "manifest.json"
+        assert main(["synth-scenes", "--config", str(config_path), "--out", str(manifest_path)]) == 0
+        config = dict(json.loads(config_path.read_text()), crop={key: value})
+        bad_config = tmp_path / "bad.json"
+        bad_config.write_text(json.dumps(config))
+        capsys.readouterr()
+        assert main(["refine", "--config", str(bad_config), "--manifest", str(manifest_path),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert f"crop.{key} must be" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("edit, message", MALFORMED_MANIFESTS)
     def test_malformed_manifest_is_exit_2(self, workspace, tmp_path, capsys, edit, message):
