@@ -335,6 +335,8 @@ def load_set(path) -> ExemplarSet:
             points = np.frombuffer(
                 reader.read_exact(12 * n_masked, f"exemplar {i} points"), dtype="<f4"
             ).reshape(n_masked, 3).copy()
+            if not np.isfinite(points).all():
+                raise FileFormatError(f"exemplar {i} has a non-finite model point")
             tri = np.frombuffer(
                 reader.read_exact(4 * n_masked, f"exemplar {i} triangle ids"), dtype="<i4"
             ).copy()

@@ -245,6 +245,19 @@ class TestPersistence:
         with pytest.raises(FileFormatError):
             load_set(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_point_names_the_exemplar(self, tmp_path, value):
+        two = generate_exemplar_set(BOX, 2, 1.0, K_R, seed=2)
+        path = tmp_path / "two.pfax"
+        save_set(two, path)
+        data = bytearray(path.read_bytes())
+        n_last = len(two.exemplars[1].points)
+        first_point = len(data) - 16 * n_last  # the last exemplar's points, then its ids
+        data[first_point:first_point + 4] = np.array([value], dtype="<f4").tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(FileFormatError, match="exemplar 1 has a non-finite model point"):
+            load_set(path)
+
     def test_truncation_reports_counts(self, tmp_path, small_set):
         path = tmp_path / "set.pfax"
         save_set(small_set, path)
