@@ -17,8 +17,8 @@ _HULL_THRESHOLD = 400  # above this, diameter uses the convex hull first
 class MeshModel:
     """Triangle mesh in the model frame with a precomputed diameter.
 
-    Invariants enforced at construction: >= 4 vertices, all triangle
-    indices in range, every triangle with strictly positive area.
+    Invariants enforced at construction: >= 4 vertices, all finite, all
+    triangle indices in range, every triangle with strictly positive area.
     """
 
     vertices: np.ndarray
@@ -27,15 +27,19 @@ class MeshModel:
 
     def __post_init__(self):
         v = np.ascontiguousarray(np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3))
-        t = np.ascontiguousarray(np.asarray(self.triangles, dtype=np.int32).reshape(-1, 3))
+        t = np.asarray(self.triangles).reshape(-1, 3)  # any int size: checked before the cast
         if len(v) < 4:
             raise EmptyMeshError(f"mesh needs at least 4 vertices, got {len(v)}")
         if len(t) == 0:
             raise EmptyMeshError("mesh has no triangles")
+        finite = np.isfinite(v).all(axis=1)
+        if not finite.all():
+            raise MeshParseError(f"vertex {int(np.argmin(finite))} is not finite")
         if t.min() < 0 or t.max() >= len(v):
             raise MeshParseError(
                 f"triangle index out of range (vertex count {len(v)})"
             )
+        t = np.ascontiguousarray(t, dtype=np.int32)
         areas = _triangle_areas(v, t)
         if np.any(areas <= 0.0):
             bad = int(np.argmax(areas <= 0.0))
@@ -168,6 +172,8 @@ def _parse_ply(data: bytes, path: str):
                 unknown = [t for t in types if t not in _PLY_STRUCT]
                 if unknown:
                     raise MeshParseError(f"unknown property type {unknown[0]!r}", path, 0)
+                if prop[0] == "list" and any(_PLY_STRUCT[t] in "fd" for t in types):
+                    raise MeshParseError(f"list property {prop[3]!r} needs integer types", path, 0)
                 elements[-1][2].append(prop)
         except (ValueError, IndexError):
             raise MeshParseError(f"malformed header line {line.strip()!r}", path, 0) from None

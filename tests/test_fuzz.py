@@ -13,7 +13,7 @@ from pfa.errors import PfaError
 from pfa.exemplars import ExemplarSet, generate_exemplar_set, load_set, save_set
 from pfa.flow import FlowField, load_flow, save_flow
 from pfa.geometry import CameraIntrinsics
-from pfa.mesh import make_tetrahedron
+from pfa.mesh import MeshModel, load_mesh, make_tetrahedron
 
 
 def _seed_flow_bytes() -> bytes:
@@ -45,6 +45,7 @@ def _seed_set_bytes() -> bytes:
 SEED_SET = _seed_set_bytes()
 SET_HEADER = 4 + 8 + 8 + 48 + 32 + 4 + len(b"object")  # up to the first exemplar
 Z_BAR = 12  # offset of the f64 z_bar
+FIRST_POINT = SET_HEADER + 4 + 72 + 256 * 256 // 8  # after the id, rotation and mask bits
 
 
 def _mutations(positions):
@@ -109,6 +110,7 @@ def test_corrupt_flow_files_raise_only_pfa_errors(mutations):
 @example([("overwrite", Z_BAR, struct.pack("<d", -1.0))])
 @example([("overwrite", Z_BAR, struct.pack("<d", float("nan")))])
 @example([("overwrite", SET_HEADER - 10, b"\xff\xff\xff\x7f")])  # name_len = 2^31 - 1
+@example([("overwrite", FIRST_POINT, NAN_F32)])
 def test_corrupt_exemplar_sets_raise_only_pfa_errors(mutations):
     data = _mutate(SEED_SET, mutations)
     with tempfile.TemporaryDirectory() as tmp:
@@ -123,3 +125,54 @@ def test_corrupt_exemplar_sets_raise_only_pfa_errors(mutations):
     for ex in loaded.exemplars:
         assert len(ex.points) == len(ex.tri)
         assert (ex.tri >= 0).all()
+        assert np.isfinite(ex.points).all()
+
+
+# small well-formed meshes, one per reader path: OBJ (slashes, a quad and
+# negative indices), ASCII PLY and binary little-endian PLY
+SEED_OBJ = (
+    b"# four points and a fifth\nv 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nv 0.5 0.5 1\n"
+    b"f 1/1 2/2 3/3 4/4\nf -5//1 -4//2 -1//3\nf 2 3 5\n"
+)
+_PLY_HEADER = (
+    b"ply\nformat {} 1.0\ncomment tetrahedron\nelement vertex 4\n"
+    b"property float x\nproperty float y\nproperty float z\n"
+    b"element face 4\nproperty list uchar int vertex_indices\nend_header\n"
+)
+_TETRA = [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]
+_TETRA_FACES = [(0, 1, 2), (0, 3, 1), (0, 2, 3), (1, 3, 2)]
+SEED_ASCII_PLY = _PLY_HEADER.replace(b"{}", b"ascii") + b"".join(
+    [b"%d %d %d\n" % tuple(v) for v in _TETRA] + [b"3 %d %d %d\n" % f for f in _TETRA_FACES]
+)
+SEED_BINARY_PLY = (
+    _PLY_HEADER.replace(b"{}", b"binary_little_endian")
+    + np.array(_TETRA, dtype="<f4").tobytes()
+    + b"".join(struct.pack("<B3i", 3, *f) for f in _TETRA_FACES)
+)
+MESH_FILES = st.one_of([
+    _mutations(st.integers(min_value=0, max_value=len(seed))).map(
+        lambda mutations, seed=seed: _mutate(seed, mutations))
+    for seed in (SEED_OBJ, SEED_ASCII_PLY, SEED_BINARY_PLY)
+])
+_OBJ_TAIL = b"\nv 1 0 0\nv 0 1 0\nv 0 0 1\nf 1 2 3\nf 1 2 4\n"
+
+
+@settings(derandomize=True, max_examples=600, deadline=None, database=None)
+@given(MESH_FILES)
+@example(b"v nan 0 0" + _OBJ_TAIL)
+@example(b"v inf 0 1" + _OBJ_TAIL)
+@example(b"v 0 0 0" + _OBJ_TAIL + b"f 1 2 99999999999999999999\n")  # past int64
+@example(b"v 0 0 0" + _OBJ_TAIL + b"f 1 2 4294967300\n")  # wraps to 4 in int32
+@example(SEED_BINARY_PLY.replace(b"list uchar int", b"list float int"))  # a float face size
+def test_corrupt_meshes_raise_only_pfa_errors(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.mesh"
+        path.write_bytes(data)
+        try:
+            mesh = load_mesh(path)
+        except PfaError:
+            return
+    assert isinstance(mesh, MeshModel)
+    assert np.isfinite(mesh.vertices).all()
+    assert mesh.triangles.min() >= 0 and mesh.triangles.max() < len(mesh.vertices)
+    assert mesh.diameter > 0

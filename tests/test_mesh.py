@@ -151,6 +151,21 @@ class TestLoadMesh:
         with pytest.raises(MeshParseError):
             load_mesh(path)
 
+    @pytest.mark.parametrize("vertex", ["v nan 0 0", "v inf 0 1"], ids=["nan", "inf"])
+    def test_non_finite_vertex_rejected(self, tmp_path, vertex):
+        path = tmp_path / "nonfinite.obj"
+        path.write_text(f"{vertex}\nv 1 0 0\nv 0 1 0\nv 0 0 1\nf 1 2 3\nf 1 2 4\n")
+        with pytest.raises(MeshParseError, match="vertex 0 is not finite"):
+            load_mesh(path)
+
+    @pytest.mark.parametrize("index", ["99999999999999999999", "4294967300"],
+                             ids=["past-int64", "wraps-int32"])
+    def test_face_index_past_int32_rejected(self, tmp_path, index):
+        path = tmp_path / "huge.obj"
+        path.write_text(f"v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\nf 1 2 {index}\n")
+        with pytest.raises(MeshParseError, match="out of range"):
+            load_mesh(path)
+
     def test_obj_slash_indices_and_quads(self, tmp_path):
         path = tmp_path / "quads.obj"
         path.write_text(
