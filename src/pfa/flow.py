@@ -206,15 +206,21 @@ def oracle_flow(
     """Ground-truth flow from an exemplar crop to the target crop.
 
     Every exemplar-crop pixel whose sample has a full 2x2 footprint in the
-    exemplar mask takes the bilinearly interpolated stored model point and
-    the stored triangle id (``CropSampler``). The point is projected
-    into the target image under ``target_pose``, re-expressed under the
-    exemplar camera's intrinsics, and mapped by the target crop. Pixels are
-    invalidated when the target pixel leaves the image or the crop, when
-    the surface faces away from the target camera, or when the point is
+    exemplar mask takes the bilinearly interpolated stored model point
+    (``CropSampler``). The point is projected into the target image under
+    ``target_pose``, re-expressed under the exemplar camera's intrinsics,
+    and mapped by the target crop. A pixel is kept when its point lies in
+    front of the target camera, lands inside the image and the crop, is not
     occluded in the scene (joint z-buffer strictly nearer than the point by
-    more than a depth tolerance). Only pixels landing in the crop are depth
-    tested, so the z-buffer covers the crop's ``target_window`` alone;
+    more than a depth tolerance), and its surface, by the stored triangle
+    id, faces the target camera.
+
+    The tests run in that order, cheapest and most selective first, and
+    each later one sees only the survivors of the earlier ones; triangle
+    ids and normals are gathered for the final survivors alone. Every test
+    reads one pixel's own values, so the kept set and its vectors do not
+    depend on the order. Only pixels landing in the crop are depth tested,
+    so the z-buffer covers the crop's ``target_window`` alone;
     ``scene_depth``, if given, must be ``scene_depth_map`` over that window.
     No rendering happens here.
     """
@@ -229,39 +235,28 @@ def oracle_flow(
     pixels = np.flatnonzero(sampler.footprint())
     if len(pixels) == 0:
         return FlowField(size, size, pixels, np.empty((0, 2)))
-    points, tri_idx = sampler.points(pixels), sampler.triangles(pixels)
-
-    k_target = scene.camera
+    points = sampler.points(pixels)
     q_target = target_pose.transform(points)
-    keep = q_target[:, 2] > 0
 
-    u_target = np.zeros((len(points), 2))
-    u_target[keep] = project_camera_points(k_target, q_target[keep])
-    keep &= (
+    # ``live`` indexes the survivors into pixels, points and q_target; rows
+    # are gathered with ``take``, much faster than fancy indexing on (N, k)
+    k_target = scene.camera
+    live = np.flatnonzero(q_target[:, 2] > 0)
+    u_target = project_camera_points(k_target, q_target.take(live, axis=0))
+    warp = crop_target.matrix @ intrinsics_align_matrix(exemplar.camera, k_target)
+    u_crop = apply_homography(warp, u_target)
+    inside = np.flatnonzero(
         (u_target[:, 0] >= 0.0)
         & (u_target[:, 0] < k_target.width)
         & (u_target[:, 1] >= 0.0)
         & (u_target[:, 1] < k_target.height)
-    )
-
-    # back-face cull against the target view; triangle orientation is fixed
-    # per pixel so that the normal faces the exemplar camera
-    n_model = face_normals(scene.object_mesh)[tri_idx]
-    q_exemplar = exemplar.pose.transform(points)
-    n_exemplar = n_model @ exemplar.pose.rotation.T
-    toward_exemplar = np.sum(n_exemplar * q_exemplar, axis=1)
-    flip = np.where(toward_exemplar > 0, -1.0, 1.0)
-    n_target = (n_model * flip[:, None]) @ target_pose.rotation.T
-    keep &= np.sum(n_target * q_target, axis=1) < 0
-
-    warp = crop_target.matrix @ intrinsics_align_matrix(exemplar.camera, k_target)
-    u_crop = apply_homography(warp, u_target)
-    keep &= (
-        (u_crop[:, 0] >= 0.0)
+        & (u_crop[:, 0] >= 0.0)
         & (u_crop[:, 0] < size)
         & (u_crop[:, 1] >= 0.0)
         & (u_crop[:, 1] < size)
     )
+    live = live[inside]
+    u_target, u_crop = u_target.take(inside, axis=0), u_crop.take(inside, axis=0)
 
     x0, y0, x1, y1 = window = target_window(crop_target, exemplar.camera, k_target)
     if scene_depth is None:
@@ -269,14 +264,25 @@ def oracle_flow(
     if scene_depth.shape != (y1 - y0, x1 - x0):
         raise ValueError(f"scene_depth does not cover the target window {window}")
     eps = max(1e-4, 1e-3 * exemplar.z_bar)
-    tested = np.flatnonzero(keep)
-    px = np.floor(u_target[tested, 0]).astype(np.int64) - x0
-    py = np.floor(u_target[tested, 1]).astype(np.int64) - y0
-    keep[tested] = ~(scene_depth[py, px] < q_target[tested, 2] - eps)
+    px = np.floor(u_target[:, 0]).astype(np.int64) - x0
+    py = np.floor(u_target[:, 1]).astype(np.int64) - y0
+    seen = np.flatnonzero(~(scene_depth[py, px] < q_target[live, 2] - eps))
+    live, u_crop = live[seen], u_crop.take(seen, axis=0)
 
-    rows, cols = np.divmod(pixels[keep], size)
-    vectors = u_crop[keep] - np.stack([cols + 0.5, rows + 0.5], axis=-1)
-    return FlowField(size, size, pixels[keep], vectors.astype(np.float32))
+    # back-face cull against the target view; triangle orientation is fixed
+    # per pixel so that the normal faces the exemplar camera
+    n_model = face_normals(scene.object_mesh).take(sampler.triangles(pixels[live]), axis=0)
+    q_exemplar = exemplar.pose.transform(points.take(live, axis=0))
+    n_exemplar = n_model @ exemplar.pose.rotation.T
+    toward_exemplar = np.sum(n_exemplar * q_exemplar, axis=1)
+    flip = np.where(toward_exemplar > 0, -1.0, 1.0)
+    n_target = (n_model * flip[:, None]) @ target_pose.rotation.T
+    front = np.flatnonzero(np.sum(n_target * q_target.take(live, axis=0), axis=1) < 0)
+    live, u_crop = live[front], u_crop.take(front, axis=0)
+
+    rows, cols = np.divmod(pixels[live], size)
+    vectors = u_crop - np.stack([cols + 0.5, rows + 0.5], axis=-1)
+    return FlowField(size, size, pixels[live], vectors.astype(np.float32))
 
 
 def degrade_flow(flow: FlowField, spec: FlowNoiseSpec) -> FlowField:

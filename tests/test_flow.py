@@ -207,6 +207,13 @@ def _dense_case(name):
     elif name == "overflow":  # unoccluded; the test halves the target crop
         translation = [0.01, -0.005, 0.9]
         occluders = ()
+    elif name == "heavy":  # one box hides most of the object; the turn culls faces too
+        rotation = rotation_about_axis([0.3, 1.0, 0.2], 60.0)
+        translation = [0.01, -0.005, 0.9]
+        occluders = ((make_box((0.10, 0.12, 0.02)), RigidPose(np.eye(3), [0.025, -0.01, 0.7])),)
+    elif name == "hidden":  # a plate in front hides the whole target crop
+        translation = [0.01, -0.005, 0.9]
+        occluders = ((make_box((0.6, 0.6, 0.02)), RigidPose(np.eye(3), [0.01, -0.005, 0.6])),)
     elif name == "border":  # the object sits ~15 px from the left image edge
         translation = [(15.0 - 320.0) / 600.0 * 0.9, 0.0, 0.9]
         occluders = ((make_box((0.06, 0.06, 0.02)), RigidPose(np.eye(3), [-0.38, 0.0, 0.75])),)
@@ -227,7 +234,9 @@ class TestDenseEquivalence:
         save_set(box_set, path)
         return load_set(path)
 
-    @pytest.mark.parametrize("case", ["occluded", "overflow", "border", "anisotropic"])
+    @pytest.mark.parametrize(
+        "case", ["occluded", "overflow", "border", "anisotropic", "heavy", "hidden"]
+    )
     @pytest.mark.parametrize("pad", [1.2, 1.6])
     @pytest.mark.parametrize("loaded", [False, True])
     def test_oracle_and_lift_match_dense(
@@ -260,10 +269,14 @@ class TestDenseEquivalence:
             sparse = source.flow_for(ex, 0, crop_r, crop_t)
             dense = dense_oracle_flow(ex, crop_r, scene, gt, crop_t)
             assert same_flow(sparse, dense)
+            if case == "hidden":  # the object fills the crop; only the depth test empties it
+                clear = oracle_flow(ex, crop_r, SceneSpec(BOX, gt, (), camera), gt, crop_t)
+                assert len(clear.indices) > 1000
             checked += int(dense.valid.sum())
             centers = crop_pixel_centers(256)[dense.valid]
             landed = centers + np.stack([dense.du, dense.dv], axis=-1)[dense.valid]
-            low, high = np.minimum(low, landed.min(axis=0)), np.maximum(high, landed.max(axis=0))
+            low = np.minimum(low, landed.min(axis=0, initial=np.inf))
+            high = np.maximum(high, landed.max(axis=0, initial=-np.inf))
 
             noise = FlowNoiseSpec.default_preset(seed=index, dropout_ratio=0.3)
             noisy = degrade_flow(sparse, noise)
@@ -288,13 +301,13 @@ class TestDenseEquivalence:
             assert np.all(corr.exemplar_ids == ex.id)
             lifted.append(lift_correspondences(ex, back, crop_r, crop_t, camera))
             reference.append((points, pixels))
-        assert checked > 1000
+        assert (checked == 0) if case == "hidden" else (checked > 1000)
         if case == "overflow":
             assert np.all(low < 1.0) and np.all(high > 255.0)
 
         # quotas come from the cheap pass, points are gathered after thinning
         total = sum(len(points) for points, _ in reference)
-        for cap in (total // 3, total - 1, total + 1):
+        for cap in (total // 3, max(total - 1, 0), total + 1):  # a cap is never negative
             merged = aggregate(subsample_per_exemplar(lifted, cap))
             kept = dense_subsample(reference, cap)
             assert np.array_equal(merged.points, np.concatenate([p for p, _ in kept]))
