@@ -19,6 +19,7 @@ from .mesh import load_mesh
 from .pipeline import (
     ExperimentConfig,
     SCHEMA_VERSION,
+    check_manifest,
     evaluate_records,
     load_config,
     load_manifest,
@@ -97,6 +98,7 @@ def cmd_refine(args) -> int:
         raise ConfigurationError("a mesh path is required (--mesh or config file)")
     manifest = load_manifest(args.manifest)
     mesh = load_mesh(config.mesh_path)
+    check_manifest(config, mesh, manifest)  # before the set, which may be generated
     exemplar_set = resolve_exemplar_set(config, mesh)
     records = run_refinement(config, mesh, exemplar_set, manifest)
     out = Path(args.out)

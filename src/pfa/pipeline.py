@@ -489,8 +489,42 @@ def synth_scene_manifest(config: ExperimentConfig, mesh: MeshModel) -> dict:
 
 
 def load_manifest(path) -> dict:
-    """Read a scene manifest, checking once every value refinement reads."""
-    return _load_document(path, "manifest", MANIFEST_FIELDS)
+    """Read a scene manifest, checking once every value refinement reads.
+
+    A manifest may lack ``target_camera``, which ``check_manifest`` then
+    refuses; a present one must be a camera.
+    """
+    manifest = _load_document(path, "manifest", MANIFEST_FIELDS)
+    try:
+        _manifest_camera(manifest)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc
+    return manifest
+
+
+def _manifest_camera(manifest: dict) -> CameraIntrinsics | None:
+    """The target camera a manifest was built for; None when it names none."""
+    return _parse_value(
+        "CameraIntrinsics | None", manifest.get("target_camera"), ("manifest", "target_camera")
+    )
+
+
+def check_manifest(config: ExperimentConfig, mesh: MeshModel, manifest: dict) -> None:
+    """Refuse a manifest built for another mesh or another target camera.
+
+    Raises:
+        MeshHashMismatchError: if the manifest's mesh hash is not ``mesh``'s.
+        ArtifactMismatchError: if its target camera is missing or is not
+            the config's.
+    """
+    if manifest.get("mesh_hash") != mesh_digest(mesh).hex():
+        raise MeshHashMismatchError("manifest was built for a different mesh")
+    built_for = _manifest_camera(manifest)
+    if built_for != config.target_camera:
+        raise ArtifactMismatchError(
+            f"manifest target camera {built_for or 'missing'} differs from "
+            f"config target camera {config.target_camera}"
+        )
 
 
 def scene_from_manifest_entry(
@@ -628,19 +662,10 @@ def run_refinement(
     manifest: dict,
 ) -> dict:
     """Run every manifest trial; returns the records document."""
+    check_manifest(config, mesh, manifest)
     digest = mesh_digest(mesh)
-    if manifest.get("mesh_hash") != digest.hex():
-        raise MeshHashMismatchError("manifest was built for a different mesh")
     if exemplar_set.mesh_hash != digest:
         raise MeshHashMismatchError("exemplar set was built for a different mesh")
-    built_for = manifest.get("target_camera")
-    if built_for is not None:
-        built_for = _parse_value("CameraIntrinsics", built_for, ("manifest", "target_camera"))
-    if built_for != config.target_camera:
-        raise ArtifactMismatchError(
-            f"manifest target camera {built_for or 'missing'} differs from "
-            f"config target camera {config.target_camera}"
-        )
 
     entries = sorted(manifest["trials"], key=lambda e: int(e["trial_id"]))
     workers = worker_count()

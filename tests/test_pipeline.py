@@ -171,6 +171,7 @@ MALFORMED_MANIFESTS = [
     (_bad_extents, "manifest trials[1].occluders[0].extents:"),
     (_bad_rotation, "manifest trials[0].initial_pose:"),
     (lambda m: m["trials"][2].update(trial_id="x"), "manifest trials[2].trial_id:"),
+    (lambda m: m.update(target_camera={"fx": 600.0}), "manifest target_camera: missing key 'fy'"),
 ]
 
 
@@ -591,7 +592,8 @@ class TestCli:
         ])
         assert code == 4
 
-    @pytest.mark.parametrize("missing", [False, True], ids=["other-camera", "no-camera"])
+    @pytest.mark.parametrize("missing", [None, "absent", "null"],
+                             ids=["other-camera", "no-camera", "null-camera"])
     def test_refine_camera_mismatch_is_exit_4(self, workspace, tmp_path, capsys, missing):
         _, _, config_path = workspace
         manifest_path = tmp_path / "manifest.json"
@@ -599,7 +601,10 @@ class TestCli:
         config = json.loads(config_path.read_text())
         if missing:
             manifest = json.loads(manifest_path.read_text())
-            del manifest["target_camera"]
+            if missing == "absent":
+                del manifest["target_camera"]
+            else:
+                manifest["target_camera"] = None
             manifest_path.write_text(json.dumps(manifest))
         else:
             config["target_camera"] = {
@@ -613,6 +618,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert "target camera" in err and "Traceback" not in err
         assert "width=640" in err and ("missing" if missing else "width=200") in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("mismatch", ["mesh", "camera"])
+    def test_refused_refine_builds_no_exemplar_set(
+        self, workspace, tmp_path, monkeypatch, mismatch
+    ):
+        _, _, config_path = workspace
+        manifest_path = tmp_path / "manifest.json"
+        assert main(["synth-scenes", "--config", str(config_path), "--out", str(manifest_path)]) == 0
+        manifest = json.loads(manifest_path.read_text())
+        if mismatch == "mesh":
+            manifest["mesh_hash"] = "0" * 64
+        else:
+            manifest["target_camera"]["fx"] += 1.0
+        manifest_path.write_text(json.dumps(manifest))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the exemplar set was built for a refused manifest")
+
+        monkeypatch.setattr("pfa.pipeline.generate_exemplar_set", refuse)
+        assert main(["refine", "--config", str(config_path), "--manifest", str(manifest_path),
+                     "--out", str(tmp_path / "run")]) == 4
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("key, value", [("max_correspondences", -5), ("pad", 0.0)])
