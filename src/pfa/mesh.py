@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateTriangleError, EmptyMeshError, MeshParseError
+from .errors import DegenerateTriangleError, EmptyMeshError, MeshError, MeshParseError
 
 _HULL_THRESHOLD = 400  # above this, diameter uses the convex hull first
 
@@ -133,7 +133,11 @@ def load_mesh(path) -> MeshModel:
     for face in faces:
         for k in range(1, len(face) - 1):
             triangles.append((face[0], face[k], face[k + 1]))
-    return MeshModel(np.array(vertices), np.array(triangles))
+    try:
+        return MeshModel(np.array(vertices), np.array(triangles))
+    except MeshError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def _parse_ply(data: bytes, path: str):

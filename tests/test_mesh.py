@@ -142,29 +142,49 @@ class TestLoadMesh:
     def test_degenerate_triangle(self, tmp_path):
         path = tmp_path / "degen.obj"
         path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\nf 1 2 3\nf 1 1 2\n")
-        with pytest.raises(DegenerateTriangleError):
+        with pytest.raises(DegenerateTriangleError) as info:
             load_mesh(path)
+        assert str(info.value) == f"{path}: triangle 1 has zero area"
 
     def test_face_index_out_of_range(self, tmp_path):
         path = tmp_path / "oob.obj"
         path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\nf 1 2 9\n")
-        with pytest.raises(MeshParseError):
+        with pytest.raises(MeshParseError) as info:
             load_mesh(path)
+        assert str(info.value).startswith(f"{path}: triangle index out of range")
+
+    def test_too_few_vertices_names_file(self, tmp_path):
+        path = tmp_path / "three.obj"
+        path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
+        with pytest.raises(EmptyMeshError) as info:
+            load_mesh(path)
+        assert str(info.value) == f"{path}: mesh needs at least 4 vertices, got 3"
+
+    def test_faces_without_triangles_name_file(self, tmp_path):
+        # a two-index PLY face parses but fans into no triangle
+        path = tmp_path / "edges.ply"
+        header, _ = TETRA_PLY.split("3 0 1 2")
+        path.write_text(header.replace("element face 4", "element face 1") + "2 0 1\n")
+        with pytest.raises(EmptyMeshError) as info:
+            load_mesh(path)
+        assert str(info.value) == f"{path}: mesh has no triangles"
 
     @pytest.mark.parametrize("vertex", ["v nan 0 0", "v inf 0 1"], ids=["nan", "inf"])
     def test_non_finite_vertex_rejected(self, tmp_path, vertex):
         path = tmp_path / "nonfinite.obj"
         path.write_text(f"{vertex}\nv 1 0 0\nv 0 1 0\nv 0 0 1\nf 1 2 3\nf 1 2 4\n")
-        with pytest.raises(MeshParseError, match="vertex 0 is not finite"):
+        with pytest.raises(MeshParseError) as info:
             load_mesh(path)
+        assert str(info.value) == f"{path}: vertex 0 is not finite"
 
     @pytest.mark.parametrize("index", ["99999999999999999999", "4294967300"],
                              ids=["past-int64", "wraps-int32"])
     def test_face_index_past_int32_rejected(self, tmp_path, index):
         path = tmp_path / "huge.obj"
         path.write_text(f"v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\nf 1 2 {index}\n")
-        with pytest.raises(MeshParseError, match="out of range"):
+        with pytest.raises(MeshParseError, match="out of range") as info:
             load_mesh(path)
+        assert str(info.value).startswith(f"{path}: ")
 
     def test_obj_slash_indices_and_quads(self, tmp_path):
         path = tmp_path / "quads.obj"
