@@ -13,7 +13,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import ArtifactMismatchError, ConfigurationError, PfaError
+from .errors import ArtifactMismatchError, ConfigurationError, PfaError, naming_file
 from .exemplars import generate_exemplar_set, save_set
 from .mesh import load_mesh
 from .pipeline import (
@@ -41,9 +41,12 @@ EXIT_MISMATCH = 4
 
 def _config_from_args(args, overrides: dict) -> ExperimentConfig:
     if getattr(args, "config", None):
-        return load_config(args.config, overrides)
-    fields = {k: v for k, v in overrides.items() if v is not None}
-    return ExperimentConfig(**fields)
+        config = load_config(args.config, overrides)
+    else:
+        config = ExperimentConfig(**{k: v for k, v in overrides.items() if v is not None})
+    if not config.mesh_path:
+        raise ConfigurationError("a mesh path is required (--mesh or config file)")
+    return config
 
 
 def cmd_gen_exemplars(args) -> int:
@@ -55,8 +58,6 @@ def cmd_gen_exemplars(args) -> int:
         "gen_name": args.name,
     }
     config = _config_from_args(args, overrides)
-    if not config.mesh_path:
-        raise ConfigurationError("a mesh path is required (--mesh or config file)")
     mesh = load_mesh(config.mesh_path)
     exemplar_set = generate_exemplar_set(
         mesh, config.gen_count, config.gen_z_bar, config.exemplar_camera,
@@ -72,8 +73,6 @@ def cmd_gen_exemplars(args) -> int:
 def cmd_synth_scenes(args) -> int:
     overrides = {"mesh_path": args.mesh, "trials": args.trials, "seed": args.seed}
     config = _config_from_args(args, overrides)
-    if not config.mesh_path:
-        raise ConfigurationError("a mesh path is required (--mesh or config file)")
     mesh = load_mesh(config.mesh_path)
     manifest = synth_scene_manifest(config, mesh)
     write_json(manifest, args.out)
@@ -94,11 +93,10 @@ def cmd_refine(args) -> int:
     if args.flow_dir:
         overrides["flow_source"] = "files"
     config = _config_from_args(args, overrides)
-    if not config.mesh_path:
-        raise ConfigurationError("a mesh path is required (--mesh or config file)")
     manifest = load_manifest(args.manifest)
     mesh = load_mesh(config.mesh_path)
-    check_manifest(config, mesh, manifest)  # before the set, which may be generated
+    with naming_file(args.manifest):
+        check_manifest(config, mesh, manifest)  # before the set, which may be generated
     exemplar_set = resolve_exemplar_set(config, mesh)
     records = run_refinement(config, mesh, exemplar_set, manifest)
     out = Path(args.out)

@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+from contextlib import contextmanager
+
 
 class PfaError(Exception):
     """Base class for all errors raised by this package."""
@@ -36,13 +38,15 @@ class SolverError(PfaError):
 class RobustFailureError(SolverError):
     """RANSAC found no hypothesis with enough inliers.
 
-    Carries the best attempt so callers can log diagnostics.
+    ``inliers`` is the best hypothesis's (N,) inlier mask over the input
+    correspondences, all False if no sample yielded one. ``refine_pose``
+    sets ``exemplar_reports`` from it before re-raising.
     """
 
-    def __init__(self, message, best_estimate=None, exemplar_reports=None):
+    def __init__(self, message, inliers):
         super().__init__(message)
-        self.best_estimate = best_estimate
-        self.exemplar_reports = exemplar_reports
+        self.inliers = inliers
+        self.exemplar_reports = None
 
 
 class MeshError(PfaError):
@@ -52,14 +56,10 @@ class MeshError(PfaError):
 class MeshParseError(MeshError):
     """Unparseable mesh file; ``byte_offset`` locates the failure."""
 
-    def __init__(self, message, path=None, byte_offset=None):
-        detail = message
-        if path is not None:
-            detail = f"{path}: {detail}"
+    def __init__(self, message, byte_offset=None):
         if byte_offset is not None:
-            detail = f"{detail} (at byte offset {byte_offset})"
-        super().__init__(detail)
-        self.path = path
+            message = f"{message} (at byte offset {byte_offset})"
+        super().__init__(message)
         self.byte_offset = byte_offset
 
 
@@ -102,3 +102,13 @@ class TruncationError(FileFormatError):
 
 class FlowFileMissingError(PfaError):
     """An externally supplied flow file was not found for a trial."""
+
+
+@contextmanager
+def naming_file(path):
+    """Prefix ``path`` to the message of any ``PfaError`` raised inside, keeping its class."""
+    try:
+        yield
+    except PfaError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise

@@ -37,6 +37,7 @@ from .errors import (
     MeshHashMismatchError,
     TruncationError,
     VersionMismatchError,
+    naming_file,
 )
 from .geometry import (
     CameraIntrinsics,
@@ -296,7 +297,9 @@ def save_set(exemplar_set: ExemplarSet, path) -> None:
 
 
 def load_set(path) -> ExemplarSet:
-    with open(path, "rb") as f:
+    """Read a PFAX file; every malformed file raises a ``FileFormatError``
+    whose message starts with the path."""
+    with open(path, "rb") as f, naming_file(path):
         reader = _Reader(f)
         magic = reader.read_exact(4, "magic")
         if magic != MAGIC:
@@ -349,7 +352,7 @@ def load_set(path) -> ExemplarSet:
             exemplars.append(Exemplar(ex_id, pose, camera, bits, points, tri, digest))
         if f.read(1):
             raise FileFormatError("unexpected trailing data after last exemplar")
-    try:
-        return ExemplarSet(name, digest, z_bar, camera, exemplars)
-    except ValueError as exc:
-        raise FileFormatError(str(exc)) from exc
+        try:
+            return ExemplarSet(name, digest, z_bar, camera, exemplars)
+        except ValueError as exc:
+            raise FileFormatError(str(exc)) from exc

@@ -34,6 +34,7 @@ from .errors import (
     FileFormatError,
     TruncationError,
     VersionMismatchError,
+    naming_file,
 )
 from .exemplars import Exemplar, ensure_mesh_binding
 from .geometry import CameraIntrinsics, project_camera_points
@@ -363,11 +364,8 @@ def load_flow(path) -> FlowField:
     whose message starts with the path."""
     with open(path, "rb") as f:
         data = f.read()
-    try:
+    with naming_file(path):
         return _parse_flow(data)
-    except FileFormatError as exc:
-        exc.args = (f"{path}: {exc}",)
-        raise
 
 
 def _parse_flow(data: bytes) -> FlowField:

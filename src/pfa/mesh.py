@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateTriangleError, EmptyMeshError, MeshError, MeshParseError
+from .errors import DegenerateTriangleError, EmptyMeshError, MeshParseError, naming_file
 
 _HULL_THRESHOLD = 400  # above this, diameter uses the convex hull first
 
@@ -120,33 +120,29 @@ def load_mesh(path) -> MeshModel:
     """Load a triangle mesh from a PLY (ascii or binary little-endian) or
     OBJ (v/f records) file. Polygonal faces are fan-triangulated.
     """
-    path = str(path)
     with open(path, "rb") as f:
         data = f.read()
-    if data.startswith(b"ply"):
-        vertices, faces = _parse_ply(data, path)
-    else:
-        vertices, faces = _parse_obj(data, path)
-    if not vertices or not faces:
-        raise EmptyMeshError(f"{path}: no vertices or faces found")
-    triangles = []
-    for face in faces:
-        for k in range(1, len(face) - 1):
-            triangles.append((face[0], face[k], face[k + 1]))
-    try:
+    with naming_file(path):
+        if data.startswith(b"ply"):
+            vertices, faces = _parse_ply(data)
+        else:
+            vertices, faces = _parse_obj(data)
+        if not vertices or not faces:
+            raise EmptyMeshError("no vertices or faces found")
+        triangles = []
+        for face in faces:
+            for k in range(1, len(face) - 1):
+                triangles.append((face[0], face[k], face[k + 1]))
         return MeshModel(np.array(vertices), np.array(triangles))
-    except MeshError as exc:
-        exc.args = (f"{path}: {exc}",)
-        raise
 
 
-def _parse_ply(data: bytes, path: str):
+def _parse_ply(data: bytes):
     end = data.find(b"end_header")
     if end < 0:
-        raise MeshParseError("missing end_header", path, len(data))
+        raise MeshParseError("missing end_header", len(data))
     newline = data.find(b"\n", end)
     if newline < 0:
-        raise MeshParseError("header not terminated", path, len(data))
+        raise MeshParseError("header not terminated", len(data))
     header_lines = data[:end].decode("ascii", errors="replace").splitlines()
     body_offset = newline + 1
 
@@ -166,7 +162,7 @@ def _parse_ply(data: bytes, path: str):
                 elements.append((tokens[1], count, []))
             elif tokens[0] == "property":
                 if not elements:
-                    raise MeshParseError("property before element", path, 0)
+                    raise MeshParseError("property before element", 0)
                 if tokens[1] == "list":
                     prop = ("list", tokens[2], tokens[3], tokens[4])
                     types = prop[1:3]
@@ -175,21 +171,21 @@ def _parse_ply(data: bytes, path: str):
                     types = prop[1:]
                 unknown = [t for t in types if t not in _PLY_STRUCT]
                 if unknown:
-                    raise MeshParseError(f"unknown property type {unknown[0]!r}", path, 0)
+                    raise MeshParseError(f"unknown property type {unknown[0]!r}", 0)
                 if prop[0] == "list" and any(_PLY_STRUCT[t] in "fd" for t in types):
-                    raise MeshParseError(f"list property {prop[3]!r} needs integer types", path, 0)
+                    raise MeshParseError(f"list property {prop[3]!r} needs integer types", 0)
                 elements[-1][2].append(prop)
         except (ValueError, IndexError):
-            raise MeshParseError(f"malformed header line {line.strip()!r}", path, 0) from None
+            raise MeshParseError(f"malformed header line {line.strip()!r}", 0) from None
     if fmt not in ("ascii", "binary_little_endian"):
-        raise MeshParseError(f"unsupported PLY format {fmt!r}", path, 0)
+        raise MeshParseError(f"unsupported PLY format {fmt!r}", 0)
 
     if fmt == "ascii":
-        return _parse_ply_ascii(data, body_offset, elements, path)
-    return _parse_ply_binary(data, body_offset, elements, path)
+        return _parse_ply_ascii(data, body_offset, elements)
+    return _parse_ply_binary(data, body_offset, elements)
 
 
-def _parse_ply_ascii(data: bytes, offset: int, elements, path: str):
+def _parse_ply_ascii(data: bytes, offset: int, elements):
     vertices, faces = [], []
     pos = offset
     for name, count, props in elements:
@@ -199,14 +195,14 @@ def _parse_ply_ascii(data: bytes, offset: int, elements, path: str):
                     [p[0] for p in props].index(axis) for axis in ("x", "y", "z")
                 ]
             except ValueError:
-                raise MeshParseError("vertex element lacks x/y/z", path, pos) from None
+                raise MeshParseError("vertex element lacks x/y/z", pos) from None
         for _ in range(count):
             line_end = data.find(b"\n", pos)
             if line_end < 0:
                 line_end = len(data)
             tokens = data[pos:line_end].split()
             if not tokens:
-                raise MeshParseError(f"missing {name} record", path, pos)
+                raise MeshParseError(f"missing {name} record", pos)
             try:
                 if name == "vertex":
                     vertices.append([float(tokens[i]) for i in xyz_idx])
@@ -216,30 +212,29 @@ def _parse_ply_ascii(data: bytes, offset: int, elements, path: str):
                         raise IndexError
                     faces.append([int(tok) for tok in tokens[1 : 1 + n]])
             except (ValueError, IndexError):
-                raise MeshParseError(f"malformed {name} record", path, pos) from None
+                raise MeshParseError(f"malformed {name} record", pos) from None
             pos = line_end + 1
     return vertices, faces
 
 
-def _parse_ply_binary(data: bytes, offset: int, elements, path: str):
+def _parse_ply_binary(data: bytes, offset: int, elements):
     vertices, faces = [], []
     pos = offset
     for name, count, props in elements:
         if name == "vertex":
             if any(p[0] == "list" for p in props):
-                raise MeshParseError("list property in vertex element", path, pos)
+                raise MeshParseError("list property in vertex element", pos)
             names = [p[0] for p in props]
             fmt = "<" + "".join(_PLY_STRUCT[p[1]] for p in props)
             stride = struct.calcsize(fmt)
             try:
                 xyz_idx = [names.index(axis) for axis in ("x", "y", "z")]
             except ValueError:
-                raise MeshParseError("vertex element lacks x/y/z", path, pos) from None
+                raise MeshParseError("vertex element lacks x/y/z", pos) from None
             need = stride * count
             if len(data) - pos < need:
                 raise MeshParseError(
                     f"vertex data needs {need} bytes, file has {len(data) - pos}",
-                    path,
                     pos,
                 )
             for _ in range(count):
@@ -248,7 +243,7 @@ def _parse_ply_binary(data: bytes, offset: int, elements, path: str):
                 pos += stride
         elif name == "face":
             if len(props) != 1 or props[0][0] != "list":
-                raise MeshParseError("face element must be a single list", path, pos)
+                raise MeshParseError("face element must be a single list", pos)
             _, count_t, idx_t, _ = props[0]
             cfmt = "<" + _PLY_STRUCT[count_t]
             csize = struct.calcsize(cfmt)
@@ -256,25 +251,25 @@ def _parse_ply_binary(data: bytes, offset: int, elements, path: str):
             isize = struct.calcsize("<" + ifmt_ch)
             for _ in range(count):
                 if len(data) - pos < csize:
-                    raise MeshParseError("face record truncated", path, pos)
+                    raise MeshParseError("face record truncated", pos)
                 n = struct.unpack_from(cfmt, data, pos)[0]
                 pos += csize
                 need = isize * n
                 if len(data) - pos < need:
-                    raise MeshParseError("face indices truncated", path, pos)
+                    raise MeshParseError("face indices truncated", pos)
                 idx = struct.unpack_from("<" + ifmt_ch * n, data, pos)
                 pos += need
                 faces.append(list(idx))
         else:
             # unknown element: cannot skip without a fixed stride
             if any(p[0] == "list" for p in props):
-                raise MeshParseError(f"unsupported element {name!r}", path, pos)
+                raise MeshParseError(f"unsupported element {name!r}", pos)
             stride = struct.calcsize("<" + "".join(_PLY_STRUCT[p[1]] for p in props))
             pos += stride * count
     return vertices, faces
 
 
-def _parse_obj(data: bytes, path: str):
+def _parse_obj(data: bytes):
     vertices, faces = [], []
     pos = 0
     for raw in data.split(b"\n"):
@@ -284,18 +279,18 @@ def _parse_obj(data: bytes, path: str):
             try:
                 vertices.append([float(tokens[1]), float(tokens[2]), float(tokens[3])])
             except (ValueError, IndexError):
-                raise MeshParseError("malformed vertex record", path, pos) from None
+                raise MeshParseError("malformed vertex record", pos) from None
         elif line.startswith(b"f "):
             tokens = line.split()[1:]
             if len(tokens) < 3:
-                raise MeshParseError("face with fewer than 3 vertices", path, pos)
+                raise MeshParseError("face with fewer than 3 vertices", pos)
             face = []
             for tok in tokens:
                 head = tok.split(b"/")[0]
                 try:
                     idx = int(head)
                 except ValueError:
-                    raise MeshParseError("malformed face index", path, pos) from None
+                    raise MeshParseError("malformed face index", pos) from None
                 face.append(idx - 1 if idx > 0 else len(vertices) + idx)
             faces.append(face)
         pos += len(raw) + 1

@@ -28,7 +28,9 @@ from .errors import (
     FileFormatError,
     FlowFileMissingError,
     MeshHashMismatchError,
+    PfaError,
     SolverError,
+    naming_file,
 )
 from .exemplars import (
     EXEMPLAR_SIZE,
@@ -148,6 +150,12 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"crop.max_correspondences must be >= 1, got {self.max_correspondences}"
             )
+        if not 0 < self.gen_z_bar < np.inf:
+            raise ConfigurationError(
+                f"exemplars.generate.z_bar must be positive and finite, got {self.gen_z_bar}"
+            )
+        if self.gen_seed < 0:
+            raise ConfigurationError(f"exemplars.generate.seed must be >= 0, got {self.gen_seed}")
         try:
             self.ransac(0)
         except ValueError as exc:
@@ -239,7 +247,6 @@ MANIFEST_TRIAL_FIELDS = {
     "gt_pose": "RigidPose",
     "initial_pose": "RigidPose",
     "occluders": "list[occluder]",
-    "background_seed": "int",
 }
 _OCCLUDER_FIELDS = {"extents": "extents", "pose": "RigidPose"}
 
@@ -381,7 +388,7 @@ def _read_json(path):
         with open(path, "r", encoding="utf-8") as f:
             return json.load(f)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ConfigurationError(f"{path}: invalid JSON: {exc}") from exc
+        raise ConfigurationError(f"invalid JSON: {exc}") from exc
 
 
 def _load_document(path, document: str, table: dict) -> dict:
@@ -391,27 +398,21 @@ def _load_document(path, document: str, table: dict) -> dict:
         ConfigurationError: naming the file and the JSON path of the first
             malformed value.
     """
-    data = _read_json(path)
-    try:
-        data = _object(data, (document,))
+    with naming_file(path):
+        data = _object(_read_json(path), (document,))
         if data.get("schema_version") != SCHEMA_VERSION:
             raise ConfigurationError(
                 f"{document}: schema version {data.get('schema_version')!r} unsupported, "
                 f"expected {SCHEMA_VERSION}"
             )
         return _check_fields(data, table, (document,))
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{path}: {exc}") from exc
 
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     """Read a config file and apply flag overrides (flags win)."""
-    config = ExperimentConfig.from_dict(_read_json(path))
-    if overrides:
-        given = {k: v for k, v in overrides.items() if v is not None}
-        if given:
-            config = replace(config, **given)
-    return config
+    with naming_file(path):
+        config = ExperimentConfig.from_dict(_read_json(path))
+    return replace(config, **{k: v for k, v in (overrides or {}).items() if v is not None})
 
 
 def resolve_exemplar_set(config: ExperimentConfig, mesh: MeshModel) -> ExemplarSet:
@@ -475,7 +476,6 @@ def synth_scene_manifest(config: ExperimentConfig, mesh: MeshModel) -> dict:
                 "gt_pose": pose_to_dict(gt),
                 "initial_pose": pose_to_dict(initial),
                 "occluders": occluders,
-                "background_seed": derive_seed(config.seed, "background", trial_id),
             }
         )
     return {
@@ -495,10 +495,8 @@ def load_manifest(path) -> dict:
     refuses; a present one must be a camera.
     """
     manifest = _load_document(path, "manifest", MANIFEST_FIELDS)
-    try:
+    with naming_file(path):
         _manifest_camera(manifest)
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{path}: {exc}") from exc
     return manifest
 
 
@@ -510,12 +508,13 @@ def _manifest_camera(manifest: dict) -> CameraIntrinsics | None:
 
 
 def check_manifest(config: ExperimentConfig, mesh: MeshModel, manifest: dict) -> None:
-    """Refuse a manifest built for another mesh or another target camera.
+    """Refuse a manifest for another mesh or target camera, or with an unbuildable scene.
 
     Raises:
         MeshHashMismatchError: if the manifest's mesh hash is not ``mesh``'s.
         ArtifactMismatchError: if its target camera is missing or is not
             the config's.
+        ConfigurationError: naming ``trials[i]``, whose scene cannot be built.
     """
     if manifest.get("mesh_hash") != mesh_digest(mesh).hex():
         raise MeshHashMismatchError("manifest was built for a different mesh")
@@ -525,6 +524,11 @@ def check_manifest(config: ExperimentConfig, mesh: MeshModel, manifest: dict) ->
             f"manifest target camera {built_for or 'missing'} differs from "
             f"config target camera {config.target_camera}"
         )
+    for i, entry in enumerate(manifest["trials"]):
+        try:
+            scene_from_manifest_entry(entry, mesh, config.target_camera)
+        except PfaError as exc:
+            raise ConfigurationError(f"{_where(('manifest', 'trials', i))}: {exc}") from exc
 
 
 def scene_from_manifest_entry(
@@ -536,7 +540,7 @@ def scene_from_manifest_entry(
         (make_box(o["extents"]), _parse_pose(o["pose"], ("manifest", "pose")))
         for o in entry["occluders"]
     )
-    scene = SceneSpec(mesh, gt, occluders, camera, int(entry["background_seed"]))
+    scene = SceneSpec(mesh, gt, occluders, camera)
     return scene, gt, initial
 
 
@@ -668,14 +672,8 @@ def run_refinement(
         raise MeshHashMismatchError("exemplar set was built for a different mesh")
 
     entries = sorted(manifest["trials"], key=lambda e: int(e["trial_id"]))
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(
-                pool.map(lambda e: run_trial(config, mesh, exemplar_set, e), entries)
-            )
-    else:
-        records = [run_trial(config, mesh, exemplar_set, e) for e in entries]
+    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
+        records = list(pool.map(lambda e: run_trial(config, mesh, exemplar_set, e), entries))
 
     return {
         "schema_version": SCHEMA_VERSION,

@@ -50,13 +50,16 @@ class CoordinateMap:
 
 @dataclass(frozen=True, eq=False)
 class SceneSpec:
-    """A target object plus occluders viewed by one camera."""
+    """A target object plus occluders viewed by one camera.
+
+    The scene image is the camera's full width x height. Every mesh must
+    lie wholly in front of the camera (``ConfigurationError`` otherwise).
+    """
 
     object_mesh: MeshModel
     object_pose: RigidPose
     occluders: tuple  # of (MeshModel, RigidPose)
     camera: CameraIntrinsics
-    background_seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "occluders", tuple(self.occluders))
@@ -69,24 +72,16 @@ class SceneSpec:
                 )
 
 
-def _parse_size(out_size) -> tuple[int, int]:
-    if np.isscalar(out_size):
-        return int(out_size), int(out_size)
-    w, h = out_size
-    return int(w), int(h)
-
-
 def rasterize(
-    mesh: MeshModel, pose: RigidPose, camera: CameraIntrinsics, out_size
+    mesh: MeshModel, pose: RigidPose, camera: CameraIntrinsics, size: int
 ) -> CoordinateMap:
-    """Render a mesh into a CoordinateMap of the given (width, height)."""
-    width, height = _parse_size(out_size)
-    depth = np.full((height, width), np.inf)
-    points = np.full((height, width, 3), np.nan)
-    tri = np.full((height, width), -1, dtype=np.int32)
-    _z_buffer(mesh, pose, camera, (0, 0, width, height), depth, (points, tri))
+    """Render a mesh into a square CoordinateMap of ``size`` x ``size`` pixels."""
+    depth = np.full((size, size), np.inf)
+    points = np.full((size, size, 3), np.nan)
+    tri = np.full((size, size), -1, dtype=np.int32)
+    _z_buffer(mesh, pose, camera, (0, 0, size, size), depth, (points, tri))
     mask = np.isfinite(depth)
-    return CoordinateMap(width, height, points, depth, mask, tri)
+    return CoordinateMap(size, size, points, depth, mask, tri)
 
 
 def _z_buffer(mesh, pose, camera, window, depth, attributes=None):
@@ -200,28 +195,21 @@ def _raster_triangle(
     tri[block][update] = index
 
 
-def scene_depth_map(scene: SceneSpec, out_size=None, window=None) -> np.ndarray:
+def scene_depth_map(scene: SceneSpec, window=None) -> np.ndarray:
     """Joint z-buffer over the object and every occluder, depth only.
 
     ``window`` (x0, y0, x1, y1) limits rendering to those half-open pixel
-    bounds of the ``out_size`` image (default: the whole image); the result
-    covers just the window and equals the full z-buffer there.
+    bounds of the scene camera's image (default: the whole image); the
+    result covers just the window and equals the full z-buffer there. Each
+    mesh is resolved in a buffer of its own, and the result is their
+    per-pixel minimum.
     """
-    if out_size is None:
-        out_size = (scene.camera.width, scene.camera.height)
     if window is None:
-        window = (0, 0, *_parse_size(out_size))
-    meshes = ((scene.object_mesh, scene.object_pose), *scene.occluders)
-    return _joint_depth(meshes, scene.camera, window)
-
-
-def _joint_depth(meshes, camera: CameraIntrinsics, window) -> np.ndarray:
-    """Per-pixel minimum of the meshes' separately resolved depth buffers."""
+        window = (0, 0, scene.camera.width, scene.camera.height)
     x0, y0, x1, y1 = window
-    shape = (y1 - y0, x1 - x0)
-    joint = np.full(shape, np.inf)
-    for mesh, pose in meshes:
-        layer = np.full(shape, np.inf)
-        _z_buffer(mesh, pose, camera, window, layer)
+    joint = np.full((y1 - y0, x1 - x0), np.inf)
+    for mesh, pose in ((scene.object_mesh, scene.object_pose), *scene.occluders):
+        layer = np.full(joint.shape, np.inf)
+        _z_buffer(mesh, pose, scene.camera, window, layer)
         np.minimum(joint, layer, out=joint)
     return joint

@@ -195,7 +195,7 @@ def ransac_pnp(
 
     Raises:
         RobustFailureError: no hypothesis reached ``min_inliers``; the error
-            carries the best attempt (possibly None).
+            carries the best hypothesis's inlier mask (all False if none).
     """
     n = len(correspondences)
     if n < cfg.min_inliers:
@@ -211,7 +211,7 @@ def ransac_pnp(
     vote_pts, vote_obs = pts[subset], obs[subset]  # where every root of a round is scored
 
     best_count = 0
-    best_inliers = None
+    best_inliers = np.zeros(n, dtype=bool)
     best_pose = None  # (rotation, translation) of the best hypothesis
     needed = cfg.max_iterations
     drawn = 0
@@ -239,26 +239,16 @@ def ransac_pnp(
                 cfg.max_iterations,
                 max(drawn, _adaptive_iterations(best_count / n, cfg.confidence, cfg.max_iterations)),
             )
-    if best_pose is not None:
-        best_pose = RigidPose(*best_pose)
-
     if best_count < cfg.min_inliers:
-        best = None
-        if best_pose is not None:
-            res = np.linalg.norm(
-                reprojection_residuals(camera, best_pose, pts, obs), axis=1
-            )
-            mean_err = float(res[best_inliers].mean()) if best_count else float("inf")
-            best = PoseEstimate(best_pose, best_count, best_inliers, mean_err)
         raise RobustFailureError(
             f"no hypothesis reached min_inliers={cfg.min_inliers} "
             f"(best consensus {best_count}/{n})",
-            best_estimate=best,
+            inliers=best_inliers,
         )
 
     # final stage: re-solve on the consensus set, re-select, and iterate to
     # the fixed point so the estimate sheds the minimal-sample selection bias
-    pose, inliers, pose_res = best_pose, best_inliers, None
+    pose, inliers, pose_res = RigidPose(*best_pose), best_inliers, None
     for refit_round in range(MAX_REFIT_ROUNDS):
         if refit_round == 0:
             try:
@@ -324,13 +314,10 @@ def refine_pose(
     per_exemplar = subsample_per_exemplar(per_exemplar, max_correspondences)
     merged = aggregate(per_exemplar)
 
-    def _reports(inlier_mask=None):
+    def _reports(inlier_mask):
         reports = []
         for exemplar, corr, dist in zip(neighbors, per_exemplar, distances):
-            if inlier_mask is None:
-                inl = 0
-            else:
-                inl = int(inlier_mask[merged.exemplar_ids == exemplar.id].sum())
+            inl = int(inlier_mask[merged.exemplar_ids == exemplar.id].sum())
             reports.append(
                 ExemplarReport(exemplar.id, float(dist), len(corr), inl)
             )
@@ -339,9 +326,6 @@ def refine_pose(
     try:
         estimate = ransac_pnp(merged, target_camera, cfg)
     except RobustFailureError as failure:
-        mask = None
-        if failure.best_estimate is not None:
-            mask = failure.best_estimate.inlier_ids
-        failure.exemplar_reports = _reports(mask)
+        failure.exemplar_reports = _reports(failure.inliers)
         raise
     return RefineResult(estimate, _reports(estimate.inlier_ids))

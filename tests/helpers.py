@@ -17,15 +17,13 @@ def crop_pixel_centers(size: int) -> np.ndarray:
     return np.stack([cols, rows], axis=-1)
 
 
-def rasterize_scene(scene, out_size=None):
+def rasterize_scene(scene, out_size):
     """Render the target object and compute its occlusion-aware visibility.
 
     Returns the object's CoordinateMap and a boolean visibility mask that
     is False exactly where some occluder is strictly nearer than the
     object surface.
     """
-    if out_size is None:
-        out_size = (scene.camera.width, scene.camera.height)
     cmap = rasterize(scene.object_mesh, scene.object_pose, scene.camera, out_size)
     occluder_depth = np.full(cmap.depth.shape, np.inf)
     for mesh, pose in scene.occluders:

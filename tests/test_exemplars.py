@@ -182,6 +182,26 @@ class TestPersistence:
         assert info.value.found == 1 and info.value.expected == 2
         assert "1" in str(info.value) and "2" in str(info.value)
 
+    @pytest.mark.parametrize("fault, error", [
+        ("magic", BadMagicError),
+        ("truncated", TruncationError),
+        ("z_bar", FileFormatError),
+    ])
+    def test_errors_name_the_file(self, tmp_path, small_set, fault, error):
+        path = tmp_path / f"{fault}.pfax"
+        save_set(small_set, path)
+        data = bytearray(path.read_bytes())
+        if fault == "magic":
+            data[:4] = b"NOPE"
+        elif fault == "truncated":
+            del data[-3:]
+        else:
+            data[12:20] = struct.pack("<d", float("inf"))
+        path.write_bytes(bytes(data))
+        with pytest.raises(error) as info:
+            load_set(path)
+        assert str(info.value).startswith(f"{path}: ")
+
     def _header_size(self, exemplar_set):
         # magic, version and count, z_bar, camera, mesh hash, name length, name
         return 4 + 8 + 8 + 48 + 32 + 4 + len(exemplar_set.object_name.encode("utf-8"))

@@ -108,7 +108,7 @@ class TestOracleGeometry:
 
         from pfa.raster import rasterize, scene_depth_map
 
-        joint = scene_depth_map(scene, 256)
+        joint = scene_depth_map(scene)
         cmap = ex.coordinate_map()
         eps = max(1e-4, 1e-3 * ex.z_bar)
         expected = clear.valid.copy()

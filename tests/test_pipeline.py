@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from pfa.pipeline import (
     derive_seed,
     evaluate_records,
     load_config,
+    load_manifest,
     run_refinement,
     scene_from_manifest_entry,
     summarize_records,
@@ -223,6 +225,26 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="min_inliers"):
             ExperimentConfig.from_dict({"ransac": {"min_inliers": 3}})
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"trials": "x"}', "config trials:"),
+        ('{"ransac": {"confidence": 2}}', "invalid RANSAC parameters"),
+        ("{", "invalid JSON"),
+    ])
+    def test_file_errors_name_the_file(self, tmp_path, text, message):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        with pytest.raises(ConfigurationError) as info:
+            load_config(path)
+        assert str(info.value).startswith(f"{path}: ") and message in str(info.value)
+
+    @pytest.mark.parametrize("key, value", [
+        ("z_bar", float("inf")), ("z_bar", float("nan")), ("z_bar", 0.0), ("z_bar", -1.0),
+        ("seed", -1),
+    ])
+    def test_bad_generate_settings_rejected(self, key, value):
+        with pytest.raises(ConfigurationError, match=f"exemplars.generate.{key} must be"):
+            ExperimentConfig.from_dict({"exemplars": {"generate": {key: value}}})
+
     def test_flags_override_file(self, workspace):
         _, _, config_path = workspace
         config = load_config(config_path, {"trials": 9, "seed": None})
@@ -364,6 +386,41 @@ class TestRunRefinement:
             return json.dumps(doc, sort_keys=True)
 
         assert strip(records) == strip(threaded)
+
+    def test_manifest_with_background_seed_refines_the_same(self, run_artifacts, tmp_path):
+        config, mesh, exemplar_set, manifest, _ = run_artifacts
+        older = json.loads(json.dumps(manifest))
+        for entry in older["trials"]:
+            entry["background_seed"] = derive_seed(config.seed, "background", entry["trial_id"])
+        runs = []
+        for name, document in (("new", manifest), ("old", older)):
+            write_json(document, tmp_path / f"{name}.json")
+            loaded = load_manifest(tmp_path / f"{name}.json")
+            records = run_refinement(config, mesh, exemplar_set, loaded)
+            for trial in records["trials"]:
+                trial["wall_time_ms"] = 0.0
+            runs.append(json.dumps(records, sort_keys=True))
+        assert "background_seed" not in json.dumps(manifest)
+        assert runs[0] == runs[1]
+
+    def test_robust_failure_keeps_exemplar_reports(self, run_artifacts):
+        # on 1-px noise a 1e-6 px threshold leaves little but a P3P sample's own points
+        config, mesh, exemplar_set, manifest, _ = run_artifacts
+        noisy = replace(config, noise=FlowNoiseSpec(gaussian_sigma=1.0))
+        records = run_refinement(noisy, mesh, exemplar_set, manifest)
+        failed = run_refinement(replace(noisy, inlier_threshold=1e-6), mesh, exemplar_set,
+                                manifest)
+        for good, bad in zip(records["trials"], failed["trials"]):
+            found = re.search(r"best consensus (\d+)/(\d+)\)$", bad["failure_reason"])
+            assert good["failure_reason"] is None
+            assert bad["failure_reason"].startswith("RobustFailureError: ") and found
+            consensus, total = int(found[1]), int(found[2])
+            assert len(bad["exemplars"]) == config.n_exemplars
+            for a, b in zip(good["exemplars"], bad["exemplars"]):
+                assert {**a, "inlier_count": 0} == {**b, "inlier_count": 0}
+            assert sum(e["n_correspondences"] for e in bad["exemplars"]) == total
+            assert sum(e["inlier_count"] for e in bad["exemplars"]) == consensus
+        assert sum(e["inlier_count"] for t in failed["trials"] for e in t["exemplars"]) > 0
 
     def test_missing_flow_file_recorded_as_failure(self, run_artifacts, tmp_path):
         config, mesh, exemplar_set, manifest, _ = run_artifacts
@@ -670,6 +727,47 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"{manifest_path}: {message}" in err and "Traceback" not in err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("extents, translation, message", [
+        ([1e-200] * 3, None, "triangle 0 has zero area"),
+        ([0.1] * 3, [0.0, 0.0, -0.5], "scene mesh reaches depth -0.5"),
+    ], ids=["degenerate-occluder", "occluder-behind-camera"])
+    def test_unbuildable_scene_is_exit_2(
+        self, workspace, tmp_path, capsys, monkeypatch, extents, translation, message
+    ):
+        _, _, config_path = workspace
+        manifest_path = tmp_path / "manifest.json"
+        assert main(["synth-scenes", "--config", str(config_path), "--out", str(manifest_path)]) == 0
+        manifest = json.loads(manifest_path.read_text())
+        pose = json.loads(json.dumps(manifest["trials"][2]["gt_pose"]))
+        if translation is not None:
+            pose["translation"] = translation
+        manifest["trials"][2]["occluders"] = [{"extents": extents, "pose": pose}]
+        manifest_path.write_text(json.dumps(manifest))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the exemplar set was built for a refused manifest")
+
+        monkeypatch.setattr("pfa.pipeline.generate_exemplar_set", refuse)
+        capsys.readouterr()
+        assert main(["refine", "--config", str(config_path), "--manifest", str(manifest_path),
+                     "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert f"{manifest_path}: manifest trials[2]: {message}" in err and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("flag, value, path", [
+        ("--zbar", "inf", "exemplars.generate.z_bar"),
+        ("--seed", "-1", "exemplars.generate.seed"),
+    ])
+    def test_gen_bad_flag_is_exit_2(self, workspace, tmp_path, capsys, flag, value, path):
+        _, _, config_path = workspace
+        out = tmp_path / "x.pfax"
+        capsys.readouterr()
+        assert main(["gen-exemplars", "--config", str(config_path), flag, value,
+                     "--out", str(out)]) == 2
+        assert f"{path} must be" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("edit, message", MALFORMED_RECORDS)
     def test_malformed_records_is_exit_2(self, tmp_path, capsys, edit, message):

@@ -166,7 +166,7 @@ class TestScene:
         occluder = make_box((0.3, 0.3, 0.02))
         occ_pose = RigidPose(np.eye(3), [0, 0, 1.0])
         scene = SceneSpec(self.mesh, self.pose, ((occluder, occ_pose),), self.camera)
-        joint = scene_depth_map(scene, 256)
+        joint = scene_depth_map(scene)
         parts = np.minimum(
             rasterize(self.mesh, self.pose, self.camera, 256).depth,
             rasterize(occluder, occ_pose, self.camera, 256).depth,
@@ -179,7 +179,7 @@ class TestScene:
             (make_box((0.2, 0.4, 0.05)), RigidPose(sample_rotations(1, 4)[0], [-0.1, 0.05, 1.3])),
         )
         scene = SceneSpec(self.mesh, self.pose, occluders, self.camera)
-        full = scene_depth_map(scene, 256)
+        full = scene_depth_map(scene)
         windows = [
             (0, 0, 256, 256),
             (90, 70, 170, 150),  # inside the object
@@ -189,7 +189,7 @@ class TestScene:
             (60, 60, 60, 90),  # empty
         ]
         for x0, y0, x1, y1 in windows:
-            part = scene_depth_map(scene, 256, window=(x0, y0, x1, y1))
+            part = scene_depth_map(scene, window=(x0, y0, x1, y1))
             assert part.shape == (y1 - y0, x1 - x0)
             assert np.array_equal(part, full[y0:y1, x0:x1])
 
