@@ -1,4 +1,15 @@
-"""Triangle mesh loading (PLY / OBJ subset) and mesh utilities."""
+"""Triangle mesh loading (PLY / OBJ subset) and mesh utilities.
+
+PLY is read in the ``ascii`` and ``binary_little_endian`` formats, with
+any elements and properties of the standard scalar types, one record at a
+time in header order; a list is an integer count then that many items of
+any type. Vertices take the scalars ``x``, ``y``, ``z``. Faces take the
+integer list named ``vertex_indices`` or ``vertex_index``, or else the
+face's only list. Everything else is read and dropped. Refused: another
+format, an unknown type, a list with a non-integer count, a vertex without
+scalar x/y/z, a face without such an index list, and a malformed, short
+or truncated record.
+"""
 
 from __future__ import annotations
 
@@ -129,10 +140,7 @@ def load_mesh(path) -> MeshModel:
             vertices, faces = _parse_obj(data)
         if not vertices or not faces:
             raise EmptyMeshError("no vertices or faces found")
-        triangles = []
-        for face in faces:
-            for k in range(1, len(face) - 1):
-                triangles.append((face[0], face[k], face[k + 1]))
+        triangles = [(f[0], f[k], f[k + 1]) for f in faces for k in range(1, len(f) - 1)]
         return MeshModel(np.array(vertices), np.array(triangles))
 
 
@@ -143,12 +151,9 @@ def _parse_ply(data: bytes):
     newline = data.find(b"\n", end)
     if newline < 0:
         raise MeshParseError("header not terminated", len(data))
-    header_lines = data[:end].decode("ascii", errors="replace").splitlines()
-    body_offset = newline + 1
-
     fmt = None
-    elements = []  # (name, count, [(prop_name, type) or ("list", count_t, idx_t, name)])
-    for line in header_lines:
+    elements = []  # (name, count, [(prop_name, struct code, list count code or None)])
+    for line in data[:end].decode("ascii", errors="replace").splitlines():
         tokens = line.strip().split()
         if not tokens or tokens[0] in ("ply", "comment", "obj_info"):
             continue
@@ -164,109 +169,79 @@ def _parse_ply(data: bytes):
                 if not elements:
                     raise MeshParseError("property before element", 0)
                 if tokens[1] == "list":
-                    prop = ("list", tokens[2], tokens[3], tokens[4])
-                    types = prop[1:3]
+                    prop_name, count_kind, kind = tokens[4], tokens[2], tokens[3]
                 else:
-                    prop = (tokens[2], tokens[1])
-                    types = prop[1:]
-                unknown = [t for t in types if t not in _PLY_STRUCT]
-                if unknown:
-                    raise MeshParseError(f"unknown property type {unknown[0]!r}", 0)
-                if prop[0] == "list" and any(_PLY_STRUCT[t] in "fd" for t in types):
-                    raise MeshParseError(f"list property {prop[3]!r} needs integer types", 0)
-                elements[-1][2].append(prop)
+                    prop_name, count_kind, kind = tokens[2], None, tokens[1]
+                for t in (count_kind, kind):
+                    if t is not None and t not in _PLY_STRUCT:
+                        raise MeshParseError(f"unknown property type {t!r}", 0)
+                count_code = count_kind and _PLY_STRUCT[count_kind]
+                if count_code in ("f", "d"):
+                    raise MeshParseError(f"list property {prop_name!r} needs an integer count", 0)
+                elements[-1][2].append((prop_name, _PLY_STRUCT[kind], count_code))
         except (ValueError, IndexError):
             raise MeshParseError(f"malformed header line {line.strip()!r}", 0) from None
     if fmt not in ("ascii", "binary_little_endian"):
         raise MeshParseError(f"unsupported PLY format {fmt!r}", 0)
 
-    if fmt == "ascii":
-        return _parse_ply_ascii(data, body_offset, elements)
-    return _parse_ply_binary(data, body_offset, elements)
-
-
-def _parse_ply_ascii(data: bytes, offset: int, elements):
     vertices, faces = [], []
-    pos = offset
+    pos = newline + 1
     for name, count, props in elements:
         if name == "vertex":
+            scalars = [p[0] if p[2] is None else None for p in props]
             try:
-                xyz_idx = [
-                    [p[0] for p in props].index(axis) for axis in ("x", "y", "z")
-                ]
+                xyz = [scalars.index(axis) for axis in ("x", "y", "z")]
             except ValueError:
                 raise MeshParseError("vertex element lacks x/y/z", pos) from None
-        for _ in range(count):
-            line_end = data.find(b"\n", pos)
-            if line_end < 0:
-                line_end = len(data)
-            tokens = data[pos:line_end].split()
-            if not tokens:
-                raise MeshParseError(f"missing {name} record", pos)
-            try:
-                if name == "vertex":
-                    vertices.append([float(tokens[i]) for i in xyz_idx])
-                elif name == "face":
-                    n = int(tokens[0])
-                    if len(tokens) < 1 + n:
-                        raise IndexError
-                    faces.append([int(tok) for tok in tokens[1 : 1 + n]])
-            except (ValueError, IndexError):
-                raise MeshParseError(f"malformed {name} record", pos) from None
-            pos = line_end + 1
-    return vertices, faces
-
-
-def _parse_ply_binary(data: bytes, offset: int, elements):
-    vertices, faces = [], []
-    pos = offset
-    for name, count, props in elements:
-        if name == "vertex":
-            if any(p[0] == "list" for p in props):
-                raise MeshParseError("list property in vertex element", pos)
-            names = [p[0] for p in props]
-            fmt = "<" + "".join(_PLY_STRUCT[p[1]] for p in props)
-            stride = struct.calcsize(fmt)
-            try:
-                xyz_idx = [names.index(axis) for axis in ("x", "y", "z")]
-            except ValueError:
-                raise MeshParseError("vertex element lacks x/y/z", pos) from None
-            need = stride * count
-            if len(data) - pos < need:
-                raise MeshParseError(
-                    f"vertex data needs {need} bytes, file has {len(data) - pos}",
-                    pos,
-                )
-            for _ in range(count):
-                rec = struct.unpack_from(fmt, data, pos)
-                vertices.append([float(rec[i]) for i in xyz_idx])
-                pos += stride
         elif name == "face":
-            if len(props) != 1 or props[0][0] != "list":
-                raise MeshParseError("face element must be a single list", pos)
-            _, count_t, idx_t, _ = props[0]
-            cfmt = "<" + _PLY_STRUCT[count_t]
-            csize = struct.calcsize(cfmt)
-            ifmt_ch = _PLY_STRUCT[idx_t]
-            isize = struct.calcsize("<" + ifmt_ch)
-            for _ in range(count):
-                if len(data) - pos < csize:
-                    raise MeshParseError("face record truncated", pos)
-                n = struct.unpack_from(cfmt, data, pos)[0]
-                pos += csize
-                need = isize * n
-                if len(data) - pos < need:
-                    raise MeshParseError("face indices truncated", pos)
-                idx = struct.unpack_from("<" + ifmt_ch * n, data, pos)
-                pos += need
-                faces.append(list(idx))
-        else:
-            # unknown element: cannot skip without a fixed stride
-            if any(p[0] == "list" for p in props):
-                raise MeshParseError(f"unsupported element {name!r}", pos)
-            stride = struct.calcsize("<" + "".join(_PLY_STRUCT[p[1]] for p in props))
-            pos += stride * count
+            lists = [i for i, p in enumerate(props) if p[2] is not None]
+            named = [i for i in lists if props[i][0] in ("vertex_indices", "vertex_index")]
+            index = named[0] if named else lists[0] if len(lists) == 1 else None
+            if index is None or props[index][1] in ("f", "d"):
+                raise MeshParseError("face element has no integer vertex index list", pos)
+        for _ in range(count):
+            try:
+                record, pos = _read_ply_record(data, pos, props, fmt == "ascii")
+            except (ValueError, struct.error):
+                raise MeshParseError(f"malformed or truncated {name} record", pos) from None
+            if name == "vertex":
+                vertices.append([float(record[i]) for i in xyz])
+            elif name == "face":
+                faces.append(record[index])
     return vertices, faces
+
+
+def _read_ply_record(data: bytes, pos: int, props, text: bool):
+    """The record at byte offset ``pos``, read in header order, and the offset
+    after it. The encoding decides only how the next value is read.
+    """
+    if text:
+        line_end = data.find(b"\n", pos)
+        line_end = len(data) if line_end < 0 else line_end
+        tokens = iter(data[pos:line_end].split())
+        pos = line_end + 1
+
+        def take(code, n):  # a missing token reads as b"", which no conversion accepts
+            convert = float if code in ("f", "d") else int
+            return [convert(next(tokens, b"")) for _ in range(n)]
+    else:
+        def take(code, n):
+            nonlocal pos
+            fmt = f"<{n}{code}"
+            need = struct.calcsize(fmt)
+            if len(data) - pos < need:
+                raise ValueError("record truncated")
+            pos += need
+            return struct.unpack_from(fmt, data, pos - need)
+
+    record = []
+    for _, code, count_code in props:
+        n = 1 if count_code is None else take(count_code, 1)[0]
+        if n < 0:
+            raise ValueError("negative list length")
+        values = take(code, n)
+        record.append(values[0] if count_code is None else values)
+    return record, pos
 
 
 def _parse_obj(data: bytes):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import struct
 from typing import NamedTuple
 
 import numpy as np
@@ -363,3 +364,27 @@ def dense_lift(exemplar, flow: DenseFlow, crop_exemplar, crop_target, target_cam
         & (lifted[:, 1] < target_camera.height + my)
     )
     return points[ok].reshape(-1, 3), lifted[ok].reshape(-1, 2)
+
+
+_PLY_CODES = {"uchar": "B", "int": "i", "float": "f"}
+
+
+def ply_bytes(encoding: str, elements) -> bytes:
+    """A PLY file; ``elements`` are (name, property lines, records), and a
+    record holds a value per scalar property and a list per list property."""
+    header, body = ["ply", f"format {encoding} 1.0"], []
+    for name, props, records in elements:
+        header += [f"element {name} {len(records)}", *props]
+        for record in records:
+            fields = []  # (type, value) in file order
+            for prop, value in zip(props, record):
+                kinds = prop.split()[1:-1]
+                if kinds[0] == "list":
+                    fields += [(kinds[1], len(value))] + [(kinds[2], item) for item in value]
+                else:
+                    fields.append((kinds[0], value))
+            if encoding == "ascii":
+                body.append(" ".join(str(value) for _, value in fields).encode() + b"\n")
+            else:
+                body.append(b"".join(struct.pack("<" + _PLY_CODES[k], v) for k, v in fields))
+    return "\n".join(header + ["end_header\n"]).encode() + b"".join(body)

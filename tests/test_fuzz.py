@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import sparse_field
+from helpers import ply_bytes, sparse_field
 from pfa.errors import PfaError
 from pfa.exemplars import ExemplarSet, generate_exemplar_set, load_set, save_set
 from pfa.flow import FlowField, load_flow, save_flow
@@ -128,7 +128,7 @@ def test_corrupt_exemplar_sets_raise_only_pfa_errors(mutations):
         assert np.isfinite(ex.points).all()
 
 
-# small well-formed meshes, one per reader path: OBJ (slashes, a quad and
+# small well-formed meshes, one per format and encoding: OBJ (slashes, a quad and
 # negative indices), ASCII PLY and binary little-endian PLY
 SEED_OBJ = (
     b"# four points and a fifth\nv 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nv 0.5 0.5 1\n"
@@ -149,10 +149,20 @@ SEED_BINARY_PLY = (
     + np.array(_TETRA, dtype="<f4").tobytes()
     + b"".join(struct.pack("<B3i", 3, *f) for f in _TETRA_FACES)
 )
+# the same tetrahedron with a list on vertices, a scalar before the face list,
+# a float list after it, and a further element holding a list
+_LAYOUT = [
+    ("vertex", ["property float x", "property float y", "property float z",
+                "property list uchar float weights"], [v + [[0.5]] for v in _TETRA]),
+    ("face", ["property uchar flags", "property list uchar int vertex_indices",
+              "property list uchar float texcoord"], [[3, f, [0.25, 0.5]] for f in _TETRA_FACES]),
+    ("edge", ["property list uchar int vertex_pair"], [[[0, 1]], [[2, 3]]]),
+]
+SEED_LAYOUT_PLYS = [ply_bytes(encoding, _LAYOUT) for encoding in ("ascii", "binary_little_endian")]
 MESH_FILES = st.one_of([
     _mutations(st.integers(min_value=0, max_value=len(seed))).map(
         lambda mutations, seed=seed: _mutate(seed, mutations))
-    for seed in (SEED_OBJ, SEED_ASCII_PLY, SEED_BINARY_PLY)
+    for seed in (SEED_OBJ, SEED_ASCII_PLY, SEED_BINARY_PLY, *SEED_LAYOUT_PLYS)
 ])
 _OBJ_TAIL = b"\nv 1 0 0\nv 0 1 0\nv 0 0 1\nf 1 2 3\nf 1 2 4\n"
 

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from helpers import ply_bytes
 from pfa.errors import DegenerateTriangleError, EmptyMeshError, MeshParseError
 from pfa.mesh import (
     MeshModel,
@@ -61,7 +62,7 @@ end_header
 """
 
 
-def _binary_tetra_ply() -> bytes:
+def _binary_tetraply_bytes() -> bytes:
     header = (
         b"ply\nformat binary_little_endian 1.0\n"
         b"element vertex 4\n"
@@ -79,6 +80,34 @@ def _binary_tetra_ply() -> bytes:
     return header + verts + faces
 
 
+_TETRA_VERTICES = [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]
+_TETRA_FACES = [[0, 1, 2], [0, 3, 1], [0, 2, 3], [1, 3, 2]]
+_XYZ = ["property float x", "property float y", "property float z"]
+
+
+def _tetra_elements(face_props, face_record, vertex_props=(), vertex_extra=()):
+    """The tetrahedron's vertex and face elements, with extra properties."""
+    return [
+        ("vertex", _XYZ + list(vertex_props), [v + list(vertex_extra) for v in _TETRA_VERTICES]),
+        ("face", face_props, [face_record(f) for f in _TETRA_FACES]),
+    ]
+
+
+INDICES = "property list uchar int vertex_indices"
+# layouts that one reader walks in header order, in either encoding
+PLY_LAYOUTS = {
+    "scalar-before-list": _tetra_elements(["property uchar flags", INDICES], lambda f: [3, f]),
+    "scalar-after-list": _tetra_elements([INDICES, "property uchar red"], lambda f: [f, 200]),
+    "float-list": _tetra_elements(
+        [INDICES, "property list uchar float texcoord"], lambda f: [f, [0.25, 0.5] * 3]),
+    "vertex-list": _tetra_elements(
+        [INDICES], lambda f: [f], ["property list uchar float weights"], [[0.5, 1.5]]),
+    "list-element": _tetra_elements([INDICES], lambda f: [f]) + [
+        ("edge", ["property list uchar int vertex_pair", "property uchar flags"],
+         [[[0, 1], 7], [[2, 3], 9]])],
+}
+
+
 class TestLoadMesh:
     def test_unit_cube_obj(self, tmp_path):
         path = tmp_path / "cube.obj"
@@ -88,16 +117,16 @@ class TestLoadMesh:
         assert len(mesh.triangles) == 12
         assert abs(mesh.diameter - np.sqrt(3.0)) < 1e-12
 
-    def test_tetrahedron_ascii_ply(self, tmp_path):
+    def test_tetrahedron_asciiply_bytes(self, tmp_path):
         path = tmp_path / "tetra.ply"
         path.write_text(TETRA_PLY)
         mesh = load_mesh(path)
         assert len(mesh.vertices) == 4
         assert len(mesh.triangles) == 4
 
-    def test_tetrahedron_binary_ply(self, tmp_path):
+    def test_tetrahedron_binaryply_bytes(self, tmp_path):
         path = tmp_path / "tetra_bin.ply"
-        path.write_bytes(_binary_tetra_ply())
+        path.write_bytes(_binary_tetraply_bytes())
         mesh = load_mesh(path)
         assert len(mesh.vertices) == 4
         assert len(mesh.triangles) == 4
@@ -105,8 +134,29 @@ class TestLoadMesh:
         ascii_path.write_text(TETRA_PLY)
         assert np.allclose(mesh.vertices, load_mesh(ascii_path).vertices)
 
+    @pytest.mark.parametrize("layout", PLY_LAYOUTS)
+    def test_ply_layouts_read_in_both_encodings(self, tmp_path, layout):
+        reference = tmp_path / "tetra.ply"
+        reference.write_text(TETRA_PLY)
+        expected = mesh_digest(load_mesh(reference))
+        for encoding in ("ascii", "binary_little_endian"):
+            path = tmp_path / f"{encoding}.ply"
+            path.write_bytes(ply_bytes(encoding, PLY_LAYOUTS[layout]))
+            assert mesh_digest(load_mesh(path)) == expected, encoding
+
+    @pytest.mark.parametrize("face_props, record", [
+        (["property uchar flags"], lambda f: [f[0]]),
+        (["property list uchar int a", "property list uchar int b"], lambda f: [f, f]),
+        (["property list uchar float vertex_indices"], lambda f: [f]),
+    ], ids=["no-list", "two-unnamed-lists", "float-indices"])
+    def test_face_without_index_list_refused(self, tmp_path, face_props, record):
+        path = tmp_path / "faces.ply"
+        path.write_bytes(ply_bytes("binary_little_endian", _tetra_elements(face_props, record)))
+        with pytest.raises(MeshParseError, match="no integer vertex index list"):
+            load_mesh(path)
+
     def test_truncated_binary_names_offset(self, tmp_path):
-        data = _binary_tetra_ply()
+        data = _binary_tetraply_bytes()
         path = tmp_path / "trunc.ply"
         path.write_bytes(data[: len(data) - 20])
         with pytest.raises(MeshParseError) as info:
@@ -121,7 +171,7 @@ class TestLoadMesh:
             load_mesh(path)
 
     def test_unknown_binary_property_type(self, tmp_path):
-        data = _binary_tetra_ply().replace(b"property float x", b"property half x")
+        data = _binary_tetraply_bytes().replace(b"property float x", b"property half x")
         path = tmp_path / "half.ply"
         path.write_bytes(data)
         with pytest.raises(MeshParseError, match="half"):
