@@ -1,14 +1,15 @@
 """Triangle mesh loading (PLY / OBJ subset) and mesh utilities.
 
-PLY is read in the ``ascii`` and ``binary_little_endian`` formats, with
-any elements and properties of the standard scalar types, one record at a
-time in header order; a list is an integer count then that many items of
-any type. Vertices take the scalars ``x``, ``y``, ``z``. Faces take the
-integer list named ``vertex_indices`` or ``vertex_index``, or else the
-face's only list. Everything else is read and dropped. Refused: another
-format, an unknown type, a list with a non-integer count, a vertex without
-scalar x/y/z, a face without such an index list, and a malformed, short
-or truncated record.
+PLY is read in the ``ascii`` and ``binary_little_endian`` formats, with any
+elements and properties of the standard scalar types. Each record is read
+in header order: a scalar is one value, a list is an integer count and that
+many items of any type. An ASCII record is one line, and tokens past its
+last property are ignored. Vertices take the scalars ``x``, ``y``, ``z``;
+faces take the integer list named ``vertex_indices`` or ``vertex_index``,
+or else the face's only list; everything else is read and dropped.
+Refused: another format, an unknown type, a list whose count type is not an
+integer, a vertex without scalar x/y/z, a face without such an index list,
+and a malformed, short or truncated record.
 """
 
 from __future__ import annotations
@@ -97,11 +98,10 @@ def _diameter(vertices: np.ndarray) -> float:
         except Exception:
             pass  # degenerate hull (e.g. coplanar cloud): fall back to all points
     best = 0.0
-    chunk = 512
-    for start in range(0, len(pts), chunk):
-        block = pts[start : start + chunk]
-        d2 = np.sum((block[:, None, :] - pts[None, :, :]) ** 2, axis=2)
-        best = max(best, float(d2.max()))
+    axes = np.ascontiguousarray(pts.T)
+    for start in range(0, len(pts), 64):  # (64, h) blocks per axis stay small enough to cache
+        rows = slice(start, start + 64)
+        best = max(best, float(sum((c[rows, None] - c) ** 2 for c in axes).max()))
     return float(np.sqrt(best))
 
 

@@ -201,6 +201,7 @@ class ExperimentConfig:
                 section = _object(section.get(path[depth - 1]), path[:depth])
             if keys[-1] in section:
                 values[name] = _parse_value(kinds[name], section[keys[-1]], path)
+        _refuse_unknown_keys(data, ("config",))
         return cls(**values)
 
 
@@ -239,6 +240,20 @@ CONFIG_JSON_PATHS = {
 
 # FlowNoiseSpec fields kept in the JSON; the oracle derives its seed per trial
 _NOISE_KEYS = ("gaussian_sigma", "outlier_ratio", "outlier_range", "dropout_ratio")
+
+# every key path a config may hold: each section and field, and the keys of
+# the camera and noise objects; ``from_dict`` refuses any other key
+_OBJECT_KEYS = {
+    "CameraIntrinsics": tuple(f.name for f in fields(CameraIntrinsics)),
+    "FlowNoiseSpec": _NOISE_KEYS + ("preset",),
+}
+_CONFIG_KEYS = {("schema_version",)} | {
+    keys[:depth] for keys in CONFIG_JSON_PATHS.values() for depth in range(1, len(keys) + 1)
+} | {
+    CONFIG_JSON_PATHS[f.name] + (key,)
+    for f in fields(ExperimentConfig)
+    for key in _OBJECT_KEYS.get(f.type.removesuffix(" | None"), ())
+}
 
 # manifest key -> the kind of its value, for every key ``run_refinement`` reads
 MANIFEST_FIELDS = {"trials": "list[manifest trial]"}
@@ -299,6 +314,15 @@ def _parse_value(kind: str, value, path: tuple):
         raise ConfigurationError(f"{_where(path)}: missing key {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"{_where(path)}: {exc}, got {value!r}") from exc
+
+
+def _refuse_unknown_keys(value: dict, path: tuple) -> None:
+    """Refuse a key, at any depth of the config object ``value``, that ``_CONFIG_KEYS`` lacks."""
+    for key, item in value.items():
+        if path[1:] + (key,) not in _CONFIG_KEYS:
+            raise ConfigurationError(f"{_where(path + (key,))}: unknown key")
+        if isinstance(item, dict):
+            _refuse_unknown_keys(item, path + (key,))
 
 
 def _check_fields(value, table: dict, path: tuple) -> dict:
@@ -437,7 +461,8 @@ def pose_to_dict(pose: RigidPose) -> dict:
 
 
 def synth_scene_manifest(config: ExperimentConfig, mesh: MeshModel) -> dict:
-    """Sample ground-truth poses, occluder layouts, and jittered initials."""
+    """Sample ground-truth poses, occluder layouts, and jittered initials;
+    refuse (``ConfigurationError``) a trial whose scene cannot be built."""
     z_center = config.scene_z_center
     cam = config.target_camera
     trials = []
@@ -457,13 +482,14 @@ def synth_scene_manifest(config: ExperimentConfig, mesh: MeshModel) -> dict:
             target_px = project_camera_points(cam, gt.translation) + offset
             center = backproject(cam, target_px, z_occ)
             side = config.occluder_coverage * mesh.diameter * frac
-            extents = (side, side, max(side * 0.2, 1e-3))
-            occluders.append(
-                {
-                    "extents": [float(e) for e in extents],
-                    "pose": pose_to_dict(RigidPose(random_rotation(rng), center)),
-                }
-            )
+            extents = [float(e) for e in (side, side, max(side * 0.2, 1e-3))]
+            occluders.append((extents, RigidPose(random_rotation(rng), center)))
+        try:  # the scene refinement will build from this trial
+            SceneSpec(mesh, gt, [(make_box(e), pose) for e, pose in occluders], cam)
+        except PfaError as exc:
+            raise ConfigurationError(
+                f"trial {trial_id}: {exc}; scene.occluder_coverage is {config.occluder_coverage}"
+            ) from exc
 
         initial = pose_jitter(
             gt, cam, mesh,
@@ -475,7 +501,7 @@ def synth_scene_manifest(config: ExperimentConfig, mesh: MeshModel) -> dict:
                 "trial_id": trial_id,
                 "gt_pose": pose_to_dict(gt),
                 "initial_pose": pose_to_dict(initial),
-                "occluders": occluders,
+                "occluders": [{"extents": e, "pose": pose_to_dict(pose)} for e, pose in occluders],
             }
         )
     return {

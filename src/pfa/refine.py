@@ -68,7 +68,6 @@ class PoseEstimate:
     pose: RigidPose
     inlier_count: int
     inlier_ids: np.ndarray  # (N,) bool over the input correspondences
-    mean_reproj_err: float  # pixels, over inliers
 
     def __post_init__(self):
         self.inlier_ids = np.asarray(self.inlier_ids, dtype=bool)
@@ -195,12 +194,14 @@ def ransac_pnp(
 
     Raises:
         RobustFailureError: no hypothesis reached ``min_inliers``; the error
-            carries the best hypothesis's inlier mask (all False if none).
+            carries the best hypothesis's inlier mask (all False if none, or
+            if there are fewer than ``min_inliers`` correspondences).
     """
     n = len(correspondences)
     if n < cfg.min_inliers:
-        raise SolverError(
-            f"need at least min_inliers={cfg.min_inliers} correspondences, got {n}"
+        raise RobustFailureError(
+            f"need at least min_inliers={cfg.min_inliers} correspondences, got {n}",
+            inliers=np.zeros(n, dtype=bool),
         )
     pts = correspondences.points
     obs = correspondences.pixels
@@ -248,7 +249,7 @@ def ransac_pnp(
 
     # final stage: re-solve on the consensus set, re-select, and iterate to
     # the fixed point so the estimate sheds the minimal-sample selection bias
-    pose, inliers, pose_res = RigidPose(*best_pose), best_inliers, None
+    pose, inliers = RigidPose(*best_pose), best_inliers
     for refit_round in range(MAX_REFIT_ROUNDS):
         if refit_round == 0:
             try:
@@ -261,15 +262,12 @@ def ransac_pnp(
         refit = res < cfg.inlier_threshold
         if int(refit.sum()) < cfg.min_inliers:
             break
-        pose, pose_res = refined, res
+        pose = refined
         settled = np.array_equal(refit, inliers)
         inliers = refit
         if settled:
             break
-
-    if pose_res is None:
-        pose_res = np.linalg.norm(reprojection_residuals(camera, pose, pts, obs), axis=1)
-    return PoseEstimate(pose, int(inliers.sum()), inliers, float(pose_res[inliers].mean()))
+    return PoseEstimate(pose, int(inliers.sum()), inliers)
 
 
 def refine_pose(

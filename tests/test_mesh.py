@@ -8,6 +8,7 @@ import pytest
 from helpers import ply_bytes
 from pfa.errors import DegenerateTriangleError, EmptyMeshError, MeshParseError
 from pfa.mesh import (
+    _HULL_THRESHOLD,
     MeshModel,
     face_normals,
     load_mesh,
@@ -62,7 +63,7 @@ end_header
 """
 
 
-def _binary_tetraply_bytes() -> bytes:
+def _binary_tetra_ply() -> bytes:
     header = (
         b"ply\nformat binary_little_endian 1.0\n"
         b"element vertex 4\n"
@@ -117,16 +118,16 @@ class TestLoadMesh:
         assert len(mesh.triangles) == 12
         assert abs(mesh.diameter - np.sqrt(3.0)) < 1e-12
 
-    def test_tetrahedron_asciiply_bytes(self, tmp_path):
+    def test_tetrahedron_ascii_ply(self, tmp_path):
         path = tmp_path / "tetra.ply"
         path.write_text(TETRA_PLY)
         mesh = load_mesh(path)
         assert len(mesh.vertices) == 4
         assert len(mesh.triangles) == 4
 
-    def test_tetrahedron_binaryply_bytes(self, tmp_path):
+    def test_tetrahedron_binary_ply(self, tmp_path):
         path = tmp_path / "tetra_bin.ply"
-        path.write_bytes(_binary_tetraply_bytes())
+        path.write_bytes(_binary_tetra_ply())
         mesh = load_mesh(path)
         assert len(mesh.vertices) == 4
         assert len(mesh.triangles) == 4
@@ -156,7 +157,7 @@ class TestLoadMesh:
             load_mesh(path)
 
     def test_truncated_binary_names_offset(self, tmp_path):
-        data = _binary_tetraply_bytes()
+        data = _binary_tetra_ply()
         path = tmp_path / "trunc.ply"
         path.write_bytes(data[: len(data) - 20])
         with pytest.raises(MeshParseError) as info:
@@ -171,7 +172,7 @@ class TestLoadMesh:
             load_mesh(path)
 
     def test_unknown_binary_property_type(self, tmp_path):
-        data = _binary_tetraply_bytes().replace(b"property float x", b"property half x")
+        data = _binary_tetra_ply().replace(b"property float x", b"property half x")
         path = tmp_path / "half.ply"
         path.write_bytes(data)
         with pytest.raises(MeshParseError, match="half"):
@@ -260,17 +261,20 @@ class TestMeshModel:
 
     def test_diameter_matches_brute_force(self):
         rng = np.random.default_rng(3)
-        verts = rng.normal(size=(600, 3))
-        mesh = make_tetrahedron()
-        big = MeshModel(verts, mesh.triangles)  # indices still in range
-        brute = max(
-            np.linalg.norm(verts[i] - verts[j])
-            for i in range(0, 600, 7)
-            for j in range(0, 600, 11)
-        )
-        assert big.diameter >= brute - 1e-12
-        d2 = np.sum((verts[:, None] - verts[None]) ** 2, axis=2)
-        assert abs(big.diameter - np.sqrt(d2.max())) < 1e-9
+        cloud = rng.normal(size=(600, 3))
+        sphere = 0.05 * cloud / np.linalg.norm(cloud, axis=1, keepdims=True)  # all on the hull
+        for verts in (cloud, sphere):
+            assert len(verts) > _HULL_THRESHOLD
+            mesh = make_tetrahedron()
+            big = MeshModel(verts, mesh.triangles)  # indices still in range
+            brute = max(
+                np.linalg.norm(verts[i] - verts[j])
+                for i in range(0, 600, 7)
+                for j in range(0, 600, 11)
+            )
+            assert big.diameter >= brute - 1e-12
+            d2 = np.sum((verts[:, None] - verts[None]) ** 2, axis=2)
+            assert abs(big.diameter - np.sqrt(d2.max())) < 1e-9
 
     def test_box_diameter(self):
         assert abs(make_box((1, 1, 1)).diameter - np.sqrt(3.0)) < 1e-12

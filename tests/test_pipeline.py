@@ -3,6 +3,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 
 from pfa.cli import main
+from pfa.crops import DEFAULT_CROP_SIZE
 from pfa.errors import ConfigurationError
 from pfa.exemplars import generate_exemplar_set
 from pfa.flow import FlowField, FlowNoiseSpec, save_flow
@@ -20,6 +23,7 @@ from pfa.pipeline import (
     ExperimentConfig,
     derive_seed,
     evaluate_records,
+    flow_file_name,
     load_config,
     load_manifest,
     run_refinement,
@@ -149,6 +153,14 @@ MALFORMED_CONFIGS = [
     ({"target_camera": {"fx": 600.0}}, "target_camera"),
     ({"label": {"a": 1}}, "label"),
     ({"trials": None}, "trials"),
+    # a key the layout lacks, at each depth and in each kind of object
+    ({"trails": 5}, "trails"),
+    ({"ransac": {"inlier_treshold": 3.0}}, "ransac.inlier_treshold"),
+    ({"exemplars": {"generate": {"camera": {**DEFAULT_CONFIG_DICT["target_camera"], "k1": 0.0}}}},
+     "exemplars.generate.camera.k1"),
+    ({"target_camera": {**DEFAULT_CONFIG_DICT["target_camera"], "skew": 0.0}},
+     "target_camera.skew"),
+    ({"flow": {"noise": {"preset": "default", "sigma": 1.0}}}, "flow.noise.sigma"),
 ]
 
 
@@ -323,6 +335,30 @@ def run_artifacts(workspace):
     return config, mesh, exemplar_set, manifest, records
 
 
+_NO_SCIPY_RUN = """
+import sys
+from pfa.exemplars import generate_exemplar_set
+from pfa.mesh import make_box
+from pfa.pipeline import DEFAULT_EXEMPLAR_CAMERA, ExperimentConfig, run_refinement
+from pfa.pipeline import synth_scene_manifest
+mesh = make_box((0.10, 0.08, 0.06))
+config = ExperimentConfig(trials=2, n_exemplars=2, occluder_count=1)
+exemplar_set = generate_exemplar_set(mesh, 32, 1.0, DEFAULT_EXEMPLAR_CAMERA, 3)
+records = run_refinement(config, mesh, exemplar_set, synth_scene_manifest(config, mesh))
+assert len(records["trials"]) == 2
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_box_refinement_imports_no_scipy():
+    # scipy.spatial's first import costs about 0.5 s and 36 MB, which a box never needs
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    run = subprocess.run([sys.executable, "-c", _NO_SCIPY_RUN], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.strip() == "[]"
+
+
 class TestRunRefinement:
     def test_all_trials_recorded_in_order(self, run_artifacts):
         *_, records = run_artifacts
@@ -403,7 +439,7 @@ class TestRunRefinement:
         assert "background_seed" not in json.dumps(manifest)
         assert runs[0] == runs[1]
 
-    def test_robust_failure_keeps_exemplar_reports(self, run_artifacts):
+    def test_robust_failure_keeps_exemplar_reports(self, run_artifacts, tmp_path):
         # on 1-px noise a 1e-6 px threshold leaves little but a P3P sample's own points
         config, mesh, exemplar_set, manifest, _ = run_artifacts
         noisy = replace(config, noise=FlowNoiseSpec(gaussian_sigma=1.0))
@@ -421,6 +457,20 @@ class TestRunRefinement:
             assert sum(e["n_correspondences"] for e in bad["exemplars"]) == total
             assert sum(e["inlier_count"] for e in bad["exemplars"]) == consensus
         assert sum(e["inlier_count"] for t in failed["trials"] for e in t["exemplars"]) > 0
+
+        # a fully hidden target: no flow file holds a valid pixel, so RANSAC
+        # gets no correspondence, and every retrieved exemplar still reports
+        for trial_id in range(config.trials):
+            for rank in range(config.n_exemplars):
+                empty = FlowField(DEFAULT_CROP_SIZE, DEFAULT_CROP_SIZE, [], [])
+                save_flow(empty, tmp_path / flow_file_name(trial_id, rank))
+        hidden = run_refinement(replace(noisy, flow_source="files", flow_directory=str(tmp_path)),
+                                mesh, exemplar_set, manifest)
+        for good, bad in zip(records["trials"], hidden["trials"]):
+            assert bad["failure_reason"] == (
+                "RobustFailureError: need at least min_inliers=12 correspondences, got 0")
+            assert bad["exemplars"] == [
+                {**e, "n_correspondences": 0, "inlier_count": 0} for e in good["exemplars"]]
 
     def test_missing_flow_file_recorded_as_failure(self, run_artifacts, tmp_path):
         config, mesh, exemplar_set, manifest, _ = run_artifacts
@@ -452,8 +502,6 @@ class TestRunRefinement:
     def test_corrupt_flow_file_fails_only_its_trial(self, run_artifacts, tmp_path):
         config, mesh, exemplar_set, manifest, records = run_artifacts
         from dataclasses import replace
-
-        from pfa.pipeline import flow_file_name
 
         dump_dir = tmp_path / "flows"
         run_refinement(replace(config, dump_flow_dir=str(dump_dir)), mesh, exemplar_set, manifest)
@@ -755,6 +803,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"{manifest_path}: manifest trials[2]: {message}" in err and "Traceback" not in err
         assert not (tmp_path / "run").exists()
+
+    def test_occluder_behind_camera_is_exit_2(self, workspace, tmp_path, capsys):
+        # a coverage of 30 makes an occluder about 30 diameters wide, reaching behind the camera
+        _, _, config_path = workspace
+        config = dict(json.loads(config_path.read_text()),
+                      scene={"occluder_count": 3, "occluder_coverage": 30.0})
+        bad_config, manifest_path = tmp_path / "bad.json", tmp_path / "manifest.json"
+        bad_config.write_text(json.dumps(config))
+        capsys.readouterr()
+        assert main(["synth-scenes", "--config", str(bad_config),
+                     "--out", str(manifest_path)]) == 2
+        err = capsys.readouterr().err
+        assert re.search(r"trial 0: scene mesh reaches depth -[0-9.]+; all meshes must be "
+                         r"fully in front of the camera; scene\.occluder_coverage is 30\.0", err)
+        assert "Traceback" not in err and not manifest_path.exists()
 
     @pytest.mark.parametrize("flag, value, path", [
         ("--zbar", "inf", "exemplars.generate.z_bar"),

@@ -10,7 +10,7 @@ from pfa.correspond import (
     subsample_per_exemplar,
 )
 from pfa.crops import CropTransform, compute_crop
-from pfa.errors import ConfigurationError, RobustFailureError, SolverError
+from pfa.errors import ConfigurationError, RobustFailureError
 from pfa.exemplars import generate_exemplar_set
 from pfa.flow import OracleFlowSource, oracle_flow
 from pfa.geometry import (
@@ -223,15 +223,18 @@ class TestRansac:
     def test_too_few_correspondences(self):
         rng = np.random.default_rng(74)
         _, corr = _synthetic_correspondences(rng, 8)
-        with pytest.raises(SolverError):
+        with pytest.raises(RobustFailureError) as info:
             ransac_pnp(corr, K_T, RansacConfig(min_inliers=12, seed=0))
+        assert np.array_equal(info.value.inliers, np.zeros(8, dtype=bool))
 
     def test_inlier_mean_error_below_threshold(self):
         rng = np.random.default_rng(75)
         _, corr = _synthetic_correspondences(rng, 1000, outlier_ratio=0.2, sigma=1.0)
         cfg = RansacConfig(seed=9)
         est = ransac_pnp(corr, K_T, cfg)
-        assert est.mean_reproj_err <= cfg.inlier_threshold
+        # the refit's fixed point: the inliers are exactly the points within the threshold
+        res = reprojection_residuals(K_T, est.pose, corr.points, corr.pixels)
+        assert np.array_equal(est.inlier_ids, np.linalg.norm(res, axis=1) < cfg.inlier_threshold)
         assert est.inlier_count == int(est.inlier_ids.sum())
 
     def test_deterministic(self):
@@ -376,7 +379,7 @@ class TestRansac:
 
     def test_estimate_validation(self):
         with pytest.raises(ValueError):
-            PoseEstimate(RigidPose.identity(), 3, np.array([True, False]), 0.0)
+            PoseEstimate(RigidPose.identity(), 3, np.array([True, False]))
 
 
 class TestRefinePose:
