@@ -156,6 +156,17 @@ class TestLoadMesh:
         with pytest.raises(MeshParseError, match="no integer vertex index list"):
             load_mesh(path)
 
+    def test_negative_list_count_refused(self, tmp_path):
+        text = TETRA_PLY.replace("list uchar int", "list char int").replace("3 0 1 2", "-1 0 1 2")
+        binary = _binary_tetra_ply().replace(b"list uchar int", b"list char int")
+        first_face = binary.index(b"end_header\n") + len(b"end_header\n") + 4 * 12
+        binary = binary[:first_face] + b"\xff" + binary[first_face + 1 :]  # count -1
+        for name, data in (("ascii.ply", text.encode()), ("binary.ply", binary)):
+            path = tmp_path / name
+            path.write_bytes(data)
+            with pytest.raises(MeshParseError, match="malformed or truncated face record"):
+                load_mesh(path)
+
     def test_truncated_binary_names_offset(self, tmp_path):
         data = _binary_tetra_ply()
         path = tmp_path / "trunc.ply"
