@@ -1,15 +1,15 @@
 """Triangle mesh loading (PLY / OBJ subset) and mesh utilities.
 
 PLY is read in the ``ascii`` and ``binary_little_endian`` formats, with any
-elements and properties of the standard scalar types. Each record is read
-in header order: a scalar is one value, a list is an integer count and that
-many items of any type. An ASCII record is one line, and tokens past its
-last property are ignored. Vertices take the scalars ``x``, ``y``, ``z``;
-faces take the integer list named ``vertex_indices`` or ``vertex_index``,
-or else the face's only list; everything else is read and dropped.
-Refused: another format, an unknown type, a list whose count type is not an
-integer, a vertex without scalar x/y/z, a face without such an index list,
-and a malformed, short or truncated record.
+elements and properties of the standard scalar types, record by record in
+header order: a scalar is one value, a list is an integer count and that
+many items of any type. An ASCII record is one line; tokens past its last
+property are ignored. Vertices take the scalars ``x``, ``y``, ``z``; faces
+take the integer list named ``vertex_indices`` or ``vertex_index``, or else
+their only list; the rest is read and dropped. Refused: another format, an
+unknown type, a float list count, a vertex without scalar x/y/z, a face
+without such a list, an element with records but no properties, and a
+malformed, short or truncated record.
 """
 
 from __future__ import annotations
@@ -187,6 +187,8 @@ def _parse_ply(data: bytes):
     vertices, faces = [], []
     pos = newline + 1
     for name, count, props in elements:
+        if count and not props:  # records of nothing: the count alone would set the work
+            raise MeshParseError(f"element {name!r} has records but no properties", pos)
         if name == "vertex":
             scalars = [p[0] if p[2] is None else None for p in props]
             try:
@@ -202,7 +204,7 @@ def _parse_ply(data: bytes):
         for _ in range(count):
             try:
                 record, pos = _read_ply_record(data, pos, props, fmt == "ascii")
-            except (ValueError, struct.error):
+            except ValueError:
                 raise MeshParseError(f"malformed or truncated {name} record", pos) from None
             if name == "vertex":
                 vertices.append([float(record[i]) for i in xyz])
@@ -212,15 +214,13 @@ def _parse_ply(data: bytes):
 
 
 def _read_ply_record(data: bytes, pos: int, props, text: bool):
-    """The record at byte offset ``pos``, read in header order, and the offset
-    after it. The encoding decides only how the next value is read.
-    """
+    """The record at byte offset ``pos``, read in header order, and the offset after
+    it; the encoding decides only how the next value is read."""
     if text:
         line_end = data.find(b"\n", pos)
         line_end = len(data) if line_end < 0 else line_end
         tokens = iter(data[pos:line_end].split())
         pos = line_end + 1
-
         def take(code, n):  # a missing token reads as b"", which no conversion accepts
             convert = float if code in ("f", "d") else int
             return [convert(next(tokens, b"")) for _ in range(n)]

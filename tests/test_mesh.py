@@ -156,6 +156,15 @@ class TestLoadMesh:
         with pytest.raises(MeshParseError, match="no integer vertex index list"):
             load_mesh(path)
 
+    def test_element_without_properties_refused(self, tmp_path):
+        # reading its records would take as long as its count says, whatever the file holds
+        elements = _tetra_elements([INDICES], lambda f: [f]) + [("junk", [], [[]] * 3)]
+        for encoding in ("ascii", "binary_little_endian"):
+            path = tmp_path / f"{encoding}.ply"
+            path.write_bytes(ply_bytes(encoding, elements))
+            with pytest.raises(MeshParseError, match="'junk' has records but no properties"):
+                load_mesh(path)
+
     def test_negative_list_count_refused(self, tmp_path):
         text = TETRA_PLY.replace("list uchar int", "list char int").replace("3 0 1 2", "-1 0 1 2")
         binary = _binary_tetra_ply().replace(b"list uchar int", b"list char int")
