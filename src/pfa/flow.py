@@ -23,7 +23,7 @@ Flow file format (little-endian), magic "PFAF", version 1:
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,30 +86,25 @@ class FlowField:
 
 @dataclass(frozen=True)
 class FlowNoiseSpec:
-    """Degradation model applied to oracle flow (all stages seeded)."""
+    """Degradation model applied to oracle flow: finite settings, no seed
+    (the seed of the draws is an argument of ``degrade_flow``)."""
 
     gaussian_sigma: float = 0.0  # pixels
     outlier_ratio: float = 0.0
     outlier_range: float = 0.0  # pixels, uniform in [-range, range]^2
     dropout_ratio: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         if not (0.0 <= self.outlier_ratio <= 1.0 and 0.0 <= self.dropout_ratio <= 1.0):
             raise ValueError("ratios must lie in [0, 1]")
-        if self.gaussian_sigma < 0 or self.outlier_range < 0:
-            raise ValueError("sigma and range must be non-negative")
+        if not (0 <= self.gaussian_sigma < np.inf and 0 <= self.outlier_range < np.inf):
+            raise ValueError("sigma and range must be finite and non-negative")
 
     @classmethod
-    def default_preset(cls, seed: int = 0, dropout_ratio: float = 0.20) -> "FlowNoiseSpec":
+    def default_preset(cls, dropout_ratio: float = 0.20) -> "FlowNoiseSpec":
         """Documented stand-in for a trained estimator's error profile."""
-        return cls(
-            gaussian_sigma=1.0,
-            outlier_ratio=0.10,
-            outlier_range=32.0,
-            dropout_ratio=dropout_ratio,
-            seed=seed,
-        )
+        return cls(gaussian_sigma=1.0, outlier_ratio=0.10, outlier_range=32.0,
+                   dropout_ratio=dropout_ratio)
 
 
 def _axis_cells(coords: np.ndarray, n: int):
@@ -286,15 +281,16 @@ def oracle_flow(
     return FlowField(size, size, pixels[live], vectors.astype(np.float32))
 
 
-def degrade_flow(flow: FlowField, spec: FlowNoiseSpec) -> FlowField:
+def degrade_flow(flow: FlowField, spec: FlowNoiseSpec, seed: int) -> FlowField:
     """Gaussian noise, outlier replacement, and dropout on valid pixels.
 
-    The stages walk the valid pixels in index order. Stages with zero
-    parameters draw nothing from the generator, so an all-zero spec returns
-    a bit-exact copy. Validity only ever shrinks.
+    ``seed`` seeds one generator for all stages. The stages walk the valid
+    pixels in index order. Stages with zero parameters draw nothing from the
+    generator, so an all-zero spec returns a bit-exact copy. Validity only
+    ever shrinks.
     """
     n = len(flow.indices)
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     vectors = flow.vectors.copy()
     if spec.gaussian_sigma > 0:
         vectors += rng.normal(0.0, spec.gaussian_sigma, size=(n, 2)).astype(np.float32)
@@ -336,10 +332,9 @@ class OracleFlowSource:
             scene_depth=self._scene_depth,
         )
         if self.noise is not None:
-            seeded = replace(
-                self.noise, seed=derive_seed(self.base_seed, "flow-noise", exemplar.id)
+            field = degrade_flow(
+                field, self.noise, derive_seed(self.base_seed, "flow-noise", exemplar.id)
             )
-            field = degrade_flow(field, seeded)
         return field
 
 

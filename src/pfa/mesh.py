@@ -27,15 +27,16 @@ _HULL_THRESHOLD = 400  # above this, diameter uses the convex hull first
 
 @dataclass(frozen=True, eq=False)
 class MeshModel:
-    """Triangle mesh in the model frame with a precomputed diameter.
+    """Triangle mesh in the model frame with its diameter.
 
     Invariants enforced at construction: >= 4 vertices, all finite, all
     triangle indices in range, every triangle with strictly positive area.
+    The diameter is always computed from the vertices, never passed in.
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
-    diameter: float = field(default=0.0)
+    diameter: float = field(init=False)
 
     def __post_init__(self):
         v = np.ascontiguousarray(np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3))
@@ -56,12 +57,11 @@ class MeshModel:
         if np.any(areas <= 0.0):
             bad = int(np.argmax(areas <= 0.0))
             raise DegenerateTriangleError(f"triangle {bad} has zero area")
-        d = self.diameter if self.diameter > 0 else _diameter(v)
         v.flags.writeable = False
         t.flags.writeable = False
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "triangles", t)
-        object.__setattr__(self, "diameter", float(d))
+        object.__setattr__(self, "diameter", float(_diameter(v)))
 
     @property
     def centroid(self) -> np.ndarray:
@@ -201,47 +201,65 @@ def _parse_ply(data: bytes):
             index = named[0] if named else lists[0] if len(lists) == 1 else None
             if index is None or props[index][1] in ("f", "d"):
                 raise MeshParseError("face element has no integer vertex index list", pos)
-        for _ in range(count):
-            try:
-                record, pos = _read_ply_record(data, pos, props, fmt == "ascii")
-            except ValueError:
-                raise MeshParseError(f"malformed or truncated {name} record", pos) from None
-            if name == "vertex":
-                vertices.append([float(record[i]) for i in xyz])
-            elif name == "face":
-                faces.append(record[index])
+        records, pos = _read_ply_records(data, pos, name, count, props, fmt == "ascii")
+        if name == "vertex":
+            vertices += [[float(record[i]) for i in xyz] for record in records]
+        elif name == "face":
+            faces += [record[index] for record in records]
     return vertices, faces
 
 
-def _read_ply_record(data: bytes, pos: int, props, text: bool):
-    """The record at byte offset ``pos``, read in header order, and the offset after
-    it; the encoding decides only how the next value is read."""
-    if text:
-        line_end = data.find(b"\n", pos)
-        line_end = len(data) if line_end < 0 else line_end
-        tokens = iter(data[pos:line_end].split())
-        pos = line_end + 1
-        def take(code, n):  # a missing token reads as b"", which no conversion accepts
-            convert = float if code in ("f", "d") else int
-            return [convert(next(tokens, b"")) for _ in range(n)]
-    else:
-        def take(code, n):
-            nonlocal pos
-            fmt = f"<{n}{code}"
-            need = struct.calcsize(fmt)
-            if len(data) - pos < need:
-                raise ValueError("record truncated")
-            pos += need
-            return struct.unpack_from(fmt, data, pos - need)
-
-    record = []
+def _read_ply_records(data: bytes, pos: int, name: str, count: int, props, text: bool):
+    """The ``count`` records of element ``name`` from byte offset ``pos``, each a
+    list of its property values in header order, and the offset after them.
+    Read steps (``_ply_step``) are built once per element: one per run of
+    scalars, ended by a list's count if a list follows, and one per list length."""
+    runs, head = [], ""  # (scalar codes ending in a list's count code, item code)
     for _, code, count_code in props:
-        n = 1 if count_code is None else take(count_code, 1)[0]
-        if n < 0:
-            raise ValueError("negative list length")
-        values = take(code, n)
-        record.append(values[0] if count_code is None else values)
-    return record, pos
+        head += count_code or code
+        if count_code:
+            runs, head = runs + [(head, code)], ""
+    steps = [(_ply_step(codes, text), item, {}) for codes, item in runs + [(head, None)] if codes]
+    records = []
+    for _ in range(count):
+        start, record, buf, at = pos, [], data, pos
+        if text:  # a record is one line of tokens
+            line_end = data.find(b"\n", pos)
+            line_end = len(data) if line_end < 0 else line_end
+            buf, at, pos = data[pos:line_end].split(), 0, line_end + 1
+        try:
+            for take, item, lists in steps:
+                values, at = take(buf, at)
+                record += values
+                if item is not None:
+                    n = record.pop()
+                    if n < 0 or n > len(buf) - at:
+                        raise ValueError("bad list length")
+                    if n not in lists:
+                        lists[n] = _ply_step(item * n, text)
+                    values, at = lists[n](buf, at)
+                    record.append(values)
+        except (ValueError, struct.error):
+            raise MeshParseError(f"malformed or truncated {name} record", start) from None
+        pos = pos if text else at
+        records.append(record)
+    return records, pos
+
+
+def _ply_step(codes: str, text: bool):
+    """A read of one value per struct code in ``codes``, from a record's ASCII
+    tokens at an index or from the bytes at an offset (one precompiled
+    ``struct.Struct``); it gives the values and the position after them."""
+    if not text:
+        fields = struct.Struct("<" + codes)
+        unpack, size = fields.unpack_from, fields.size
+        return lambda data, pos: (unpack(data, pos), pos + size)
+    numbers = [float if code in "fd" else int for code in codes]
+
+    def take(tokens: list, at: int):  # too few tokens fail the strict zip
+        end = at + len(numbers)
+        return [number(token) for number, token in zip(numbers, tokens[at:end], strict=True)], end
+    return take
 
 
 def _parse_obj(data: bytes):

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -90,7 +91,10 @@ class ExperimentConfig:
 
     ``CONFIG_JSON_PATHS`` is the reference for the JSON layout: it gives
     each field's key path in the file. An absent key, or a key in an absent
-    or null section, takes the default written here.
+    or null section, takes the default written here. Settings objects nest
+    whole (cameras, ``noise``, ``ransac``); a noise or RANSAC object takes its
+    own defaults for absent keys. Every float is finite. Per-trial seeds
+    derive from ``seed`` and the trial id, and never appear in the file.
     """
 
     mesh_path: str = ""
@@ -121,66 +125,46 @@ class ExperimentConfig:
     noise: FlowNoiseSpec | None = None
     dump_flow_dir: str | None = None
 
-    inlier_threshold: float = RansacConfig.inlier_threshold
-    max_iterations: int = RansacConfig.max_iterations
-    confidence: float = RansacConfig.confidence
-    min_inliers: int = RansacConfig.min_inliers
+    ransac: RansacConfig = field(default_factory=RansacConfig)
 
     crop_pad: float = DEFAULT_CROP_PAD
     max_correspondences: int = MAX_CORRESPONDENCES
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ConfigurationError("trial count must be >= 1")
-        if self.n_exemplars < 1:
-            raise ConfigurationError("n_exemplars must be >= 1")
-        if self.flow_source not in ("oracle", "files"):
-            raise ConfigurationError(f"unknown flow source {self.flow_source!r}")
+        """Refuse a non-finite float, then a setting out of range, by its JSON path."""
+        for name, keys in CONFIG_JSON_PATHS.items():
+            value, path = getattr(self, name), ("config",) + keys
+            numbers = asdict(value) if is_dataclass(value) else {None: value}  # settings objects
+            for key, number in numbers.items():
+                _refuse_non_finite(number, path if key is None else path + (key,))
+        for names, ok, requirement in (
+            (("trials", "n_exemplars", "max_correspondences"), lambda v: v >= 1, ">= 1"),
+            (("lateral_range", "jitter_max_rot_deg", "jitter_max_reproj_px", "occluder_count",
+              "occluder_coverage", "gen_seed"), lambda v: v >= 0, ">= 0"),
+            (("gen_z_bar", "crop_pad"), lambda v: v > 0, "positive"),
+            (("depth_fraction",), lambda v: 0 <= v < 1, "in [0, 1)"),
+            (("flow_source",), lambda v: v in ("oracle", "files"), "'oracle' or 'files'"),
+        ):
+            for name in names:
+                value = getattr(self, name)
+                if not ok(value):
+                    where = _where(("config",) + CONFIG_JSON_PATHS[name])
+                    raise ConfigurationError(f"{where} must be {requirement}, got {value!r}")
         if self.flow_source == "files" and not self.flow_directory:
-            raise ConfigurationError("flow source 'files' needs a flow directory")
-        if not (0 <= self.depth_fraction < 1 and self.lateral_range >= 0):
-            raise ConfigurationError("invalid scene translation ranges")
-        if self.jitter_max_rot_deg < 0 or self.jitter_max_reproj_px < 0:
-            raise ConfigurationError("jitter bounds must be non-negative")
-        if self.occluder_count < 0 or self.occluder_coverage < 0:
-            raise ConfigurationError("invalid occluder parameters")
-        if not 0 < self.crop_pad < np.inf:
-            raise ConfigurationError(f"crop.pad must be positive and finite, got {self.crop_pad}")
-        if self.max_correspondences < 1:
-            raise ConfigurationError(
-                f"crop.max_correspondences must be >= 1, got {self.max_correspondences}"
-            )
-        if not 0 < self.gen_z_bar < np.inf:
-            raise ConfigurationError(
-                f"exemplars.generate.z_bar must be positive and finite, got {self.gen_z_bar}"
-            )
-        if self.gen_seed < 0:
-            raise ConfigurationError(f"exemplars.generate.seed must be >= 0, got {self.gen_seed}")
-        try:
-            self.ransac(0)
-        except ValueError as exc:
-            raise ConfigurationError(f"invalid RANSAC parameters: {exc}") from exc
+            raise ConfigurationError("config flow.directory must be set for flow source 'files'")
 
     @property
     def scene_z_center(self) -> float:
         return self.z_center if self.z_center is not None else self.gen_z_bar
 
-    def ransac(self, trial_seed: int) -> RansacConfig:
-        return RansacConfig(
-            inlier_threshold=self.inlier_threshold,
-            max_iterations=self.max_iterations,
-            confidence=self.confidence,
-            min_inliers=self.min_inliers,
-            seed=trial_seed,
-        )
-
     def to_dict(self) -> dict:
+        values = asdict(self)  # nested settings objects become JSON objects
         out = {"schema_version": SCHEMA_VERSION}
         for name, path in CONFIG_JSON_PATHS.items():
             node = out
             for key in path[:-1]:
                 node = node.setdefault(key, {})
-            node[path[-1]] = _dump_value(getattr(self, name))
+            node[path[-1]] = values[name]
         return out
 
     @classmethod
@@ -230,23 +214,19 @@ CONFIG_JSON_PATHS = {
     "flow_directory": ("flow", "directory"),
     "noise": ("flow", "noise"),
     "dump_flow_dir": ("flow", "dump_dir"),
-    "inlier_threshold": ("ransac", "inlier_threshold"),
-    "max_iterations": ("ransac", "max_iterations"),
-    "confidence": ("ransac", "confidence"),
-    "min_inliers": ("ransac", "min_inliers"),
+    "ransac": ("ransac",),
     "crop_pad": ("crop", "pad"),
     "max_correspondences": ("crop", "max_correspondences"),
 }
 
-# FlowNoiseSpec fields kept in the JSON; the oracle derives its seed per trial
-_NOISE_KEYS = ("gaussian_sigma", "outlier_ratio", "outlier_range", "dropout_ratio")
-
-# every key path a config may hold: each section and field, and the keys of
-# the camera and noise objects; ``from_dict`` refuses any other key
+# every key path a config may hold: each section and field, and the fields of
+# the settings objects it nests (a noise object may also name a preset);
+# ``from_dict`` refuses any other key
 _OBJECT_KEYS = {
-    "CameraIntrinsics": tuple(f.name for f in fields(CameraIntrinsics)),
-    "FlowNoiseSpec": _NOISE_KEYS + ("preset",),
+    cls.__name__: tuple(f.name for f in fields(cls))
+    for cls in (CameraIntrinsics, FlowNoiseSpec, RansacConfig)
 }
+_OBJECT_KEYS["FlowNoiseSpec"] += ("preset",)
 _CONFIG_KEYS = {("schema_version",)} | {
     keys[:depth] for keys in CONFIG_JSON_PATHS.values() for depth in range(1, len(keys) + 1)
 } | {
@@ -276,18 +256,16 @@ _RECORD_TRIAL_FIELDS = {"initial_report": "report | None", "refined_report": "re
 _REPORT_FIELDS = dict.fromkeys(("add", "add_s", "rotation_err_deg", "translation_err_m"), "float")
 
 
-def _dump_value(value):
-    if isinstance(value, CameraIntrinsics):
-        return asdict(value)
-    if isinstance(value, FlowNoiseSpec):
-        return {key: getattr(value, key) for key in _NOISE_KEYS}
-    return value
-
-
 def _where(path: tuple) -> str:
     """A JSON path for messages: the document, then its keys (``manifest trials[3].gt_pose``)."""
     keys = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path[1:])
     return f"{path[0]} {keys.removeprefix('.')}" if keys else path[0]
+
+
+def _refuse_non_finite(value, path: tuple) -> None:
+    """Refuse ``value``, found at ``path``, if it is a float that is not finite."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigurationError(f"{_where(path)} must be finite, got {value}")
 
 
 def _object(value, path: tuple) -> dict:
@@ -309,11 +287,13 @@ def _parse_value(kind: str, value, path: tuple):
         return None
     parse = _PARSERS[kind.removesuffix(" | None")]
     try:
-        return parse(value, path)
+        parsed = parse(value, path)
     except KeyError as exc:
         raise ConfigurationError(f"{_where(path)}: missing key {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"{_where(path)}: {exc}, got {value!r}") from exc
+    _refuse_non_finite(parsed, path)
+    return parsed
 
 
 def _refuse_unknown_keys(value: dict, path: tuple) -> None:
@@ -341,25 +321,20 @@ def _parse_string(value, path) -> str:
     return value
 
 
-def _parse_camera(value, path) -> CameraIntrinsics:
+def _setting_values(cls, value, path: tuple, partial: bool) -> dict:
+    """The fields of the settings class ``cls`` read from the object ``value``:
+    all of them, or with ``partial`` only those it holds."""
     value = _object(value, path)
-    return CameraIntrinsics(**{
-        f.name: _parse_value(f.type, value[f.name], path + (f.name,))
-        for f in fields(CameraIntrinsics)
-    })
+    return {f.name: _parse_value(f.type, value[f.name], path + (f.name,))
+            for f in fields(cls) if not partial or f.name in value}
 
 
 def _parse_noise(value, path) -> FlowNoiseSpec:
-    value = _object(value, path)
-    given = {
-        key: _parse_value("float", value[key], path + (key,))
-        for key in _NOISE_KEYS
-        if key in value
-    }
-    preset = value.get("preset")
+    given = _setting_values(FlowNoiseSpec, value, path, partial=True)
+    preset = _object(value, path).get("preset")
     if preset == "default":  # the preset fixes everything but the dropout
-        dropout = {"dropout_ratio": given["dropout_ratio"]} if "dropout_ratio" in given else {}
-        return FlowNoiseSpec.default_preset(**dropout)
+        given = {k: v for k, v in given.items() if k == "dropout_ratio"}
+        return FlowNoiseSpec.default_preset(**given)
     if preset not in (None, "none"):
         raise ValueError(f"unknown noise preset {preset!r}")
     return FlowNoiseSpec(**given)
@@ -393,8 +368,11 @@ _PARSERS = {
     "int": lambda value, path: int(value),
     "float": lambda value, path: float(value),
     "str": _parse_string,
-    "CameraIntrinsics": _parse_camera,
+    "CameraIntrinsics": lambda value, path: CameraIntrinsics(
+        **_setting_values(CameraIntrinsics, value, path, partial=False)),
     "FlowNoiseSpec": _parse_noise,
+    "RansacConfig": lambda value, path: RansacConfig(
+        **_setting_values(RansacConfig, value, path, partial=True)),
     "RigidPose": _parse_pose,
     "extents": _parse_extents,
     "list[occluder]": _list_of("occluder"),
@@ -660,7 +638,7 @@ def run_trial(
     try:
         result = refine_pose(
             initial, exemplar_set, mesh, config.target_camera, source,
-            config.n_exemplars, config.ransac(derive_seed(config.seed, "ransac", trial_id)),
+            config.n_exemplars, config.ransac, derive_seed(config.seed, "ransac", trial_id),
             crop_pad=config.crop_pad,
             max_correspondences=config.max_correspondences,
         )

@@ -37,6 +37,7 @@ _SCORE_SUBSET = 2048  # correspondences every root is scored on before the round
 class RansacConfig:
     """Hypothesize-and-verify parameters for robust PnP.
 
+    Settings only: the seed is an argument of ``ransac_pnp`` and ``refine_pose``.
     ``max_iterations`` caps the minimal 3-point samples drawn across all
     rounds of ``ransac_pnp``, not the hypotheses scored: a sample yields up
     to four P3P roots, and a degenerate sample yields none but still
@@ -48,7 +49,6 @@ class RansacConfig:
     max_iterations: int = 1000
     confidence: float = 0.999
     min_inliers: int = 12
-    seed: int = 0
 
     def __post_init__(self):
         if not self.inlier_threshold > 0:
@@ -168,7 +168,7 @@ def score_hypotheses(rotations, translations, points, pixels, camera, threshold)
 
 
 def ransac_pnp(
-    correspondences: CorrespondenceSet, camera: CameraIntrinsics, cfg: RansacConfig
+    correspondences: CorrespondenceSet, camera: CameraIntrinsics, cfg: RansacConfig, seed: int
 ) -> PoseEstimate:
     """Robust PnP: batched 3-point hypotheses, subset-first voting, refit.
 
@@ -190,7 +190,9 @@ def ransac_pnp(
     consensus set plus Gauss-Newton: the best minimal-sample pose of a
     view of one planar face can be the mirrored solution, which
     Gauss-Newton started from it would keep. Later rounds run Gauss-Newton
-    from the previous round's pose. Deterministic for a fixed seed.
+    from the previous round's pose. A refit keeps a point by the voting
+    rule, at a positive depth. ``seed`` seeds the vote subset and the
+    samples, so the result is deterministic for a fixed seed.
 
     Raises:
         RobustFailureError: no hypothesis reached ``min_inliers``; the error
@@ -205,7 +207,7 @@ def ransac_pnp(
         )
     pts = correspondences.points
     obs = correspondences.pixels
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     subset = slice(None)  # a small set draws nothing: every root votes on all N
     if n > _SCORE_SUBSET:
         subset = np.sort(rng.choice(n, _SCORE_SUBSET, replace=False))
@@ -259,7 +261,8 @@ def ransac_pnp(
         else:
             refined, _ = pnp.gauss_newton(camera, pose, pts[inliers], obs[inliers])
         res = np.linalg.norm(reprojection_residuals(camera, refined, pts, obs), axis=1)
-        refit = res < cfg.inlier_threshold
+        depth = pts @ refined.rotation[2] + refined.translation[2]
+        refit = (res < cfg.inlier_threshold) & (depth > 0)
         if int(refit.sum()) < cfg.min_inliers:
             break
         pose = refined
@@ -278,6 +281,7 @@ def refine_pose(
     flow_source: FlowSource,
     n_exemplars: int,
     cfg: RansacConfig,
+    seed: int,
     *,
     crop_pad: float = DEFAULT_CROP_PAD,
     max_correspondences: int = MAX_CORRESPONDENCES,
@@ -291,7 +295,8 @@ def refine_pose(
     aggregates, and runs robust PnP once. Crops are ``DEFAULT_CROP_SIZE``
     pixels square. Lifting leaves the model points pending: the
     subsampling quotas are fixed from the lifted counts, and aggregation
-    gathers the points of the kept rows only.
+    gathers the points of the kept rows only. ``seed`` seeds the RANSAC
+    draws (``ransac_pnp``).
     """
     ensure_mesh_binding(exemplar_set, mesh)
     neighbors = query_nearest(exemplar_set, initial, n_exemplars)
@@ -322,7 +327,7 @@ def refine_pose(
         return reports
 
     try:
-        estimate = ransac_pnp(merged, target_camera, cfg)
+        estimate = ransac_pnp(merged, target_camera, cfg, seed)
     except RobustFailureError as failure:
         failure.exemplar_reports = _reports(failure.inliers)
         raise

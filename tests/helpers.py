@@ -157,13 +157,13 @@ def same_flow(field, dense: DenseFlow) -> bool:
     )
 
 
-def dense_degrade_flow(flow: DenseFlow, spec) -> DenseFlow:
+def dense_degrade_flow(flow: DenseFlow, spec, seed: int) -> DenseFlow:
     """Reference degradation on dense buffers: same draws, same order."""
     du, dv, valid = (a.copy().reshape(-1) for a in flow)
     idx = np.flatnonzero(valid)
     if idx.size == 0:
         return flow
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     if spec.gaussian_sigma > 0:
         noise = rng.normal(0.0, spec.gaussian_sigma, size=(idx.size, 2))
         du[idx] += noise[:, 0].astype(np.float32)

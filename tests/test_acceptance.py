@@ -92,7 +92,7 @@ def test_criterion_1_exact_flow_recovery(box_set):
             scene = SceneSpec(BOX, gt, (), K_T)
             source = OracleFlowSource(scene, gt)
             result = refine_pose(
-                initial, box_set, BOX, K_T, source, 1, RansacConfig(seed=trial)
+                initial, box_set, BOX, K_T, source, 1, RansacConfig(), trial
             )
             if add_error(gt, initial, BOX) >= 0.1 * BOX.diameter:
                 initial_fail += 1
@@ -133,7 +133,7 @@ def test_criterion_2_outlier_robustness():
             outliers = rng.choice(2000, size=600, replace=False)
             uv[outliers] = rng.uniform([0, 0], [640, 480], size=(600, 2))
             corr = CorrespondenceSet(pts, uv, np.zeros(2000, dtype=np.int32))
-            est = ransac_pnp(corr, k_tele, RansacConfig(seed=trial))
+            est = ransac_pnp(corr, k_tele, RansacConfig(), trial)
             rot_err = geodesic_distance(gt.rotation, est.pose.rotation)
             trans_err = float(np.linalg.norm(gt.translation - est.pose.translation))
             if rot_err < 0.5 and trans_err < 1e-3 * Z_BAR:

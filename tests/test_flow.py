@@ -278,9 +278,9 @@ class TestDenseEquivalence:
             low = np.minimum(low, landed.min(axis=0, initial=np.inf))
             high = np.maximum(high, landed.max(axis=0, initial=-np.inf))
 
-            noise = FlowNoiseSpec.default_preset(seed=index, dropout_ratio=0.3)
-            noisy = degrade_flow(sparse, noise)
-            noisy_dense = dense_degrade_flow(dense, noise)
+            noise = FlowNoiseSpec.default_preset(dropout_ratio=0.3)
+            noisy = degrade_flow(sparse, noise, index)
+            noisy_dense = dense_degrade_flow(dense, noise, index)
             assert same_flow(noisy, noisy_dense)
 
             # flow files: the same bytes as the dense writer, read back to the
@@ -352,39 +352,46 @@ class TestDegradeFlow:
 
     def test_zero_spec_is_bit_exact(self):
         field = self._field()
-        out, ref = dense_view(degrade_flow(field, FlowNoiseSpec(seed=3))), dense_view(field)
+        out, ref = dense_view(degrade_flow(field, FlowNoiseSpec(), 3)), dense_view(field)
         assert np.array_equal(out.du, ref.du)
         assert np.array_equal(out.dv, ref.dv)
         assert np.array_equal(out.valid, ref.valid)
 
     def test_full_dropout(self):
-        out = degrade_flow(self._field(), FlowNoiseSpec(dropout_ratio=1.0, seed=3))
+        out = degrade_flow(self._field(), FlowNoiseSpec(dropout_ratio=1.0), 3)
         assert out.valid.sum() == 0
 
     def test_outlier_count_binomial(self):
         field = self._field(n_valid=10000)
         changed = 0
-        spec = FlowNoiseSpec(outlier_ratio=0.3, outlier_range=32.0, seed=11)
-        out = degrade_flow(field, spec)
+        spec = FlowNoiseSpec(outlier_ratio=0.3, outlier_range=32.0)
+        out = degrade_flow(field, spec, 11)
         changed = int((dense_view(out).du[field.valid] != dense_view(field).du[field.valid]).sum())
         assert 2900 <= changed <= 3100
 
     def test_validity_never_expands(self):
         field = self._field()
-        spec = FlowNoiseSpec.default_preset(seed=4, dropout_ratio=0.5)
-        out = degrade_flow(field, spec)
+        spec = FlowNoiseSpec.default_preset(dropout_ratio=0.5)
+        out = degrade_flow(field, spec, 4)
         assert not (out.valid & ~field.valid).any()
 
     def test_deterministic(self):
         field = self._field()
-        spec = FlowNoiseSpec.default_preset(seed=12)
-        a = dense_view(degrade_flow(field, spec))
-        b = dense_view(degrade_flow(field, spec))
+        spec = FlowNoiseSpec.default_preset()
+        a = dense_view(degrade_flow(field, spec, 12))
+        b = dense_view(degrade_flow(field, spec, 12))
         assert np.array_equal(a.du, b.du) and np.array_equal(a.valid, b.valid)
 
     def test_invalid_ratios_rejected(self):
         with pytest.raises(ValueError):
             FlowNoiseSpec(outlier_ratio=1.5)
+
+    @pytest.mark.parametrize("setting", [
+        {"gaussian_sigma": np.nan}, {"gaussian_sigma": np.inf}, {"outlier_range": np.inf},
+    ])
+    def test_non_finite_settings_rejected(self, setting):
+        with pytest.raises(ValueError, match="finite"):
+            FlowNoiseSpec(**setting)
 
 
 class TestFlowFiles:

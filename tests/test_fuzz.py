@@ -1,19 +1,35 @@
 """Fuzzed inputs: a corrupted file fails with a PfaError, never anything else."""
 
+import json
+import math
 import struct
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import ply_bytes, sparse_field
-from pfa.errors import PfaError
+from pfa.errors import ConfigurationError, PfaError
 from pfa.exemplars import ExemplarSet, generate_exemplar_set, load_set, save_set
-from pfa.flow import FlowField, load_flow, save_flow
+from pfa.flow import FlowField, FlowNoiseSpec, load_flow, save_flow
 from pfa.geometry import CameraIntrinsics
 from pfa.mesh import MeshModel, load_mesh, make_tetrahedron
+from pfa.pipeline import (
+    CONFIG_JSON_PATHS,
+    MANIFEST_FIELDS,
+    MANIFEST_TRIAL_FIELDS,
+    RECORDS_FIELDS,
+    ExperimentConfig,
+    load_config,
+    load_manifest,
+    load_records_documents,
+    synth_scene_manifest,
+)
+from pfa.refine import RansacConfig
 
 
 def _seed_flow_bytes() -> bytes:
@@ -186,3 +202,150 @@ def test_corrupt_meshes_raise_only_pfa_errors(data):
     assert np.isfinite(mesh.vertices).all()
     assert mesh.triangles.min() >= 0 and mesh.triangles.max() < len(mesh.vertices)
     assert mesh.diameter > 0
+
+
+# the three JSON inputs, each well formed with every field of its table present
+# and non-null: a config, a one-trial manifest with an occluder, and records
+SEED_CONFIG = ExperimentConfig(
+    mesh_path="m.ply", exemplar_path="s.pfax", z_center=0.9, occluder_count=1,
+    flow_source="files", flow_directory="flows", noise=FlowNoiseSpec.default_preset(),
+    dump_flow_dir="dump",
+)
+_REPORT = {"add": 0.01, "add_s": 0.005, "rotation_err_deg": 1.5, "translation_err_m": 0.002}
+JSON_SEEDS = {
+    "config": SEED_CONFIG.to_dict(),
+    "manifest": synth_scene_manifest(
+        ExperimentConfig(trials=1, occluder_count=1), make_tetrahedron(0.04)
+    ),
+    "records": {
+        "schema_version": 1, "label": "seed", "n_exemplars": 4, "diameter": 0.07,
+        "trials": [{"initial_report": _REPORT, "refined_report": _REPORT}],
+    },
+}
+# the keys each loader reads at the top of its document
+_READ_KEYS = {
+    "config": {keys[0] for keys in CONFIG_JSON_PATHS.values()},
+    "manifest": set(MANIFEST_FIELDS) | {"target_camera"},
+    "records": set(RECORDS_FIELDS),
+}
+_LOADERS = {
+    "config": load_config,
+    "manifest": load_manifest,
+    "records": lambda path: load_records_documents(path)[0],
+}
+
+
+def _key_paths(value, path=()):
+    """Every key path into a JSON value: each object key and list index, at any depth."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, item in items:
+        yield path + (key,)
+        yield from _key_paths(item, path + (key,))
+
+
+JSON_PATHS = {
+    document: [p for p in _key_paths(seed) if p[0] in _READ_KEYS[document]]
+    for document, seed in JSON_SEEDS.items()
+}
+_SETTINGS = {cls.__name__: cls for cls in (CameraIntrinsics, FlowNoiseSpec, RansacConfig)}
+
+
+def test_json_paths_cover_the_field_tables():
+    kinds = {f.name: f.type.removesuffix(" | None") for f in fields(ExperimentConfig)}
+    settings_fields = {
+        CONFIG_JSON_PATHS[name] + (f.name,)
+        for name, kind in kinds.items() if kind in _SETTINGS for f in fields(_SETTINGS[kind])
+    }
+    assert set(CONFIG_JSON_PATHS.values()) | settings_fields <= set(JSON_PATHS["config"])
+    assert {("trials", 0, key) for key in MANIFEST_TRIAL_FIELDS} <= set(JSON_PATHS["manifest"])
+    assert {(key,) for key in RECORDS_FIELDS} <= set(JSON_PATHS["records"])
+
+
+def _where(document: str, path: tuple) -> str:
+    """How an error message names ``path`` in ``document`` (``manifest trials[0].gt_pose``)."""
+    keys = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)
+    return f"{document} {keys.removeprefix('.')}" if keys else document
+
+
+def _all_finite(value) -> bool:
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, dict):
+        value = list(value.values())
+    return not isinstance(value, list) or all(_all_finite(item) for item in value)
+
+
+def _edited(document, path, edit) -> str:
+    """The JSON text of ``document`` with ``edit(container, key)`` applied at ``path``."""
+    document = json.loads(json.dumps(document))
+    node = document
+    for key in path[:-1]:
+        node = node[key]
+    edit(node, path[-1])
+    return json.dumps(document)
+
+
+def _setting(value):
+    def edit(node, key):
+        node[key] = value
+    return edit
+
+
+def _wrong_length(node, key):
+    value = node[key]
+    node[key] = value + value[:1] if isinstance(value, list) and value else [0.5] * 4
+
+
+# per key path: drop it, give it a wrong type, a non-finite number, an empty
+# list, or a list of the wrong length
+JSON_EDITS = {
+    "drop": lambda node, key: node.pop(key),
+    **{f"type {value!r}": _setting(value) for value in ("x", True, None, {"k": 1}, [1])},
+    **{f"number {value!r}": _setting(value) for value in (math.nan, math.inf, -math.inf)},
+    "empty list": _setting([]),
+    "wrong length": _wrong_length,
+}
+
+
+def _load_refused_or_finite(document: str, text: str, path: tuple | None) -> None:
+    """Load ``text`` as ``document``: it must be refused naming the file and,
+    unless ``path`` is None, a JSON path down to ``path``; or load with every
+    number the loader reads finite."""
+    with tempfile.TemporaryDirectory() as tmp:
+        file = Path(tmp) / f"{document}.json"
+        file.write_text(text)
+        try:
+            loaded = _LOADERS[document](file)
+        except ConfigurationError as exc:
+            message = str(exc)
+            assert message.startswith(f"{file}: "), message
+            if path is not None:
+                named = [_where(document, path[:depth]) for depth in range(1, len(path) + 1)]
+                named.append(f"{_where(document, path[:-1])}: missing key {path[-1]!r}")
+                assert any(where in message for where in named), message
+            return
+    if document == "config":
+        loaded = loaded.to_dict()
+    assert _all_finite({key: loaded.get(key) for key in _READ_KEYS[document]}), (document, path)
+
+
+@pytest.mark.parametrize("document", sorted(JSON_SEEDS))
+def test_edited_json_inputs_are_refused_by_path_or_finite(document):
+    for path in JSON_PATHS[document]:
+        for name, edit in JSON_EDITS.items():
+            try:
+                _load_refused_or_finite(document, _edited(JSON_SEEDS[document], path, edit), path)
+            except AssertionError as failure:
+                raise AssertionError(f"{document} {path} {name}: {failure}") from None
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.sampled_from(sorted(JSON_SEEDS)), st.integers(min_value=0, max_value=2**20))
+def test_truncated_json_inputs_are_refused_by_file(document, cut):
+    text = json.dumps(JSON_SEEDS[document], indent=2)
+    _load_refused_or_finite(document, text[:cut % len(text)], None)

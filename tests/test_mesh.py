@@ -299,6 +299,12 @@ class TestMeshModel:
     def test_box_diameter(self):
         assert abs(make_box((1, 1, 1)).diameter - np.sqrt(3.0)) < 1e-12
 
+    def test_diameter_is_not_an_input(self):
+        # a passed diameter would move the ADD-0.1d threshold unchecked
+        box = make_box((1, 1, 1))
+        with pytest.raises(TypeError, match="diameter"):
+            MeshModel(box.vertices, box.triangles, diameter=10.0)
+
     def test_digest_sensitive_to_geometry(self):
         a = make_box((0.1, 0.1, 0.1))
         b = make_box((0.1, 0.1, 0.100001))

@@ -1,6 +1,7 @@
 """Harness behavior: manifests, records, reports, eval, CLI exit codes."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -32,6 +33,7 @@ from pfa.pipeline import (
     synth_scene_manifest,
     write_json,
 )
+from pfa.refine import RansacConfig
 
 BOX_EXTENTS = (0.10, 0.08, 0.06)
 
@@ -98,8 +100,9 @@ FULL_CONFIG = ExperimentConfig(
     noise=FlowNoiseSpec(
         gaussian_sigma=0.5, outlier_ratio=0.3, outlier_range=16.0, dropout_ratio=0.4
     ),
-    dump_flow_dir="flows/out", inlier_threshold=3.0, max_iterations=500, confidence=0.99,
-    min_inliers=20, crop_pad=1.4, max_correspondences=5000,
+    dump_flow_dir="flows/out",
+    ransac=RansacConfig(inlier_threshold=3.0, max_iterations=500, confidence=0.99, min_inliers=20),
+    crop_pad=1.4, max_correspondences=5000,
 )
 
 FULL_CONFIG_DICT = {
@@ -233,13 +236,15 @@ class TestConfig:
 
     def test_ransac_fields_validated_on_construction(self):
         with pytest.raises(ConfigurationError, match="confidence"):
-            ExperimentConfig(confidence=1.5)
+            ExperimentConfig.from_dict({"ransac": {"confidence": 1.5}})
         with pytest.raises(ConfigurationError, match="min_inliers"):
             ExperimentConfig.from_dict({"ransac": {"min_inliers": 3}})
 
     @pytest.mark.parametrize("text, message", [
         ('{"trials": "x"}', "config trials:"),
-        ('{"ransac": {"confidence": 2}}', "invalid RANSAC parameters"),
+        pytest.param('{"ransac": {"confidence": 2}}',
+                     "config ransac: confidence must be in (0, 1), got {'confidence': 2}",
+                     id="ransac-confidence"),
         ("{", "invalid JSON"),
     ])
     def test_file_errors_name_the_file(self, tmp_path, text, message):
@@ -282,6 +287,52 @@ class TestConfig:
     def test_bad_crop_settings_rejected(self, key, value):
         with pytest.raises(ConfigurationError, match=f"crop.{key} must be"):
             ExperimentConfig.from_dict({"crop": {key: value}})
+
+    @pytest.mark.parametrize("ransac", [
+        {"confidence": 0.99},
+        {"inlier_threshold": 3.0, "max_iterations": 500, "confidence": 0.99, "min_inliers": 20},
+    ], ids=["partial", "full"])
+    def test_ransac_object_round_trip(self, ransac):
+        config = ExperimentConfig.from_dict({"ransac": ransac})
+        assert config.ransac == RansacConfig(**ransac)
+        written = config.to_dict()
+        assert written["ransac"] == {**DEFAULT_CONFIG_DICT["ransac"], **ransac}
+        assert ExperimentConfig.from_dict(written) == config
+        assert ExperimentConfig.from_dict({"ransac": None}) == ExperimentConfig()
+
+    @pytest.mark.parametrize("data, path", [
+        ({"ransac": {"seed": 3}}, "ransac.seed"),
+        ({"flow": {"noise": {"gaussian_sigma": 1.0, "seed": 3}}}, "flow.noise.seed"),
+    ])
+    def test_per_trial_seeds_are_not_settings(self, data, path):
+        with pytest.raises(ConfigurationError, match=f"config {path}: unknown key"):
+            ExperimentConfig.from_dict(data)
+
+    @pytest.mark.parametrize("section, key", [
+        ("jitter", "max_rot_deg"), ("jitter", "max_reproj_px"), ("scene", "z_center"),
+        ("scene", "occluder_coverage"), ("ransac", "inlier_threshold"),
+        ("target_camera", "fx"), ("flow", "noise"),
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_setting_refused(self, section, key, value):
+        data = {section: {key: value}}
+        if section == "target_camera":
+            data = {section: {**DEFAULT_CONFIG_DICT[section], key: value}}
+        if key == "noise":
+            data, key = {section: {key: {"gaussian_sigma": value}}}, "noise.gaussian_sigma"
+        with pytest.raises(ConfigurationError, match=rf"config {section}\.{key} must be finite"):
+            ExperimentConfig.from_dict(data)
+
+    @pytest.mark.parametrize("setting, path", [
+        ({"jitter_max_rot_deg": math.nan}, "jitter.max_rot_deg"),
+        ({"z_center": math.inf}, "scene.z_center"),
+        ({"target_camera": CameraIntrinsics(math.inf, 600.0, 320.0, 240.0, 640, 480)},
+         "target_camera.fx"),
+        ({"ransac": RansacConfig(inlier_threshold=math.inf)}, "ransac.inlier_threshold"),
+    ])
+    def test_non_finite_setting_refused_on_construction(self, setting, path):
+        with pytest.raises(ConfigurationError, match=rf"config {path} must be finite"):
+            ExperimentConfig(**setting)
 
     def test_seed_derivation_stable_and_distinct(self):
         a = derive_seed(5, "scene", 0)
@@ -444,8 +495,8 @@ class TestRunRefinement:
         config, mesh, exemplar_set, manifest, _ = run_artifacts
         noisy = replace(config, noise=FlowNoiseSpec(gaussian_sigma=1.0))
         records = run_refinement(noisy, mesh, exemplar_set, manifest)
-        failed = run_refinement(replace(noisy, inlier_threshold=1e-6), mesh, exemplar_set,
-                                manifest)
+        failed = run_refinement(replace(noisy, ransac=RansacConfig(inlier_threshold=1e-6)), mesh,
+                                exemplar_set, manifest)
         for good, bad in zip(records["trials"], failed["trials"]):
             found = re.search(r"best consensus (\d+)/(\d+)\)$", bad["failure_reason"])
             assert good["failure_reason"] is None
@@ -817,6 +868,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert re.search(r"trial 0: scene mesh reaches depth -[0-9.]+; all meshes must be "
                          r"fully in front of the camera; scene\.occluder_coverage is 30\.0", err)
+        assert "Traceback" not in err and not manifest_path.exists()
+
+    @pytest.mark.parametrize("section, key", [
+        ("jitter", "max_rot_deg"), ("jitter", "max_reproj_px"), ("scene", "z_center"),
+    ])
+    def test_synth_non_finite_setting_is_exit_2(self, workspace, tmp_path, capsys, section, key):
+        _, _, config_path = workspace
+        config = dict(json.loads(config_path.read_text()), **{section: {key: math.nan}})
+        bad_config, manifest_path = tmp_path / "bad.json", tmp_path / "manifest.json"
+        bad_config.write_text(json.dumps(config))
+        capsys.readouterr()
+        assert main(["synth-scenes", "--config", str(bad_config),
+                     "--out", str(manifest_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad_config}: config {section}.{key} must be finite, got nan" in err
         assert "Traceback" not in err and not manifest_path.exists()
 
     @pytest.mark.parametrize("flag, value, path", [

@@ -18,6 +18,7 @@ from pfa.geometry import (
     RigidPose,
     geodesic_distance,
     pose_jitter,
+    project_camera_points,
     project_points,
     rotation_about_axis,
     sample_rotations,
@@ -186,8 +187,7 @@ class TestRansac:
     def test_all_inliers_matches_plain_solve(self):
         rng = np.random.default_rng(71)
         gt, corr = _synthetic_correspondences(rng, 500)
-        cfg = RansacConfig(seed=5)
-        est = ransac_pnp(corr, K_T, cfg)
+        est = ransac_pnp(corr, K_T, RansacConfig(), 5)
         assert est.inlier_count == 500
         direct = solve_pnp(corr.points, corr.pixels, K_T)
         assert np.abs(est.pose.rotation - direct.rotation).max() < 1e-9
@@ -205,7 +205,7 @@ class TestRansac:
             idx = rng.choice(2000, size=600, replace=False)
             uv[idx] = rng.uniform([0, 0], [640, 480], size=(600, 2))
             corr = CorrespondenceSet(pts, uv, np.zeros(2000, dtype=np.int32))
-            est = ransac_pnp(corr, k_tele, RansacConfig(seed=trial))
+            est = ransac_pnp(corr, k_tele, RansacConfig(), trial)
             rot = geodesic_distance(gt.rotation, est.pose.rotation)
             trans = np.linalg.norm(gt.translation - est.pose.translation)
             if rot < 0.5 and trans < 1e-3:
@@ -218,20 +218,20 @@ class TestRansac:
         uv = rng.uniform([0, 0], [K_T.width, K_T.height], size=(300, 2))
         corr = CorrespondenceSet(pts, uv, np.zeros(300, dtype=np.int32))
         with pytest.raises(RobustFailureError):
-            ransac_pnp(corr, K_T, RansacConfig(seed=1, max_iterations=50))
+            ransac_pnp(corr, K_T, RansacConfig(max_iterations=50), 1)
 
     def test_too_few_correspondences(self):
         rng = np.random.default_rng(74)
         _, corr = _synthetic_correspondences(rng, 8)
         with pytest.raises(RobustFailureError) as info:
-            ransac_pnp(corr, K_T, RansacConfig(min_inliers=12, seed=0))
+            ransac_pnp(corr, K_T, RansacConfig(min_inliers=12), 0)
         assert np.array_equal(info.value.inliers, np.zeros(8, dtype=bool))
 
     def test_inlier_mean_error_below_threshold(self):
         rng = np.random.default_rng(75)
         _, corr = _synthetic_correspondences(rng, 1000, outlier_ratio=0.2, sigma=1.0)
-        cfg = RansacConfig(seed=9)
-        est = ransac_pnp(corr, K_T, cfg)
+        cfg = RansacConfig()
+        est = ransac_pnp(corr, K_T, cfg, 9)
         # the refit's fixed point: the inliers are exactly the points within the threshold
         res = reprojection_residuals(K_T, est.pose, corr.points, corr.pixels)
         assert np.array_equal(est.inlier_ids, np.linalg.norm(res, axis=1) < cfg.inlier_threshold)
@@ -240,8 +240,8 @@ class TestRansac:
     def test_deterministic(self):
         rng = np.random.default_rng(76)
         _, corr = _synthetic_correspondences(rng, 800, outlier_ratio=0.25, sigma=1.0)
-        a = ransac_pnp(corr, K_T, RansacConfig(seed=33))
-        b = ransac_pnp(corr, K_T, RansacConfig(seed=33))
+        a = ransac_pnp(corr, K_T, RansacConfig(), 33)
+        b = ransac_pnp(corr, K_T, RansacConfig(), 33)
         assert np.array_equal(a.pose.rotation, b.pose.rotation)
         assert np.array_equal(a.inlier_ids, b.inlier_ids)
 
@@ -255,7 +255,7 @@ class TestRansac:
         corr = CorrespondenceSet(pts, uv, np.zeros(500, dtype=np.int32))
         direct = solve_pnp(pts, uv, K_T)
         assert geodesic_distance(gt.rotation, direct.rotation) < 0.1
-        est = ransac_pnp(corr, K_T, RansacConfig(seed=0))
+        est = ransac_pnp(corr, K_T, RansacConfig(), 0)
         assert est.inlier_count == 500
         assert geodesic_distance(gt.rotation, est.pose.rotation) < 0.1
         assert np.linalg.norm(gt.translation - est.pose.translation) < 1e-3
@@ -277,6 +277,21 @@ class TestRansac:
         assert votes.shape == (2, 50)
         assert votes[0].all()
         assert not votes[1].any()
+
+    def test_refit_keeps_no_point_behind_the_camera(self):
+        # 20 model points sit behind the camera under the true pose, each
+        # observed where its mirror -q in front of the camera projects
+        rng = np.random.default_rng(80)
+        gt, exact = _synthetic_correspondences(rng, 300)
+        mirror = -gt.transform(rng.uniform(-0.06, 0.06, size=(20, 3)))
+        behind = (mirror - gt.translation) @ gt.rotation  # R^T (q - t), row-wise
+        pts = np.concatenate([exact.points, behind])
+        uv = np.concatenate([exact.pixels, project_camera_points(K_T, -mirror)])
+        corr = CorrespondenceSet(pts, uv, np.zeros(320, dtype=np.int32))
+        assert np.abs(reprojection_residuals(K_T, gt, pts, uv)).max() < 1e-6
+        est = ransac_pnp(corr, K_T, RansacConfig(), 0)
+        assert est.inlier_count == 300
+        assert np.all(est.pose.transform(pts[est.inlier_ids])[:, 2] > 0)
 
     def test_score_matches_residual_threshold(self):
         rng = np.random.default_rng(79)
@@ -330,7 +345,7 @@ class TestRansac:
 
         monkeypatch.setattr("pfa.refine.p3p_batch", mirrored_roots)
         corr = CorrespondenceSet(pts, uv, np.zeros(400, dtype=np.int32))
-        est = ransac_pnp(corr, K_T, RansacConfig(seed=0))
+        est = ransac_pnp(corr, K_T, RansacConfig(), 0)
         assert geodesic_distance(truth.rotation, est.pose.rotation) < 1.0
         assert np.linalg.norm(truth.translation - est.pose.translation) < 0.01
 
@@ -347,7 +362,7 @@ class TestRansac:
             return score_hypotheses(rotations, translations, points, pixels, camera, threshold)
 
         monkeypatch.setattr("pfa.refine.score_hypotheses", recording)
-        est = ransac_pnp(corr, K_T, RansacConfig(seed=4))
+        est = ransac_pnp(corr, K_T, RansacConfig(), 4)
         assert geodesic_distance(gt.rotation, est.pose.rotation) < 0.5
         assert len(shapes) % 2 == 0
         for (k, n_subset), (one, n_all) in zip(shapes[::2], shapes[1::2]):
@@ -371,7 +386,7 @@ class TestRansac:
 
         monkeypatch.setattr("pfa.refine.solve_pnp", counting("solve_pnp", solve_pnp))
         monkeypatch.setattr("pfa.pnp.gauss_newton", counting("gauss_newton", gauss_newton))
-        est = ransac_pnp(corr, K_T, RansacConfig(seed=6))
+        est = ransac_pnp(corr, K_T, RansacConfig(), 6)
         assert geodesic_distance(gt.rotation, est.pose.rotation) < 0.5
         assert calls[0] == "solve_pnp" and calls.count("solve_pnp") == 1
         # solve_pnp runs its own Gauss-Newton, so later rounds add one call each
@@ -391,7 +406,7 @@ class TestRefinePose:
             scene = SceneSpec(BOX, target, (), K_T)
             source = OracleFlowSource(scene, target)
             result = refine_pose(
-                initial, box_set, BOX, K_T, source, 1, RansacConfig(seed=trial)
+                initial, box_set, BOX, K_T, source, 1, RansacConfig(), trial
             )
             assert add_error(target, result.estimate.pose, BOX) < 0.001 * BOX.diameter
 
@@ -400,7 +415,7 @@ class TestRefinePose:
         target = _random_target(rng)
         scene = SceneSpec(BOX, target, (), K_T)
         source = OracleFlowSource(scene, target)
-        result = refine_pose(target, box_set, BOX, K_T, source, 1, RansacConfig(seed=0))
+        result = refine_pose(target, box_set, BOX, K_T, source, 1, RansacConfig(), 0)
         assert geodesic_distance(target.rotation, result.estimate.pose.rotation) < 0.1
         assert np.linalg.norm(target.translation - result.estimate.pose.translation) < 1e-3
 
@@ -410,7 +425,7 @@ class TestRefinePose:
         initial = pose_jitter(target, K_T, BOX, 15.0, 5.0, seed=4)
         scene = SceneSpec(BOX, target, (), K_T)
         source = OracleFlowSource(scene, target)
-        result = refine_pose(initial, box_set, BOX, K_T, source, 4, RansacConfig(seed=4))
+        result = refine_pose(initial, box_set, BOX, K_T, source, 4, RansacConfig(), 4)
         assert len(result.exemplar_reports) == 4
         assert len({r.exemplar_id for r in result.exemplar_reports}) == 4
         assert all(r.n_correspondences > 0 for r in result.exemplar_reports)
@@ -425,8 +440,8 @@ class TestRefinePose:
         retagged = CorrespondenceSet(
             corr.points, corr.pixels, (corr.exemplar_ids + 7).astype(np.int32)
         )
-        a = ransac_pnp(corr, K_T, RansacConfig(seed=2))
-        b = ransac_pnp(retagged, K_T, RansacConfig(seed=2))
+        a = ransac_pnp(corr, K_T, RansacConfig(), 2)
+        b = ransac_pnp(retagged, K_T, RansacConfig(), 2)
         assert np.array_equal(a.pose.rotation, b.pose.rotation)
 
     def test_dropout_aggregation_helps(self, box_set):
@@ -446,7 +461,7 @@ class TestRefinePose:
                 source = OracleFlowSource(scene, target, noise, base_seed=trial)
                 try:
                     result = refine_pose(
-                        initial, box_set, BOX, K_T, source, n, RansacConfig(seed=trial)
+                        initial, box_set, BOX, K_T, source, n, RansacConfig(), trial
                     )
                 except (RobustFailureError, SolverError):
                     continue
