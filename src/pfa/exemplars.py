@@ -47,7 +47,8 @@ from .geometry import (
     sample_rotations,
 )
 from .mesh import MeshModel, mesh_digest
-from .raster import CoordinateMap, rasterize
+# bench/layers.py patches rasterize here; generation renders with render_surface
+from .raster import CoordinateMap, rasterize, render_surface  # noqa: F401
 
 EXEMPLAR_SIZE = 256
 MAGIC = b"PFAX"
@@ -182,18 +183,6 @@ def _check_frustum(mesh: MeshModel, z_bar: float, camera: CameraIntrinsics) -> N
         )
 
 
-def compact_exemplar(
-    index: int, pose: RigidPose, camera: CameraIntrinsics, cmap: CoordinateMap,
-    digest: bytes,
-) -> Exemplar:
-    """Quantize a rendered view to its storable (float32, sparse) form."""
-    mask = cmap.mask
-    bits = np.packbits(mask.reshape(-1))
-    points = np.ascontiguousarray(cmap.points[mask], dtype="<f4")
-    tri = np.ascontiguousarray(cmap.tri[mask], dtype="<i4")
-    return Exemplar(index, pose, camera, bits, points, tri, digest)
-
-
 def generate_exemplar_set(
     mesh: MeshModel,
     count: int,
@@ -217,8 +206,13 @@ def generate_exemplar_set(
     exemplars = []
     for i in range(count):
         pose = RigidPose(rotations[i], translation)
-        cmap = rasterize(mesh, pose, camera, EXEMPLAR_SIZE)
-        exemplars.append(compact_exemplar(i, pose, camera, cmap, digest))
+        surface = render_surface(mesh, pose, camera, EXEMPLAR_SIZE)
+        mask = np.zeros(EXEMPLAR_SIZE * EXEMPLAR_SIZE, dtype=bool)
+        mask[surface.pixels] = True
+        exemplars.append(Exemplar(
+            i, pose, camera, np.packbits(mask), surface.points.astype("<f4"),
+            surface.tri.astype("<i4"), digest,
+        ))
     return ExemplarSet(object_name, digest, float(z_bar), camera, exemplars)
 
 

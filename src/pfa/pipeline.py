@@ -321,6 +321,18 @@ def _parse_string(value, path) -> str:
     return value
 
 
+def _parse_int(value, path) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError("expected an integer")
+    return value
+
+
+def _parse_float(value, path) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError("expected a number")
+    return float(value)
+
+
 def _setting_values(cls, value, path: tuple, partial: bool) -> dict:
     """The fields of the settings class ``cls`` read from the object ``value``:
     all of them, or with ``partial`` only those it holds."""
@@ -356,17 +368,19 @@ def _parse_extents(value, path) -> np.ndarray:
     return extents
 
 
-def _list_of(kind: str):
+def _list_of(kind: str, least: int = 0):
     def parse(value, path) -> list:
         if not isinstance(value, list):
             raise TypeError("expected a list")
+        if len(value) < least:
+            raise ValueError(f"expected at least {least} {kind}")
         return [_parse_value(kind, item, path + (i,)) for i, item in enumerate(value)]
     return parse
 
 
 _PARSERS = {
-    "int": lambda value, path: int(value),
-    "float": lambda value, path: float(value),
+    "int": _parse_int,
+    "float": _parse_float,
     "str": _parse_string,
     "CameraIntrinsics": lambda value, path: CameraIntrinsics(
         **_setting_values(CameraIntrinsics, value, path, partial=False)),
@@ -379,7 +393,7 @@ _PARSERS = {
     "occluder": lambda value, path: _check_fields(value, _OCCLUDER_FIELDS, path),
     "list[manifest trial]": _list_of("manifest trial"),
     "manifest trial": lambda value, path: _check_fields(value, MANIFEST_TRIAL_FIELDS, path),
-    "list[record trial]": _list_of("record trial"),
+    "list[record trial]": _list_of("record trial", least=1),
     "record trial": lambda value, path: _check_fields(value, _RECORD_TRIAL_FIELDS, path),
     "report": lambda value, path: _check_fields(value, _REPORT_FIELDS, path),
 }

@@ -1,24 +1,45 @@
-"""Z-buffer triangle rasterization into per-pixel model-coordinate maps.
+"""Exact, vectorized z-buffer rasterization into sparse fragments.
 
-The rasterizer samples triangles at pixel centers (col + 0.5, row + 0.5),
-resolves visibility with a z-buffer, and stores for every covered pixel the
-perspective-correct interpolated model-frame point, its camera depth and
-the index of the winning triangle. Coverage uses a top-left fill rule so triangles
-sharing an edge never both claim a pixel. Depth ties closer than 1e-9 m
-keep the lower triangle index, which makes output independent of nothing
-but the inputs.
+Triangles are sampled at pixel centers (col + 0.5, row + 0.5) with the
+edge functions of Pineda (SIGGRAPH 1988) and a top-left fill rule, so
+triangles sharing an edge never both claim a pixel. Each mesh is projected
+once, and all triangles of a render (one mesh, or a scene's object and
+occluders) are set up together as arrays. An edge function is a row term
+minus a column term, ``A (y - p_y) - B (x - p_x)``, and the column term is
+monotone in x, so the pixels a triangle covers in one row form a span. Its
+ends are found exactly, by evaluating the edge functions themselves, and
+only covered pixels become fragments. A fragment's edge values, depth and
+interpolated point come from the same float operations, in the same
+order, as the per-triangle reference in the tests, so results are
+bit-identical to it.
 
-Triangles with any vertex at depth <= 1e-9 m are dropped whole (no near
-plane clipping); objects fully behind the camera rasterize to an empty
-mask rather than an error.
+Depth is resolved as if the triangles were drawn one after another in
+index order: a later triangle wins a pixel only if it is nearer than the
+current depth by more than ``DEPTH_TIE`` (1e-9 m), so a tie keeps the lower
+triangle index. Fragments are stably sorted by pixel and that rule is
+applied one depth-complexity rank at a time, which gives the sequential
+result exactly. Fragments are resolved in batches of about
+``FRAGMENT_BATCH``, in triangle order, each against the depth the earlier
+batches left, so memory stays bounded for a full-image window.
 
-Scene z-buffers (``scene_depth_map``) run the same triangle loop for depth
-alone and may be limited to a pixel window of the image.
+``render_surface`` returns the winning fragments of one view, sparse: for
+every covered pixel the perspective-correct interpolated model-frame
+point, its camera depth and the index of the winning triangle.
+``rasterize`` is the dense ``CoordinateMap`` view of the same fragments.
+Scene z-buffers (``scene_depth_map``) resolve each mesh of a scene in a
+buffer of its own, for depth alone, take the per-pixel minimum, and may be
+limited to a pixel window of the image.
+
+Triangles with any vertex at depth <= ``NEAR_CLIP`` are dropped whole (no
+near-plane clipping), and so are triangles whose projection has zero
+area; objects fully behind the camera rasterize to an empty mask rather
+than an error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +49,12 @@ from .mesh import MeshModel
 
 DEPTH_TIE = 1e-9
 NEAR_CLIP = 1e-9
+FRAGMENT_BATCH = 1 << 16  # fragments resolved at once, plus at most one row
+
+# edge e of an oriented triangle (a, b, c) runs between these corners; its
+# function is the barycentric weight of corner e
+_EDGE_START = [1, 2, 0]
+_EDGE_END = [2, 0, 1]
 
 
 @dataclass(eq=False)
@@ -46,6 +73,16 @@ class CoordinateMap:
     depth: np.ndarray  # (H, W)
     mask: np.ndarray  # (H, W) bool
     tri: np.ndarray  # (H, W) int32
+
+
+@dataclass(frozen=True, eq=False)
+class Surface:
+    """The visible surface of one square view, one entry per covered pixel."""
+
+    pixels: np.ndarray  # (n,) int64, increasing flat row-major indices
+    depth: np.ndarray  # (n,) camera depth
+    points: np.ndarray  # (n, 3) model frame
+    tri: np.ndarray  # (n,) int32, the winning triangle
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,27 +109,41 @@ class SceneSpec:
                 )
 
 
-def rasterize(
-    mesh: MeshModel, pose: RigidPose, camera: CameraIntrinsics, size: int
-) -> CoordinateMap:
-    """Render a mesh into a square CoordinateMap of ``size`` x ``size`` pixels."""
-    depth = np.full((size, size), np.inf)
-    points = np.full((size, size, 3), np.nan)
-    tri = np.full((size, size), -1, dtype=np.int32)
-    _z_buffer(mesh, pose, camera, (0, 0, size, size), depth, (points, tri))
-    mask = np.isfinite(depth)
-    return CoordinateMap(size, size, points, depth, mask, tri)
+class _Triangles(NamedTuple):
+    """The drawable triangles of one or more meshes seen by one camera,
+    corners ordered so area2 > 0.
 
-
-def _z_buffer(mesh, pose, camera, window, depth, attributes=None):
-    """Draw the mesh's triangles, in index order, into a window's z-buffer.
-
-    ``window`` is (x0, y0, x1, y1), half-open pixel bounds of the image;
-    ``depth`` and the optional (points, tri) buffers cover exactly
-    that window. Pixels are sampled at their image coordinates, so a
-    window holds the same values as the full image has there.
+    Per-edge arrays are (3, T), edge e opposite corner e, so that gathers
+    and arithmetic run along contiguous rows; x0..y1 are the inclusive
+    pixel bounds of each triangle's box inside the window.
     """
-    cam = pose.transform(mesh.vertices)
+
+    layer: np.ndarray  # (T,) which mesh
+    index: np.ndarray  # (T,) triangle index in its mesh
+    area2: np.ndarray  # (T,) twice the projected area
+    z: np.ndarray  # (3, T) corner camera depths
+    scaled: np.ndarray  # (3, 3, T) corner model points (x, y, z) over their depth
+    edge_dx: np.ndarray  # end x - start x
+    edge_dy: np.ndarray  # end y - start y
+    start_x: np.ndarray
+    start_y: np.ndarray
+    top_left: np.ndarray  # bool
+    x0: np.ndarray
+    x1: np.ndarray
+    y0: np.ndarray
+    y1: np.ndarray
+
+
+def _setup(views, camera, window) -> _Triangles:
+    """Project each (mesh, pose) view once and set up, in mesh then index
+    order, every triangle that can draw a pixel of the window."""
+    model = np.concatenate([mesh.vertices for mesh, _ in views])
+    cam = np.concatenate([pose.transform(mesh.vertices) for mesh, pose in views])
+    first_vertex = np.cumsum([0] + [len(mesh.vertices) for mesh, _ in views[:-1]])
+    triangles = np.concatenate(
+        [mesh.triangles + start for (mesh, _), start in zip(views, first_vertex)]
+    )
+    counts = [len(mesh.triangles) for mesh, _ in views]
     z = cam[:, 2]
     usable = z > NEAR_CLIP
 
@@ -102,97 +153,226 @@ def _z_buffer(mesh, pose, camera, window, depth, attributes=None):
     uv[:, 0] = camera.fx * uv[:, 0] + camera.cx
     uv[:, 1] = camera.fy * uv[:, 1] + camera.cy
 
-    for index in range(len(mesh.triangles)):
-        ia, ib, ic = mesh.triangles[index]
-        if not (usable[ia] and usable[ib] and usable[ic]):
-            continue
-        _raster_triangle(
-            index,
-            (int(ia), int(ib), int(ic)),
-            uv,
-            z,
-            mesh.vertices,
-            window,
-            depth,
-            attributes,
-        )
+    drawable = np.flatnonzero(usable[triangles].all(axis=1))
+    corners = triangles[drawable].T  # (3, T)
+    u, v = uv[:, 0][corners], uv[:, 1][corners]
+    area2 = (u[1] - u[0]) * (v[2] - v[0]) - (v[1] - v[0]) * (u[2] - u[0])
+    flip = area2 < 0.0
+    corners[1:, flip] = corners[:0:-1, flip]
+    area2 = np.abs(area2)
 
-
-def _edge(p, q, x, y):
-    return (q[0] - p[0]) * (y - p[1]) - (q[1] - p[1]) * (x - p[0])
-
-
-def _top_left(p, q) -> bool:
-    dx, dy = q[0] - p[0], q[1] - p[1]
-    return dy < 0 or (dy == 0 and dx > 0)
-
-
-def _raster_triangle(
-    index, vids, uv, z, model_vertices, window, depth, attributes,
-):
-    ia, ib, ic = vids
-    pa, pb, pc = uv[ia], uv[ib], uv[ic]
-    area2 = _edge(pa, pb, pc[0], pc[1])
-    if area2 == 0.0:
-        return
-    if area2 < 0.0:
-        ib, ic = ic, ib
-        pb, pc = pc, pb
-        area2 = -area2
-
-    xs_min = min(pa[0], pb[0], pc[0])
-    xs_max = max(pa[0], pb[0], pc[0])
-    ys_min = min(pa[1], pb[1], pc[1])
-    ys_max = max(pa[1], pb[1], pc[1])
-    # pixel centers j + 0.5 inside [xs_min, xs_max]
+    u, v = uv[:, 0][corners], uv[:, 1][corners]
     wx0, wy0, wx1, wy1 = window
-    x0 = max(wx0, int(np.ceil(xs_min - 0.5)))
-    x1 = min(wx1 - 1, int(np.floor(xs_max - 0.5)))
-    y0 = max(wy0, int(np.ceil(ys_min - 0.5)))
-    y1 = min(wy1 - 1, int(np.floor(ys_max - 0.5)))
-    if x0 > x1 or y0 > y1:
-        return
+    # pixel centers j + 0.5 inside the projected box, clipped to the window
+    x0 = np.clip(np.ceil(u.min(axis=0) - 0.5), wx0, wx1).astype(np.int64)
+    x1 = np.clip(np.floor(u.max(axis=0) - 0.5), wx0 - 1, wx1 - 1).astype(np.int64)
+    y0 = np.clip(np.ceil(v.min(axis=0) - 0.5), wy0, wy1).astype(np.int64)
+    y1 = np.clip(np.floor(v.max(axis=0) - 0.5), wy0 - 1, wy1 - 1).astype(np.int64)
+    keep = np.flatnonzero((area2 != 0.0) & (x0 <= x1) & (y0 <= y1))
 
-    xs = np.arange(x0, x1 + 1) + 0.5
-    ys = np.arange(y0, y1 + 1) + 0.5
-    gx, gy = np.meshgrid(xs, ys)
-
-    wa = _edge(pb, pc, gx, gy)
-    wb = _edge(pc, pa, gx, gy)
-    wc = _edge(pa, pb, gx, gy)
-    cover = (
-        ((wa > 0) | ((wa == 0) & _top_left(pb, pc)))
-        & ((wb > 0) | ((wb == 0) & _top_left(pc, pa)))
-        & ((wc > 0) | ((wc == 0) & _top_left(pa, pb)))
+    drawable, corners, u, v = drawable[keep], corners[:, keep], u[:, keep], v[:, keep]
+    layer = np.repeat(np.arange(len(views)), counts)[drawable]
+    edge_dx = u[_EDGE_END] - u[_EDGE_START]
+    edge_dy = v[_EDGE_END] - v[_EDGE_START]
+    z_corner = z[corners]
+    return _Triangles(
+        layer=layer,
+        index=drawable - np.cumsum([0] + counts[:-1])[layer],
+        area2=area2[keep],
+        z=z_corner,
+        scaled=model.T[:, corners].transpose(1, 0, 2) / z_corner[:, None],
+        edge_dx=edge_dx,
+        edge_dy=edge_dy,
+        start_x=u[_EDGE_START],
+        start_y=v[_EDGE_START],
+        top_left=(edge_dy < 0) | ((edge_dy == 0) & (edge_dx > 0)),
+        x0=x0[keep],
+        x1=x1[keep],
+        y0=y0[keep],
+        y1=y1[keep],
     )
-    if not cover.any():
-        return
 
-    la = wa / area2
-    lb = wb / area2
-    lc = wc / area2
-    za, zb, zc = z[ia], z[ib], z[ic]
-    inv_z = la / za + lb / zb + lc / zc
-    z_pix = 1.0 / inv_z
 
-    block = (slice(y0 - wy0, y1 - wy0 + 1), slice(x0 - wx0, x1 - wx0 + 1))
-    update = cover & (z_pix < depth[block] - DEPTH_TIE)
-    if not update.any():
-        return
-    depth[block][update] = z_pix[update]
-    if attributes is None:
-        return
+def _row_terms(tris: _Triangles, t, y) -> np.ndarray:
+    """(3, n) row terms ``dx * (y + 0.5 - start_y)`` of triangles ``t`` on rows ``y``."""
+    terms = tris.start_y.take(t, axis=1)
+    np.subtract(y + 0.5, terms, out=terms)
+    terms *= tris.edge_dx.take(t, axis=1)
+    return terms
 
-    va, vb, vc = model_vertices[ia], model_vertices[ib], model_vertices[ic]
-    interp = (
-        la[..., None] * (va / za)
-        + lb[..., None] * (vb / zb)
-        + lc[..., None] * (vc / zc)
-    ) * z_pix[..., None]
 
-    points, tri = attributes
-    points[block][update] = interp[update]
-    tri[block][update] = index
+def _weights(tris: _Triangles, t, x, y) -> np.ndarray:
+    """(3, n) barycentric weights of triangles ``t`` at pixel centers (x, y)."""
+    col = tris.start_x.take(t, axis=1)
+    np.subtract(x + 0.5, col, out=col)
+    col *= tris.edge_dy.take(t, axis=1)
+    weights = _row_terms(tris, t, y)
+    weights -= col
+    weights /= tris.area2.take(t)
+    return weights
+
+
+def _depths(tris: _Triangles, t, weights) -> np.ndarray:
+    """Perspective-correct depth of each weighted point of triangles ``t``."""
+    terms = tris.z.take(t, axis=1)
+    np.divide(weights, terms, out=terms)
+    return 1.0 / (terms[0] + terms[1] + terms[2])
+
+
+def _spans(tris: _Triangles):
+    """Each triangle's covered pixels per box row: (t, y, first x, count).
+
+    An edge covers a pixel where its row term exceeds its column term, or
+    equals it on a top-left edge. With dy > 0 the column term rises in x,
+    so the covered pixels of the row are a prefix of the box row; with
+    dy < 0 a suffix; with dy == 0 all or none. Each prefix or suffix end
+    starts at the continuous crossing and moves until the edge function
+    itself says it is exact.
+    """
+    rows = tris.y1 - tris.y0 + 1
+    t = np.repeat(np.arange(len(rows)), rows)
+    y = np.arange(len(t)) - np.repeat(np.cumsum(rows) - rows, rows) + tris.y0[t]
+    row = _row_terms(tris, t, y)
+    dy, top_left = tris.edge_dy.take(t, axis=1), tris.top_left.take(t, axis=1)
+    x0, x1 = tris.x0[t], tris.x1[t]
+
+    flat = dy == 0
+    blocked = (flat & ~((row > 0) | ((row == 0) & top_left))).any(axis=0)
+
+    e, s = np.nonzero(~flat)
+    r, slope, tl = row[e, s], dy[e, s], top_left[e, s]
+    px = tris.start_x[e, t[s]]
+    # in mirrored coordinates u = sign * x every covered set is a prefix
+    rising = slope > 0
+    sign = np.where(rising, 1, -1)
+    first = np.where(rising, x0[s], -x1[s])
+    last = np.where(rising, x1[s], -x0[s])
+    crossing = np.nan_to_num(np.ceil(sign * (px + r / slope - 0.5)) - 1)
+    u = np.clip(crossing, first - 1, last).astype(np.int64)
+
+    def covers(i, ui):
+        col = slope[i] * ((sign[i] * ui + 0.5) - px[i])
+        return (r[i] > col) | ((r[i] == col) & tl[i])
+
+    # covers(u + 1) implies covers(u), so an entry moves one way only
+    i = np.arange(len(u))
+    while i.size:
+        ui = u[i]
+        up = (ui < last[i]) & covers(i, ui + 1)
+        down = (ui >= first[i]) & ~covers(i, ui)
+        u[i] = ui + up - down
+        i = i[up | down]
+
+    low = np.broadcast_to(x0, row.shape).copy()
+    high = np.broadcast_to(x1, row.shape).copy()
+    high[e[rising], s[rising]] = u[rising]
+    low[e[~rising], s[~rising]] = -u[~rising]
+    lo = low.max(axis=0)
+    count = np.where(blocked, 0, np.maximum(high.min(axis=0) - lo + 1, 0))
+    drawn = np.flatnonzero(count)
+    return t[drawn], y[drawn], lo[drawn], count[drawn]
+
+
+def _z_buffer(tris: _Triangles, window):
+    """Resolve the triangles' fragments, in index order, in the window.
+
+    Each mesh is resolved in a buffer of its own. Returns the visible
+    surface of each mesh, sparse, ordered by mesh and then pixel: flat
+    row-major pixels of the window, their depth and their owner (the
+    winning position in ``tris``).
+    """
+    area = (window[2] - window[0]) * (window[3] - window[1])
+    keys, depth, owner = np.empty(0, np.int64), np.empty(0), np.empty(0, np.int64)
+    t, y, lo, count = _spans(tris)
+    offset = np.cumsum(count) - count
+    cuts = np.flatnonzero(np.diff(offset // FRAGMENT_BATCH, prepend=-1))  # batch starts
+    for begin, end in zip(cuts, [*cuts[1:], len(count)]):
+        key, z_pix, tf = _fragments(
+            tris, t[begin:end], y[begin:end], lo[begin:end], count[begin:end], window
+        )
+        if len(keys):  # the surfaces so far go first, as if drawn before this batch
+            key, z_pix, tf = (np.concatenate(pair) for pair in
+                              ((keys, key), (depth, z_pix), (owner, tf)))
+        keys, depth, owner = _resolve(key, z_pix, tf)
+    return keys - tris.layer[owner] * area, depth, owner
+
+
+def _fragments(tris: _Triangles, t, y, lo, count, window):
+    """(key, depth, triangle) of each covered pixel of the given spans, in
+    drawing order; the key orders fragments by mesh, then window pixel."""
+    wx0, wy0, wx1, wy1 = window
+    width = wx1 - wx0
+    tf = np.repeat(t, count)
+    yf = np.repeat(y, count)
+    xf = np.arange(len(tf)) + np.repeat(lo - (np.cumsum(count) - count), count)
+    z_pix = _depths(tris, tf, _weights(tris, tf, xf, yf))
+    key = tris.layer[tf] * (width * (wy1 - wy0)) + (yf - wy0) * width + (xf - wx0)
+    return key, z_pix, tf
+
+
+def _resolve(key, z_pix, t):
+    """The surface that fragments, applied in the given order, leave.
+
+    Sequentially, a fragment replaces its key's depth (initially +inf)
+    when it is nearer by more than DEPTH_TIE. A key's k-th fragment sees
+    only the outcome of its earlier ones, so all k-th fragments are
+    applied together. Returns (key, depth, t) of the winners, keys
+    increasing.
+    """
+    order = np.argsort(key, kind="stable")
+    key, z_pix = key[order], z_pix[order]
+    first = np.diff(key, prepend=-1) != 0
+    heads = np.flatnonzero(first)
+    nearer = z_pix[heads] < np.inf - DEPTH_TIE
+    depth = np.where(nearer, z_pix[heads], np.inf)
+    winner = np.where(nearer, heads, -1)  # sorted position of each key's winner
+
+    later = np.flatnonzero(~first)
+    group = np.searchsorted(heads, later, side="right") - 1
+    rank = later - heads[group]
+    by_rank = np.argsort(rank, kind="stable")
+    later, group = later[by_rank], group[by_rank]
+    bounds = np.cumsum(np.bincount(rank))
+    for begin, end in zip(bounds[:-1], bounds[1:]):
+        step, g = later[begin:end], group[begin:end]
+        nearer = z_pix[step] < depth[g] - DEPTH_TIE
+        depth[g[nearer]] = z_pix[step[nearer]]
+        winner[g[nearer]] = step[nearer]
+    drawn = winner >= 0
+    return key[heads[drawn]], depth[drawn], t[order[winner[drawn]]]
+
+
+def render_surface(
+    mesh: MeshModel, pose: RigidPose, camera: CameraIntrinsics, size: int
+) -> Surface:
+    """The visible surface of a mesh in a square view of ``size`` x ``size`` pixels."""
+    window = (0, 0, size, size)
+    tris = _setup([(mesh, pose)], camera, window)
+    pixels, depth, t = _z_buffer(tris, window)
+    weights = _weights(tris, t, pixels % size, pixels // size)
+    scaled = tris.scaled.take(t, axis=2)  # (corner, axis, n)
+    points = (
+        weights[0] * scaled[0] + weights[1] * scaled[1] + weights[2] * scaled[2]
+    ) * depth
+    return Surface(pixels, depth, np.ascontiguousarray(points.T), tris.index[t].astype(np.int32))
+
+
+def rasterize(
+    mesh: MeshModel, pose: RigidPose, camera: CameraIntrinsics, size: int
+) -> CoordinateMap:
+    """Render a mesh into a square CoordinateMap of ``size`` x ``size`` pixels."""
+    surface = render_surface(mesh, pose, camera, size)
+    depth = np.full(size * size, np.inf)
+    depth[surface.pixels] = surface.depth
+    points = np.full((size * size, 3), np.nan)
+    points[surface.pixels] = surface.points
+    tri = np.full(size * size, -1, dtype=np.int32)
+    tri[surface.pixels] = surface.tri
+    depth = depth.reshape(size, size)
+    return CoordinateMap(
+        size, size, points.reshape(size, size, 3), depth, np.isfinite(depth),
+        tri.reshape(size, size),
+    )
 
 
 def scene_depth_map(scene: SceneSpec, window=None) -> np.ndarray:
@@ -207,9 +387,8 @@ def scene_depth_map(scene: SceneSpec, window=None) -> np.ndarray:
     if window is None:
         window = (0, 0, scene.camera.width, scene.camera.height)
     x0, y0, x1, y1 = window
-    joint = np.full((y1 - y0, x1 - x0), np.inf)
-    for mesh, pose in ((scene.object_mesh, scene.object_pose), *scene.occluders):
-        layer = np.full(joint.shape, np.inf)
-        _z_buffer(mesh, pose, scene.camera, window, layer)
-        np.minimum(joint, layer, out=joint)
-    return joint
+    views = [(scene.object_mesh, scene.object_pose), *scene.occluders]
+    pixels, depth, _ = _z_buffer(_setup(views, scene.camera, window), window)
+    joint = np.full((y1 - y0) * (x1 - x0), np.inf)
+    np.minimum.at(joint, pixels, depth)
+    return joint.reshape(y1 - y0, x1 - x0)

@@ -9,7 +9,7 @@ import numpy as np
 
 from pfa.geometry import CameraIntrinsics, RigidPose
 from pfa.mesh import MeshModel
-from pfa.raster import rasterize
+from pfa.raster import DEPTH_TIE, NEAR_CLIP, CoordinateMap, rasterize
 
 
 def crop_pixel_centers(size: int) -> np.ndarray:
@@ -72,6 +72,121 @@ def ray_trace_reference(mesh: MeshModel, pose: RigidPose, camera: CameraIntrinsi
             if hit.any():
                 depth[row, col] = t[hit].min()
     return np.isfinite(depth), depth
+
+
+# ---------------------------------------------------------------------------
+# Per-triangle reference rasterizer
+# ---------------------------------------------------------------------------
+#
+# The straightforward z-buffer the vectorized rasterizer must reproduce bit
+# for bit: triangles drawn one at a time in index order, each over its
+# whole bounding box, with every buffer dense.
+
+
+def reference_rasterize(mesh, pose, camera, size) -> CoordinateMap:
+    """Render a square CoordinateMap one triangle at a time."""
+    depth = np.full((size, size), np.inf)
+    points = np.full((size, size, 3), np.nan)
+    tri = np.full((size, size), -1, dtype=np.int32)
+    reference_z_buffer(mesh, pose, camera, (0, 0, size, size), depth, (points, tri))
+    return CoordinateMap(size, size, points, depth, np.isfinite(depth), tri)
+
+
+def reference_scene_depth_map(scene, window=None) -> np.ndarray:
+    """Per-mesh reference z-buffers of a scene, joined by per-pixel minimum."""
+    if window is None:
+        window = (0, 0, scene.camera.width, scene.camera.height)
+    x0, y0, x1, y1 = window
+    joint = np.full((y1 - y0, x1 - x0), np.inf)
+    for mesh, pose in ((scene.object_mesh, scene.object_pose), *scene.occluders):
+        layer = np.full(joint.shape, np.inf)
+        reference_z_buffer(mesh, pose, scene.camera, window, layer)
+        np.minimum(joint, layer, out=joint)
+    return joint
+
+
+def reference_z_buffer(mesh, pose, camera, window, depth, attributes=None):
+    """Draw the mesh's triangles, in index order, into a window's z-buffer.
+
+    ``window`` is (x0, y0, x1, y1), half-open pixel bounds of the image;
+    ``depth`` and the optional (points, tri) buffers cover exactly that
+    window.
+    """
+    cam = pose.transform(mesh.vertices)
+    z = cam[:, 2]
+    usable = z > NEAR_CLIP
+
+    uv = np.zeros((len(cam), 2))
+    np.divide(cam[:, 0], z, out=uv[:, 0], where=usable)
+    np.divide(cam[:, 1], z, out=uv[:, 1], where=usable)
+    uv[:, 0] = camera.fx * uv[:, 0] + camera.cx
+    uv[:, 1] = camera.fy * uv[:, 1] + camera.cy
+
+    for index in range(len(mesh.triangles)):
+        ia, ib, ic = mesh.triangles[index]
+        if usable[ia] and usable[ib] and usable[ic]:
+            _reference_triangle(
+                index, (int(ia), int(ib), int(ic)), uv, z, mesh.vertices, window,
+                depth, attributes,
+            )
+
+
+def _edge(p, q, x, y):
+    return (q[0] - p[0]) * (y - p[1]) - (q[1] - p[1]) * (x - p[0])
+
+
+def _top_left(p, q) -> bool:
+    dx, dy = q[0] - p[0], q[1] - p[1]
+    return dy < 0 or (dy == 0 and dx > 0)
+
+
+def _reference_triangle(index, vids, uv, z, model_vertices, window, depth, attributes):
+    ia, ib, ic = vids
+    pa, pb, pc = uv[ia], uv[ib], uv[ic]
+    area2 = _edge(pa, pb, pc[0], pc[1])
+    if area2 == 0.0:
+        return
+    if area2 < 0.0:
+        ib, ic = ic, ib
+        pb, pc = pc, pb
+        area2 = -area2
+
+    wx0, wy0, wx1, wy1 = window
+    # pixel centers j + 0.5 inside the triangle's bounding box
+    x0 = max(wx0, int(np.ceil(min(pa[0], pb[0], pc[0]) - 0.5)))
+    x1 = min(wx1 - 1, int(np.floor(max(pa[0], pb[0], pc[0]) - 0.5)))
+    y0 = max(wy0, int(np.ceil(min(pa[1], pb[1], pc[1]) - 0.5)))
+    y1 = min(wy1 - 1, int(np.floor(max(pa[1], pb[1], pc[1]) - 0.5)))
+    if x0 > x1 or y0 > y1:
+        return
+
+    gx, gy = np.meshgrid(np.arange(x0, x1 + 1) + 0.5, np.arange(y0, y1 + 1) + 0.5)
+    wa = _edge(pb, pc, gx, gy)
+    wb = _edge(pc, pa, gx, gy)
+    wc = _edge(pa, pb, gx, gy)
+    cover = (
+        ((wa > 0) | ((wa == 0) & _top_left(pb, pc)))
+        & ((wb > 0) | ((wb == 0) & _top_left(pc, pa)))
+        & ((wc > 0) | ((wc == 0) & _top_left(pa, pb)))
+    )
+    la = wa / area2
+    lb = wb / area2
+    lc = wc / area2
+    za, zb, zc = z[ia], z[ib], z[ic]
+    z_pix = 1.0 / (la / za + lb / zb + lc / zc)
+
+    block = (slice(y0 - wy0, y1 - wy0 + 1), slice(x0 - wx0, x1 - wx0 + 1))
+    update = cover & (z_pix < depth[block] - DEPTH_TIE)
+    depth[block][update] = z_pix[update]
+    if attributes is None:
+        return
+    va, vb, vc = model_vertices[ia], model_vertices[ib], model_vertices[ic]
+    interp = (
+        la[..., None] * (va / za) + lb[..., None] * (vb / zb) + lc[..., None] * (vc / zc)
+    ) * z_pix[..., None]
+    points, tri = attributes
+    points[block][update] = interp[update]
+    tri[block][update] = index
 
 
 def random_small_mesh(rng: np.random.Generator, n_triangles: int = 12) -> MeshModel:

@@ -189,6 +189,10 @@ MALFORMED_MANIFESTS = [
     (_bad_rotation, "manifest trials[0].initial_pose:"),
     (lambda m: m["trials"][2].update(trial_id="x"), "manifest trials[2].trial_id:"),
     (lambda m: m.update(target_camera={"fx": 600.0}), "manifest target_camera: missing key 'fy'"),
+    (lambda m: m["trials"][0].update(trial_id=1.5),
+     "manifest trials[0].trial_id: expected an integer, got 1.5"),
+    (lambda m: m["trials"][1].update(trial_id=True),
+     "manifest trials[1].trial_id: expected an integer, got True"),
 ]
 
 
@@ -199,6 +203,9 @@ MALFORMED_RECORDS = [
     (lambda d: d["trials"][1].update(refined_report={"add": 0.0}),
      "records trials[1].refined_report: missing key 'add_s'"),
     (lambda d: d.pop("diameter"), "records: missing key 'diameter'"),
+    (lambda d: d.update(trials=[]), "records trials: expected at least 1 record trial, got []"),
+    (lambda d: d.update(n_exemplars=True), "records n_exemplars: expected an integer, got True"),
+    (lambda d: d.update(diameter="0.1"), "records diameter: expected a number, got '0.1'"),
 ]
 
 
@@ -233,6 +240,25 @@ class TestConfig:
     def test_malformed_value_names_its_path(self, data, path):
         with pytest.raises(ConfigurationError, match=f"config {path}:"):
             ExperimentConfig.from_dict(data)
+
+    @pytest.mark.parametrize("data, path, message", [
+        ({"trials": 2.9}, "trials", "expected an integer, got 2.9"),
+        ({"seed": True}, "seed", "expected an integer, got True"),
+        ({"jitter": {"max_rot_deg": "12.5"}}, "jitter.max_rot_deg", "expected a number, got '12.5'"),
+        ({"scene": {"occluder_coverage": False}}, "scene.occluder_coverage",
+         "expected a number, got False"),
+        ({"ransac": {"max_iterations": 1e3}}, "ransac.max_iterations",
+         "expected an integer, got 1000.0"),
+        ({"target_camera": {**DEFAULT_CONFIG_DICT["target_camera"], "width": 640.0}},
+         "target_camera.width", "expected an integer, got 640.0"),
+    ])
+    def test_numbers_keep_their_json_type(self, data, path, message):
+        with pytest.raises(ConfigurationError, match=re.escape(f"config {path}: {message}")):
+            ExperimentConfig.from_dict(data)
+
+    def test_integer_reads_as_float_setting(self):
+        config = ExperimentConfig.from_dict({"jitter": {"max_rot_deg": 12}})
+        assert type(config.jitter_max_rot_deg) is float and config.jitter_max_rot_deg == 12.0
 
     def test_ransac_fields_validated_on_construction(self):
         with pytest.raises(ConfigurationError, match="confidence"):
