@@ -18,9 +18,10 @@ index order: a later triangle wins a pixel only if it is nearer than the
 current depth by more than ``DEPTH_TIE`` (1e-9 m), so a tie keeps the lower
 triangle index. Fragments are stably sorted by pixel and that rule is
 applied one depth-complexity rank at a time, which gives the sequential
-result exactly. Fragments are resolved in batches of about
-``FRAGMENT_BATCH``, in triangle order, each against the depth the earlier
-batches left, so memory stays bounded for a full-image window.
+result exactly. All fragments of a render are resolved at once, so memory
+grows with the covered pixels summed over triangles: about 25K fragments
+for a flow crop window of the box scene, a few thousand for a 256 x 256
+exemplar.
 
 ``render_surface`` returns the winning fragments of one view, sparse: for
 every covered pixel the perspective-correct interpolated model-frame
@@ -49,7 +50,6 @@ from .mesh import MeshModel
 
 DEPTH_TIE = 1e-9
 NEAR_CLIP = 1e-9
-FRAGMENT_BATCH = 1 << 16  # fragments resolved at once, plus at most one row
 
 # edge e of an oriented triangle (a, b, c) runs between these corners; its
 # function is the barycentric weight of corner e
@@ -282,18 +282,7 @@ def _z_buffer(tris: _Triangles, window):
     winning position in ``tris``).
     """
     area = (window[2] - window[0]) * (window[3] - window[1])
-    keys, depth, owner = np.empty(0, np.int64), np.empty(0), np.empty(0, np.int64)
-    t, y, lo, count = _spans(tris)
-    offset = np.cumsum(count) - count
-    cuts = np.flatnonzero(np.diff(offset // FRAGMENT_BATCH, prepend=-1))  # batch starts
-    for begin, end in zip(cuts, [*cuts[1:], len(count)]):
-        key, z_pix, tf = _fragments(
-            tris, t[begin:end], y[begin:end], lo[begin:end], count[begin:end], window
-        )
-        if len(keys):  # the surfaces so far go first, as if drawn before this batch
-            key, z_pix, tf = (np.concatenate(pair) for pair in
-                              ((keys, key), (depth, z_pix), (owner, tf)))
-        keys, depth, owner = _resolve(key, z_pix, tf)
+    keys, depth, owner = _resolve(*_fragments(tris, *_spans(tris), window))
     return keys - tris.layer[owner] * area, depth, owner
 
 

@@ -1,7 +1,6 @@
 """The vectorized rasterizer against the per-triangle reference, bit for bit."""
 
 import numpy as np
-import pytest
 
 import pfa.raster
 from helpers import (
@@ -44,14 +43,8 @@ def _stacked_squares(depths) -> MeshModel:
     return MeshModel(vertices, triangles)
 
 
-@pytest.fixture(params=[1 << 16, 37], ids=["one-batch", "many-batches"])
-def batch(request, monkeypatch):
-    monkeypatch.setattr(pfa.raster, "FRAGMENT_BATCH", request.param)
-    return request.param
-
-
 class TestViews:
-    def test_random_meshes_and_poses(self, batch):
+    def test_random_meshes_and_poses(self):
         rng = np.random.default_rng(1988)
         for _ in range(24):
             mesh = random_small_mesh(rng, int(rng.integers(2, 60)))
@@ -64,7 +57,7 @@ class TestViews:
             assert_same_map(rasterize(mesh, pose, camera, size),
                             reference_rasterize(mesh, pose, camera, size))
 
-    def test_edges_through_pixel_centers(self, batch):
+    def test_edges_through_pixel_centers(self):
         # corners on pixel centers at unit depth, seen by a unit camera: many
         # edges pass exactly through pixel centers, where the fill rule decides
         rng = np.random.default_rng(88)
@@ -77,7 +70,7 @@ class TestViews:
             assert_same_map(rasterize(mesh, RigidPose.identity(), camera, 32),
                             reference_rasterize(mesh, RigidPose.identity(), camera, 32))
 
-    def test_box_views(self, batch):
+    def test_box_views(self):
         for rotation in sample_rotations(12, 5):
             pose = RigidPose(rotation, [0.0, 0.0, 1.0])
             assert_same_map(rasterize(BOX, pose, DEFAULT_EXEMPLAR_CAMERA, EXEMPLAR_SIZE),
@@ -109,7 +102,7 @@ class TestViews:
         assert_same_map(cmap, reference_rasterize(
             mesh, RigidPose.identity(), DEFAULT_EXEMPLAR_CAMERA, EXEMPLAR_SIZE))
 
-    def test_sub_nanometre_tie_chain_is_sequential(self, batch):
+    def test_sub_nanometre_tie_chain_is_sequential(self):
         # each square is 0.8 DEPTH_TIE nearer than the one before it: drawn in
         # order, square 1 does not beat square 0, square 2 does, and square 3
         # does not beat square 2; the nearest square (3) is not what is kept
@@ -123,7 +116,7 @@ class TestViews:
 
 
 class TestScenes:
-    def test_occluded_scenes_and_windows(self, batch):
+    def test_occluded_scenes_and_windows(self):
         config = ExperimentConfig(trials=6, seed=3, occluder_count=3, occluder_coverage=0.8)
         cam = config.target_camera
         rng = np.random.default_rng(7)
