@@ -47,14 +47,17 @@ from .geometry import (
     sample_rotations,
 )
 from .mesh import MeshModel, mesh_digest
-# bench/layers.py patches rasterize here; generation renders with render_surface
-from .raster import CoordinateMap, rasterize, render_surface  # noqa: F401
+# bench/layers.py patches rasterize here; generation renders its views in
+# multi-view passes with render_surfaces
+from .raster import CoordinateMap, rasterize, render_surfaces  # noqa: F401
 
 EXEMPLAR_SIZE = 256
 MAGIC = b"PFAX"
 FORMAT_VERSION = 2
 
 _MASK_BYTES = EXEMPLAR_SIZE * EXEMPLAR_SIZE // 8
+# set bits of each byte value; np.bitwise_count needs numpy 2
+_POPCOUNT = np.array([bin(byte).count("1") for byte in range(256)], dtype=np.uint8)
 
 
 @dataclass(eq=False)
@@ -203,10 +206,11 @@ def generate_exemplar_set(
     digest = mesh_digest(mesh)
     rotations = sample_rotations(count, seed)
     translation = np.array([0.0, 0.0, z_bar])
+    poses = [RigidPose(rotation, translation) for rotation in rotations]
     exemplars = []
-    for i in range(count):
-        pose = RigidPose(rotations[i], translation)
-        surface = render_surface(mesh, pose, camera, EXEMPLAR_SIZE)
+    for i, (pose, surface) in enumerate(
+        zip(poses, render_surfaces(mesh, poses, camera, EXEMPLAR_SIZE))
+    ):
         mask = np.zeros(EXEMPLAR_SIZE * EXEMPLAR_SIZE, dtype=bool)
         mask[surface.pixels] = True
         exemplars.append(Exemplar(
@@ -328,7 +332,7 @@ def load_set(path) -> ExemplarSet:
             bits = np.frombuffer(
                 reader.read_exact(_MASK_BYTES, f"exemplar {i} mask"), dtype=np.uint8
             ).copy()
-            n_masked = int(np.unpackbits(bits).sum())
+            n_masked = int(_POPCOUNT.take(bits).sum(dtype=np.uint32))
             points = np.frombuffer(
                 reader.read_exact(12 * n_masked, f"exemplar {i} points"), dtype="<f4"
             ).reshape(n_masked, 3).copy()

@@ -138,7 +138,8 @@ class ExperimentConfig:
             for key, number in numbers.items():
                 _refuse_non_finite(number, path if key is None else path + (key,))
         for names, ok, requirement in (
-            (("trials", "n_exemplars", "max_correspondences"), lambda v: v >= 1, ">= 1"),
+            (("trials", "n_exemplars", "gen_count", "max_correspondences"),
+             lambda v: v >= 1, ">= 1"),
             (("lateral_range", "jitter_max_rot_deg", "jitter_max_reproj_px", "occluder_count",
               "occluder_coverage", "gen_seed"), lambda v: v >= 0, ">= 0"),
             (("gen_z_bar", "crop_pad"), lambda v: v > 0, "positive"),

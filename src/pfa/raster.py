@@ -3,33 +3,41 @@
 Triangles are sampled at pixel centers (col + 0.5, row + 0.5) with the
 edge functions of Pineda (SIGGRAPH 1988) and a top-left fill rule, so
 triangles sharing an edge never both claim a pixel. Each mesh is projected
-once, and all triangles of a render (one mesh, or a scene's object and
-occluders) are set up together as arrays. An edge function is a row term
-minus a column term, ``A (y - p_y) - B (x - p_x)``, and the column term is
-monotone in x, so the pixels a triangle covers in one row form a span. Its
-ends are found exactly, by evaluating the edge functions themselves, and
-only covered pixels become fragments. A fragment's edge values, depth and
-interpolated point come from the same float operations, in the same
-order, as the per-triangle reference in the tests, so results are
-bit-identical to it.
+once per view, and all triangles of a pass (views of one mesh, or a
+scene's object and occluders) are set up together as arrays. An edge
+function is a row term minus a column term, ``A (y - p_y) - B (x - p_x)``,
+and the column term is monotone in x, so the pixels a triangle covers in
+one row form a span. Its ends are found exactly, by evaluating the edge
+functions themselves, and only covered pixels become fragments. A
+fragment's edge values, depth and interpolated point come from the same
+float operations, in the same order, as the per-triangle reference in the
+tests, so results are bit-identical to it.
 
 Depth is resolved as if the triangles were drawn one after another in
 index order: a later triangle wins a pixel only if it is nearer than the
 current depth by more than ``DEPTH_TIE`` (1e-9 m), so a tie keeps the lower
 triangle index. Fragments are stably sorted by pixel and that rule is
 applied one depth-complexity rank at a time, which gives the sequential
-result exactly. All fragments of a render are resolved at once, so memory
-grows with the covered pixels summed over triangles: about 25K fragments
-for a flow crop window of the box scene, a few thousand for a 256 x 256
-exemplar.
+result exactly. The fragments of a pass are resolved at once, so memory
+grows with the covered pixels summed over its triangles.
 
-``render_surface`` returns the winning fragments of one view, sparse: for
-every covered pixel the perspective-correct interpolated model-frame
-point, its camera depth and the index of the winning triangle.
-``rasterize`` is the dense ``CoordinateMap`` view of the same fragments.
-Scene z-buffers (``scene_depth_map``) resolve each mesh of a scene in a
-buffer of its own, for depth alone, take the per-pixel minimum, and may be
-limited to a pixel window of the image.
+``render_surfaces`` renders many views of one mesh, each view a layer with
+a buffer of its own, as a scene's meshes are, and yields the winning
+fragments of each view, sparse: for every covered pixel the
+perspective-correct interpolated model-frame point, its camera depth and
+the index of the winning triangle. It works in passes of whole views. A
+pass sets up about ``PASS_TRIANGLES`` triangles, and at least one view, so
+a small mesh pays one set-up for several views while a many-face mesh
+keeps one view per pass, where larger per-triangle tables fall out of
+cache. The exact fragment counts of the spans then cut a pass at view
+boundaries so that it resolves at most ``PASS_FRAGMENTS`` fragments, unless
+one view alone has more: memory follows how much of the frame the object
+fills, not how many views are asked for. ``rasterize`` is the dense
+``CoordinateMap`` view of one such view. Scene z-buffers
+(``scene_depth_map``) resolve each mesh of a scene in a buffer of its own,
+in one pass (about 25K fragments for a flow crop window of the box scene),
+for depth alone, take the per-pixel minimum, and may be limited to a pixel
+window of the image.
 
 Triangles with any vertex at depth <= ``NEAR_CLIP`` are dropped whole (no
 near-plane clipping), and so are triangles whose projection has zero
@@ -40,7 +48,7 @@ than an error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -50,6 +58,11 @@ from .mesh import MeshModel
 
 DEPTH_TIE = 1e-9
 NEAR_CLIP = 1e-9
+
+# a multi-view pass sets up about this many triangles, and resolves at most
+# this many fragments unless one view alone has more
+PASS_TRIANGLES = 128
+PASS_FRAGMENTS = 1 << 15
 
 # edge e of an oriented triangle (a, b, c) runs between these corners; its
 # function is the barycentric weight of corner e
@@ -273,8 +286,8 @@ def _spans(tris: _Triangles):
     return t[drawn], y[drawn], lo[drawn], count[drawn]
 
 
-def _z_buffer(tris: _Triangles, window):
-    """Resolve the triangles' fragments, in index order, in the window.
+def _z_buffer(tris: _Triangles, spans, window):
+    """Resolve the fragments of the given spans, in index order, in the window.
 
     Each mesh is resolved in a buffer of its own. Returns the visible
     surface of each mesh, sparse, ordered by mesh and then pixel: flat
@@ -282,7 +295,7 @@ def _z_buffer(tris: _Triangles, window):
     winning position in ``tris``).
     """
     area = (window[2] - window[0]) * (window[3] - window[1])
-    keys, depth, owner = _resolve(*_fragments(tris, *_spans(tris), window))
+    keys, depth, owner = _resolve(*_fragments(tris, *spans, window))
     return keys - tris.layer[owner] * area, depth, owner
 
 
@@ -331,26 +344,55 @@ def _resolve(key, z_pix, t):
     return key[heads[drawn]], depth[drawn], t[order[winner[drawn]]]
 
 
-def render_surface(
-    mesh: MeshModel, pose: RigidPose, camera: CameraIntrinsics, size: int
-) -> Surface:
-    """The visible surface of a mesh in a square view of ``size`` x ``size`` pixels."""
+def _passes(view, count, n_views):
+    """Cut views 0..n_views-1 into runs of whole views of at most
+    ``PASS_FRAGMENTS`` fragments; a view with more is a run of its own.
+
+    ``view`` and ``count`` give each span's view, increasing, and its pixel
+    count. Yields (first view, end view, slice of the spans) per run.
+    """
+    fragments = np.bincount(view, weights=count, minlength=n_views)
+    bounds = np.searchsorted(view, np.arange(n_views + 1))
+    first, total = 0, 0.0
+    for end in range(n_views):
+        if end > first and total + fragments[end] > PASS_FRAGMENTS:
+            yield first, end, slice(bounds[first], bounds[end])
+            first, total = end, 0.0
+        total += fragments[end]
+    yield first, n_views, slice(bounds[first], bounds[n_views])
+
+
+def render_surfaces(
+    mesh: MeshModel, poses, camera: CameraIntrinsics, size: int
+) -> Iterator[Surface]:
+    """The visible surface of a mesh in each of a sequence of poses, in
+    order, in square views of ``size`` x ``size`` pixels; views are rendered
+    in passes, so a pass's views are held until the last is yielded."""
     window = (0, 0, size, size)
-    tris = _setup([(mesh, pose)], camera, window)
-    pixels, depth, t = _z_buffer(tris, window)
-    weights = _weights(tris, t, pixels % size, pixels // size)
-    scaled = tris.scaled.take(t, axis=2)  # (corner, axis, n)
-    points = (
-        weights[0] * scaled[0] + weights[1] * scaled[1] + weights[2] * scaled[2]
-    ) * depth
-    return Surface(pixels, depth, np.ascontiguousarray(points.T), tris.index[t].astype(np.int32))
+    per_pass = max(1, PASS_TRIANGLES // len(mesh.triangles))
+    for start in range(0, len(poses), per_pass):
+        views = [(mesh, pose) for pose in poses[start : start + per_pass]]
+        tris = _setup(views, camera, window)
+        spans = _spans(tris)
+        for first, end, part in _passes(tris.layer[spans[0]], spans[3], len(views)):
+            pixels, depth, t = _z_buffer(tris, [s[part] for s in spans], window)
+            weights = _weights(tris, t, pixels % size, pixels // size)
+            scaled = tris.scaled.take(t, axis=2)  # (corner, axis, n)
+            points = (
+                weights[0] * scaled[0] + weights[1] * scaled[1] + weights[2] * scaled[2]
+            ) * depth
+            points = np.ascontiguousarray(points.T)
+            index = tris.index[t].astype(np.int32)
+            bounds = np.searchsorted(tris.layer[t], np.arange(first, end + 1))
+            for a, b in zip(bounds[:-1], bounds[1:]):
+                yield Surface(pixels[a:b], depth[a:b], points[a:b], index[a:b])
 
 
 def rasterize(
     mesh: MeshModel, pose: RigidPose, camera: CameraIntrinsics, size: int
 ) -> CoordinateMap:
     """Render a mesh into a square CoordinateMap of ``size`` x ``size`` pixels."""
-    surface = render_surface(mesh, pose, camera, size)
+    (surface,) = render_surfaces(mesh, [pose], camera, size)
     depth = np.full(size * size, np.inf)
     depth[surface.pixels] = surface.depth
     points = np.full((size * size, 3), np.nan)
@@ -377,7 +419,8 @@ def scene_depth_map(scene: SceneSpec, window=None) -> np.ndarray:
         window = (0, 0, scene.camera.width, scene.camera.height)
     x0, y0, x1, y1 = window
     views = [(scene.object_mesh, scene.object_pose), *scene.occluders]
-    pixels, depth, _ = _z_buffer(_setup(views, scene.camera, window), window)
+    tris = _setup(views, scene.camera, window)
+    pixels, depth, _ = _z_buffer(tris, _spans(tris), window)
     joint = np.full((y1 - y0) * (x1 - x0), np.inf)
     np.minimum.at(joint, pixels, depth)
     return joint.reshape(y1 - y0, x1 - x0)

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pfa.cli
 from pfa.cli import main
 from pfa.crops import DEFAULT_CROP_SIZE
 from pfa.errors import ConfigurationError
@@ -305,6 +306,8 @@ class TestConfig:
             ExperimentConfig(mesh_path="m", flow_source="files")
         with pytest.raises(ConfigurationError):
             ExperimentConfig(mesh_path="m", depth_fraction=1.5)
+        with pytest.raises(ConfigurationError, match="exemplars.generate.count must be >= 1"):
+            ExperimentConfig.from_dict({"exemplars": {"generate": {"count": 0}}})
 
     @pytest.mark.parametrize("key, value", [
         ("max_correspondences", 0), ("max_correspondences", -5),
@@ -833,6 +836,26 @@ class TestCli:
         assert main(["refine", "--config", str(bad_config), "--manifest", str(manifest_path),
                      "--out", str(tmp_path / "run")]) == 2
         assert f"crop.{key} must be" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_refine_zero_generate_count_is_exit_2_before_the_mesh(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        _, _, config_path = workspace
+        manifest_path = tmp_path / "manifest.json"
+        assert main(["synth-scenes", "--config", str(config_path), "--out", str(manifest_path)]) == 0
+        bad_config = tmp_path / "bad.json"
+        bad_config.write_text(json.dumps(
+            dict(json.loads(config_path.read_text()), exemplars={"generate": {"count": 0}})))
+        capsys.readouterr()
+
+        def no_mesh(path):
+            raise AssertionError(f"loaded the mesh {path}")
+
+        monkeypatch.setattr(pfa.cli, "load_mesh", no_mesh)
+        assert main(["refine", "--config", str(bad_config), "--manifest", str(manifest_path),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert "config exemplars.generate.count must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("edit, message", MALFORMED_MANIFESTS)

@@ -1,5 +1,7 @@
 """The vectorized rasterizer against the per-triangle reference, bit for bit."""
 
+import tracemalloc
+
 import numpy as np
 
 import pfa.raster
@@ -11,16 +13,27 @@ from helpers import (
 )
 from pfa.exemplars import EXEMPLAR_SIZE, Exemplar, ExemplarSet, generate_exemplar_set, save_set
 from pfa.geometry import CameraIntrinsics, RigidPose, sample_rotations
-from pfa.mesh import MeshModel, make_box, mesh_digest
+from pfa.mesh import MeshModel, make_box, make_plate, mesh_digest
 from pfa.pipeline import (
     DEFAULT_EXEMPLAR_CAMERA,
     ExperimentConfig,
     scene_from_manifest_entry,
     synth_scene_manifest,
 )
-from pfa.raster import DEPTH_TIE, SceneSpec, rasterize, scene_depth_map
+from pfa.raster import (
+    DEPTH_TIE,
+    PASS_FRAGMENTS,
+    PASS_TRIANGLES,
+    SceneSpec,
+    rasterize,
+    render_surfaces,
+    scene_depth_map,
+)
 
 BOX = make_box((0.10, 0.08, 0.06))
+# its bounding sphere nearly touches the 256 x 256 frame at FILL_Z_BAR
+FILL_BOX = make_box((0.3, 0.3, 0.3))
+FILL_Z_BAR = 1.1
 
 
 def assert_same_map(cmap, ref):
@@ -163,3 +176,76 @@ def test_box_set_file_is_byte_identical(tmp_path):
     save_set(reference, tmp_path / "reference.pfax")
     assert (tmp_path / "generated.pfax").read_bytes() == (tmp_path / "reference.pfax").read_bytes()
     assert all(ex.points.flags.c_contiguous for ex in generated.exemplars)
+
+
+def _fragment_count(mesh, pose, camera) -> int:
+    window = (0, 0, camera.width, camera.height)
+    return int(pfa.raster._spans(pfa.raster._setup([(mesh, pose)], camera, window))[3].sum())
+
+
+class TestViewPasses:
+    """Exemplar sets rendered in multi-view passes against the reference set."""
+
+    @staticmethod
+    def assert_same_set(mesh, count, z_bar, seed):
+        camera = DEFAULT_EXEMPLAR_CAMERA
+        generated = generate_exemplar_set(mesh, count, z_bar, camera, seed)
+        assert generated.equals(_reference_exemplar_set(mesh, count, z_bar, camera, seed))
+
+    def test_one_view(self):
+        self.assert_same_set(BOX, 1, 1.0, seed=4)
+
+    def test_count_off_the_pass_size(self):
+        per_pass = PASS_TRIANGLES // len(BOX.triangles)
+        self.assert_same_set(BOX, 2 * per_pass + 3, 1.0, seed=9)
+
+    def test_random_small_meshes(self):
+        rng = np.random.default_rng(1276)
+        for _ in range(5):
+            soup = random_small_mesh(rng, int(rng.integers(2, 40)))
+            mesh = MeshModel(soup.vertices - soup.centroid, soup.triangles)
+            per_pass = max(1, PASS_TRIANGLES // len(mesh.triangles))
+            count = per_pass + int(rng.integers(1, per_pass + 1))
+            self.assert_same_set(mesh, count, 5 * mesh.bounding_radius, int(rng.integers(100)))
+
+    def test_a_view_with_no_pixel_shares_a_pass(self):
+        # a flat plate seen edge-on through the camera center projects to a
+        # line, so that view covers nothing; the others cover the plate
+        plate = make_plate(0.1)
+        edge_on = RigidPose(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]]),
+                            [0.0, 0.0, 1.0])
+        poses = [RigidPose(r, [0.0, 0.0, 1.0]) for r in sample_rotations(3, 6)]
+        poses = [poses[0], edge_on, poses[1], edge_on, poses[2], edge_on]
+        assert len(poses) * len(plate.triangles) <= PASS_TRIANGLES
+        camera = DEFAULT_EXEMPLAR_CAMERA
+        surfaces = list(render_surfaces(plate, poses, camera, EXEMPLAR_SIZE))
+        assert [len(s.pixels) > 0 for s in surfaces] == [True, False] * 3
+        for surface, pose in zip(surfaces, poses):
+            ref = reference_rasterize(plate, pose, camera, EXEMPLAR_SIZE)
+            pixels = np.flatnonzero(ref.mask)
+            assert np.array_equal(surface.pixels, pixels)
+            assert np.array_equal(surface.depth, ref.depth.reshape(-1)[pixels])
+            assert np.array_equal(surface.points, ref.points.reshape(-1, 3)[pixels])
+            assert np.array_equal(surface.tri, ref.tri.reshape(-1)[pixels])
+            assert surface.tri.dtype == np.int32
+
+    def test_views_above_the_fragment_cut_render_alone(self):
+        poses = [RigidPose(r, [0.0, 0.0, FILL_Z_BAR]) for r in sample_rotations(3, 5)]
+        assert all(_fragment_count(FILL_BOX, pose, DEFAULT_EXEMPLAR_CAMERA) > PASS_FRAGMENTS
+                   for pose in poses)
+        self.assert_same_set(FILL_BOX, 3, FILL_Z_BAR, seed=5)
+
+
+def test_frame_filling_set_memory_stays_near_one_view():
+    def peak_mib(count):
+        tracemalloc.start()
+        try:
+            generate_exemplar_set(FILL_BOX, count, FILL_Z_BAR, DEFAULT_EXEMPLAR_CAMERA, seed=5)
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    one_view = peak_mib(1)
+    # one pass of triangles, which the fragment cut splits view by view
+    full_pass = peak_mib(PASS_TRIANGLES // len(FILL_BOX.triangles))
+    assert full_pass < 3 * one_view, (full_pass, one_view)
