@@ -50,13 +50,11 @@ from .geometry import (
     RigidPose,
     geodesic_distance,
     pose_jitter,
-    project,
     sample_rotations,
 )
-from .mesh import MeshModel, load_mesh, make_box, make_plate, make_tetrahedron
+from .mesh import MeshModel, load_mesh, make_box
 from .metrics import (
     PoseErrorReport,
-    accuracy_threshold,
     add_error,
     add_s_error,
     auc_metric,

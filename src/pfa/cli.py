@@ -182,7 +182,7 @@ def main(argv=None) -> int:
     except ArtifactMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    except (PfaError, ValueError) as exc:
+    except PfaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

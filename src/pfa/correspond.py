@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .crops import CropTransform, homography_xy
+from .crops import CropTransform, crop_to_image_matrix, homography_xy
 from .errors import ConfigurationError
 from .exemplars import Exemplar
 from .flow import CropSampler, FlowField
@@ -84,7 +84,7 @@ def lift_correspondences(
 
     sampler = CropSampler(exemplar, crop_exemplar)
     rows, cols = np.divmod(flow.indices, size)
-    back = target_camera.matrix @ exemplar.camera.inverse_matrix @ crop_target.inverse_matrix()
+    back = crop_to_image_matrix(crop_target, exemplar.camera, target_camera)
     # the flow-displaced pixel centers, lifted column by column
     x, y = homography_xy(back, cols + 0.5 + flow.vectors[:, 0], rows + 0.5 + flow.vectors[:, 1])
 

@@ -46,9 +46,6 @@ class CropTransform:
     def apply(self, pixels: np.ndarray) -> np.ndarray:
         return apply_homography(self.matrix, pixels)
 
-    def apply_inverse(self, pixels: np.ndarray) -> np.ndarray:
-        return apply_homography(np.linalg.inv(self.matrix), pixels)
-
     def inverse_matrix(self) -> np.ndarray:
         return np.linalg.inv(self.matrix)
 
@@ -112,16 +109,26 @@ def align_intrinsics(pixel, k_render: CameraIntrinsics, k_target: CameraIntrinsi
     return apply_homography(intrinsics_align_matrix(k_render, k_target), pixel)
 
 
+def image_to_crop_matrix(
+    crop: CropTransform, k_render: CameraIntrinsics, k_target: CameraIntrinsics
+) -> np.ndarray:
+    """Matrix mapping target-image pixels into ``crop``, a crop under the render camera."""
+    return crop.matrix @ intrinsics_align_matrix(k_render, k_target)
+
+
+def crop_to_image_matrix(
+    crop: CropTransform, k_render: CameraIntrinsics, k_target: CameraIntrinsics
+) -> np.ndarray:
+    """Matrix mapping ``crop`` pixels back to the target image:
+    (K_target @ K_render^-1) @ crop^-1, the inverse of ``image_to_crop_matrix``."""
+    return k_target.matrix @ k_render.inverse_matrix @ crop.inverse_matrix()
+
+
 def lift_to_image(
     crop_pixel,
     crop: CropTransform,
     k_render: CameraIntrinsics,
     k_target: CameraIntrinsics,
 ) -> np.ndarray:
-    """Map crop-frame pixels back to the original target image.
-
-    Inverts the crop and then the intrinsics alignment, i.e. applies
-    (K_target @ K_render^-1) @ crop_matrix^-1.
-    """
-    back = k_target.matrix @ k_render.inverse_matrix @ crop.inverse_matrix()
-    return apply_homography(back, crop_pixel)
+    """Map crop-frame pixels back to the original target image."""
+    return apply_homography(crop_to_image_matrix(crop, k_render, k_target), crop_pixel)

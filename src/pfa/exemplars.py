@@ -295,8 +295,9 @@ def save_set(exemplar_set: ExemplarSet, path) -> None:
 
 
 def load_set(path) -> ExemplarSet:
-    """Read a PFAX file; every malformed file raises a ``FileFormatError``
-    whose message starts with the path."""
+    """Read a PFAX file; every malformed file, including one with no exemplars
+    or a camera other than ``EXEMPLAR_SIZE`` square, raises a
+    ``FileFormatError`` whose message starts with the path."""
     with open(path, "rb") as f, naming_file(path):
         reader = _Reader(f)
         magic = reader.read_exact(4, "magic")
@@ -305,15 +306,22 @@ def load_set(path) -> ExemplarSet:
         version, count = struct.unpack("<II", reader.read_exact(8, "header"))
         if version != FORMAT_VERSION:
             raise VersionMismatchError(version, FORMAT_VERSION)
+        if count == 0:
+            raise FileFormatError("exemplar set holds no exemplars")
         (z_bar,) = struct.unpack("<d", reader.read_exact(8, "z_bar"))
         if not 0.0 < z_bar < np.inf:
             raise FileFormatError(f"z_bar must be finite and positive, found {z_bar}")
         fx, fy, cx, cy, width, height = struct.unpack(
             "<6d", reader.read_exact(48, "camera")
         )
+        if (width, height) != (EXEMPLAR_SIZE, EXEMPLAR_SIZE):  # the frame the masks cover
+            raise FileFormatError(
+                f"exemplar camera must be {EXEMPLAR_SIZE}x{EXEMPLAR_SIZE}, "
+                f"found {width!r}x{height!r}"
+            )
         try:
-            camera = CameraIntrinsics(fx, fy, cx, cy, int(width), int(height))
-        except (ValueError, OverflowError) as exc:
+            camera = CameraIntrinsics(fx, fy, cx, cy, EXEMPLAR_SIZE, EXEMPLAR_SIZE)
+        except ValueError as exc:
             raise FileFormatError(f"bad camera: {exc}") from exc
         digest = reader.read_exact(32, "mesh hash")
         (name_len,) = struct.unpack("<I", reader.read_exact(4, "name length"))

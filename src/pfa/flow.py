@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crops import CropTransform, apply_homography, intrinsics_align_matrix
+from .crops import CropTransform, apply_homography, image_to_crop_matrix
 from .errors import (
     BadMagicError,
     ConfigurationError,
@@ -181,7 +181,7 @@ def target_window(
     clipped to the image; the window is empty when the crop misses it.
     """
     size = crop_target.out_size
-    warp = crop_target.matrix @ intrinsics_align_matrix(k_render, k_target)
+    warp = image_to_crop_matrix(crop_target, k_render, k_target)
     corners = apply_homography(np.linalg.inv(warp), np.array([[0.0, 0.0], [size, size]]))
     lo = np.floor(corners.min(axis=0)).astype(np.int64) - 1
     hi = np.ceil(corners.max(axis=0)).astype(np.int64) + 1
@@ -239,7 +239,7 @@ def oracle_flow(
     k_target = scene.camera
     live = np.flatnonzero(q_target[:, 2] > 0)
     u_target = project_camera_points(k_target, q_target.take(live, axis=0))
-    warp = crop_target.matrix @ intrinsics_align_matrix(exemplar.camera, k_target)
+    warp = image_to_crop_matrix(crop_target, exemplar.camera, k_target)
     u_crop = apply_homography(warp, u_target)
     inside = np.flatnonzero(
         (u_target[:, 0] >= 0.0)

@@ -96,19 +96,6 @@ class CameraIntrinsics:
         )
 
 
-def project(camera: CameraIntrinsics, pose: RigidPose, point) -> np.ndarray:
-    """Project one model-frame point to continuous pixel coordinates.
-
-    Raises:
-        BehindCameraError: if the camera-frame depth is not positive.
-    """
-    q = pose.transform(np.asarray(point, dtype=np.float64).reshape(3))
-    z = q[2]
-    if not z > 0:
-        raise BehindCameraError(f"point has non-positive depth {z:.6g}")
-    return np.array([camera.fx * q[0] / z + camera.cx, camera.fy * q[1] / z + camera.cy])
-
-
 def project_points(camera: CameraIntrinsics, pose: RigidPose, points) -> np.ndarray:
     """Project (N, 3) model-frame points; all must be in front of the camera."""
     q = pose.transform(np.asarray(points, dtype=np.float64).reshape(-1, 3))
@@ -269,7 +256,7 @@ def pose_jitter(
     radius = max_reproj_px * np.sqrt(rng.uniform(0.0, 1.0))
     offset = radius * np.array([np.cos(phi), np.sin(phi)])
 
-    centroid = np.asarray(mesh.vertices, dtype=np.float64).mean(axis=0)
+    centroid = mesh.centroid
     c_cam = pose.transform(centroid)
     if not c_cam[2] > 0:
         raise BehindCameraError("mesh centroid is behind the camera")

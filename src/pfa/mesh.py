@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,16 +28,14 @@ _HULL_THRESHOLD = 400  # above this, diameter uses the convex hull first
 
 @dataclass(frozen=True, eq=False)
 class MeshModel:
-    """Triangle mesh in the model frame with its diameter.
+    """Triangle mesh in the model frame.
 
     Invariants enforced at construction: >= 4 vertices, all finite, all
     triangle indices in range, every triangle with strictly positive area.
-    The diameter is always computed from the vertices, never passed in.
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
-    diameter: float = field(init=False)
 
     def __post_init__(self):
         v = np.ascontiguousarray(np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3))
@@ -61,7 +60,11 @@ class MeshModel:
         t.flags.writeable = False
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "triangles", t)
-        object.__setattr__(self, "diameter", float(_diameter(v)))
+
+    @cached_property
+    def diameter(self) -> float:
+        """Largest vertex-to-vertex distance, computed from the vertices on first read."""
+        return float(_diameter(self.vertices))
 
     @property
     def centroid(self) -> np.ndarray:
@@ -300,7 +303,7 @@ def save_obj(mesh: MeshModel, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Procedural primitives (tests, occluders, demos)
+# Procedural primitives (occluders, demos)
 # ---------------------------------------------------------------------------
 
 _BOX_FACES = [
@@ -324,24 +327,3 @@ def make_box(extents=(1.0, 1.0, 1.0), center=(0.0, 0.0, 0.0)) -> MeshModel:
         ]
     ) + np.array([cx, cy, cz])
     return MeshModel(corners, np.array(_BOX_FACES))
-
-
-def make_tetrahedron(radius: float = 1.0) -> MeshModel:
-    """Regular tetrahedron with vertices at the given distance from origin."""
-    s = radius / np.sqrt(3.0)
-    v = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float) * s
-    t = np.array([[0, 1, 2], [0, 3, 1], [0, 2, 3], [1, 3, 2]])
-    return MeshModel(v, t)
-
-
-def make_plate(side: float = 1.0, thickness: float = 0.0) -> MeshModel:
-    """Square plate centered at the origin, symmetric under 180 deg about z.
-
-    With thickness 0 this is a flat two-triangle square (4 vertices).
-    """
-    a = side / 2.0
-    if thickness <= 0:
-        v = np.array([[-a, -a, 0], [a, -a, 0], [a, a, 0], [-a, a, 0]], dtype=float)
-        t = np.array([[0, 1, 2], [0, 2, 3]])
-        return MeshModel(v, t)
-    return make_box((side, side, thickness))

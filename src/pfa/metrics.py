@@ -1,4 +1,4 @@
-"""Pose accuracy metrics: ADD, ADD-S, threshold accuracies, and AUC."""
+"""Pose accuracy metrics: ADD, ADD-S, and AUC."""
 
 from __future__ import annotations
 
@@ -20,11 +20,11 @@ class PoseErrorReport:
 
     add: float
     add_s: float
-    rotation_err: float  # degrees
-    translation_err: float  # meters
+    rotation_err_deg: float
+    translation_err_m: float
 
     def __post_init__(self):
-        if min(self.add, self.add_s, self.rotation_err, self.translation_err) < 0:
+        if min(self.add, self.add_s, self.rotation_err_deg, self.translation_err_m) < 0:
             raise ValueError("error metrics must be non-negative")
         if not self.add_s <= self.add + 1e-12:
             raise ValueError("ADD-S cannot exceed ADD")
@@ -67,23 +67,9 @@ def pose_error_report(gt: RigidPose, pred: RigidPose, mesh: MeshModel) -> PoseEr
     return PoseErrorReport(
         add=add_error(gt, pred, mesh),
         add_s=add_s_error(gt, pred, mesh),
-        rotation_err=geodesic_distance(gt.rotation, pred.rotation),
-        translation_err=float(np.linalg.norm(gt.translation - pred.translation)),
+        rotation_err_deg=geodesic_distance(gt.rotation, pred.rotation),
+        translation_err_m=float(np.linalg.norm(gt.translation - pred.translation)),
     )
-
-
-def accuracy_threshold(errors, mesh: MeshModel, fraction: float) -> float:
-    """Share of errors strictly below ``fraction`` of the mesh diameter.
-
-    fraction=0.1 is the common "one tenth of the diameter" accuracy;
-    fraction=0.5 is the loose variant.
-    """
-    if fraction <= 0:
-        raise ValueError("fraction must be positive")
-    errs = np.asarray(list(errors), dtype=np.float64)
-    if errs.size == 0:
-        raise UndefinedInputError("accuracy over an empty error list is undefined")
-    return float(np.mean(errs < fraction * mesh.diameter))
 
 
 def auc_metric(errors, max_threshold: float = DEFAULT_AUC_THRESHOLD) -> float:

@@ -49,7 +49,7 @@ from .geometry import (
     random_rotation,
 )
 from .mesh import MeshModel, make_box, mesh_digest
-from .metrics import auc_metric, pose_error_report
+from .metrics import PoseErrorReport, auc_metric, pose_error_report
 from .raster import SceneSpec
 from .refine import MAX_CORRESPONDENCES, RansacConfig, refine_pose
 from .seeds import derive_seed
@@ -254,7 +254,7 @@ RECORDS_FIELDS = {
     "trials": "list[record trial]",
 }
 _RECORD_TRIAL_FIELDS = {"initial_report": "report | None", "refined_report": "report | None"}
-_REPORT_FIELDS = dict.fromkeys(("add", "add_s", "rotation_err_deg", "translation_err_m"), "float")
+_REPORT_FIELDS = {f.name: f.type for f in fields(PoseErrorReport)}
 
 
 def _where(path: tuple) -> str:
@@ -610,15 +610,6 @@ class _DumpingSource:
 # ---------------------------------------------------------------------------
 
 
-def _report_to_dict(report) -> dict:
-    return {
-        "add": report.add,
-        "add_s": report.add_s,
-        "rotation_err_deg": report.rotation_err,
-        "translation_err_m": report.translation_err,
-    }
-
-
 def run_trial(
     config: ExperimentConfig,
     mesh: MeshModel,
@@ -644,7 +635,7 @@ def run_trial(
         "refined_pose": None,
         "failure_reason": None,
         "exemplars": [],
-        "initial_report": _report_to_dict(pose_error_report(gt, initial, mesh)),
+        "initial_report": asdict(pose_error_report(gt, initial, mesh)),
         "refined_report": None,
         "wall_time_ms": 0.0,
     }
@@ -663,17 +654,9 @@ def run_trial(
     else:
         refined = result.estimate.pose
         record["refined_pose"] = pose_to_dict(refined)
-        record["refined_report"] = _report_to_dict(pose_error_report(gt, refined, mesh))
+        record["refined_report"] = asdict(pose_error_report(gt, refined, mesh))
         reports = result.exemplar_reports
-    record["exemplars"] = [
-        {
-            "id": r.exemplar_id,
-            "distance_deg": r.distance_deg,
-            "n_correspondences": r.n_correspondences,
-            "inlier_count": r.inlier_count,
-        }
-        for r in reports
-    ]
+    record["exemplars"] = [asdict(r) for r in reports]
     record["wall_time_ms"] = (time.perf_counter() - start) * 1000.0
     return record
 

@@ -2,47 +2,20 @@
 
 Triangles are sampled at pixel centers (col + 0.5, row + 0.5) with the
 edge functions of Pineda (SIGGRAPH 1988) and a top-left fill rule, so
-triangles sharing an edge never both claim a pixel. Each mesh is projected
-once per view, and all triangles of a pass (views of one mesh, or a
-scene's object and occluders) are set up together as arrays. An edge
-function is a row term minus a column term, ``A (y - p_y) - B (x - p_x)``,
-and the column term is monotone in x, so the pixels a triangle covers in
-one row form a span. Its ends are found exactly, by evaluating the edge
-functions themselves, and only covered pixels become fragments. A
-fragment's edge values, depth and interpolated point come from the same
-float operations, in the same order, as the per-triangle reference in the
-tests, so results are bit-identical to it.
+triangles sharing an edge never both claim a pixel. The pixels a triangle
+covers in one row form a span whose ends come exactly from the edge
+functions, and only covered pixels become fragments. Fragment values come
+from the same float operations, in the same order, as the per-triangle
+reference in the tests, so results are bit-identical to it.
 
-Depth is resolved as if the triangles were drawn one after another in
-index order: a later triangle wins a pixel only if it is nearer than the
-current depth by more than ``DEPTH_TIE`` (1e-9 m), so a tie keeps the lower
-triangle index. Fragments are stably sorted by pixel and that rule is
-applied one depth-complexity rank at a time, which gives the sequential
-result exactly. The fragments of a pass are resolved at once, so memory
-grows with the covered pixels summed over its triangles.
-
-``render_surfaces`` renders many views of one mesh, each view a layer with
-a buffer of its own, as a scene's meshes are, and yields the winning
-fragments of each view, sparse: for every covered pixel the
-perspective-correct interpolated model-frame point, its camera depth and
-the index of the winning triangle. It works in passes of whole views. A
-pass sets up about ``PASS_TRIANGLES`` triangles, and at least one view, so
-a small mesh pays one set-up for several views while a many-face mesh
-keeps one view per pass, where larger per-triangle tables fall out of
-cache. The exact fragment counts of the spans then cut a pass at view
-boundaries so that it resolves at most ``PASS_FRAGMENTS`` fragments, unless
-one view alone has more: memory follows how much of the frame the object
-fills, not how many views are asked for. ``rasterize`` is the dense
-``CoordinateMap`` view of one such view. Scene z-buffers
-(``scene_depth_map``) resolve each mesh of a scene in a buffer of its own,
-in one pass (about 25K fragments for a flow crop window of the box scene),
-for depth alone, take the per-pixel minimum, and may be limited to a pixel
-window of the image.
-
-Triangles with any vertex at depth <= ``NEAR_CLIP`` are dropped whole (no
-near-plane clipping), and so are triangles whose projection has zero
-area; objects fully behind the camera rasterize to an empty mask rather
-than an error.
+Depth is resolved as if the triangles were drawn in index order: a later
+triangle wins a pixel only if it is nearer by more than ``DEPTH_TIE``, so
+a tie keeps the lower index. The meshes of one pass (views of one mesh in
+``render_surfaces``, a scene's meshes in ``scene_depth_map``) are set up
+together and resolved each in a buffer of its own. Triangles with a vertex
+at depth <= ``NEAR_CLIP`` are dropped whole (no near-plane clipping, so an
+object behind the camera renders empty), as are triangles of zero
+projected area.
 """
 
 from __future__ import annotations
@@ -59,8 +32,9 @@ from .mesh import MeshModel
 DEPTH_TIE = 1e-9
 NEAR_CLIP = 1e-9
 
-# a multi-view pass sets up about this many triangles, and resolves at most
-# this many fragments unless one view alone has more
+# a multi-view pass sets up about this many triangles (a many-face mesh keeps
+# one view per pass, where larger tables fall out of cache), and resolves at
+# most this many fragments unless one view alone has more
 PASS_TRIANGLES = 128
 PASS_FRAGMENTS = 1 << 15
 
@@ -366,8 +340,10 @@ def render_surfaces(
     mesh: MeshModel, poses, camera: CameraIntrinsics, size: int
 ) -> Iterator[Surface]:
     """The visible surface of a mesh in each of a sequence of poses, in
-    order, in square views of ``size`` x ``size`` pixels; views are rendered
-    in passes, so a pass's views are held until the last is yielded."""
+    order, in square views of ``size`` x ``size`` pixels: per covered pixel,
+    the interpolated model-frame point, its camera depth and the winning
+    triangle. Views are rendered in passes of whole views (``PASS_TRIANGLES``,
+    cut by ``_passes``), so a pass's views are held until the last is yielded."""
     window = (0, 0, size, size)
     per_pass = max(1, PASS_TRIANGLES // len(mesh.triangles))
     for start in range(0, len(poses), per_pass):

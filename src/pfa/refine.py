@@ -66,20 +66,21 @@ class PoseEstimate:
     """A solved pose with its supporting inliers."""
 
     pose: RigidPose
-    inlier_count: int
     inlier_ids: np.ndarray  # (N,) bool over the input correspondences
 
     def __post_init__(self):
         self.inlier_ids = np.asarray(self.inlier_ids, dtype=bool)
-        if self.inlier_count != int(self.inlier_ids.sum()):
-            raise ValueError("inlier_count disagrees with inlier_ids")
+
+    @property
+    def inlier_count(self) -> int:
+        return int(self.inlier_ids.sum())
 
 
 @dataclass(frozen=True)
 class ExemplarReport:
-    """Per-exemplar diagnostics of one refinement pass."""
+    """Per-exemplar diagnostics of one refinement pass; a record's exemplar entry."""
 
-    exemplar_id: int
+    id: int
     distance_deg: float
     n_correspondences: int
     inlier_count: int
@@ -270,7 +271,7 @@ def ransac_pnp(
         inliers = refit
         if settled:
             break
-    return PoseEstimate(pose, int(inliers.sum()), inliers)
+    return PoseEstimate(pose, inliers)
 
 
 def refine_pose(

@@ -8,7 +8,7 @@ from typing import NamedTuple
 import numpy as np
 
 from pfa.geometry import CameraIntrinsics, RigidPose
-from pfa.mesh import MeshModel
+from pfa.mesh import MeshModel, make_box
 from pfa.raster import DEPTH_TIE, NEAR_CLIP, CoordinateMap, rasterize
 
 
@@ -187,6 +187,27 @@ def _reference_triangle(index, vids, uv, z, model_vertices, window, depth, attri
     points, tri = attributes
     points[block][update] = interp[update]
     tri[block][update] = index
+
+
+def make_tetrahedron(radius: float = 1.0) -> MeshModel:
+    """Regular tetrahedron with vertices at the given distance from origin."""
+    s = radius / np.sqrt(3.0)
+    v = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float) * s
+    t = np.array([[0, 1, 2], [0, 3, 1], [0, 2, 3], [1, 3, 2]])
+    return MeshModel(v, t)
+
+
+def make_plate(side: float = 1.0, thickness: float = 0.0) -> MeshModel:
+    """Square plate centered at the origin, symmetric under 180 deg about z.
+
+    With thickness 0 this is a flat two-triangle square (4 vertices).
+    """
+    a = side / 2.0
+    if thickness <= 0:
+        v = np.array([[-a, -a, 0], [a, -a, 0], [a, a, 0], [-a, a, 0]], dtype=float)
+        t = np.array([[0, 1, 2], [0, 2, 3]])
+        return MeshModel(v, t)
+    return make_box((side, side, thickness))
 
 
 def random_small_mesh(rng: np.random.Generator, n_triangles: int = 12) -> MeshModel:

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import ray_trace_reference, random_small_mesh
+from helpers import make_plate, make_tetrahedron, ray_trace_reference, random_small_mesh
 from pfa.correspond import CorrespondenceSet
 from pfa.crops import CropTransform, align_intrinsics, compute_crop, lift_to_image
 from pfa.exemplars import (
@@ -32,7 +32,7 @@ from pfa.geometry import (
     rotation_from_rotvec,
     sample_rotations,
 )
-from pfa.mesh import make_box, make_plate, make_tetrahedron, save_obj
+from pfa.mesh import make_box, save_obj
 from pfa.metrics import add_error, add_s_error, auc_metric, pose_error_report
 from pfa.pipeline import (
     DEFAULT_EXEMPLAR_CAMERA,

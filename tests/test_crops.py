@@ -8,6 +8,8 @@ from pfa.crops import (
     align_intrinsics,
     apply_homography,
     compute_crop,
+    crop_to_image_matrix,
+    image_to_crop_matrix,
     intrinsics_align_matrix,
     lift_to_image,
 )
@@ -45,7 +47,7 @@ class TestComputeCrop:
         crop = compute_crop(pose, K_VGA, mesh)
         rng = np.random.default_rng(31)
         pixels = rng.uniform([0, 0], [640, 480], size=(1000, 2))
-        back = crop.apply_inverse(crop.apply(pixels))
+        back = apply_homography(crop.inverse_matrix(), crop.apply(pixels))
         assert np.abs(back - pixels).max() < 1e-9
         assert np.abs(crop.inverse_matrix() @ crop.matrix - np.eye(3)).max() < 1e-12
 
@@ -120,6 +122,18 @@ class TestLiftToImage:
         pixels = rng.uniform(0, 640, size=(500, 2))
         warped = crop.apply(apply_homography(intrinsics_align_matrix(k_r, K_VGA), pixels))
         assert np.abs(lift_to_image(warped, crop, k_r, K_VGA) - pixels).max() < 1e-9
+
+    def test_image_crop_maps_invert_each_other(self):
+        mesh, pose = _square_mesh(0.2, 1.0)
+        k_r = CameraIntrinsics(400.0, 400.0, 128.0, 128.0, 256, 256)
+        crop = compute_crop(pose, k_r, mesh)
+        to_crop = image_to_crop_matrix(crop, k_r, K_VGA)
+        to_image = crop_to_image_matrix(crop, k_r, K_VGA)
+        assert np.abs(to_image @ to_crop - np.eye(3)).max() < 1e-12
+        rng = np.random.default_rng(36)
+        pixels = rng.uniform(0, 640, size=(100, 2))
+        warped = crop.apply(apply_homography(intrinsics_align_matrix(k_r, K_VGA), pixels))
+        assert np.abs(apply_homography(to_crop, pixels) - warped).max() < 1e-9
 
     def test_identity_everything_is_passthrough(self):
         crop = CropTransform.identity(256)

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import reprojection_residual_max
+from helpers import make_tetrahedron, reprojection_residual_max
 from pfa.errors import (
     BadMagicError,
     ConfigurationError,
@@ -18,6 +18,7 @@ from pfa.errors import (
 )
 from pfa.exemplars import (
     EXEMPLAR_SIZE,
+    ExemplarSet,
     ensure_mesh_binding,
     generate_exemplar_set,
     load_set,
@@ -27,7 +28,7 @@ from pfa.exemplars import (
 )
 from pfa.geometry import RigidPose, geodesic_distance, sample_rotations
 from pfa.geometry import CameraIntrinsics
-from pfa.mesh import make_box, make_tetrahedron
+from pfa.mesh import make_box
 from pfa.raster import rasterize
 
 K_R = CameraIntrinsics(400.0, 400.0, 128.0, 128.0, 256, 256)
@@ -199,6 +200,24 @@ class TestPersistence:
             data[12:20] = struct.pack("<d", float("inf"))
         path.write_bytes(bytes(data))
         with pytest.raises(error) as info:
+            load_set(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("width, height", [(640.0, 480.0), (256.9, 256.0), (256.0, 0.0)])
+    def test_exemplar_camera_other_than_the_mask_frame(self, tmp_path, small_set, width, height):
+        path = tmp_path / "camera.pfax"
+        save_set(small_set, path)
+        data = bytearray(path.read_bytes())
+        data[52:68] = struct.pack("<2d", width, height)  # after magic, version, count, z_bar, fx..cy
+        path.write_bytes(bytes(data))
+        with pytest.raises(FileFormatError, match="exemplar camera must be 256x256") as info:
+            load_set(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    def test_empty_set_refused_at_load(self, tmp_path, small_set):
+        path = tmp_path / "empty.pfax"
+        save_set(ExemplarSet("empty", small_set.mesh_hash, 1.0, small_set.camera), path)
+        with pytest.raises(FileFormatError, match="holds no exemplars") as info:
             load_set(path)
         assert str(info.value).startswith(f"{path}: ")
 

@@ -12,6 +12,7 @@ from helpers import (
     dense_save_flow,
     dense_subsample,
     dense_view,
+    make_tetrahedron,
     same_flow,
     sparse_field,
 )
@@ -35,7 +36,7 @@ from pfa.flow import (
     target_window,
 )
 from pfa.geometry import CameraIntrinsics, RigidPose, project_points, rotation_about_axis
-from pfa.mesh import MeshModel, make_box, make_tetrahedron
+from pfa.mesh import MeshModel, make_box
 from pfa.raster import SceneSpec
 
 K_R = CameraIntrinsics(400.0, 400.0, 128.0, 128.0, 256, 256)
@@ -144,7 +145,7 @@ class TestOracleGeometry:
 
         # independent loop-based bilinear interpolation of the model points
         cmap = ex.coordinate_map()
-        sample_px = crop_r.apply_inverse(centers[field.valid])
+        sample_px = apply_homography(crop_r.inverse_matrix(), centers[field.valid])
         rng = np.random.default_rng(0)
         pick = rng.choice(len(sample_px), size=400, replace=False)
         errs = []

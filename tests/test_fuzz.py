@@ -12,12 +12,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import ply_bytes, sparse_field
+from helpers import make_tetrahedron, ply_bytes, sparse_field
 from pfa.errors import ConfigurationError, PfaError
 from pfa.exemplars import ExemplarSet, generate_exemplar_set, load_set, save_set
 from pfa.flow import FlowField, FlowNoiseSpec, load_flow, save_flow
 from pfa.geometry import CameraIntrinsics
-from pfa.mesh import MeshModel, load_mesh, make_tetrahedron
+from pfa.mesh import MeshModel, load_mesh
 from pfa.pipeline import (
     CONFIG_JSON_PATHS,
     MANIFEST_FIELDS,

@@ -10,7 +10,6 @@ from pfa.geometry import (
     backproject,
     geodesic_distance,
     pose_jitter,
-    project,
     project_points,
     rotation_about_axis,
     sample_rotations,
@@ -42,16 +41,16 @@ class TestRigidPose:
 
 class TestProject:
     def test_identity_unit_depth(self):
-        assert np.allclose(project(K_SIMPLE, RigidPose.identity(), [0, 0, 1]), [0, 0])
+        assert np.allclose(project_points(K_SIMPLE, RigidPose.identity(), [0, 0, 1]), [[0, 0]])
 
     def test_hand_computed_pixel(self):
-        uv = project(K_VGA, RigidPose.identity(), [0.1, 0.0, 1.0])
-        assert np.allclose(uv, [370.0, 240.0], atol=1e-12)
+        uv = project_points(K_VGA, RigidPose.identity(), [0.1, 0.0, 1.0])
+        assert np.allclose(uv, [[370.0, 240.0]], atol=1e-12)
 
     def test_zero_depth_rejected(self):
         pose = RigidPose(np.eye(3), [0.0, 0.0, 0.0])
         with pytest.raises(BehindCameraError):
-            project(K_VGA, pose, [0.0, 0.0, 0.0])
+            project_points(K_VGA, pose, [0.0, 0.0, 0.0])
 
     def test_backprojection_round_trip(self):
         rng = np.random.default_rng(4)
@@ -60,14 +59,14 @@ class TestProject:
             pixel = rng.uniform([0, 0], [640, 480])
             depth = rng.uniform(0.2, 5.0)
             point = backproject(K_VGA, pixel, depth)
-            assert np.linalg.norm(project(K_VGA, pose, point) - pixel) < 1e-9
+            assert np.linalg.norm(project_points(K_VGA, pose, point)[0] - pixel) < 1e-9
 
     def test_project_points_matches_scalar(self):
         rng = np.random.default_rng(5)
         pose = RigidPose(rotation_about_axis([0, 1, 0], 15.0), [0.02, -0.01, 1.2])
         pts = rng.uniform(-0.1, 0.1, size=(50, 3))
         batch = project_points(K_VGA, pose, pts)
-        single = np.array([project(K_VGA, pose, p) for p in pts])
+        single = np.array([project_points(K_VGA, pose, p)[0] for p in pts])
         assert np.allclose(batch, single, atol=1e-12)
 
 
@@ -142,11 +141,11 @@ class TestPoseJitter:
 
     def test_bounds_hold_over_many_seeds(self):
         centroid = self.mesh.centroid
-        u0 = project(K_VGA, self.pose, centroid)
+        u0 = project_points(K_VGA, self.pose, centroid)[0]
         for seed in range(200):
             out = pose_jitter(self.pose, K_VGA, self.mesh, 20.0, 10.0, seed=seed)
             assert geodesic_distance(self.pose.rotation, out.rotation) <= 20.0 + 1e-9
-            offset = np.linalg.norm(project(K_VGA, out, centroid) - u0)
+            offset = np.linalg.norm(project_points(K_VGA, out, centroid)[0] - u0)
             assert offset <= 10.0 + 1e-9
 
     def test_deterministic(self):

@@ -1,10 +1,37 @@
 """Package structure: the modules of ``pfa`` import one another without a cycle,
-and every name a module imports is used."""
+every name a module imports is used, and every function the package defines
+is read somewhere in it, unless something outside the package pins it."""
 
 import ast
+import functools
+import importlib
+import re
+import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "pfa"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "pfa"
+BENCH = ROOT / "bench"
+ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
+
+# names that only an acceptance criterion calls -> the criterion's number
+CRITERION_PINS = {
+    "crops.align_intrinsics": 8,
+    "crops.lift_to_image": 8,
+    "crops.CropTransform.apply": 8,
+    "crops.CropTransform.identity": 8,
+    "geometry.RigidPose.identity": 6,
+    "exemplars.mean_query_distance": 4,
+    "exemplars.ExemplarSet.prefix": 4,
+    "pnp.reprojection_jacobian": 7,
+}
+
+# names that only the benchmark or the packaging reads -> the file that reads them
+OUTSIDE_READS = {
+    "mesh.save_obj": "bench/workloads.py",  # writes the benchmark's mesh file
+    "refine.PoseEstimate.inlier_count": "bench/layers.py",  # counts the consensus
+    "cli.main_entry": "pyproject.toml",  # the pfa console script
+}
 
 
 def _import_targets(node) -> list:
@@ -126,3 +153,121 @@ def test_unused_import_check_reads_the_module(tmp_path):
         encoding="utf-8",
     )
     assert unused_imports(path) == ["os", "loads"]
+
+
+def _reads(tree) -> set:
+    """Names read under an AST node, as a bare name or as an attribute."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+    return read
+
+
+def file_reads(path: Path) -> set:
+    """Names a Python file reads; for any other file, its words."""
+    text = path.read_text(encoding="utf-8")
+    return _reads(ast.parse(text)) if path.suffix == ".py" else set(re.findall(r"\w+", text))
+
+
+def definitions(path: Path) -> dict:
+    """``module.function`` or ``module.Class.method`` -> bare name, for the
+    top-level functions of a module and the methods and properties of its
+    top-level classes; dunder methods, which Python calls, are left out."""
+    out = {}
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        members = [(node, "")]
+        if isinstance(node, ast.ClassDef):
+            members = [(item, f"{node.name}.") for item in node.body]
+        for item, owner in members:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                owner and item.name.startswith("__") and item.name.endswith("__")
+            ):
+                out[f"{path.stem}.{owner}{item.name}"] = item.name
+    return out
+
+
+def package_modules() -> list:
+    return [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+
+
+def package_definitions() -> dict:
+    return {q: name for path in package_modules() for q, name in definitions(path).items()}
+
+
+def package_reads() -> set:
+    return set().union(*(file_reads(path) for path in package_modules()))
+
+
+def criterion_reads() -> dict:
+    """Acceptance criterion number -> the names its test reads."""
+    tree = ast.parse(ACCEPTANCE.read_text(encoding="utf-8"))
+    return {
+        int(node.name.split("_")[2]): _reads(node)
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("test_criterion_")
+    }
+
+
+@functools.cache
+def bench_patches() -> list:
+    """Every ``Patch`` of the benchmark's tracer, from ``bench/layers.py`` itself."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        layers = importlib.import_module("layers")
+    finally:
+        sys.path.remove(str(BENCH))
+    return layers.layer_patches() + layers.flow_timer_patches()
+
+
+def unread_definitions() -> list:
+    """Functions, methods and properties that no module of the package reads
+    and that nothing outside it pins: a bench patch or an allow-list entry."""
+    read = package_reads() | {patch.attr for patch in bench_patches()}
+    pinned = CRITERION_PINS.keys() | OUTSIDE_READS.keys()
+    return sorted(
+        q for q, name in package_definitions().items() if name not in read and q not in pinned
+    )
+
+
+def stale_pins() -> list:
+    """Allow-list entries that name no definition, that the package reads
+    itself, or that their criterion or outside reader no longer reads."""
+    defined, read, criteria = package_definitions(), package_reads(), criterion_reads()
+    readers = {q: criteria.get(number, set()) for q, number in CRITERION_PINS.items()}
+    readers.update({q: file_reads(ROOT / where) for q, where in OUTSIDE_READS.items()})
+    return sorted(
+        q for q, names in readers.items()
+        if q not in defined or defined[q] in read or defined[q] not in names
+    )
+
+
+def test_every_definition_is_read_or_pinned():
+    unread = unread_definitions()
+    assert not unread, f"nothing in src/pfa reads {unread}: delete them, or pin them here"
+
+
+def test_allow_list_is_current():
+    assert not stale_pins()
+
+
+def test_definitions_cover_functions_methods_and_properties(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        "def f():\n    def inner(): pass\n"
+        "class C:\n    def __init__(self): pass\n    def m(self): pass\n"
+        "    @property\n    def p(self): return 1\n"
+        "x = C().m\n",
+        encoding="utf-8",
+    )
+    assert definitions(path) == {"m.f": "f", "m.C.m": "m", "m.C.p": "p"}
+    assert {"C", "m"} <= file_reads(path) and "p" not in file_reads(path)
+
+
+def test_bench_patch_table_names_real_attributes():
+    patches = bench_patches()
+    missing = [f"{patch.owner.__name__}.{patch.attr}" for patch in patches
+               if patch.attr not in vars(patch.owner)]
+    assert patches and not missing, f"bench/layers.py patches missing attributes {missing}"

@@ -5,7 +5,8 @@ import struct
 import numpy as np
 import pytest
 
-from helpers import ply_bytes
+import pfa.mesh
+from helpers import make_plate, make_tetrahedron, ply_bytes
 from pfa.errors import DegenerateTriangleError, EmptyMeshError, MeshParseError
 from pfa.mesh import (
     _HULL_THRESHOLD,
@@ -13,8 +14,6 @@ from pfa.mesh import (
     face_normals,
     load_mesh,
     make_box,
-    make_plate,
-    make_tetrahedron,
     mesh_digest,
     save_obj,
 )
@@ -298,6 +297,15 @@ class TestMeshModel:
 
     def test_box_diameter(self):
         assert abs(make_box((1, 1, 1)).diameter - np.sqrt(3.0)) < 1e-12
+
+    def test_diameter_computed_on_first_read_only(self, monkeypatch):
+        calls = []
+        original = pfa.mesh._diameter
+        monkeypatch.setattr(pfa.mesh, "_diameter", lambda v: calls.append(1) or original(v))
+        box = make_box((1, 1, 1))
+        assert calls == []  # an occluder box that nobody measures pays nothing
+        assert box.diameter == box.diameter == float(original(box.vertices))
+        assert calls == [1]
 
     def test_diameter_is_not_an_input(self):
         # a passed diameter would move the ADD-0.1d threshold unchecked

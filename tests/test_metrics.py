@@ -1,21 +1,24 @@
 """ADD / ADD-S / threshold accuracy / AUC metrics."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
+from helpers import make_plate, make_tetrahedron
 from pfa.errors import UndefinedInputError
 from pfa.geometry import RigidPose, rotation_about_axis, sample_rotations
-from pfa.mesh import make_box, make_plate, make_tetrahedron
+from pfa.mesh import make_box
 from pfa.metrics import (
     BRUTE_FORCE_LIMIT,
     PoseErrorReport,
     _nn_distances_brute,
-    accuracy_threshold,
     add_error,
     add_s_error,
     auc_metric,
     pose_error_report,
 )
+from pfa.pipeline import summarize_records
 
 
 def _random_pose(rng):
@@ -91,31 +94,42 @@ class TestAddS:
         assert BRUTE_FORCE_LIMIT == 5000
 
 
+def _accuracy(errors, diameter: float) -> dict:
+    """``summarize_records``' refined add_01d and add_05d over ADD errors (None fails)."""
+    trials = [
+        {"initial_report": None,
+         "refined_report": None if e is None else asdict(PoseErrorReport(e, e, 0.0, 0.0))}
+        for e in errors
+    ]
+    records = {"label": "t", "n_exemplars": 1, "diameter": diameter, "trials": trials}
+    refined = summarize_records(records)["refined"]
+    return {key: refined[key] for key in ("add_01d", "add_05d")}
+
+
 class TestAccuracyThreshold:
     def setup_method(self):
-        self.mesh = make_box((0.1, 0.1, 0.1))
-        self.d = self.mesh.diameter
+        self.d = make_box((0.1, 0.1, 0.1)).diameter
 
     def test_all_zero(self):
-        assert accuracy_threshold([0.0, 0.0, 0.0], self.mesh, 0.1) == 1.0
+        assert _accuracy([0.0, 0.0, 0.0], self.d) == {"add_01d": 1.0, "add_05d": 1.0}
 
     def test_split_list(self):
         errors = [0.05 * self.d, 0.15 * self.d]
-        assert accuracy_threshold(errors, self.mesh, 0.1) == 0.5
-        assert accuracy_threshold(errors, self.mesh, 0.5) == 1.0
+        assert _accuracy(errors, self.d) == {"add_01d": 0.5, "add_05d": 1.0}
+        # strictly below the threshold; a failed trial is never accurate
+        assert _accuracy([0.1 * self.d, None], self.d) == {"add_01d": 0.0, "add_05d": 0.5}
 
+    @pytest.mark.filterwarnings("ignore:Mean of empty slice")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_empty_rejected(self):
         with pytest.raises(UndefinedInputError):
-            accuracy_threshold([], self.mesh, 0.1)
+            _accuracy([], self.d)
 
     def test_monotone_in_fraction(self):
         rng = np.random.default_rng(16)
-        errors = rng.uniform(0, self.d, size=50)
-        values = [
-            accuracy_threshold(errors, self.mesh, f)
-            for f in np.linspace(0.01, 1.0, 25)
-        ]
-        assert all(b >= a for a, b in zip(values, values[1:]))
+        for _ in range(25):
+            accuracy = _accuracy(list(rng.uniform(0, self.d, size=50)), self.d)
+            assert accuracy["add_05d"] >= accuracy["add_01d"]
 
 
 class TestAuc:
@@ -156,8 +170,8 @@ class TestPoseErrorReport:
         gt, pred = _random_pose(rng), _random_pose(rng)
         report = pose_error_report(gt, pred, mesh)
         assert report.add_s <= report.add + 1e-12
-        assert report.rotation_err >= 0 and report.translation_err >= 0
+        assert report.rotation_err_deg >= 0 and report.translation_err_m >= 0
 
     def test_rejects_inconsistent_values(self):
         with pytest.raises(ValueError):
-            PoseErrorReport(add=0.1, add_s=0.2, rotation_err=1.0, translation_err=0.0)
+            PoseErrorReport(add=0.1, add_s=0.2, rotation_err_deg=1.0, translation_err_m=0.0)

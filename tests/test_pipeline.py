@@ -13,13 +13,14 @@ import numpy as np
 import pytest
 
 import pfa.cli
+from helpers import make_tetrahedron
 from pfa.cli import main
 from pfa.crops import DEFAULT_CROP_SIZE
 from pfa.errors import ConfigurationError
 from pfa.exemplars import generate_exemplar_set
 from pfa.flow import FlowField, FlowNoiseSpec, save_flow
 from pfa.geometry import CameraIntrinsics
-from pfa.mesh import load_mesh, make_box, make_tetrahedron, mesh_digest, save_obj
+from pfa.mesh import load_mesh, make_box, mesh_digest, save_obj
 from pfa.pipeline import (
     DEFAULT_EXEMPLAR_CAMERA,
     ExperimentConfig,
@@ -953,6 +954,15 @@ class TestCli:
         assert main(["eval", "--records", str(path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert f"{path}: {message}" in err and "Traceback" not in err
+
+    def test_internal_value_error_is_not_a_config_error(self, tmp_path, monkeypatch):
+        # exit 2 means bad input; a ValueError from an invariant is a programming error
+        def broken(path):
+            raise ValueError("internal invariant broken")
+
+        monkeypatch.setattr(pfa.cli, "load_records_documents", broken)
+        with pytest.raises(ValueError, match="internal invariant broken"):
+            main(["eval", "--records", str(tmp_path), "--out", str(tmp_path / "o")])
 
     def test_eval_without_records_is_config_error(self, tmp_path):
         empty = tmp_path / "none"

@@ -6,6 +6,7 @@ import numpy as np
 
 import pfa.raster
 from helpers import (
+    make_plate,
     random_pose,
     random_small_mesh,
     reference_rasterize,
@@ -13,7 +14,7 @@ from helpers import (
 )
 from pfa.exemplars import EXEMPLAR_SIZE, Exemplar, ExemplarSet, generate_exemplar_set, save_set
 from pfa.geometry import CameraIntrinsics, RigidPose, sample_rotations
-from pfa.mesh import MeshModel, make_box, make_plate, mesh_digest
+from pfa.mesh import MeshModel, make_box, mesh_digest
 from pfa.pipeline import (
     DEFAULT_EXEMPLAR_CAMERA,
     ExperimentConfig,

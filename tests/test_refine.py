@@ -28,7 +28,6 @@ from pfa.metrics import add_error
 from pfa.pnp import gauss_newton, reprojection_residuals, solve_pnp
 from pfa.raster import SceneSpec
 from pfa.refine import (
-    PoseEstimate,
     RansacConfig,
     _adaptive_iterations,
     ransac_pnp,
@@ -392,10 +391,6 @@ class TestRansac:
         # solve_pnp runs its own Gauss-Newton, so later rounds add one call each
         assert calls.count("gauss_newton") >= 2
 
-    def test_estimate_validation(self):
-        with pytest.raises(ValueError):
-            PoseEstimate(RigidPose.identity(), 3, np.array([True, False]))
-
 
 class TestRefinePose:
     def test_exact_flow_single_exemplar(self, box_set):
@@ -427,7 +422,7 @@ class TestRefinePose:
         source = OracleFlowSource(scene, target)
         result = refine_pose(initial, box_set, BOX, K_T, source, 4, RansacConfig(), 4)
         assert len(result.exemplar_reports) == 4
-        assert len({r.exemplar_id for r in result.exemplar_reports}) == 4
+        assert len({r.id for r in result.exemplar_reports}) == 4
         assert all(r.n_correspondences > 0 for r in result.exemplar_reports)
         assert sum(r.inlier_count for r in result.exemplar_reports) == result.estimate.inlier_count
         distances = [r.distance_deg for r in result.exemplar_reports]
