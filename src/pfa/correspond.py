@@ -47,10 +47,6 @@ class CorrespondenceSet:
         points = (points[0], points[1][indices]) if isinstance(points, tuple) else points[indices]
         return CorrespondenceSet(points, self.pixels[indices], self.exemplar_ids[indices])
 
-    @classmethod
-    def empty(cls) -> "CorrespondenceSet":
-        return cls(np.empty((0, 3)), np.empty((0, 2)), np.empty(0, dtype=np.int32))
-
 
 def lift_correspondences(
     exemplar: Exemplar,
@@ -103,14 +99,13 @@ def lift_correspondences(
 
 
 def aggregate(sets) -> CorrespondenceSet:
-    """Concatenate per-exemplar correspondences, ordered by exemplar id.
+    """Concatenate per-exemplar correspondences (at least one set), ordered
+    by exemplar id.
 
     Within one exemplar the row-major pixel order of lifting is preserved.
     Pending model points are gathered here.
     """
     sets = list(sets)
-    if not sets:
-        return CorrespondenceSet.empty()
     order = sorted(
         range(len(sets)),
         key=lambda i: int(sets[i].exemplar_ids[0]) if len(sets[i]) else -1,

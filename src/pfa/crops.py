@@ -39,10 +39,6 @@ class CropTransform:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "out_size", int(self.out_size))
 
-    @property
-    def scale(self) -> float:
-        return float(self.matrix[0, 0])
-
     def apply(self, pixels: np.ndarray) -> np.ndarray:
         return apply_homography(self.matrix, pixels)
 

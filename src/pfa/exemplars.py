@@ -49,7 +49,7 @@ from .geometry import (
 from .mesh import MeshModel, mesh_digest
 # bench/layers.py patches rasterize here; generation renders its views in
 # multi-view passes with render_surfaces
-from .raster import CoordinateMap, rasterize, render_surfaces  # noqa: F401
+from .raster import CoordinateMap, Surface, dense_map, rasterize, render_surfaces  # noqa: F401
 
 EXEMPLAR_SIZE = 256
 MAGIC = b"PFAX"
@@ -86,15 +86,10 @@ class Exemplar:
         Refinement samples the sparse arrays directly; the dense form is for
         inspection and tests.
         """
-        size = EXEMPLAR_SIZE
-        mask = self.mask()
-        points = np.full((size, size, 3), np.nan)
-        points[mask] = self.points.astype(np.float64)
-        depth = np.full((size, size), np.inf)
-        depth[mask] = self.pose.transform(self.points.astype(np.float64))[:, 2]
-        tri = np.full((size, size), -1, dtype=np.int32)
-        tri[mask] = self.tri
-        return CoordinateMap(size, size, points, depth, mask, tri)
+        points = self.points.astype(np.float64)
+        depth = self.pose.transform(points)[:, 2]
+        pixels = np.flatnonzero(self.mask())
+        return dense_map(Surface(pixels, depth, points, self.tri), EXEMPLAR_SIZE)
 
     def equals(self, other: "Exemplar") -> bool:
         return (

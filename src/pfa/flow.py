@@ -76,13 +76,6 @@ class FlowField:
         valid[self.indices] = True
         return valid.reshape(self.height, self.width)
 
-    def equals(self, other: "FlowField") -> bool:
-        return (
-            (self.width, self.height) == (other.width, other.height)
-            and np.array_equal(self.indices, other.indices)
-            and np.array_equal(self.vectors, other.vectors)
-        )
-
 
 @dataclass(frozen=True)
 class FlowNoiseSpec:

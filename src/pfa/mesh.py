@@ -316,14 +316,14 @@ _BOX_FACES = [
 ]
 
 
-def make_box(extents=(1.0, 1.0, 1.0), center=(0.0, 0.0, 0.0)) -> MeshModel:
-    """Axis-aligned box with the given full extents, 8 vertices, 12 triangles."""
+def make_box(extents=(1.0, 1.0, 1.0)) -> MeshModel:
+    """Axis-aligned box centered on the origin with the given full extents,
+    8 vertices, 12 triangles."""
     ex, ey, ez = (float(e) / 2.0 for e in extents)
-    cx, cy, cz = center
     corners = np.array(
         [
             [-ex, -ey, -ez], [ex, -ey, -ez], [ex, ey, -ez], [-ex, ey, -ez],
             [-ex, -ey, ez], [ex, -ey, ez], [ex, ey, ez], [-ex, ey, ez],
         ]
-    ) + np.array([cx, cy, cz])
+    )
     return MeshModel(corners, np.array(_BOX_FACES))

@@ -31,6 +31,7 @@ from .errors import (
     MeshHashMismatchError,
     PfaError,
     SolverError,
+    UndefinedInputError,
     naming_file,
 )
 from .exemplars import (
@@ -143,6 +144,7 @@ class ExperimentConfig:
             (("lateral_range", "jitter_max_rot_deg", "jitter_max_reproj_px", "occluder_count",
               "occluder_coverage", "gen_seed"), lambda v: v >= 0, ">= 0"),
             (("gen_z_bar", "crop_pad"), lambda v: v > 0, "positive"),
+            (("z_center",), lambda v: v is None or v > 0, "positive or null"),
             (("depth_fraction",), lambda v: 0 <= v < 1, "in [0, 1)"),
             (("flow_source",), lambda v: v in ("oracle", "files"), "'oracle' or 'files'"),
         ):
@@ -433,8 +435,21 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
 
 
 def resolve_exemplar_set(config: ExperimentConfig, mesh: MeshModel) -> ExemplarSet:
+    """The set at ``config.exemplar_path``, or one generated for ``mesh``.
+
+    A loaded set built for ``mesh`` may name only the mesh's triangles; a
+    set built for another mesh is left for ``run_refinement`` to refuse.
+    """
     if config.exemplar_path:
-        return load_set(config.exemplar_path)
+        exemplar_set = load_set(config.exemplar_path)
+        if exemplar_set.mesh_hash == mesh_digest(mesh):
+            top = max(int(ex.tri.max(initial=-1)) for ex in exemplar_set.exemplars)
+            if top >= len(mesh.triangles):
+                raise FileFormatError(
+                    f"{config.exemplar_path}: triangle id {top} is out of range "
+                    f"for a mesh of {len(mesh.triangles)} triangles"
+                )
+        return exemplar_set
     return generate_exemplar_set(
         mesh, config.gen_count, config.gen_z_bar, config.exemplar_camera,
         config.gen_seed, config.gen_name,
@@ -480,9 +495,10 @@ def synth_scene_manifest(config: ExperimentConfig, mesh: MeshModel) -> dict:
         try:  # the scene refinement will build from this trial
             SceneSpec(mesh, gt, [(make_box(e), pose) for e, pose in occluders], cam)
         except PfaError as exc:
-            raise ConfigurationError(
-                f"trial {trial_id}: {exc}; scene.occluder_coverage is {config.occluder_coverage}"
-            ) from exc
+            coverage = (
+                f"; scene.occluder_coverage is {config.occluder_coverage}" if occluders else ""
+            )
+            raise ConfigurationError(f"trial {trial_id}: {exc}{coverage}") from exc
 
         initial = pose_jitter(
             gt, cam, mesh,
@@ -705,6 +721,8 @@ def _errors_with_failures(trials: list, which: str, key: str) -> np.ndarray:
 def summarize_records(records: dict) -> dict:
     """Aggregate metrics of one records document (failures count as inf)."""
     trials = records["trials"]
+    if not trials:
+        raise UndefinedInputError("metrics over a records document with no trials are undefined")
     diameter = float(records["diameter"])
     out = {}
     for stage in ("initial_report", "refined_report"):

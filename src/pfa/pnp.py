@@ -105,7 +105,6 @@ def gauss_newton(
     pose: RigidPose,
     points: np.ndarray,
     pixels: np.ndarray,
-    max_iterations: int = GN_MAX_ITERATIONS,
 ):
     """Minimize the summed squared reprojection error from a starting pose.
 
@@ -130,7 +129,7 @@ def gauss_newton(
     # each residual is rounded by about eps times its pixel coordinate
     floor = obs.size * (np.finfo(np.float64).eps * float(np.abs(obs).max(initial=1.0))) ** 2
 
-    for _ in range(max_iterations):
+    for _ in range(GN_MAX_ITERATIONS):
         jac = _jacobian_rows(camera, rotated, q).reshape(6, -1)
         grad = jac @ residuals.reshape(-1)
         hess = jac @ jac.T
@@ -498,7 +497,7 @@ def _betas_from_depths(depths, to_ctrl, basis, rays, diffs, dist_w) -> np.ndarra
     return betas * (np.einsum("p,p->", dist_c, dist_w) / (den if den > 0 else np.inf))
 
 
-def _refine_betas(diffs, betas, rho, iterations: int = BETA_ITERATIONS) -> np.ndarray:
+def _refine_betas(diffs, betas, rho) -> np.ndarray:
     """Gauss-Newton on the pairwise-distance residuals of the betas.
 
     ``betas`` is (C, b): C candidate starts. The normal equations carry a
@@ -507,7 +506,7 @@ def _refine_betas(diffs, betas, rho, iterations: int = BETA_ITERATIONS) -> np.nd
     """
     gram = diffs @ np.swapaxes(diffs, -1, -2)  # (P, b, b): |D_p beta|^2 = b'G_p b
     ridge = np.eye(betas.shape[-1])
-    for _ in range(iterations):
+    for _ in range(BETA_ITERATIONS):
         half_jac = gram @ betas[:, None, :, None]  # G_p beta, (C, P, b, 1)
         res = (betas[:, None, None, :] @ half_jac)[..., 0] - rho[:, None]
         half_jac = half_jac[..., 0]

@@ -364,11 +364,8 @@ def render_surfaces(
                 yield Surface(pixels[a:b], depth[a:b], points[a:b], index[a:b])
 
 
-def rasterize(
-    mesh: MeshModel, pose: RigidPose, camera: CameraIntrinsics, size: int
-) -> CoordinateMap:
-    """Render a mesh into a square CoordinateMap of ``size`` x ``size`` pixels."""
-    (surface,) = render_surfaces(mesh, [pose], camera, size)
+def dense_map(surface: Surface, size: int) -> CoordinateMap:
+    """The square CoordinateMap of ``size`` x ``size`` pixels that holds a surface."""
     depth = np.full(size * size, np.inf)
     depth[surface.pixels] = surface.depth
     points = np.full((size * size, 3), np.nan)
@@ -380,6 +377,14 @@ def rasterize(
         size, size, points.reshape(size, size, 3), depth, np.isfinite(depth),
         tri.reshape(size, size),
     )
+
+
+def rasterize(
+    mesh: MeshModel, pose: RigidPose, camera: CameraIntrinsics, size: int
+) -> CoordinateMap:
+    """Render a mesh into a square CoordinateMap of ``size`` x ``size`` pixels."""
+    (surface,) = render_surfaces(mesh, [pose], camera, size)
+    return dense_map(surface, size)
 
 
 def scene_depth_map(scene: SceneSpec, window=None) -> np.ndarray:

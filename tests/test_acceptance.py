@@ -33,12 +33,11 @@ from pfa.geometry import (
     sample_rotations,
 )
 from pfa.mesh import make_box, save_obj
-from pfa.metrics import add_error, add_s_error, auc_metric, pose_error_report
+from pfa.metrics import add_error, add_s_error, auc_metric
 from pfa.pipeline import (
     DEFAULT_EXEMPLAR_CAMERA,
     ExperimentConfig,
     run_refinement,
-    scene_from_manifest_entry,
     summarize_records,
     synth_scene_manifest,
 )

@@ -32,7 +32,7 @@ class TestComputeCrop:
         # 100x100 px bbox; pad 1.2 makes the crop side 120 px
         mesh, pose = _square_mesh(0.2, 1.0)
         crop = compute_crop(pose, K_VGA, mesh, out_size=256, pad=1.2)
-        assert abs(crop.scale - 256.0 / 120.0) < 1e-12
+        assert abs(crop.matrix[0, 0] - 256.0 / 120.0) < 1e-12
 
     def test_unpadded_square_maps_corners_to_corners(self):
         mesh, pose = _square_mesh(0.2, 1.0)

@@ -1,6 +1,7 @@
 """Package structure: the modules of ``pfa`` import one another without a cycle,
-every name a module imports is used, and every function the package defines
-is read somewhere in it, unless something outside the package pins it."""
+every name a module or a test imports is used, ``pfa/__init__.py`` holds only
+its docstring, and every function the package defines is read somewhere in
+it, unless something outside the package pins it."""
 
 import ast
 import functools
@@ -11,8 +12,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "pfa"
+TESTS = ROOT / "tests"
 BENCH = ROOT / "bench"
-ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
+ACCEPTANCE = TESTS / "test_acceptance.py"
 
 # names that only an acceptance criterion calls -> the criterion's number
 CRITERION_PINS = {
@@ -116,7 +118,13 @@ def find_cycle(graph: dict):
 def test_graph_sees_the_package():
     graph = import_graph()
     assert {"refine", "raster", "seeds"} <= graph["pipeline"]
-    assert "pipeline" in graph["cli"] and "refine" in graph["__init__"]
+    assert "pipeline" in graph["cli"] and {"pnp", "correspond"} <= graph["refine"]
+
+
+def test_package_init_holds_only_its_docstring():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    extra = [type(node).__name__ for node in tree.body[1:]]
+    assert ast.get_docstring(tree) and not extra, f"import from the modules, not pfa: {extra}"
 
 
 def test_no_import_cycle():
@@ -133,9 +141,9 @@ def test_cycle_detector_finds_a_lazy_import_cycle():
 
 def test_no_unused_imports():
     found = {
-        path.name: names
-        for path in sorted(PACKAGE.glob("*.py"))
-        if path.name != "__init__.py" and (names := unused_imports(path))
+        str(path.relative_to(ROOT)): names
+        for path in sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
+        if (names := unused_imports(path))
     }
     assert not found, found
 
@@ -156,13 +164,15 @@ def test_unused_import_check_reads_the_module(tmp_path):
 
 
 def _reads(tree) -> set:
-    """Names read under an AST node, as a bare name or as an attribute."""
+    """Names read under an AST node: ``name`` for a bare name, and both
+    ``name`` and ``.name`` for an attribute, so that a method or property,
+    whose key is ``.name``, is read only through attribute access."""
     read = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             read.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            read.add(node.attr)
+            read |= {node.attr, f".{node.attr}"}
     return read
 
 
@@ -173,9 +183,10 @@ def file_reads(path: Path) -> set:
 
 
 def definitions(path: Path) -> dict:
-    """``module.function`` or ``module.Class.method`` -> bare name, for the
-    top-level functions of a module and the methods and properties of its
-    top-level classes; dunder methods, which Python calls, are left out."""
+    """``module.function`` -> ``function`` and ``module.Class.method`` ->
+    ``.method``, the keys ``_reads`` gives their reads, for the top-level
+    functions of a module and the methods and properties of its top-level
+    classes; dunder methods, which Python calls, are left out."""
     out = {}
     for node in ast.parse(path.read_text(encoding="utf-8")).body:
         members = [(node, "")]
@@ -185,7 +196,7 @@ def definitions(path: Path) -> dict:
             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
                 owner and item.name.startswith("__") and item.name.endswith("__")
             ):
-                out[f"{path.stem}.{owner}{item.name}"] = item.name
+                out[f"{path.stem}.{owner}{item.name}"] = f".{item.name}" if owner else item.name
     return out
 
 
@@ -225,7 +236,7 @@ def bench_patches() -> list:
 def unread_definitions() -> list:
     """Functions, methods and properties that no module of the package reads
     and that nothing outside it pins: a bench patch or an allow-list entry."""
-    read = package_reads() | {patch.attr for patch in bench_patches()}
+    read = package_reads().union(*({p.attr, f".{p.attr}"} for p in bench_patches()))
     pinned = CRITERION_PINS.keys() | OUTSIDE_READS.keys()
     return sorted(
         q for q, name in package_definitions().items() if name not in read and q not in pinned
@@ -253,17 +264,28 @@ def test_allow_list_is_current():
     assert not stale_pins()
 
 
+def test_stale_allow_list_entries_fail(monkeypatch, tmp_path):
+    bare = tmp_path / "bare.py"
+    bare.write_text("inlier_count = 3\n", encoding="utf-8")
+    monkeypatch.setitem(CRITERION_PINS, "crops.CropTransform.gone", 8)  # no such method
+    monkeypatch.setitem(CRITERION_PINS, "crops.compute_crop", 8)  # the package reads it
+    monkeypatch.setitem(OUTSIDE_READS, "refine.PoseEstimate.inlier_count", str(bare))
+    assert stale_pins() == [
+        "crops.CropTransform.gone", "crops.compute_crop", "refine.PoseEstimate.inlier_count",
+    ]
+
+
 def test_definitions_cover_functions_methods_and_properties(tmp_path):
     path = tmp_path / "m.py"
     path.write_text(
         "def f():\n    def inner(): pass\n"
         "class C:\n    def __init__(self): pass\n    def m(self): pass\n"
         "    @property\n    def p(self): return 1\n"
-        "x = C().m\n",
+        "x = C().m\np = 2\ny = p\n",  # a bare p is not the property
         encoding="utf-8",
     )
-    assert definitions(path) == {"m.f": "f", "m.C.m": "m", "m.C.p": "p"}
-    assert {"C", "m"} <= file_reads(path) and "p" not in file_reads(path)
+    assert definitions(path) == {"m.f": "f", "m.C.m": ".m", "m.C.p": ".p"}
+    assert {"C", ".m", "p"} <= file_reads(path) and ".p" not in file_reads(path)
 
 
 def test_bench_patch_table_names_real_attributes():

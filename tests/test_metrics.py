@@ -119,8 +119,6 @@ class TestAccuracyThreshold:
         # strictly below the threshold; a failed trial is never accurate
         assert _accuracy([0.1 * self.d, None], self.d) == {"add_01d": 0.0, "add_05d": 0.5}
 
-    @pytest.mark.filterwarnings("ignore:Mean of empty slice")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_empty_rejected(self):
         with pytest.raises(UndefinedInputError):
             _accuracy([], self.d)

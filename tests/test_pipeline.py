@@ -17,10 +17,10 @@ from helpers import make_tetrahedron
 from pfa.cli import main
 from pfa.crops import DEFAULT_CROP_SIZE
 from pfa.errors import ConfigurationError
-from pfa.exemplars import generate_exemplar_set
+from pfa.exemplars import generate_exemplar_set, load_set, save_set
 from pfa.flow import FlowField, FlowNoiseSpec, save_flow
 from pfa.geometry import CameraIntrinsics
-from pfa.mesh import load_mesh, make_box, mesh_digest, save_obj
+from pfa.mesh import load_mesh, make_box, save_obj
 from pfa.pipeline import (
     DEFAULT_EXEMPLAR_CAMERA,
     ExperimentConfig,
@@ -931,6 +931,66 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"{bad_config}: config {section}.{key} must be finite, got nan" in err
         assert "Traceback" not in err and not manifest_path.exists()
+
+    @pytest.mark.parametrize("z_center", [0.0, -0.5])
+    def test_synth_non_positive_z_center_is_exit_2(self, workspace, tmp_path, capsys, z_center):
+        # with an occluder, a zero z_center used to divide by zero
+        _, _, config_path = workspace
+        config = dict(json.loads(config_path.read_text()),
+                      scene={"occluder_count": 1, "z_center": z_center})
+        bad_config, manifest_path = tmp_path / "bad.json", tmp_path / "manifest.json"
+        bad_config.write_text(json.dumps(config))
+        capsys.readouterr()
+        assert main(["synth-scenes", "--config", str(bad_config),
+                     "--out", str(manifest_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad_config}: config scene.z_center must be positive or null, got {z_center}" in err
+        assert "Traceback" not in err and not manifest_path.exists()
+
+    def test_unbuildable_scene_without_occluders_names_no_coverage(
+        self, workspace, tmp_path, capsys
+    ):
+        # the box reaches about 0.07 m from its center, behind a camera 0.01 m away
+        _, _, config_path = workspace
+        config = dict(json.loads(config_path.read_text()), scene={"z_center": 0.01})
+        bad_config, manifest_path = tmp_path / "bad.json", tmp_path / "manifest.json"
+        bad_config.write_text(json.dumps(config))
+        capsys.readouterr()
+        assert main(["synth-scenes", "--config", str(bad_config),
+                     "--out", str(manifest_path)]) == 2
+        err = capsys.readouterr().err
+        assert re.search(r"trial 0: scene mesh reaches depth -[0-9.]+; all meshes must be "
+                         r"fully in front of the camera$", err.strip())
+        assert "Traceback" not in err and not manifest_path.exists()
+
+    def test_set_naming_a_missing_triangle_is_exit_2(self, workspace, tmp_path, capsys):
+        _, _, config_path = workspace
+        set_path, manifest_path = tmp_path / "set.pfax", tmp_path / "manifest.json"
+        assert main(["gen-exemplars", "--config", str(config_path), "--out", str(set_path)]) == 0
+        assert main(["synth-scenes", "--config", str(config_path), "--out", str(manifest_path)]) == 0
+        exemplar_set = load_set(set_path)
+        for exemplar in exemplar_set.exemplars:
+            exemplar.tri[:] = 1000  # the box has 12 triangles
+        save_set(exemplar_set, set_path)
+        capsys.readouterr()
+        assert main(["refine", "--config", str(config_path), "--manifest", str(manifest_path),
+                     "--exemplars", str(set_path), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert f"{set_path}: triangle id 1000 is out of range for a mesh of 12 triangles" in err
+        assert "Traceback" not in err and not (tmp_path / "run").exists()
+
+    def test_set_for_another_mesh_is_exit_4_whatever_its_triangle_ids(self, workspace, tmp_path):
+        # box exemplars name triangles up to 11, past the tetrahedron's 4
+        _, _, config_path = workspace
+        tetra, set_path = tmp_path / "tetra.obj", tmp_path / "box.pfax"
+        manifest_path = tmp_path / "manifest.json"
+        save_obj(make_tetrahedron(0.06), tetra)
+        assert main(["gen-exemplars", "--config", str(config_path), "--out", str(set_path)]) == 0
+        assert main(["synth-scenes", "--config", str(config_path), "--mesh", str(tetra),
+                     "--out", str(manifest_path)]) == 0
+        assert main(["refine", "--config", str(config_path), "--mesh", str(tetra),
+                     "--manifest", str(manifest_path), "--exemplars", str(set_path),
+                     "--out", str(tmp_path / "run")]) == 4
 
     @pytest.mark.parametrize("flag, value, path", [
         ("--zbar", "inf", "exemplars.generate.z_bar"),

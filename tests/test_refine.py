@@ -150,9 +150,6 @@ class TestAggregate:
         assert len(merged) == 30 + 10 + 20
         assert np.all(np.diff(merged.exemplar_ids) >= 0)
 
-    def test_empty_input(self):
-        assert len(aggregate([])) == 0
-
     def test_subsample_caps_total_proportionally(self):
         sets = [self._set_for(0, 15000, 4), self._set_for(1, 5000, 5)]
         thinned = subsample_per_exemplar(sets, 10000)
