@@ -19,6 +19,7 @@ from .mesh import load_mesh
 from .pipeline import (
     ExperimentConfig,
     SCHEMA_VERSION,
+    check_flow_directory,
     check_manifest,
     evaluate_records,
     load_config,
@@ -97,6 +98,7 @@ def cmd_refine(args) -> int:
     mesh = load_mesh(config.mesh_path)
     with naming_file(args.manifest):
         check_manifest(config, mesh, manifest)  # before the set, which may be generated
+    check_flow_directory(config)
     exemplar_set = resolve_exemplar_set(config, mesh)
     records = run_refinement(config, mesh, exemplar_set, manifest)
     out = Path(args.out)

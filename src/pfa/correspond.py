@@ -44,8 +44,13 @@ class CorrespondenceSet:
 
     def take(self, indices) -> "CorrespondenceSet":
         points = self._points
-        points = (points[0], points[1][indices]) if isinstance(points, tuple) else points[indices]
-        return CorrespondenceSet(points, self.pixels[indices], self.exemplar_ids[indices])
+        if isinstance(points, tuple):
+            points = (points[0], points[1].take(indices))
+        else:
+            points = points.take(indices, axis=0)
+        return CorrespondenceSet(
+            points, self.pixels.take(indices, axis=0), self.exemplar_ids.take(indices)
+        )
 
 
 def lift_correspondences(
@@ -94,8 +99,8 @@ def lift_correspondences(
         & (y < target_camera.height + my)
     )
     ids = np.full(int(ok.sum()), exemplar.id, dtype=np.int32)
-    lifted = np.stack([x[ok], y[ok]], axis=-1)
-    return CorrespondenceSet((sampler, flow.indices[ok]), lifted, ids)
+    lifted = np.stack([np.compress(ok, x), np.compress(ok, y)], axis=-1)
+    return CorrespondenceSet((sampler, np.compress(ok, flow.indices)), lifted, ids)
 
 
 def aggregate(sets) -> CorrespondenceSet:

@@ -101,7 +101,7 @@ class TruncationError(FileFormatError):
 
 
 class FlowFileMissingError(PfaError):
-    """An externally supplied flow file was not found for a trial."""
+    """An externally supplied flow file was not found, or not readable, for a trial."""
 
 
 @contextmanager

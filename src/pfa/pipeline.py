@@ -566,6 +566,18 @@ def check_manifest(config: ExperimentConfig, mesh: MeshModel, manifest: dict) ->
             raise ConfigurationError(f"{_where(('manifest', 'trials', i))}: {exc}") from exc
 
 
+def check_flow_directory(config: ExperimentConfig) -> None:
+    """Refuse a run from flow files whose ``flow.directory`` is not a directory.
+
+    A missing or unreadable file inside it fails only its own trial; a
+    directory that is not there would fail every trial.
+    """
+    if config.flow_source == "files" and not Path(config.flow_directory).is_dir():
+        raise ConfigurationError(
+            f"config flow.directory: {config.flow_directory} is not a directory"
+        )
+
+
 def scene_from_manifest_entry(
     entry: dict, mesh: MeshModel, camera: CameraIntrinsics
 ) -> tuple[SceneSpec, RigidPose, RigidPose]:
@@ -597,9 +609,12 @@ class DirectoryFlowSource:
 
     def flow_for(self, exemplar, rank, crop_exemplar, crop_target):
         path = self.directory / flow_file_name(self.trial_id, rank)
-        if not path.exists():
-            raise FlowFileMissingError(f"flow file not found: {path}")
-        flow = load_flow(path)
+        try:
+            flow = load_flow(path)
+        except FileNotFoundError:
+            raise FlowFileMissingError(f"flow file not found: {path}") from None
+        except OSError as exc:  # a directory in its place, no read permission
+            raise FlowFileMissingError(f"flow file unreadable: {path}: {exc.strerror}") from exc
         size = crop_exemplar.out_size
         if flow.width != size or flow.height != size:
             raise FileFormatError(
@@ -685,6 +700,7 @@ def run_refinement(
 ) -> dict:
     """Run every manifest trial; returns the records document."""
     check_manifest(config, mesh, manifest)
+    check_flow_directory(config)
     digest = mesh_digest(mesh)
     if exemplar_set.mesh_hash != digest:
         raise MeshHashMismatchError("exemplar set was built for a different mesh")

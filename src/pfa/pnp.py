@@ -13,6 +13,10 @@ betas are refined by Gauss-Newton on the distance residuals from several
 starts, which makes the closed form exact on noise-free 4-point sets.
 ``solve_pnp`` then runs a damped Gauss-Newton pass on the reprojection
 error; damping guarantees the cost never increases between accepted steps.
+
+The closed form sees at most ``EPNP_POINTS`` evenly spaced rows of a set.
+Its cost grows with the row count while, above about two thousand rows,
+its start stops improving; Gauss-Newton on every row decides the pose.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ DEGENERACY_TOL = 1e-6
 GN_MAX_ITERATIONS = 20
 GN_COST_TOL = 1e-12  # relative; smaller cost changes are rounding
 BETA_ITERATIONS = 12
+EPNP_POINTS = 2048  # rows the closed-form start of ``solve_pnp`` sees, at most
 CUBIC_ITERATIONS = 50  # Newton steps on the P3P cubic, at most
 LAMBDA_ITERATIONS = 5  # Gauss-Newton steps on the P3P depths
 
@@ -61,23 +66,26 @@ def reprojection_jacobian(
     zero perturbation. Column order: wx, wy, wz, tx, ty, tz.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    rotated = pts @ pose.rotation.T
-    return _jacobian_rows(camera, rotated, rotated + pose.translation).transpose(2, 1, 0)
+    rotated = pose.rotation @ pts.T
+    return _jacobian_rows(camera, rotated, rotated + pose.translation[:, None]).transpose(2, 1, 0)
 
 
 def _jacobian_rows(camera: CameraIntrinsics, rotated, q) -> np.ndarray:
-    """The Jacobian laid out (6, 2, N): parameter, then u or v, then point."""
-    x, y, z = q.T
+    """The Jacobian laid out (6, 2, N): parameter, then u or v, then point.
+
+    ``rotated`` and ``q`` are (3, N): the rotated and the camera-frame points.
+    """
+    x, y, z = q
     inv_z = 1.0 / z
     du_dx = camera.fx * inv_z
     du_dz = -camera.fx * x * inv_z * inv_z
     dv_dy = camera.fy * inv_z
     dv_dz = -camera.fy * y * inv_z * inv_z
-    rx, ry, rz = rotated.T
+    rx, ry, rz = rotated
 
     # d(u, v)/dq = [[du_dx, 0, du_dz], [0, dv_dy, dv_dz]] times
     # dq/dw = -[rotated]_x, written out; dq/dt = identity
-    jac = np.empty((6, 2, len(q)))
+    jac = np.empty((6, 2, q.shape[1]))
     jac[0, 0] = du_dz * ry
     jac[1, 0] = du_dx * rz - du_dz * rx
     jac[2, 0] = -du_dx * ry
@@ -94,10 +102,20 @@ def _jacobian_rows(camera: CameraIntrinsics, rotated, q) -> np.ndarray:
 
 
 def _reprojection_terms(camera: CameraIntrinsics, pose: RigidPose, pts, obs):
-    """Rotated points, camera-frame points and the (2, N) residuals of a pose."""
-    rotated = pts @ pose.rotation.T
-    q = rotated + pose.translation
-    return rotated, q, (project_camera_points(camera, q) - obs).T
+    """Rotated points, camera-frame points and the residuals of a pose.
+
+    Column layout throughout: ``pts`` and both returned point arrays are
+    (3, N), ``obs`` and the residuals (2, N). The residuals are a view of
+    point-major (N, 2) storage, so their summed squares add up in the order
+    of the row layout, bit for bit.
+    """
+    rotated = pose.rotation @ pts
+    q = rotated + pose.translation[:, None]
+    x, y, z = q
+    residuals = np.empty((q.shape[1], 2))
+    residuals[:, 0] = camera.fx * x / z + camera.cx - obs[0]
+    residuals[:, 1] = camera.fy * y / z + camera.cy - obs[1]
+    return rotated, q, residuals.T
 
 
 def gauss_newton(
@@ -119,8 +137,9 @@ def gauss_newton(
     residuals' own rounding floor), or a rejected step's cost is, no more
     candidates are evaluated.
     """
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    obs = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
+    # column layout, (3, N) and (2, N): contiguous coordinate rows
+    pts = np.ascontiguousarray(np.asarray(points, dtype=np.float64).reshape(-1, 3).T)
+    obs = np.ascontiguousarray(np.asarray(pixels, dtype=np.float64).reshape(-1, 2).T)
     current = pose
     rotated, q, residuals = _reprojection_terms(camera, current, pts, obs)
     cost = float(np.sum(residuals**2))
@@ -168,6 +187,12 @@ def gauss_newton(
 def solve_pnp(points, pixels, camera: CameraIntrinsics) -> RigidPose:
     """Recover the pose from >= 4 3D-to-2D correspondences.
 
+    EPnP starts from at most ``EPNP_POINTS`` evenly spaced rows, the first
+    and the last included; Gauss-Newton then runs on every row. Above that
+    many rows the closed form's start stops improving while its cost keeps
+    growing with the rows. Evenly spaced rows of a set ordered by exemplar,
+    as RANSAC's consensus is, span every exemplar.
+
     Raises:
         SolverError: fewer than 4 points, a collinear configuration, or no
             closed-form pose that puts the points in front of the camera.
@@ -179,7 +204,11 @@ def solve_pnp(points, pixels, camera: CameraIntrinsics) -> RigidPose:
     if len(pts) != len(obs):
         raise SolverError("point and pixel counts disagree")
 
-    rotation, translation = _epnp(pts, obs, camera)
+    start = pts, obs
+    if len(pts) > EPNP_POINTS:
+        rows = np.round(np.linspace(0, len(pts) - 1, EPNP_POINTS)).astype(np.int64)
+        start = pts.take(rows, axis=0), obs.take(rows, axis=0)
+    rotation, translation = _epnp(*start, camera)
     pose, _ = gauss_newton(camera, RigidPose(rotation, translation), pts, obs)
     return pose
 

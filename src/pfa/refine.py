@@ -187,13 +187,17 @@ def ransac_pnp(
     ratio under the configured confidence, re-evaluated after every round.
 
     The best hypothesis is refit on its consensus set until the set stops
-    changing. The first refit round runs ``solve_pnp``, EPnP on the whole
-    consensus set plus Gauss-Newton: the best minimal-sample pose of a
-    view of one planar face can be the mirrored solution, which
-    Gauss-Newton started from it would keep. Later rounds run Gauss-Newton
-    from the previous round's pose. A refit keeps a point by the voting
-    rule, at a positive depth. ``seed`` seeds the vote subset and the
-    samples, so the result is deterministic for a fixed seed.
+    changing. The first refit round runs ``solve_pnp``: EPnP on at most
+    ``pnp.EPNP_POINTS`` evenly spaced consensus rows, then Gauss-Newton on
+    the whole consensus set. The closed form is needed because the best
+    minimal-sample pose of a view of one planar face can be the mirrored
+    solution, which Gauss-Newton started from it would keep. It is bounded
+    because more rows cost time without improving its start, and the
+    rows, ordered by exemplar, still span every exemplar crop. Later
+    rounds run Gauss-Newton from the previous round's pose. A refit keeps
+    a point by the voting rule, at a positive depth. ``seed`` seeds the
+    vote subset and the samples, so the result is deterministic for a
+    fixed seed.
 
     Raises:
         RobustFailureError: no hypothesis reached ``min_inliers``; the error
@@ -254,14 +258,17 @@ def ransac_pnp(
     # the fixed point so the estimate sheds the minimal-sample selection bias
     pose, inliers = RigidPose(*best_pose), best_inliers
     for refit_round in range(MAX_REFIT_ROUNDS):
+        rows = np.flatnonzero(inliers)
+        consensus = pts.take(rows, axis=0), obs.take(rows, axis=0)
         if refit_round == 0:
             try:
-                refined = solve_pnp(pts[inliers], obs[inliers], camera)
+                refined = solve_pnp(*consensus, camera)
             except SolverError:
                 break  # keep the previous pose; its inliers remain valid
         else:
-            refined, _ = pnp.gauss_newton(camera, pose, pts[inliers], obs[inliers])
-        res = np.linalg.norm(reprojection_residuals(camera, refined, pts, obs), axis=1)
+            refined, _ = pnp.gauss_newton(camera, pose, *consensus)
+        du, dv = reprojection_residuals(camera, refined, pts, obs).T
+        res = np.sqrt(du * du + dv * dv)
         depth = pts @ refined.rotation[2] + refined.translation[2]
         refit = (res < cfg.inlier_threshold) & (depth > 0)
         if int(refit.sum()) < cfg.min_inliers:

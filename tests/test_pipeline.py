@@ -554,13 +554,19 @@ class TestRunRefinement:
         config, mesh, exemplar_set, manifest, _ = run_artifacts
         from dataclasses import replace
 
-        broken = replace(config, flow_source="files", flow_directory=str(tmp_path / "nope"))
+        broken = replace(config, flow_source="files", flow_directory=str(tmp_path))
         records = run_refinement(broken, mesh, exemplar_set, manifest)
         for trial in records["trials"]:
             assert trial["failure_reason"] is not None
             assert "FlowFileMissing" in trial["failure_reason"]
         summary = summarize_records(records)
         assert summary["refined"]["failure_count"] == len(records["trials"])
+
+    def test_flow_dir_that_is_no_directory_is_refused(self, run_artifacts, tmp_path):
+        config, mesh, exemplar_set, manifest, _ = run_artifacts
+        broken = replace(config, flow_source="files", flow_directory=str(tmp_path / "nope"))
+        with pytest.raises(ConfigurationError, match="flow.directory: .*nope is not a directory"):
+            run_refinement(broken, mesh, exemplar_set, manifest)
 
     def test_dumped_flows_reproduce_oracle_run(self, run_artifacts, tmp_path):
         config, mesh, exemplar_set, manifest, records = run_artifacts
@@ -708,7 +714,7 @@ class TestCli:
         assert f"config {path}:" in err and "Traceback" not in err
 
     @staticmethod
-    def _refine_with_bad_flow_file(workspace, tmp_path, corrupt):
+    def _refine_with_bad_flow_file(workspace, tmp_path, corrupt, error="FileFormatError"):
         """Three trials refined from dumped flow files, trial 1's rank-0 file corrupted."""
         _, _, config_path = workspace
         set_path, manifest_path = tmp_path / "set.pfax", tmp_path / "manifest.json"
@@ -727,9 +733,40 @@ class TestCli:
         trials = json.loads((run_dir / "records.json").read_text())["trials"]
         assert [t["trial_id"] for t in trials] == [0, 1, 2]
         assert [t["failure_reason"] is not None for t in trials] == [False, True, False]
-        assert trials[1]["failure_reason"].startswith("FileFormatError")
+        assert trials[1]["failure_reason"].startswith(error)
         assert str(bad) in trials[1]["failure_reason"]
         return trials[1]["failure_reason"]
+
+    def test_unreadable_flow_file_fails_only_its_trial(self, workspace, tmp_path):
+        def make_directory(bad):
+            bad.unlink()
+            bad.mkdir()
+
+        reason = self._refine_with_bad_flow_file(
+            workspace, tmp_path, make_directory, error="FlowFileMissingError")
+        assert "unreadable" in reason
+
+    def test_flow_dir_that_is_no_directory_is_exit_2(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        _, _, config_path = workspace
+        manifest_path = tmp_path / "manifest.json"
+        assert main(["synth-scenes", "--config", str(config_path), "--out", str(manifest_path)]) == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the exemplar set was built for a refused flow directory")
+
+        monkeypatch.setattr("pfa.pipeline.generate_exemplar_set", refuse)
+        a_file = tmp_path / "flows.txt"
+        a_file.write_text("not a directory")
+        for flow_dir in (tmp_path / "nosuchdir", a_file):
+            run_dir = tmp_path / "run"
+            capsys.readouterr()
+            assert main(["refine", "--config", str(config_path), "--manifest", str(manifest_path),
+                         "--out", str(run_dir), "--flow-dir", str(flow_dir)]) == 2
+            err = capsys.readouterr().err
+            assert "flow.directory" in err and str(flow_dir) in err and "Traceback" not in err
+            assert not run_dir.exists()
 
     def test_wrong_size_flow_file_fails_only_its_trial(self, workspace, tmp_path):
         self._refine_with_bad_flow_file(

@@ -130,6 +130,33 @@ class TestSolvePnp:
         res_b = float(np.sum(reprojection_residuals(K, est_b, pts, uv) ** 2))
         assert abs(res_a - res_b) < 1e-9
 
+    def test_epnp_starts_from_evenly_spaced_rows(self, monkeypatch):
+        import pfa.pnp
+
+        rng = np.random.default_rng(61)
+        pts = rng.uniform(-0.06, 0.06, size=(10000, 3))
+        gt = _random_pose(rng)
+        uv = project_points(K, gt, pts) + rng.normal(0, 0.5, size=(10000, 2))
+        seen = []
+        epnp = pfa.pnp._epnp
+        monkeypatch.setattr(
+            pfa.pnp, "_epnp", lambda p, o, cam: seen.append((p, o)) or epnp(p, o, cam)
+        )
+        est = solve_pnp(pts, uv, K)
+        (start_pts, start_obs), = seen
+        assert len(start_pts) == len(start_obs) == pfa.pnp.EPNP_POINTS
+        row_of = {p.tobytes(): i for i, p in enumerate(pts)}
+        rows = np.array([row_of[p.tobytes()] for p in start_pts])
+        assert rows[0] == 0 and rows[-1] == len(pts) - 1
+        assert set(np.diff(rows)) == {4, 5}  # 9999 / 2047 = 4.88 rows apart
+        assert np.array_equal(start_obs, uv[rows])
+        rot_err, trans_err = _pose_errors(gt, est)
+        assert rot_err < 0.05 and trans_err < 1e-3
+
+        # a set of EPNP_POINTS rows or fewer starts from all of them
+        solve_pnp(pts[: pfa.pnp.EPNP_POINTS], uv[: pfa.pnp.EPNP_POINTS], K)
+        assert np.array_equal(seen[1][0], pts[: pfa.pnp.EPNP_POINTS])
+
     def test_degenerate_sample_detector(self):
         rng = np.random.default_rng(56)
         planar = np.zeros((4, 3))
@@ -206,6 +233,23 @@ class TestGaussNewton:
         assert costs[-1] < 1e-12
         rot_err, trans_err = _pose_errors(gt, est)
         assert rot_err < 1e-4 and trans_err < 1e-7
+
+    def test_column_terms_match_the_row_residuals(self):
+        # the column layout changes no value, and the summed squares add up
+        # in the row layout's order, bit for bit
+        import pfa.pnp
+
+        rng = np.random.default_rng(62)
+        pts = rng.uniform(-0.06, 0.06, size=(5000, 3))
+        pose = _random_pose(rng)
+        uv = project_points(K, pose, pts) + rng.normal(0, 1.0, size=(5000, 2))
+        rows = reprojection_residuals(K, pose, pts, uv)
+        _, q, cols = pfa.pnp._reprojection_terms(
+            K, pose, np.ascontiguousarray(pts.T), np.ascontiguousarray(uv.T)
+        )
+        assert np.array_equal(q, pose.transform(pts).T)
+        assert np.array_equal(cols, rows.T)
+        assert np.sum(cols**2) == np.sum(rows**2)
 
     def test_warm_start_at_convergence_stops(self, monkeypatch):
         # a converged fit on a 10K-point noisy set: restarting from its pose

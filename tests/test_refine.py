@@ -388,6 +388,19 @@ class TestRansac:
         # solve_pnp runs its own Gauss-Newton, so later rounds add one call each
         assert calls.count("gauss_newton") >= 2
 
+    def test_bounded_epnp_start_keeps_the_consensus(self, monkeypatch):
+        import pfa.pnp
+
+        rng = np.random.default_rng(93)
+        gt, corr = _synthetic_correspondences(rng, 20000, outlier_ratio=0.5, sigma=1.0)
+        bounded = ransac_pnp(corr, K_T, RansacConfig(), 7)
+        assert bounded.inlier_count > pfa.pnp.EPNP_POINTS
+        monkeypatch.setattr(pfa.pnp, "EPNP_POINTS", 10**9)
+        whole = ransac_pnp(corr, K_T, RansacConfig(), 7)
+        assert np.array_equal(bounded.inlier_ids, whole.inlier_ids)
+        assert np.abs(bounded.pose.rotation - whole.pose.rotation).max() < 1e-9
+        assert np.abs(bounded.pose.translation - whole.pose.translation).max() < 1e-9
+
 
 class TestRefinePose:
     def test_exact_flow_single_exemplar(self, box_set):
