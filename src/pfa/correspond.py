@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from .crops import CropTransform, crop_to_image_matrix, homography_xy
-from .errors import ConfigurationError
 from .exemplars import Exemplar
 from .flow import CropSampler, FlowField
 from .geometry import CameraIntrinsics
@@ -72,17 +71,10 @@ def lift_correspondences(
     leaves the model points pending (see ``CorrespondenceSet``), so the
     subsampling quotas are fixed before the points of the kept rows are
     gathered.
+
+    The caller guarantees that the flow and both crops have one size.
     """
     size = crop_exemplar.out_size
-    if crop_target.out_size != size:
-        raise ConfigurationError(
-            f"crop sizes disagree: {size} vs {crop_target.out_size}"
-        )
-    if flow.width != size or flow.height != size:
-        raise ConfigurationError(
-            f"flow is {flow.width}x{flow.height}, crops are {size}x{size}"
-        )
-
     sampler = CropSampler(exemplar, crop_exemplar)
     rows, cols = np.divmod(flow.indices, size)
     back = crop_to_image_matrix(crop_target, exemplar.camera, target_camera)

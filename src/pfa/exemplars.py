@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -106,32 +107,32 @@ class Exemplar:
 
 @dataclass(eq=False)
 class ExemplarSet:
-    """All exemplars of one object, sharing camera and z_bar."""
+    """One or more exemplars of one object, sharing camera, z_bar and mesh hash."""
 
     object_name: str
     mesh_hash: bytes
     z_bar: float
     camera: CameraIntrinsics
-    exemplars: list = field(default_factory=list)
+    exemplars: list
 
     def __post_init__(self):
         if len(self.mesh_hash) != 32:
             raise ValueError("mesh_hash must be 32 bytes")
+        if not self.exemplars:
+            raise ValueError("exemplar set holds no exemplars")
         for i, ex in enumerate(self.exemplars):
             if ex.id != i:
                 raise ValueError(f"exemplar ids must be dense 0..n-1, found {ex.id} at {i}")
-        self._rotation_stack = None
+            if ex.mesh_hash != self.mesh_hash:
+                raise ValueError(f"exemplar {i} was built for another mesh than its set")
 
     def __len__(self) -> int:
         return len(self.exemplars)
 
+    @cached_property
     def rotation_stack(self) -> np.ndarray:
-        """(n, 9) row-major rotations, cached for vectorized queries."""
-        if self._rotation_stack is None:
-            self._rotation_stack = np.array(
-                [ex.pose.rotation.reshape(9) for ex in self.exemplars]
-            )
-        return self._rotation_stack
+        """(n, 9) row-major rotations, computed on first read for vectorized queries."""
+        return np.array([ex.pose.rotation.reshape(9) for ex in self.exemplars])
 
     def prefix(self, count: int) -> "ExemplarSet":
         """View of the first ``count`` exemplars (ids stay dense)."""
@@ -190,8 +191,6 @@ def generate_exemplar_set(
     object_name: str = "object",
 ) -> ExemplarSet:
     """Render ``count`` views at uniformly sampled rotations, fixed translation."""
-    if count < 1:
-        raise ConfigurationError("exemplar count must be >= 1")
     if camera.width != EXEMPLAR_SIZE or camera.height != EXEMPLAR_SIZE:
         raise ConfigurationError(
             f"exemplar camera must be {EXEMPLAR_SIZE}x{EXEMPLAR_SIZE}, "
@@ -221,23 +220,15 @@ def query_nearest(exemplar_set: ExemplarSet, query: RigidPose, count: int) -> li
     Ties break toward the lower id. Returns min(count, set size) exemplars
     in non-decreasing distance order.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if len(exemplar_set) == 0:
-        raise ConfigurationError("cannot query an empty exemplar set")
-    distances = geodesic_distances(exemplar_set.rotation_stack(), query.rotation)
+    distances = geodesic_distances(exemplar_set.rotation_stack, query.rotation)
     order = np.argsort(distances, kind="stable")
     return [exemplar_set.exemplars[i] for i in order[: min(count, len(order))]]
 
 
 def mean_query_distance(exemplar_set: ExemplarSet, n_queries: int, seed: int) -> float:
     """Mean nearest-exemplar angle over random query rotations (degrees)."""
-    if n_queries < 1:
-        raise ValueError("n_queries must be >= 1")
-    if len(exemplar_set) == 0:
-        raise ConfigurationError("cannot query an empty exemplar set")
     queries = sample_rotations(n_queries, seed).reshape(n_queries, 9)
-    stack = exemplar_set.rotation_stack()
+    stack = exemplar_set.rotation_stack
     best = np.empty(n_queries)
     chunk = 256
     for start in range(0, n_queries, chunk):
@@ -301,8 +292,6 @@ def load_set(path) -> ExemplarSet:
         version, count = struct.unpack("<II", reader.read_exact(8, "header"))
         if version != FORMAT_VERSION:
             raise VersionMismatchError(version, FORMAT_VERSION)
-        if count == 0:
-            raise FileFormatError("exemplar set holds no exemplars")
         (z_bar,) = struct.unpack("<d", reader.read_exact(8, "z_bar"))
         if not 0.0 < z_bar < np.inf:
             raise FileFormatError(f"z_bar must be finite and positive, found {z_bar}")

@@ -30,13 +30,12 @@ import numpy as np
 from .crops import CropTransform, apply_homography, image_to_crop_matrix
 from .errors import (
     BadMagicError,
-    ConfigurationError,
     FileFormatError,
     TruncationError,
     VersionMismatchError,
     naming_file,
 )
-from .exemplars import Exemplar, ensure_mesh_binding
+from .exemplars import Exemplar
 from .geometry import CameraIntrinsics, project_camera_points
 from .mesh import face_normals
 # bench/layers.py patches rasterize here; nothing in this module renders exemplars
@@ -212,14 +211,10 @@ def oracle_flow(
     so the z-buffer covers the crop's ``target_window`` alone;
     ``scene_depth``, if given, must be ``scene_depth_map`` over that window.
     No rendering happens here.
-    """
-    ensure_mesh_binding(exemplar, scene.object_mesh)
-    size = crop_exemplar.out_size
-    if crop_target.out_size != size:
-        raise ConfigurationError(
-            f"crop sizes disagree: {size} vs {crop_target.out_size}"
-        )
 
+    The caller gives crops of one size and an exemplar of ``scene.object_mesh``.
+    """
+    size = crop_exemplar.out_size
     sampler = CropSampler(exemplar, crop_exemplar)
     pixels = np.flatnonzero(sampler.footprint())
     if len(pixels) == 0:
@@ -247,11 +242,9 @@ def oracle_flow(
     live = live[inside]
     u_target, u_crop = u_target.take(inside, axis=0), u_crop.take(inside, axis=0)
 
-    x0, y0, x1, y1 = window = target_window(crop_target, exemplar.camera, k_target)
+    x0, y0, _, _ = window = target_window(crop_target, exemplar.camera, k_target)
     if scene_depth is None:
         scene_depth = scene_depth_map(scene, window=window)
-    if scene_depth.shape != (y1 - y0, x1 - x0):
-        raise ValueError(f"scene_depth does not cover the target window {window}")
     eps = max(1e-4, 1e-3 * exemplar.z_bar)
     px = np.floor(u_target[:, 0]).astype(np.int64) - x0
     py = np.floor(u_target[:, 1]).astype(np.int64) - y0

@@ -94,11 +94,11 @@ def face_normals(mesh: MeshModel) -> np.ndarray:
 def _diameter(vertices: np.ndarray) -> float:
     pts = vertices
     if len(pts) > _HULL_THRESHOLD:
-        try:
-            from scipy.spatial import ConvexHull
+        from scipy.spatial import ConvexHull, QhullError
 
+        try:
             pts = pts[ConvexHull(pts).vertices]
-        except Exception:
+        except QhullError:
             pass  # degenerate hull (e.g. coplanar cloud): fall back to all points
     best = 0.0
     axes = np.ascontiguousarray(pts.T)

@@ -37,6 +37,7 @@ from .errors import (
 from .exemplars import (
     EXEMPLAR_SIZE,
     ExemplarSet,
+    ensure_mesh_binding,
     generate_exemplar_set,
     load_set,
 )
@@ -50,7 +51,7 @@ from .geometry import (
     random_rotation,
 )
 from .mesh import MeshModel, make_box, mesh_digest
-from .metrics import PoseErrorReport, auc_metric, pose_error_report
+from .metrics import DEFAULT_AUC_THRESHOLD, PoseErrorReport, auc_metric, pose_error_report
 from .raster import SceneSpec
 from .refine import MAX_CORRESPONDENCES, RansacConfig, refine_pose
 from .seeds import derive_seed
@@ -437,18 +438,18 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
 def resolve_exemplar_set(config: ExperimentConfig, mesh: MeshModel) -> ExemplarSet:
     """The set at ``config.exemplar_path``, or one generated for ``mesh``.
 
-    A loaded set built for ``mesh`` may name only the mesh's triangles; a
-    set built for another mesh is left for ``run_refinement`` to refuse.
+    A loaded set must be built for ``mesh`` (``MeshHashMismatchError``
+    otherwise) and may name only the mesh's triangles.
     """
     if config.exemplar_path:
         exemplar_set = load_set(config.exemplar_path)
-        if exemplar_set.mesh_hash == mesh_digest(mesh):
-            top = max(int(ex.tri.max(initial=-1)) for ex in exemplar_set.exemplars)
-            if top >= len(mesh.triangles):
-                raise FileFormatError(
-                    f"{config.exemplar_path}: triangle id {top} is out of range "
-                    f"for a mesh of {len(mesh.triangles)} triangles"
-                )
+        ensure_mesh_binding(exemplar_set, mesh)
+        top = max(int(ex.tri.max(initial=-1)) for ex in exemplar_set.exemplars)
+        if top >= len(mesh.triangles):
+            raise FileFormatError(
+                f"{config.exemplar_path}: triangle id {top} is out of range "
+                f"for a mesh of {len(mesh.triangles)} triangles"
+            )
         return exemplar_set
     return generate_exemplar_set(
         mesh, config.gen_count, config.gen_z_bar, config.exemplar_camera,
@@ -701,9 +702,6 @@ def run_refinement(
     """Run every manifest trial; returns the records document."""
     check_manifest(config, mesh, manifest)
     check_flow_directory(config)
-    digest = mesh_digest(mesh)
-    if exemplar_set.mesh_hash != digest:
-        raise MeshHashMismatchError("exemplar set was built for a different mesh")
 
     entries = sorted(manifest["trials"], key=lambda e: int(e["trial_id"]))
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
@@ -713,7 +711,7 @@ def run_refinement(
         "schema_version": SCHEMA_VERSION,
         "label": config.label,
         "n_exemplars": config.n_exemplars,
-        "mesh_hash": digest.hex(),
+        "mesh_hash": mesh_digest(mesh).hex(),
         "diameter": mesh.diameter,
         "z_bar": exemplar_set.z_bar,
         "config": config.to_dict(),
@@ -799,18 +797,13 @@ def evaluate_records(record_documents: list) -> tuple[list, list]:
     """Metric table plus accuracy-vs-threshold curve rows for many runs.
 
     Rows are keyed by (label, n_exemplars); curves sample the refined ADD
-    accuracy on [0, 0.10] m for AUC plotting.
+    accuracy on [0, ``DEFAULT_AUC_THRESHOLD``] m for AUC plotting. Takes at
+    least one document, each with trials, as ``load_records_documents`` does.
     """
-    if not record_documents:
-        raise ConfigurationError("no records to evaluate")
     table = []
     curves = []
-    thresholds = np.linspace(0.0, 0.10, 101)
+    thresholds = np.linspace(0.0, DEFAULT_AUC_THRESHOLD, 101)
     for records in record_documents:
-        if not records.get("trials"):
-            raise ConfigurationError(
-                f"records {records.get('label')!r} contain no trials"
-            )
         summary = summarize_records(records)
         row = {
             "label": summary["label"],
@@ -838,8 +831,6 @@ def evaluate_records(record_documents: list) -> tuple[list, list]:
 
 
 def write_table_csv(rows: list, path) -> None:
-    if not rows:
-        raise ConfigurationError("empty table")
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         header = list(rows[0].keys())

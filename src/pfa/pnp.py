@@ -193,6 +193,8 @@ def solve_pnp(points, pixels, camera: CameraIntrinsics) -> RigidPose:
     growing with the rows. Evenly spaced rows of a set ordered by exemplar,
     as RANSAC's consensus is, span every exemplar.
 
+    The caller guarantees one pixel row per point (``CorrespondenceSet`` does).
+
     Raises:
         SolverError: fewer than 4 points, a collinear configuration, or no
             closed-form pose that puts the points in front of the camera.
@@ -201,8 +203,6 @@ def solve_pnp(points, pixels, camera: CameraIntrinsics) -> RigidPose:
     obs = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
     if len(pts) < 4:
         raise SolverError(f"need at least 4 correspondences, got {len(pts)}")
-    if len(pts) != len(obs):
-        raise SolverError("point and pixel counts disagree")
 
     start = pts, obs
     if len(pts) > EPNP_POINTS:

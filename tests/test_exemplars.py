@@ -28,7 +28,7 @@ from pfa.exemplars import (
 )
 from pfa.geometry import RigidPose, geodesic_distance, sample_rotations
 from pfa.geometry import CameraIntrinsics
-from pfa.mesh import make_box
+from pfa.mesh import make_box, mesh_digest
 from pfa.raster import rasterize
 
 K_R = CameraIntrinsics(400.0, 400.0, 128.0, 128.0, 256, 256)
@@ -67,10 +67,6 @@ class TestGeneration:
         hb = hashlib.sha256((tmp_path / "b.pfax").read_bytes()).digest()
         assert ha == hb
 
-    def test_zero_count_rejected(self):
-        with pytest.raises(ConfigurationError):
-            generate_exemplar_set(BOX, 0, 1.0, K_R, seed=0)
-
     def test_out_of_frustum_rejected(self):
         with pytest.raises(ConfigurationError):
             generate_exemplar_set(BOX, 4, 0.08, K_R, seed=0)  # z_bar inside the mesh
@@ -82,6 +78,18 @@ class TestGeneration:
         bad = CameraIntrinsics(400.0, 400.0, 64.0, 64.0, 128, 128)
         with pytest.raises(ConfigurationError):
             generate_exemplar_set(BOX, 4, 1.0, bad, seed=0)
+
+
+class TestSetInvariants:
+    def test_empty_list_refused(self, small_set):
+        with pytest.raises(ValueError, match="holds no exemplars"):
+            ExemplarSet("empty", small_set.mesh_hash, 1.0, small_set.camera, [])
+
+    def test_exemplar_of_another_mesh_refused(self, small_set):
+        first, second = small_set.exemplars[:2]
+        stray = replace(second, mesh_hash=mesh_digest(make_tetrahedron(0.08)))
+        with pytest.raises(ValueError, match="exemplar 1 was built for another mesh"):
+            ExemplarSet("mixed", small_set.mesh_hash, 1.0, small_set.camera, [first, stray])
 
 
 class TestQueries:
@@ -104,9 +112,8 @@ class TestQueries:
         assert len(query_nearest(small_set, query, 1000)) == len(small_set)
 
     def test_empty_set_rejected(self, small_set):
-        empty = small_set.prefix(0)
-        with pytest.raises(ConfigurationError):
-            query_nearest(empty, RigidPose.identity(), 1)
+        with pytest.raises(ValueError):
+            small_set.prefix(0)
 
     def test_matches_brute_force_sort(self, small_set):
         rng = np.random.default_rng(40)
@@ -216,7 +223,10 @@ class TestPersistence:
 
     def test_empty_set_refused_at_load(self, tmp_path, small_set):
         path = tmp_path / "empty.pfax"
-        save_set(ExemplarSet("empty", small_set.mesh_hash, 1.0, small_set.camera), path)
+        save_set(small_set, path)
+        header = bytearray(path.read_bytes()[: self._header_size(small_set)])
+        header[8:12] = struct.pack("<I", 0)  # the exemplar count
+        path.write_bytes(bytes(header))
         with pytest.raises(FileFormatError, match="holds no exemplars") as info:
             load_set(path)
         assert str(info.value).startswith(f"{path}: ")

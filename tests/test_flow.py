@@ -38,6 +38,7 @@ from pfa.flow import (
 from pfa.geometry import CameraIntrinsics, RigidPose, project_points, rotation_about_axis
 from pfa.mesh import MeshModel, make_box
 from pfa.raster import SceneSpec
+from pfa.refine import RansacConfig, refine_pose
 
 K_R = CameraIntrinsics(400.0, 400.0, 128.0, 128.0, 256, 256)
 TETRA = make_tetrahedron(0.05)
@@ -166,9 +167,9 @@ class TestOracleGeometry:
 
     def test_mesh_hash_mismatch_rejected(self, tetra_set):
         ex = tetra_set.exemplars[0]
-        scene = SceneSpec(BOX, ex.pose, (), K_R)
+        source = OracleFlowSource(SceneSpec(BOX, ex.pose, (), K_R), ex.pose)
         with pytest.raises(MeshHashMismatchError):
-            oracle_flow(ex, IDENTITY_CROP, scene, ex.pose, IDENTITY_CROP)
+            refine_pose(ex.pose, tetra_set, BOX, K_R, source, 1, RansacConfig(), 0)
 
     def test_loaded_set_matches_fresh(self, box_set, tmp_path):
         save_set(box_set, tmp_path / "b.pfax")

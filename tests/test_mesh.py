@@ -295,6 +295,28 @@ class TestMeshModel:
             d2 = np.sum((verts[:, None] - verts[None]) ** 2, axis=2)
             assert abs(big.diameter - np.sqrt(d2.max())) < 1e-9
 
+    def test_diameter_of_a_flat_cloud_matches_brute_force(self):
+        # Qhull refuses a coplanar cloud ("initial simplex is flat"); every point is scored
+        from scipy.spatial import ConvexHull, QhullError
+
+        rng = np.random.default_rng(4)
+        flat = np.c_[rng.normal(size=(_HULL_THRESHOLD + 50, 2)), np.zeros(_HULL_THRESHOLD + 50)]
+        with pytest.raises(QhullError):
+            ConvexHull(flat)
+        d2 = np.sum((flat[:, None] - flat[None]) ** 2, axis=2)
+        assert abs(pfa.mesh._diameter(flat) - np.sqrt(d2.max())) < 1e-12
+
+    def test_diameter_lets_other_hull_failures_through(self, monkeypatch):
+        import scipy.spatial
+
+        def broken(points):
+            raise ValueError("broken hull")
+
+        monkeypatch.setattr(scipy.spatial, "ConvexHull", broken)
+        cloud = np.random.default_rng(5).normal(size=(_HULL_THRESHOLD + 1, 3))
+        with pytest.raises(ValueError, match="broken hull"):
+            pfa.mesh._diameter(cloud)
+
     def test_box_diameter(self):
         assert abs(make_box((1, 1, 1)).diameter - np.sqrt(3.0)) < 1e-12
 

@@ -645,14 +645,6 @@ class TestEval:
         table, _ = evaluate_records([a, b])
         assert [row["n_exemplars"] for row in table] == [1, 4]
 
-    def test_empty_records_rejected(self):
-        doc = self._perfect_records()
-        doc["trials"] = []
-        with pytest.raises(ConfigurationError):
-            evaluate_records([doc])
-        with pytest.raises(ConfigurationError):
-            evaluate_records([])
-
     def test_matches_independent_recomputation(self, workspace):
         # recompute ADD-0.1d from the raw trial records with plain python
         _, mesh_path, _ = workspace

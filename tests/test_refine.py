@@ -10,7 +10,7 @@ from pfa.correspond import (
     subsample_per_exemplar,
 )
 from pfa.crops import CropTransform, compute_crop
-from pfa.errors import ConfigurationError, RobustFailureError
+from pfa.errors import RobustFailureError
 from pfa.exemplars import generate_exemplar_set
 from pfa.flow import OracleFlowSource, oracle_flow
 from pfa.geometry import (
@@ -121,13 +121,6 @@ class TestLift:
         merged = aggregate(subsample_per_exemplar(sets, total // 3))
         assert sum(gathered) == len(merged) <= total // 3
         assert len(gathered) == 3
-
-    def test_dimension_mismatch_rejected(self, box_set):
-        ex = box_set.exemplars[0]
-        scene = SceneSpec(BOX, ex.pose, (), K_R)
-        field = oracle_flow(ex, IDENTITY_CROP, scene, ex.pose, IDENTITY_CROP)
-        with pytest.raises(ConfigurationError):
-            lift_correspondences(ex, field, IDENTITY_CROP, CropTransform.identity(128), K_R)
 
 
 class TestAggregate:
