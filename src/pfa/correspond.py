@@ -15,6 +15,14 @@ IMAGE_MARGIN = 0.20  # lifted pixels may exit the image by this fraction
 class CorrespondenceSet:
     """Columnar storage of (model point, target pixel, source exemplar).
 
+    Model points are one C-contiguous (3, N) float64 array,
+    ``point_columns``, and target pixels one (2, N) array,
+    ``pixel_columns``: a row per coordinate and a column per
+    correspondence, the layout the solvers compute in. ``points`` and
+    ``pixels`` are their (N, 3) and (N, 2) transposed views. The
+    constructor takes rows, and rows that are such a view of contiguous
+    columns are stored without a copy.
+
     ``points`` may be given pending, as a (CropSampler, exemplar-crop
     pixels) pair, as lifting does; the model points are then gathered on
     first access. ``take`` narrows the pending pixels, so thinning a set
@@ -23,33 +31,49 @@ class CorrespondenceSet:
 
     def __init__(self, points, pixels, exemplar_ids):
         pending = isinstance(points, tuple)
-        self._points = points if pending else np.asarray(points, dtype=np.float64).reshape(-1, 3)
-        self.pixels = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
+        self._point_columns = points if pending else _columns(points, 3)
+        self.pixel_columns = _columns(pixels, 2)
         self.exemplar_ids = np.asarray(exemplar_ids, dtype=np.int32).reshape(-1)
-        rows = len(points[1]) if pending else len(self._points)
-        if not (rows == len(self.pixels) == len(self.exemplar_ids)):
+        rows = len(points[1]) if pending else self._point_columns.shape[1]
+        if not (rows == self.pixel_columns.shape[1] == len(self.exemplar_ids)):
             raise ValueError("correspondence columns disagree in length")
 
     @property
+    def point_columns(self) -> np.ndarray:
+        """(3, N) float64 model points, gathered on first access if pending."""
+        if isinstance(self._point_columns, tuple):
+            sampler, crop_pixels = self._point_columns
+            self._point_columns = _columns(sampler.points(crop_pixels), 3)
+        return self._point_columns
+
+    @property
     def points(self) -> np.ndarray:
-        """(N, 3) float64 model points, gathered on first access if pending."""
-        if isinstance(self._points, tuple):
-            sampler, crop_pixels = self._points
-            self._points = sampler.points(crop_pixels)
-        return self._points
+        """(N, 3) view of ``point_columns``."""
+        return self.point_columns.T
+
+    @property
+    def pixels(self) -> np.ndarray:
+        """(N, 2) view of ``pixel_columns``."""
+        return self.pixel_columns.T
 
     def __len__(self) -> int:
-        return len(self.pixels)
+        return len(self.exemplar_ids)
 
     def take(self, indices) -> "CorrespondenceSet":
-        points = self._points
+        points = self._point_columns
         if isinstance(points, tuple):
             points = (points[0], points[1].take(indices))
         else:
-            points = points.take(indices, axis=0)
+            points = points.take(indices, axis=1).T
         return CorrespondenceSet(
-            points, self.pixels.take(indices, axis=0), self.exemplar_ids.take(indices)
+            points, self.pixel_columns.take(indices, axis=1).T, self.exemplar_ids.take(indices)
         )
+
+
+def _columns(rows, width: int) -> np.ndarray:
+    """(width, N) C-contiguous float64 columns of (N, width) rows; a transposed
+    view of such columns comes back as its base, uncopied."""
+    return np.ascontiguousarray(np.asarray(rows, dtype=np.float64).reshape(-1, width).T)
 
 
 def lift_correspondences(
@@ -84,15 +108,15 @@ def lift_correspondences(
     mx = IMAGE_MARGIN * target_camera.width
     my = IMAGE_MARGIN * target_camera.height
     ok = (
-        sampler.footprint(flow.indices)
+        sampler.footprint(rows, cols)
         & (x >= -mx)
         & (x < target_camera.width + mx)
         & (y >= -my)
         & (y < target_camera.height + my)
     )
     ids = np.full(int(ok.sum()), exemplar.id, dtype=np.int32)
-    lifted = np.stack([np.compress(ok, x), np.compress(ok, y)], axis=-1)
-    return CorrespondenceSet((sampler, np.compress(ok, flow.indices)), lifted, ids)
+    lifted = np.stack([np.compress(ok, x), np.compress(ok, y)])
+    return CorrespondenceSet((sampler, np.compress(ok, flow.indices)), lifted.T, ids)
 
 
 def aggregate(sets) -> CorrespondenceSet:
@@ -108,8 +132,8 @@ def aggregate(sets) -> CorrespondenceSet:
         key=lambda i: int(sets[i].exemplar_ids[0]) if len(sets[i]) else -1,
     )
     return CorrespondenceSet(
-        np.concatenate([sets[i].points for i in order]),
-        np.concatenate([sets[i].pixels for i in order]),
+        np.concatenate([sets[i].point_columns for i in order], axis=1).T,
+        np.concatenate([sets[i].pixel_columns for i in order], axis=1).T,
         np.concatenate([sets[i].exemplar_ids for i in order]),
     )
 

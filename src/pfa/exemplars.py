@@ -152,11 +152,12 @@ class ExemplarSet:
         )
 
 
-def ensure_mesh_binding(owner, mesh: MeshModel) -> None:
-    """Refuse to pair exemplar data with a mesh it was not generated from."""
+def ensure_mesh_binding(owner, mesh: MeshModel, mesh_name: str = "the mesh") -> None:
+    """Refuse to pair exemplar data with a mesh it was not generated from;
+    the refusal calls the mesh ``mesh_name``."""
     if owner.mesh_hash != mesh_digest(mesh):
         raise MeshHashMismatchError(
-            "mesh digest does not match the one the exemplar set was built from"
+            f"{mesh_name} is not the mesh the exemplar set was built from (mesh digests differ)"
         )
 
 

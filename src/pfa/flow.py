@@ -136,25 +136,31 @@ class CropSampler:
         self._row_of = np.full(mask.size, -1, dtype=np.int32)  # exemplar pixel -> stored row
         self._row_of[mask.reshape(-1)] = np.arange(len(exemplar.points), dtype=np.int32)
 
-    def footprint(self, pixels=None) -> np.ndarray:
-        """Bool mask over ``pixels`` (every crop pixel when None): full footprint."""
-        if pixels is None:
+    def footprint(self, rows=None, cols=None) -> np.ndarray:
+        """Bool mask over the crop pixels at ``rows``, ``cols`` (every crop
+        pixel, row-major, when None): full footprint."""
+        if rows is None:
             ok = self._cells[np.ix_(self._y0, self._x0)]
             return (ok & self._y_in[:, None] & self._x_in[None, :]).reshape(-1)
-        rows, cols = np.divmod(pixels, self.size)
         return self._cells[self._y0[rows], self._x0[cols]] & self._y_in[rows] & self._x_in[cols]
 
     def points(self, pixels) -> np.ndarray:
-        """(M, 3) float64 model points at pixels with a full footprint."""
+        """(M, 3) float64 model points at pixels with a full footprint.
+
+        The points are gathered as (3, M) columns and returned as their
+        transposed view, which ``CorrespondenceSet`` stores uncopied.
+        """
         rows, cols = np.divmod(pixels, self.size)
         corner = self._y0[rows] * self._width + self._x0[cols]
         fx, fy = self._fx[cols], self._fy[rows]
         weights = ((1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy, fx * fy)
-        values = self.exemplar.points.T.astype(np.float64)  # (3, n): one gather per corner
+        # (3, n) float32 columns, one gather per corner; the float64 weights
+        # widen each gathered value exactly
+        values = np.ascontiguousarray(self.exemplar.points.T)
         points = weights[0] * values.take(self._row_of[corner], axis=1)
         for weight, offset in zip(weights[1:], (1, self._width, self._width + 1)):
             points += weight * values.take(self._row_of[corner + offset], axis=1)
-        return np.ascontiguousarray(points.T)
+        return points.T
 
     def triangles(self, pixels) -> np.ndarray:
         """Triangle id of the exemplar pixel holding each sample, one of its four."""
@@ -254,7 +260,7 @@ def oracle_flow(
     # back-face cull against the target view; triangle orientation is fixed
     # per pixel so that the normal faces the exemplar camera
     n_model = face_normals(scene.object_mesh).take(sampler.triangles(pixels[live]), axis=0)
-    q_exemplar = exemplar.pose.transform(points.take(live, axis=0))
+    q_exemplar = exemplar.pose.transform(points.T.take(live, axis=1).T)
     n_exemplar = n_model @ exemplar.pose.rotation.T
     toward_exemplar = np.sum(n_exemplar * q_exemplar, axis=1)
     flip = np.where(toward_exemplar > 0, -1.0, 1.0)

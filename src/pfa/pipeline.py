@@ -439,17 +439,19 @@ def resolve_exemplar_set(config: ExperimentConfig, mesh: MeshModel) -> ExemplarS
     """The set at ``config.exemplar_path``, or one generated for ``mesh``.
 
     A loaded set must be built for ``mesh`` (``MeshHashMismatchError``
-    otherwise) and may name only the mesh's triangles.
+    otherwise) and may name only the mesh's triangles; either refusal names
+    the set's file, and the first names ``config.mesh_path`` too.
     """
     if config.exemplar_path:
         exemplar_set = load_set(config.exemplar_path)
-        ensure_mesh_binding(exemplar_set, mesh)
-        top = max(int(ex.tri.max(initial=-1)) for ex in exemplar_set.exemplars)
-        if top >= len(mesh.triangles):
-            raise FileFormatError(
-                f"{config.exemplar_path}: triangle id {top} is out of range "
-                f"for a mesh of {len(mesh.triangles)} triangles"
-            )
+        with naming_file(config.exemplar_path):
+            ensure_mesh_binding(exemplar_set, mesh, f"mesh {config.mesh_path}")
+            top = max(int(ex.tri.max(initial=-1)) for ex in exemplar_set.exemplars)
+            if top >= len(mesh.triangles):
+                raise FileFormatError(
+                    f"triangle id {top} is out of range "
+                    f"for a mesh of {len(mesh.triangles)} triangles"
+                )
         return exemplar_set
     return generate_exemplar_set(
         mesh, config.gen_count, config.gen_z_bar, config.exemplar_camera,

@@ -27,7 +27,6 @@ from .errors import SolverError
 from .geometry import (
     CameraIntrinsics,
     RigidPose,
-    project_camera_points,
     rotation_from_rotvec,
 )
 
@@ -53,8 +52,16 @@ def is_degenerate_sample(points, tol: float = DEGENERACY_TOL) -> bool:
 def reprojection_residuals(
     camera: CameraIntrinsics, pose: RigidPose, points: np.ndarray, pixels: np.ndarray
 ) -> np.ndarray:
-    """Per-correspondence residuals (N, 2): projected minus observed."""
-    return project_camera_points(camera, pose.transform(points)) - np.asarray(pixels, dtype=float)
+    """Per-correspondence residuals (N, 2): projected minus observed.
+
+    Computed in column layout (``_reprojection_terms``), and returned as an
+    (N, 2) view of (2, N) storage. Rows that are transposed views of (3, N)
+    and (2, N) columns, as ``CorrespondenceSet`` hands out, are read
+    without a copy.
+    """
+    pts = np.ascontiguousarray(np.asarray(points, dtype=np.float64).reshape(-1, 3).T)
+    obs = np.asarray(pixels, dtype=np.float64).reshape(-1, 2).T
+    return _reprojection_terms(camera, pose, pts, obs)[2].T
 
 
 def reprojection_jacobian(
@@ -105,17 +112,19 @@ def _reprojection_terms(camera: CameraIntrinsics, pose: RigidPose, pts, obs):
     """Rotated points, camera-frame points and the residuals of a pose.
 
     Column layout throughout: ``pts`` and both returned point arrays are
-    (3, N), ``obs`` and the residuals (2, N). The residuals are a view of
-    point-major (N, 2) storage, so their summed squares add up in the order
-    of the row layout, bit for bit.
+    (3, N), ``obs`` and the residuals (2, N), all C-contiguous. Each
+    residual row is ``f * x / z + c - u``, evaluated in place in that order.
     """
     rotated = pose.rotation @ pts
     q = rotated + pose.translation[:, None]
-    x, y, z = q
-    residuals = np.empty((q.shape[1], 2))
-    residuals[:, 0] = camera.fx * x / z + camera.cx - obs[0]
-    residuals[:, 1] = camera.fy * y / z + camera.cy - obs[1]
-    return rotated, q, residuals.T
+    residuals = np.empty((2, q.shape[1]))
+    for row, focal, center in ((0, camera.fx, camera.cx), (1, camera.fy, camera.cy)):
+        res = residuals[row]
+        np.multiply(focal, q[row], out=res)
+        res /= q[2]
+        res += center
+        res -= obs[row]
+    return rotated, q, residuals
 
 
 def gauss_newton(
@@ -130,7 +139,11 @@ def gauss_newton(
     iteration, starting with the initial cost; it is non-increasing. The
     normal equations come from the Jacobian laid out one row per parameter,
     and an accepted pose's camera-frame points are reused for the next
-    Jacobian.
+    Jacobian. The normal matrix is ``jac @ jac.copy().T``: numpy sends
+    ``jac @ jac.T`` to BLAS ``syrk``, which on 10K points takes about twice
+    as long as the copy plus a general product, for the same matrix to
+    rounding. Rows that are transposed views of (3, N) and (2, N) columns
+    are read without a copy.
 
     It stops at convergence: when a step's predicted decrease ``-grad @
     step`` is within rounding of the cost (``GN_COST_TOL`` of it, plus the
@@ -151,7 +164,7 @@ def gauss_newton(
     for _ in range(GN_MAX_ITERATIONS):
         jac = _jacobian_rows(camera, rotated, q).reshape(6, -1)
         grad = jac @ residuals.reshape(-1)
-        hess = jac @ jac.T
+        hess = jac @ jac.copy().T  # not jac.T: see the docstring
         scale = np.diag(np.maximum(np.diag(hess), 1e-12))
         rounding = GN_COST_TOL * cost + floor
 
@@ -207,7 +220,7 @@ def solve_pnp(points, pixels, camera: CameraIntrinsics) -> RigidPose:
     start = pts, obs
     if len(pts) > EPNP_POINTS:
         rows = np.round(np.linspace(0, len(pts) - 1, EPNP_POINTS)).astype(np.int64)
-        start = pts.take(rows, axis=0), obs.take(rows, axis=0)
+        start = pts.T.take(rows, axis=1).T, obs.T.take(rows, axis=1).T
     rotation, translation = _epnp(*start, camera)
     pose, _ = gauss_newton(camera, RigidPose(rotation, translation), pts, obs)
     return pose
@@ -322,6 +335,11 @@ def _cubic_root(b, c, d):
     Starts where the cubic is guaranteed to have a root on one side (left
     of the local maximum if that is positive, else right of the local
     minimum), from a second-order model there, and runs Newton's method.
+
+    Near a double root the step can stall at a rounding-sized value that
+    never meets the convergence test, and one such root would keep the
+    whole batch iterating; a root is frozen once its step stops shrinking
+    while already below 1e-9 of its size.
     """
     disc = b * b - 3.0 * c
     spread = np.sqrt(np.maximum(disc, 0.0))
@@ -334,11 +352,19 @@ def _cubic_root(b, c, d):
     # monotonic cubic: start at the inflection, moved off a near-flat one
     flat = -b / 3.0 + (np.abs(disc) < 3e-4)
     root = np.where(disc > 0, np.where(k1 > 0, left, right), flat)
+    scale = 1.0 + np.abs(root)
+    last = np.full_like(root, np.inf)  # each root's previous step size
+    frozen = np.zeros(root.shape, dtype=bool)
     for _ in range(CUBIC_ITERATIONS):
         step = (((root + b) * root + c) * root + d) / ((3.0 * root + 2.0 * b) * root + c)
         step[~np.isfinite(step)] = 0.0
+        size = np.abs(step)
+        frozen |= (size >= last) & (size < 1e-9 * scale)
+        step[frozen] = 0.0
+        last = size
         root -= step
-        if not (np.abs(step) > 1e-15 * (1.0 + np.abs(root))).any():
+        scale = 1.0 + np.abs(root)
+        if not (np.abs(step) > 1e-15 * scale).any():
             break
     return root
 
@@ -531,7 +557,8 @@ def _refine_betas(diffs, betas, rho) -> np.ndarray:
 
     ``betas`` is (C, b): C candidate starts. The normal equations carry a
     1e-12 relative ridge so that a rank-deficient Jacobian gives a short
-    step instead of an error.
+    step instead of an error. The loop ends early once no candidate's step
+    exceeds rounding (1e-15 of its largest beta).
     """
     gram = diffs @ np.swapaxes(diffs, -1, -2)  # (P, b, b): |D_p beta|^2 = b'G_p b
     ridge = np.eye(betas.shape[-1])
@@ -547,7 +574,10 @@ def _refine_betas(diffs, betas, rho) -> np.ndarray:
         normal[~ok] = ridge
         grad[~ok] = 0.0
         # J = 2 G beta, so J'J = 4 N and J'r = 2 g: the step is -(N^-1 g) / 2
-        betas = betas - 0.5 * np.linalg.solve(normal, grad)[..., 0]
+        step = 0.5 * np.linalg.solve(normal, grad)[..., 0]
+        betas = betas - step
+        if not (np.abs(step) > 1e-15 * np.abs(betas).max(axis=1, keepdims=True)).any():
+            break
     return betas
 
 

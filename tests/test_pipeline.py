@@ -1021,6 +1021,21 @@ class TestCli:
                      "--manifest", str(manifest_path), "--exemplars", str(set_path),
                      "--out", str(tmp_path / "run")]) == 4
 
+    def test_set_for_another_mesh_names_the_file_and_the_mesh(self, workspace, tmp_path, capsys):
+        _, mesh_path, config_path = workspace
+        other_mesh, other_set = tmp_path / "other.obj", tmp_path / "other.pfax"
+        manifest_path = tmp_path / "manifest.json"
+        save_obj(make_box((0.12, 0.08, 0.06)), other_mesh)
+        assert main(["gen-exemplars", "--config", str(config_path), "--mesh", str(other_mesh),
+                     "--out", str(other_set)]) == 0
+        assert main(["synth-scenes", "--config", str(config_path), "--out", str(manifest_path)]) == 0
+        capsys.readouterr()
+        assert main(["refine", "--config", str(config_path), "--manifest", str(manifest_path),
+                     "--exemplars", str(other_set), "--out", str(tmp_path / "run")]) == 4
+        err = capsys.readouterr().err
+        assert f"{other_set}: mesh {mesh_path} is not the mesh the exemplar set was built from" in err
+        assert "Traceback" not in err and not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("flag, value, path", [
         ("--zbar", "inf", "exemplars.generate.z_bar"),
         ("--seed", "-1", "exemplars.generate.seed"),

@@ -123,6 +123,56 @@ class TestLift:
         assert len(gathered) == 3
 
 
+class TestColumnLayout:
+    def test_lift_to_refit_keeps_one_column_layout(self, box_set, monkeypatch):
+        # lifting, thinning and aggregation store C-contiguous (3, N) points
+        # and (2, N) pixels; the row views share that storage, and
+        # Gauss-Newton on the row views computes on it without a copy
+        import pfa.pnp
+
+        rng = np.random.default_rng(65)
+        target = _random_target(rng)
+        scene = SceneSpec(BOX, target, (), K_T)
+        crop_t = compute_crop(target, K_R, BOX)
+        sets = []
+        for ex in box_set.exemplars[:3]:
+            crop_r = compute_crop(ex.pose, K_R, BOX)
+            field = oracle_flow(ex, crop_r, scene, target, crop_t)
+            sets.append(lift_correspondences(ex, field, crop_r, crop_t, K_T))
+        merged = aggregate(subsample_per_exemplar(sets, sum(len(s) for s in sets) // 2))
+        n = len(merged)
+        assert n > 100
+        for columns, rows, width in (
+            (merged.point_columns, merged.points, 3),
+            (merged.pixel_columns, merged.pixels, 2),
+        ):
+            assert columns.shape == (width, n) and columns.dtype == np.float64
+            assert columns.flags.c_contiguous
+            assert rows.shape == (n, width) and np.shares_memory(rows, columns)
+
+        seen = []
+        terms = pfa.pnp._reprojection_terms
+        monkeypatch.setattr(
+            pfa.pnp, "_reprojection_terms",
+            lambda camera, pose, pts, obs: seen.append((pts, obs)) or terms(camera, pose, pts, obs),
+        )
+        gauss_newton(K_T, target, merged.points, merged.pixels)
+        assert seen
+        for pts, obs in seen:
+            assert np.shares_memory(pts, merged.point_columns)
+            assert np.shares_memory(obs, merged.pixel_columns)
+
+    def test_rows_are_stored_as_columns(self):
+        rng = np.random.default_rng(66)
+        pts, uv = rng.normal(size=(50, 3)), rng.normal(size=(50, 2))
+        corr = CorrespondenceSet(pts, uv, np.zeros(50, dtype=np.int32))
+        assert corr.point_columns.flags.c_contiguous and corr.pixel_columns.flags.c_contiguous
+        assert np.array_equal(corr.points, pts) and np.array_equal(corr.pixels, uv)
+        kept = corr.take(np.arange(0, 50, 3))
+        assert kept.point_columns.flags.c_contiguous and kept.pixel_columns.flags.c_contiguous
+        assert np.array_equal(kept.points, pts[::3]) and np.array_equal(kept.pixels, uv[::3])
+
+
 class TestAggregate:
     def _set_for(self, exemplar_id, n, seed):
         rng = np.random.default_rng(seed)
