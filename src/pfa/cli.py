@@ -4,19 +4,23 @@ Subcommands: gen-exemplars, synth-scenes, refine, eval. Exit codes:
 0 success, 2 configuration/validation error, 3 I/O error, 4 configuration
 mismatch between artifacts (e.g. exemplar set vs. manifest mesh, or
 manifest vs. config target camera).
-Every flag has a config-file equivalent; flags override file values.
+Each flag's ``dest`` is the config field it sets (--flow-dir also sets the
+flow source). Precedence: flag, config-file key, noise preset, default.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .errors import ArtifactMismatchError, ConfigurationError, PfaError, naming_file
 from .exemplars import generate_exemplar_set, save_set
 from .mesh import load_mesh
+from .metrics import DEFAULT_AUC_THRESHOLD
 from .pipeline import (
+    CONFIG_JSON_PATHS,
     ExperimentConfig,
     SCHEMA_VERSION,
     check_flow_directory,
@@ -40,25 +44,19 @@ EXIT_IO = 3
 EXIT_MISMATCH = 4
 
 
-def _config_from_args(args, overrides: dict) -> ExperimentConfig:
-    if getattr(args, "config", None):
-        config = load_config(args.config, overrides)
-    else:
-        config = ExperimentConfig(**{k: v for k, v in overrides.items() if v is not None})
+def _config_from_args(args) -> ExperimentConfig:
+    """The config file's settings (or the defaults), with every flag given on top."""
+    flags = {k: v for k, v in vars(args).items() if k in CONFIG_JSON_PATHS and v is not None}
+    if "flow_directory" in flags:  # a flow directory is read instead of the oracle
+        flags["flow_source"] = "files"
+    config = replace(load_config(args.config) if args.config else ExperimentConfig(), **flags)
     if not config.mesh_path:
         raise ConfigurationError("a mesh path is required (--mesh or config file)")
     return config
 
 
 def cmd_gen_exemplars(args) -> int:
-    overrides = {
-        "mesh_path": args.mesh,
-        "gen_count": args.count,
-        "gen_z_bar": args.zbar,
-        "gen_seed": args.seed,
-        "gen_name": args.name,
-    }
-    config = _config_from_args(args, overrides)
+    config = _config_from_args(args)
     mesh = load_mesh(config.mesh_path)
     exemplar_set = generate_exemplar_set(
         mesh, config.gen_count, config.gen_z_bar, config.exemplar_camera,
@@ -72,8 +70,7 @@ def cmd_gen_exemplars(args) -> int:
 
 
 def cmd_synth_scenes(args) -> int:
-    overrides = {"mesh_path": args.mesh, "trials": args.trials, "seed": args.seed}
-    config = _config_from_args(args, overrides)
+    config = _config_from_args(args)
     mesh = load_mesh(config.mesh_path)
     manifest = synth_scene_manifest(config, mesh)
     write_json(manifest, args.out)
@@ -82,18 +79,7 @@ def cmd_synth_scenes(args) -> int:
 
 
 def cmd_refine(args) -> int:
-    overrides = {
-        "mesh_path": args.mesh,
-        "n_exemplars": args.n_exemplars,
-        "seed": args.seed,
-        "label": args.label,
-        "exemplar_path": args.exemplars,
-        "flow_directory": args.flow_dir,
-        "dump_flow_dir": args.dump_flows,
-    }
-    if args.flow_dir:
-        overrides["flow_source"] = "files"
-    config = _config_from_args(args, overrides)
+    config = _config_from_args(args)
     manifest = load_manifest(args.manifest)
     mesh = load_mesh(config.mesh_path)
     with naming_file(args.manifest):
@@ -125,7 +111,8 @@ def cmd_eval(args) -> int:
     write_json({"schema_version": SCHEMA_VERSION, "rows": table}, out / "metrics.json")
     write_table_csv(table, out / "metrics.csv")
     write_table_csv(curves, out / "curves.csv")
-    print(f"evaluated {len(documents)} record sets; wrote metrics and curves to {out}")
+    print(f"evaluated {len(documents)} record sets (AUC up to {DEFAULT_AUC_THRESHOLD} mesh "
+          f"units); wrote metrics and curves to {out}")
     return EXIT_OK
 
 
@@ -137,17 +124,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen-exemplars", help="render an exemplar set offline")
     gen.add_argument("--config", help="experiment config JSON")
-    gen.add_argument("--mesh", help="mesh file (PLY or OBJ)")
-    gen.add_argument("--count", type=int, help="number of exemplars")
-    gen.add_argument("--zbar", type=float, help="fixed exemplar depth in meters")
-    gen.add_argument("--seed", type=int, help="rotation sampling seed")
-    gen.add_argument("--name", help="object name stored in the set")
+    gen.add_argument("--mesh", dest="mesh_path", metavar="MESH", help="mesh file (PLY or OBJ)")
+    gen.add_argument("--count", dest="gen_count", metavar="COUNT", type=int,
+                     help="number of exemplars")
+    gen.add_argument("--zbar", dest="gen_z_bar", metavar="ZBAR", type=float,
+                     help="fixed exemplar depth in meters")
+    gen.add_argument("--seed", dest="gen_seed", metavar="SEED", type=int,
+                     help="rotation sampling seed")
+    gen.add_argument("--name", dest="gen_name", metavar="NAME",
+                     help="object name stored in the set")
     gen.add_argument("--out", required=True, help="output .pfax path")
     gen.set_defaults(func=cmd_gen_exemplars)
 
     synth = sub.add_parser("synth-scenes", help="sample ground-truth scenes and jittered initial poses")
     synth.add_argument("--config", help="experiment config JSON")
-    synth.add_argument("--mesh", help="mesh file (PLY or OBJ)")
+    synth.add_argument("--mesh", dest="mesh_path", metavar="MESH", help="mesh file (PLY or OBJ)")
     synth.add_argument("--trials", type=int, help="number of trials")
     synth.add_argument("--seed", type=int, help="master seed")
     synth.add_argument("--out", required=True, help="output manifest JSON path")
@@ -157,15 +148,15 @@ def build_parser() -> argparse.ArgumentParser:
     refine.add_argument("--config", help="experiment config JSON")
     refine.add_argument("--manifest", required=True, help="scene manifest JSON")
     refine.add_argument("--out", required=True, help="output directory")
-    refine.add_argument("--mesh", help="mesh file override")
-    refine.add_argument("--exemplars", help="exemplar set (.pfax) override")
-    refine.add_argument("--n-exemplars", dest="n_exemplars", type=int,
-                        help="exemplars aggregated per trial")
+    refine.add_argument("--mesh", dest="mesh_path", metavar="MESH", help="mesh file override")
+    refine.add_argument("--exemplars", dest="exemplar_path", metavar="EXEMPLARS",
+                        help="exemplar set (.pfax) override")
+    refine.add_argument("--n-exemplars", type=int, help="exemplars aggregated per trial")
     refine.add_argument("--seed", type=int, help="master seed override")
     refine.add_argument("--label", help="label stored in records and reports")
-    refine.add_argument("--flow-dir", dest="flow_dir",
+    refine.add_argument("--flow-dir", dest="flow_directory", metavar="FLOW_DIR",
                         help="read flow from this directory instead of the oracle")
-    refine.add_argument("--dump-flows", dest="dump_flows",
+    refine.add_argument("--dump-flows", dest="dump_flow_dir", metavar="DUMP_FLOWS",
                         help="write every computed flow field to this directory")
     refine.set_defaults(func=cmd_refine)
 
@@ -181,12 +172,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ArtifactMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
     except PfaError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return EXIT_MISMATCH if isinstance(exc, ArtifactMismatchError) else EXIT_CONFIG
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO

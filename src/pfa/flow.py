@@ -251,7 +251,7 @@ def oracle_flow(
     x0, y0, _, _ = window = target_window(crop_target, exemplar.camera, k_target)
     if scene_depth is None:
         scene_depth = scene_depth_map(scene, window=window)
-    eps = max(1e-4, 1e-3 * exemplar.z_bar)
+    eps = 1e-3 * exemplar.z_bar
     px = np.floor(u_target[:, 0]).astype(np.int64) - x0
     py = np.floor(u_target[:, 1]).astype(np.int64) - y0
     seen = np.flatnonzero(~(scene_depth[py, px] < q_target[live, 2] - eps))

@@ -11,7 +11,7 @@ from .geometry import RigidPose, geodesic_distance
 from .mesh import MeshModel
 
 BRUTE_FORCE_LIMIT = 5000  # vertex count above which ADD-S switches to a k-d tree
-DEFAULT_AUC_THRESHOLD = 0.10  # meters
+DEFAULT_AUC_THRESHOLD = 0.10  # mesh units: 0.1 m for a mesh in metres, 0.1 mm in mm
 
 
 @dataclass(frozen=True)

@@ -91,12 +91,13 @@ def worker_count() -> int:
 class ExperimentConfig:
     """Everything one refinement experiment needs, JSON round-trippable.
 
-    ``CONFIG_JSON_PATHS`` is the reference for the JSON layout: it gives
-    each field's key path in the file. An absent key, or a key in an absent
-    or null section, takes the default written here. Settings objects nest
-    whole (cameras, ``noise``, ``ransac``); a noise or RANSAC object takes its
-    own defaults for absent keys. Every float is finite. Per-trial seeds
-    derive from ``seed`` and the trial id, and never appear in the file.
+    ``CONFIG_JSON_PATHS`` gives each field's key path in the JSON file.
+    Precedence: a ``pfa`` flag, then the file's key, then the
+    ``flow.noise.preset`` value, then the default written here (for an absent
+    key, or one in an absent or null section). Settings objects nest whole
+    (cameras, ``noise``, ``ransac``); a noise or RANSAC object takes defaults
+    for absent keys. Every float is finite. Per-trial seeds derive from
+    ``seed`` and the trial id; the file holds none.
     """
 
     mesh_path: str = ""
@@ -154,8 +155,9 @@ class ExperimentConfig:
                 if not ok(value):
                     where = _where(("config",) + CONFIG_JSON_PATHS[name])
                     raise ConfigurationError(f"{where} must be {requirement}, got {value!r}")
-        if self.flow_source == "files" and not self.flow_directory:
-            raise ConfigurationError("config flow.directory must be set for flow source 'files'")
+        if (self.flow_source == "files") != bool(self.flow_directory):  # the oracle reads none
+            raise ConfigurationError("config flow.directory: must be set exactly when "
+                                     f"flow.source is 'files', got {self.flow_directory!r}")
 
     @property
     def scene_z_center(self) -> float:
@@ -348,12 +350,10 @@ def _setting_values(cls, value, path: tuple, partial: bool) -> dict:
 def _parse_noise(value, path) -> FlowNoiseSpec:
     given = _setting_values(FlowNoiseSpec, value, path, partial=True)
     preset = _object(value, path).get("preset")
-    if preset == "default":  # the preset fixes everything but the dropout
-        given = {k: v for k, v in given.items() if k == "dropout_ratio"}
-        return FlowNoiseSpec.default_preset(**given)
-    if preset not in (None, "none"):
+    if preset not in (None, "none", "default"):
         raise ValueError(f"unknown noise preset {preset!r}")
-    return FlowNoiseSpec(**given)
+    base = FlowNoiseSpec.default_preset() if preset == "default" else FlowNoiseSpec()
+    return replace(base, **given)
 
 
 def _parse_pose(value, path) -> RigidPose:
@@ -428,11 +428,10 @@ def _load_document(path, document: str, table: dict) -> dict:
         return _check_fields(data, table, (document,))
 
 
-def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
-    """Read a config file and apply flag overrides (flags win)."""
+def load_config(path) -> ExperimentConfig:
+    """Read a config file; errors name the file."""
     with naming_file(path):
-        config = ExperimentConfig.from_dict(_read_json(path))
-    return replace(config, **{k: v for k, v in (overrides or {}).items() if v is not None})
+        return ExperimentConfig.from_dict(_read_json(path))
 
 
 def resolve_exemplar_set(config: ExperimentConfig, mesh: MeshModel) -> ExemplarSet:
@@ -493,7 +492,7 @@ def synth_scene_manifest(config: ExperimentConfig, mesh: MeshModel) -> dict:
             target_px = project_camera_points(cam, gt.translation) + offset
             center = backproject(cam, target_px, z_occ)
             side = config.occluder_coverage * mesh.diameter * frac
-            extents = [float(e) for e in (side, side, max(side * 0.2, 1e-3))]
+            extents = [float(e) for e in (side, side, side * 0.2)]
             occluders.append((extents, RigidPose(random_rotation(rng), center)))
         try:  # the scene refinement will build from this trial
             SceneSpec(mesh, gt, [(make_box(e), pose) for e, pose in occluders], cam)
@@ -799,8 +798,8 @@ def evaluate_records(record_documents: list) -> tuple[list, list]:
     """Metric table plus accuracy-vs-threshold curve rows for many runs.
 
     Rows are keyed by (label, n_exemplars); curves sample the refined ADD
-    accuracy on [0, ``DEFAULT_AUC_THRESHOLD``] m for AUC plotting. Takes at
-    least one document, each with trials, as ``load_records_documents`` does.
+    accuracy on [0, ``DEFAULT_AUC_THRESHOLD``] mesh units, for AUC plots.
+    Takes at least one document with trials, as ``load_records_documents`` does.
     """
     table = []
     curves = []

@@ -22,6 +22,7 @@ from pfa.flow import FlowField, FlowNoiseSpec, save_flow
 from pfa.geometry import CameraIntrinsics
 from pfa.mesh import load_mesh, make_box, save_obj
 from pfa.pipeline import (
+    CONFIG_JSON_PATHS,
     DEFAULT_EXEMPLAR_CAMERA,
     ExperimentConfig,
     derive_seed,
@@ -166,6 +167,27 @@ MALFORMED_CONFIGS = [
     ({"target_camera": {**DEFAULT_CONFIG_DICT["target_camera"], "skew": 0.0}},
      "target_camera.skew"),
     ({"flow": {"noise": {"preset": "default", "sigma": 1.0}}}, "flow.noise.sigma"),
+    # a flow directory that nothing would read: the source is the oracle
+    ({"flow": {"directory": "flows"}}, "flow.directory"),
+]
+
+# (subcommand, flag, the config field it sets, a value in the file, the flag's value)
+FLAG_FIELDS = [
+    ("gen-exemplars", "--mesh", "mesh_path", "file.obj", "flag.obj"),
+    ("gen-exemplars", "--count", "gen_count", 64, 32),
+    ("gen-exemplars", "--zbar", "gen_z_bar", 0.8, 1.25),
+    ("gen-exemplars", "--seed", "gen_seed", 3, 5),
+    ("gen-exemplars", "--name", "gen_name", "file", "flag"),
+    ("synth-scenes", "--mesh", "mesh_path", "file.obj", "flag.obj"),
+    ("synth-scenes", "--trials", "trials", 4, 9),
+    ("synth-scenes", "--seed", "seed", 11, 12),
+    ("refine", "--mesh", "mesh_path", "file.obj", "flag.obj"),
+    ("refine", "--exemplars", "exemplar_path", "file.pfax", "flag.pfax"),
+    ("refine", "--n-exemplars", "n_exemplars", 2, 3),
+    ("refine", "--seed", "seed", 11, 12),
+    ("refine", "--label", "label", "file", "flag"),
+    ("refine", "--flow-dir", "flow_directory", "file-flows", "flag-flows"),
+    ("refine", "--dump-flows", "dump_flow_dir", "file-dump", "flag-dump"),
 ]
 
 
@@ -225,6 +247,12 @@ class TestConfig:
     def test_to_dict_layout_and_round_trip(self, config, expected):
         assert json.dumps(config.to_dict(), sort_keys=True) == json.dumps(expected, sort_keys=True)
         assert ExperimentConfig.from_dict(expected) == config
+
+    def test_noise_keys_win_over_the_preset(self):
+        # the flowfile-outliers benchmark noise, written as a config
+        data = {"flow": {"noise": {"preset": "default", "outlier_ratio": 0.5}}}
+        noise = ExperimentConfig.from_dict(data).noise
+        assert noise == replace(FlowNoiseSpec.default_preset(), outlier_ratio=0.5)
 
     def test_default_noise_preset(self):
         data = {"flow": {"noise": {"preset": "default", "dropout_ratio": 0.6}}}
@@ -289,12 +317,6 @@ class TestConfig:
     def test_bad_generate_settings_rejected(self, key, value):
         with pytest.raises(ConfigurationError, match=f"exemplars.generate.{key} must be"):
             ExperimentConfig.from_dict({"exemplars": {"generate": {key: value}}})
-
-    def test_flags_override_file(self, workspace):
-        _, _, config_path = workspace
-        config = load_config(config_path, {"trials": 9, "seed": None})
-        assert config.trials == 9
-        assert config.seed == 11  # None means "not given on the command line"
 
     def test_unknown_schema_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -603,6 +625,41 @@ class TestRunRefinement:
                 assert a["refined_pose"] == b["refined_pose"]
 
 
+def _occluded_run_in_units(scale: float) -> list:
+    """Ten occluded-oracle trials with every length multiplied by ``scale``:
+    the mesh, ``z_bar`` (so the scene depth) and the lateral range."""
+    mesh = make_box(np.array(BOX_EXTENTS) * scale)
+    config = ExperimentConfig(
+        trials=10, seed=3, n_exemplars=4, gen_z_bar=scale, lateral_range=0.05 * scale,
+        occluder_count=3, occluder_coverage=0.8,
+        noise=FlowNoiseSpec.default_preset(dropout_ratio=0.6),
+    )
+    exemplar_set = generate_exemplar_set(mesh, 256, scale, DEFAULT_EXEMPLAR_CAMERA, 21)
+    return run_refinement(config, mesh, exemplar_set, synth_scene_manifest(config, mesh))["trials"]
+
+
+@pytest.fixture(scope="module")
+def metre_run():
+    return _occluded_run_in_units(1.0)
+
+
+@pytest.mark.parametrize("scale", [0.01, 1000.0])
+def test_same_scene_in_other_length_units(metre_run, scale):
+    # the same scene in metres and in units 100x longer or 1000x shorter:
+    # no length in the engine may be a fixed number of metres
+    base, scaled = metre_run, _occluded_run_in_units(scale)
+    assert [t["refined_pose"] is None for t in scaled] == [t["refined_pose"] is None for t in base]
+    for a, b in zip(base, scaled):
+        assert [e["id"] for e in b["exemplars"]] == [e["id"] for e in a["exemplars"]]
+        for x, y in zip(a["exemplars"], b["exemplars"]):
+            assert abs(x["n_correspondences"] - y["n_correspondences"]) <= 1
+        if a["refined_report"] is not None:
+            ra, rb = a["refined_report"], b["refined_report"]
+            assert abs(rb["rotation_err_deg"] - ra["rotation_err_deg"]) <= 0.05
+            shift = abs(rb["translation_err_m"] / scale - ra["translation_err_m"])
+            assert shift <= math.radians(0.05)  # what a 0.05 degree turn moves at depth 1
+
+
 class TestEval:
     @staticmethod
     def _perfect_records():
@@ -668,6 +725,40 @@ class TestEval:
 
 
 class TestCli:
+    @staticmethod
+    def _config(tmp_path, command, data, *flags):
+        """The config ``pfa <command>`` runs with, for a file holding ``data``."""
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(data))
+        argv = [command, "--config", str(config_path), "--out", "out", *flags]
+        if command == "refine":
+            argv += ["--manifest", "manifest.json"]
+        return pfa.cli._config_from_args(pfa.cli.build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("command, flag, name, file_value, flag_value", FLAG_FIELDS,
+                             ids=[f"{command}{flag}" for command, flag, *_ in FLAG_FIELDS])
+    def test_flag_wins_over_the_file(self, tmp_path, command, flag, name, file_value, flag_value):
+        settings = {"mesh_path": "m.obj", name: file_value}
+        if name == "flow_directory":
+            settings["flow_source"] = "files"
+        in_file = ExperimentConfig(**settings)
+        assert self._config(tmp_path, command, in_file.to_dict()) == in_file
+        flagged = self._config(tmp_path, command, in_file.to_dict(), flag, str(flag_value))
+        assert flagged == replace(in_file, **{name: flag_value})
+
+    def test_every_config_flag_is_checked(self):
+        subparsers = pfa.cli.build_parser()._subparsers._group_actions[0].choices
+        declared = {
+            (command, action.option_strings[0], action.dest)
+            for command, parser in subparsers.items()
+            for action in parser._actions if action.dest in CONFIG_JSON_PATHS
+        }
+        assert declared == {row[:3] for row in FLAG_FIELDS}
+
+    def test_flow_dir_flag_reads_flow_files(self, tmp_path):
+        config = self._config(tmp_path, "refine", {"mesh": "m.obj"}, "--flow-dir", "flows")
+        assert (config.flow_source, config.flow_directory) == ("files", "flows")
+
     def test_full_chain_and_exit_codes(self, workspace, tmp_path, capsys):
         root, mesh_path, config_path = workspace
         out_set = tmp_path / "set.pfax"

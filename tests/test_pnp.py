@@ -235,8 +235,8 @@ class TestGaussNewton:
         assert rot_err < 1e-4 and trans_err < 1e-7
 
     def test_column_terms_match_the_row_residuals(self):
-        # the column layout changes no value, and the summed squares add up
-        # in the row layout's order, bit for bit
+        # the column terms hold the camera-frame points and the row residuals
+        # bit for bit, so their summed squares are equal too
         import pfa.pnp
 
         rng = np.random.default_rng(62)
