@@ -15,7 +15,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .errors import ArtifactMismatchError, ConfigurationError, PfaError, naming_file
+from .errors import ArtifactMismatchError, ConfigurationError, PfaError
 from .exemplars import generate_exemplar_set, save_set
 from .mesh import load_mesh
 from .metrics import DEFAULT_AUC_THRESHOLD
@@ -24,7 +24,6 @@ from .pipeline import (
     ExperimentConfig,
     SCHEMA_VERSION,
     check_flow_directory,
-    check_manifest,
     evaluate_records,
     load_config,
     load_manifest,
@@ -80,12 +79,10 @@ def cmd_synth_scenes(args) -> int:
 
 def cmd_refine(args) -> int:
     config = _config_from_args(args)
-    manifest = load_manifest(args.manifest)
     mesh = load_mesh(config.mesh_path)
-    with naming_file(args.manifest):
-        check_manifest(config, mesh, manifest)  # before the set, which may be generated
+    manifest = load_manifest(args.manifest, config, mesh)
     check_flow_directory(config)
-    exemplar_set = resolve_exemplar_set(config, mesh)
+    exemplar_set = resolve_exemplar_set(config, mesh)  # after the checks: it may be generated
     records = run_refinement(config, mesh, exemplar_set, manifest)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -47,7 +47,7 @@ from .geometry import (
     geodesic_distances,
     sample_rotations,
 )
-from .mesh import MeshModel, mesh_digest
+from .mesh import MeshModel
 # bench/layers.py patches rasterize here; generation renders its views in
 # multi-view passes with render_surfaces
 from .raster import CoordinateMap, Surface, dense_map, rasterize, render_surfaces  # noqa: F401
@@ -155,7 +155,7 @@ class ExemplarSet:
 def ensure_mesh_binding(owner, mesh: MeshModel, mesh_name: str = "the mesh") -> None:
     """Refuse to pair exemplar data with a mesh it was not generated from;
     the refusal calls the mesh ``mesh_name``."""
-    if owner.mesh_hash != mesh_digest(mesh):
+    if owner.mesh_hash != mesh.digest:
         raise MeshHashMismatchError(
             f"{mesh_name} is not the mesh the exemplar set was built from (mesh digests differ)"
         )
@@ -198,7 +198,6 @@ def generate_exemplar_set(
             f"got {camera.width}x{camera.height}"
         )
     _check_frustum(mesh, z_bar, camera)
-    digest = mesh_digest(mesh)
     rotations = sample_rotations(count, seed)
     translation = np.array([0.0, 0.0, z_bar])
     poses = [RigidPose(rotation, translation) for rotation in rotations]
@@ -210,9 +209,9 @@ def generate_exemplar_set(
         mask[surface.pixels] = True
         exemplars.append(Exemplar(
             i, pose, camera, np.packbits(mask), surface.points.astype("<f4"),
-            surface.tri.astype("<i4"), digest,
+            surface.tri.astype("<i4"), mesh.digest,
         ))
-    return ExemplarSet(object_name, digest, float(z_bar), camera, exemplars)
+    return ExemplarSet(object_name, mesh.digest, float(z_bar), camera, exemplars)
 
 
 def query_nearest(exemplar_set: ExemplarSet, query: RigidPose, count: int) -> list:

@@ -66,6 +66,16 @@ class MeshModel:
         """Largest vertex-to-vertex distance, computed from the vertices on first read."""
         return float(_diameter(self.vertices))
 
+    @cached_property
+    def digest(self) -> bytes:
+        """32-byte digest binding derived artifacts to this mesh, computed on first read."""
+        h = hashlib.sha256()
+        h.update(b"vertices")
+        h.update(self.vertices.astype("<f8").tobytes())
+        h.update(b"triangles")
+        h.update(self.triangles.astype("<i4").tobytes())
+        return h.digest()
+
     @property
     def centroid(self) -> np.ndarray:
         return self.vertices.mean(axis=0)
@@ -106,16 +116,6 @@ def _diameter(vertices: np.ndarray) -> float:
         rows = slice(start, start + 64)
         best = max(best, float(sum((c[rows, None] - c) ** 2 for c in axes).max()))
     return float(np.sqrt(best))
-
-
-def mesh_digest(mesh: MeshModel) -> bytes:
-    """32-byte digest binding derived artifacts to their source mesh."""
-    h = hashlib.sha256()
-    h.update(b"vertices")
-    h.update(mesh.vertices.astype("<f8").tobytes())
-    h.update(b"triangles")
-    h.update(mesh.triangles.astype("<i4").tobytes())
-    return h.digest()
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ from .geometry import (
     project_camera_points,
     random_rotation,
 )
-from .mesh import MeshModel, make_box, mesh_digest
+from .mesh import MeshModel, make_box
 from .metrics import DEFAULT_AUC_THRESHOLD, PoseErrorReport, auc_metric, pose_error_report
 from .raster import SceneSpec
 from .refine import MAX_CORRESPONDENCES, RansacConfig, refine_pose
@@ -241,7 +241,8 @@ _CONFIG_KEYS = {("schema_version",)} | {
     for key in _OBJECT_KEYS.get(f.type.removesuffix(" | None"), ())
 }
 
-# manifest key -> the kind of its value, for every key ``run_refinement`` reads
+# manifest key -> the kind of its value, checked by ``load_manifest`` before
+# the manifest's mesh, camera and scenes
 MANIFEST_FIELDS = {"trials": "list[manifest trial]"}
 MANIFEST_TRIAL_FIELDS = {
     "trial_id": "int",
@@ -395,7 +396,7 @@ _PARSERS = {
     "extents": _parse_extents,
     "list[occluder]": _list_of("occluder"),
     "occluder": lambda value, path: _check_fields(value, _OCCLUDER_FIELDS, path),
-    "list[manifest trial]": _list_of("manifest trial"),
+    "list[manifest trial]": _list_of("manifest trial", least=1),
     "manifest trial": lambda value, path: _check_fields(value, MANIFEST_TRIAL_FIELDS, path),
     "list[record trial]": _list_of("record trial", least=1),
     "record trial": lambda value, path: _check_fields(value, _RECORD_TRIAL_FIELDS, path),
@@ -518,54 +519,47 @@ def synth_scene_manifest(config: ExperimentConfig, mesh: MeshModel) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "label": config.label,
-        "mesh_hash": mesh_digest(mesh).hex(),
+        "mesh_hash": mesh.digest.hex(),
         "z_center": z_center,
         "target_camera": asdict(cam),
         "trials": trials,
     }
 
 
-def load_manifest(path) -> dict:
-    """Read a scene manifest, checking once every value refinement reads.
+def load_manifest(path, config: ExperimentConfig, mesh: MeshModel) -> dict:
+    """Read a scene manifest and check once every value refinement reads;
+    every refusal names the file.
 
-    A manifest may lack ``target_camera``, which ``check_manifest`` then
-    refuses; a present one must be a camera.
+    Raises:
+        ConfigurationError: naming the JSON path of a malformed value or a
+            repeated trial id, or ``trials[i]``, whose scene cannot be built.
+        MeshHashMismatchError: if the manifest was built for another mesh.
+        ArtifactMismatchError: if its target camera is missing or is not
+            the config's.
     """
     manifest = _load_document(path, "manifest", MANIFEST_FIELDS)
     with naming_file(path):
-        _manifest_camera(manifest)
+        built_for = _parse_value("CameraIntrinsics | None", manifest.get("target_camera"),
+                                 ("manifest", "target_camera"))
+        if manifest.get("mesh_hash") != mesh.digest.hex():
+            raise MeshHashMismatchError("manifest was built for a different mesh")
+        if built_for != config.target_camera:
+            raise ArtifactMismatchError(
+                f"manifest target_camera {built_for or 'missing'} differs from "
+                f"config target camera {config.target_camera}"
+            )
+        trial_ids = set()
+        for i, entry in enumerate(manifest["trials"]):
+            trial = ("manifest", "trials", i)
+            if entry["trial_id"] in trial_ids:  # flow files are named by trial id
+                raise ConfigurationError(f"{_where(trial + ('trial_id',))}: "
+                                         f"trial id {entry['trial_id']} repeats an earlier trial's")
+            trial_ids.add(entry["trial_id"])
+            try:
+                scene_from_manifest_entry(entry, mesh, built_for)
+            except PfaError as exc:
+                raise ConfigurationError(f"{_where(trial)}: {exc}") from exc
     return manifest
-
-
-def _manifest_camera(manifest: dict) -> CameraIntrinsics | None:
-    """The target camera a manifest was built for; None when it names none."""
-    return _parse_value(
-        "CameraIntrinsics | None", manifest.get("target_camera"), ("manifest", "target_camera")
-    )
-
-
-def check_manifest(config: ExperimentConfig, mesh: MeshModel, manifest: dict) -> None:
-    """Refuse a manifest for another mesh or target camera, or with an unbuildable scene.
-
-    Raises:
-        MeshHashMismatchError: if the manifest's mesh hash is not ``mesh``'s.
-        ArtifactMismatchError: if its target camera is missing or is not
-            the config's.
-        ConfigurationError: naming ``trials[i]``, whose scene cannot be built.
-    """
-    if manifest.get("mesh_hash") != mesh_digest(mesh).hex():
-        raise MeshHashMismatchError("manifest was built for a different mesh")
-    built_for = _manifest_camera(manifest)
-    if built_for != config.target_camera:
-        raise ArtifactMismatchError(
-            f"manifest target camera {built_for or 'missing'} differs from "
-            f"config target camera {config.target_camera}"
-        )
-    for i, entry in enumerate(manifest["trials"]):
-        try:
-            scene_from_manifest_entry(entry, mesh, config.target_camera)
-        except PfaError as exc:
-            raise ConfigurationError(f"{_where(('manifest', 'trials', i))}: {exc}") from exc
 
 
 def check_flow_directory(config: ExperimentConfig) -> None:
@@ -700,10 +694,8 @@ def run_refinement(
     exemplar_set: ExemplarSet,
     manifest: dict,
 ) -> dict:
-    """Run every manifest trial; returns the records document."""
-    check_manifest(config, mesh, manifest)
-    check_flow_directory(config)
-
+    """Run every trial of a manifest from ``load_manifest`` or ``synth_scene_manifest``,
+    which check it against ``config`` and ``mesh``; returns the records document."""
     entries = sorted(manifest["trials"], key=lambda e: int(e["trial_id"]))
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
         records = list(pool.map(lambda e: run_trial(config, mesh, exemplar_set, e), entries))
@@ -712,7 +704,7 @@ def run_refinement(
         "schema_version": SCHEMA_VERSION,
         "label": config.label,
         "n_exemplars": config.n_exemplars,
-        "mesh_hash": mesh_digest(mesh).hex(),
+        "mesh_hash": mesh.digest.hex(),
         "diameter": mesh.diameter,
         "z_bar": exemplar_set.z_bar,
         "config": config.to_dict(),

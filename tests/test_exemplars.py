@@ -28,7 +28,7 @@ from pfa.exemplars import (
 )
 from pfa.geometry import RigidPose, geodesic_distance, sample_rotations
 from pfa.geometry import CameraIntrinsics
-from pfa.mesh import make_box, mesh_digest
+from pfa.mesh import make_box
 from pfa.raster import rasterize
 
 K_R = CameraIntrinsics(400.0, 400.0, 128.0, 128.0, 256, 256)
@@ -87,7 +87,7 @@ class TestSetInvariants:
 
     def test_exemplar_of_another_mesh_refused(self, small_set):
         first, second = small_set.exemplars[:2]
-        stray = replace(second, mesh_hash=mesh_digest(make_tetrahedron(0.08)))
+        stray = replace(second, mesh_hash=make_tetrahedron(0.08).digest)
         with pytest.raises(ValueError, match="exemplar 1 was built for another mesh"):
             ExemplarSet("mixed", small_set.mesh_hash, 1.0, small_set.camera, [first, stray])
 

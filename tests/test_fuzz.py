@@ -230,7 +230,7 @@ _READ_KEYS = {
 }
 _LOADERS = {
     "config": load_config,
-    "manifest": load_manifest,
+    "manifest": lambda path: load_manifest(path, ExperimentConfig(), make_tetrahedron(0.04)),
     "records": lambda path: load_records_documents(path)[0],
 }
 

@@ -14,7 +14,6 @@ from pfa.mesh import (
     face_normals,
     load_mesh,
     make_box,
-    mesh_digest,
     save_obj,
 )
 
@@ -138,11 +137,11 @@ class TestLoadMesh:
     def test_ply_layouts_read_in_both_encodings(self, tmp_path, layout):
         reference = tmp_path / "tetra.ply"
         reference.write_text(TETRA_PLY)
-        expected = mesh_digest(load_mesh(reference))
+        expected = load_mesh(reference).digest
         for encoding in ("ascii", "binary_little_endian"):
             path = tmp_path / f"{encoding}.ply"
             path.write_bytes(ply_bytes(encoding, PLY_LAYOUTS[layout]))
-            assert mesh_digest(load_mesh(path)) == expected, encoding
+            assert load_mesh(path).digest == expected, encoding
 
     @pytest.mark.parametrize("face_props, record", [
         (["property uchar flags"], lambda f: [f[0]]),
@@ -338,8 +337,8 @@ class TestMeshModel:
     def test_digest_sensitive_to_geometry(self):
         a = make_box((0.1, 0.1, 0.1))
         b = make_box((0.1, 0.1, 0.100001))
-        assert mesh_digest(a) != mesh_digest(b)
-        assert mesh_digest(a) == mesh_digest(make_box((0.1, 0.1, 0.1)))
+        assert a.digest != b.digest
+        assert a.digest == make_box((0.1, 0.1, 0.1)).digest
 
     def test_face_normals_unit(self):
         n = face_normals(make_tetrahedron(0.3))

@@ -217,6 +217,9 @@ MALFORMED_MANIFESTS = [
      "manifest trials[0].trial_id: expected an integer, got 1.5"),
     (lambda m: m["trials"][1].update(trial_id=True),
      "manifest trials[1].trial_id: expected an integer, got True"),
+    (lambda m: m.update(trials=[]), "manifest trials: expected at least 1 manifest trial, got []"),
+    (lambda m: m["trials"][1].update(trial_id=0),
+     "manifest trials[1].trial_id: trial id 0 repeats an earlier trial's"),
 ]
 
 
@@ -474,16 +477,16 @@ class TestRunRefinement:
         assert summary["refined"]["add_01d"] == 1.0
         assert summary["refined"]["failure_count"] == 0
 
-    def test_mesh_hash_mismatch_panics(self, run_artifacts):
+    def test_mesh_hash_mismatch_panics(self, run_artifacts, tmp_path):
         config, mesh, exemplar_set, manifest, _ = run_artifacts
         from pfa.errors import MeshHashMismatchError
 
         other = make_tetrahedron(0.06)
         with pytest.raises(MeshHashMismatchError):
             run_refinement(config, other, exemplar_set, manifest)
-        bad_manifest = dict(manifest, mesh_hash="00" * 32)
+        write_json(dict(manifest, mesh_hash="00" * 32), tmp_path / "bad.json")
         with pytest.raises(MeshHashMismatchError):
-            run_refinement(config, mesh, exemplar_set, bad_manifest)
+            load_manifest(tmp_path / "bad.json", config, mesh)
 
     def test_records_ignore_wall_time_deterministic(self, run_artifacts):
         config, mesh, exemplar_set, manifest, records = run_artifacts
@@ -531,7 +534,7 @@ class TestRunRefinement:
         runs = []
         for name, document in (("new", manifest), ("old", older)):
             write_json(document, tmp_path / f"{name}.json")
-            loaded = load_manifest(tmp_path / f"{name}.json")
+            loaded = load_manifest(tmp_path / f"{name}.json", config, mesh)
             records = run_refinement(config, mesh, exemplar_set, loaded)
             for trial in records["trials"]:
                 trial["wall_time_ms"] = 0.0
@@ -583,12 +586,6 @@ class TestRunRefinement:
             assert "FlowFileMissing" in trial["failure_reason"]
         summary = summarize_records(records)
         assert summary["refined"]["failure_count"] == len(records["trials"])
-
-    def test_flow_dir_that_is_no_directory_is_refused(self, run_artifacts, tmp_path):
-        config, mesh, exemplar_set, manifest, _ = run_artifacts
-        broken = replace(config, flow_source="files", flow_directory=str(tmp_path / "nope"))
-        with pytest.raises(ConfigurationError, match="flow.directory: .*nope is not a directory"):
-            run_refinement(broken, mesh, exemplar_set, manifest)
 
     def test_dumped_flows_reproduce_oracle_run(self, run_artifacts, tmp_path):
         config, mesh, exemplar_set, manifest, records = run_artifacts

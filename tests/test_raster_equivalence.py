@@ -14,7 +14,7 @@ from helpers import (
 )
 from pfa.exemplars import EXEMPLAR_SIZE, Exemplar, ExemplarSet, generate_exemplar_set, save_set
 from pfa.geometry import CameraIntrinsics, RigidPose, sample_rotations
-from pfa.mesh import MeshModel, make_box, mesh_digest
+from pfa.mesh import MeshModel, make_box
 from pfa.pipeline import (
     DEFAULT_EXEMPLAR_CAMERA,
     ExperimentConfig,
@@ -158,7 +158,7 @@ class TestScenes:
 
 def _reference_exemplar_set(mesh, count, z_bar, camera, seed) -> ExemplarSet:
     """An exemplar set rendered by the reference rasterizer and compacted."""
-    digest = mesh_digest(mesh)
+    digest = mesh.digest
     exemplars = []
     for i, rotation in enumerate(sample_rotations(count, seed)):
         pose = RigidPose(rotation, np.array([0.0, 0.0, z_bar]))
