@@ -2,10 +2,12 @@
 
 An exemplar is one pre-rendered view of the object at a known rotation,
 with the translation fixed to (0, 0, z_bar) for the whole set. Pixel data
-is stored sparsely (bit-packed mask plus per-masked-pixel model points in
-float32 and winning triangle ids in int32), which is also exactly the
-on-disk layout, so save/load round trips are bit-exact and a loaded set
-never renders again.
+is held sparsely: the mask as its bounding-box window (``MaskWindow``),
+plus per-masked-pixel model points in float32 and winning triangle ids in
+int32. The window is the one mask representation in memory. The file
+stores the full-frame mask: ``save_set`` expands the window as it writes
+and ``load_set`` builds it from the rows the mask spans, so save/load
+round trips are bit-exact and a loaded set never renders again.
 
 File format (little-endian), magic "PFAX", version 2:
 
@@ -57,18 +59,89 @@ MAGIC = b"PFAX"
 FORMAT_VERSION = 2
 
 _MASK_BYTES = EXEMPLAR_SIZE * EXEMPLAR_SIZE // 8
-# set bits of each byte value; np.bitwise_count needs numpy 2
-_POPCOUNT = np.array([bin(byte).count("1") for byte in range(256)], dtype=np.uint8)
+
+
+@dataclass(frozen=True, eq=False)
+class MaskWindow:
+    """A mask held as its bounding box in the ``EXEMPLAR_SIZE``-square exemplar frame.
+
+    (``row``, ``col``) is the box's top-left frame pixel and ``height`` x
+    ``width`` its size; ``bits`` packs each box row MSB first, zero-padded
+    to whole bytes. An empty mask's box is 0 x 0 at (0, 0). The masked
+    pixels come in the same order in the box's row-major order as in the
+    frame's, which is the order of an exemplar's stored points.
+    """
+
+    row: int
+    col: int
+    height: int
+    width: int
+    bits: np.ndarray  # (height, ceil(width / 8)) uint8
+
+    @classmethod
+    def _of_rows(cls, band: np.ndarray, top: int) -> "MaskWindow":
+        """The window of a bool ``band`` of whole frame rows from row ``top``,
+        whose first and last rows each hold a masked pixel."""
+        cols = np.flatnonzero(band.any(axis=0))
+        if len(cols) == 0:
+            return cls(0, 0, 0, 0, np.zeros((0, 0), dtype=np.uint8))
+        box = band[:, cols[0] : cols[-1] + 1]
+        return cls(top, int(cols[0]), *box.shape, np.packbits(box, axis=1))
+
+    @classmethod
+    def from_pixels(cls, pixels: np.ndarray) -> "MaskWindow":
+        """The window of increasing flat row-major frame ``pixels``; only the
+        rows they span are scattered."""
+        top = int(pixels[0]) // EXEMPLAR_SIZE if len(pixels) else 0
+        bottom = int(pixels[-1]) // EXEMPLAR_SIZE + 1 if len(pixels) else 0
+        band = np.zeros((bottom - top) * EXEMPLAR_SIZE, dtype=bool)
+        band[pixels - top * EXEMPLAR_SIZE] = True
+        return cls._of_rows(band.reshape(-1, EXEMPLAR_SIZE), top)
+
+    @classmethod
+    def from_frame_bits(cls, bits: np.ndarray) -> "MaskWindow":
+        """The window of a frame mask packed row-major MSB first, as PFAX
+        stores it; only the rows the mask spans are unpacked."""
+        frame = bits.reshape(EXEMPLAR_SIZE, EXEMPLAR_SIZE // 8)
+        rows = np.flatnonzero(frame.any(axis=1))
+        top, bottom = (int(rows[0]), int(rows[-1]) + 1) if len(rows) else (0, 0)
+        return cls._of_rows(np.unpackbits(frame[top:bottom], axis=1).view(bool), top)
+
+    def unpack(self) -> np.ndarray:
+        """The (height, width) bool box."""
+        return np.unpackbits(self.bits, axis=1, count=self.width).view(bool)
+
+    def frame_bits(self) -> np.ndarray:
+        """The frame mask packed row-major MSB first, as PFAX stores it;
+        only the rows the mask spans are packed."""
+        rows = np.zeros((self.height, EXEMPLAR_SIZE), dtype=bool)
+        rows[:, self.col : self.col + self.width] = self.unpack()
+        frame = np.zeros((EXEMPLAR_SIZE, EXEMPLAR_SIZE // 8), dtype=np.uint8)
+        frame[self.row : self.row + self.height] = np.packbits(rows, axis=1)
+        return frame.reshape(-1)
+
+    def equals(self, other: "MaskWindow") -> bool:
+        return (
+            (self.row, self.col, self.height, self.width)
+            == (other.row, other.col, other.height, other.width)
+            and np.array_equal(self.bits, other.bits)
+        )
 
 
 @dataclass(eq=False)
 class Exemplar:
-    """One pre-rendered view: pose, camera, and sparse pixel geometry."""
+    """One pre-rendered view: pose, camera, and sparse pixel geometry.
+
+    ``window`` holds the mask as its bounding box in the
+    ``EXEMPLAR_SIZE``-square frame; ``points`` and ``tri`` hold one row per
+    masked pixel, in the window's row-major order. No full-frame buffer is
+    kept: ``mask`` and ``coordinate_map`` build one on demand.
+    """
 
     id: int
     pose: RigidPose
     camera: CameraIntrinsics
-    mask_bits: np.ndarray  # (MASK_BYTES,) uint8, row-major, MSB first
+    window: MaskWindow
     points: np.ndarray  # (n_masked, 3) float32, model frame
     tri: np.ndarray  # (n_masked,) int32, triangle drawn at each masked pixel
     mesh_hash: bytes
@@ -78,8 +151,9 @@ class Exemplar:
         return float(self.pose.translation[2])
 
     def mask(self) -> np.ndarray:
-        bits = np.unpackbits(self.mask_bits)[: EXEMPLAR_SIZE * EXEMPLAR_SIZE]
-        return bits.reshape(EXEMPLAR_SIZE, EXEMPLAR_SIZE).astype(bool)
+        """The (EXEMPLAR_SIZE, EXEMPLAR_SIZE) bool mask, built on demand."""
+        bits = np.unpackbits(self.window.frame_bits())
+        return bits.reshape(EXEMPLAR_SIZE, EXEMPLAR_SIZE).view(bool)
 
     def coordinate_map(self) -> CoordinateMap:
         """Materialize dense buffers; depth is recomputed from the points.
@@ -98,7 +172,7 @@ class Exemplar:
             and np.array_equal(self.pose.rotation, other.pose.rotation)
             and np.array_equal(self.pose.translation, other.pose.translation)
             and self.camera == other.camera
-            and np.array_equal(self.mask_bits, other.mask_bits)
+            and self.window.equals(other.window)
             and np.array_equal(self.points, other.points)
             and np.array_equal(self.tri, other.tri)
             and self.mesh_hash == other.mesh_hash
@@ -205,11 +279,9 @@ def generate_exemplar_set(
     for i, (pose, surface) in enumerate(
         zip(poses, render_surfaces(mesh, poses, camera, EXEMPLAR_SIZE))
     ):
-        mask = np.zeros(EXEMPLAR_SIZE * EXEMPLAR_SIZE, dtype=bool)
-        mask[surface.pixels] = True
         exemplars.append(Exemplar(
-            i, pose, camera, np.packbits(mask), surface.points.astype("<f4"),
-            surface.tri.astype("<i4"), mesh.digest,
+            i, pose, camera, MaskWindow.from_pixels(surface.pixels),
+            surface.points.astype("<f4"), surface.tri.astype("<i4"), mesh.digest,
         ))
     return ExemplarSet(object_name, mesh.digest, float(z_bar), camera, exemplars)
 
@@ -275,7 +347,7 @@ def save_set(exemplar_set: ExemplarSet, path) -> None:
         for ex in exemplar_set.exemplars:
             f.write(struct.pack("<I", ex.id))
             f.write(np.ascontiguousarray(ex.pose.rotation, dtype="<f8").tobytes())
-            f.write(ex.mask_bits.tobytes())
+            f.write(ex.window.frame_bits().tobytes())
             f.write(np.ascontiguousarray(ex.points, dtype="<f4").tobytes())
             f.write(np.ascontiguousarray(ex.tri, dtype="<i4").tobytes())
 
@@ -321,10 +393,10 @@ def load_set(path) -> ExemplarSet:
             rotation = np.frombuffer(
                 reader.read_exact(72, f"exemplar {i} rotation"), dtype="<f8"
             ).reshape(3, 3)
-            bits = np.frombuffer(
+            window = MaskWindow.from_frame_bits(np.frombuffer(
                 reader.read_exact(_MASK_BYTES, f"exemplar {i} mask"), dtype=np.uint8
-            ).copy()
-            n_masked = int(_POPCOUNT.take(bits).sum(dtype=np.uint32))
+            ))
+            n_masked = int(np.count_nonzero(window.unpack()))
             points = np.frombuffer(
                 reader.read_exact(12 * n_masked, f"exemplar {i} points"), dtype="<f4"
             ).reshape(n_masked, 3).copy()
@@ -339,7 +411,7 @@ def load_set(path) -> ExemplarSet:
                 pose = RigidPose(rotation, translation)
             except ValueError as exc:
                 raise FileFormatError(f"exemplar {i} has a bad rotation: {exc}") from exc
-            exemplars.append(Exemplar(ex_id, pose, camera, bits, points, tri, digest))
+            exemplars.append(Exemplar(ex_id, pose, camera, window, points, tri, digest))
         if f.read(1):
             raise FileFormatError("unexpected trailing data after last exemplar")
         try:

@@ -99,13 +99,15 @@ class FlowNoiseSpec:
                    dropout_ratio=dropout_ratio)
 
 
-def _axis_cells(coords: np.ndarray, n: int):
-    """Left cell, fraction and in-range flag of samples along one image axis."""
+def _axis_cells(coords: np.ndarray, origin: int, n: int):
+    """Left cell, fraction and in-range flag of samples along one image axis,
+    the cell counted from ``origin`` within an axis of ``n`` pixels."""
     c = coords - 0.5
     c0 = np.floor(c).astype(np.int64)
+    fraction = c - c0
+    c0 -= origin
     inside = (c0 >= 0) & (c0 + 1 <= n - 1)
-    c0 = np.clip(c0, 0, n - 2)
-    return c0, c - c0, inside
+    return np.clip(c0, 0, n - 2), fraction, inside
 
 
 class CropSampler:
@@ -120,6 +122,12 @@ class CropSampler:
     sample grid is two axes, and the footprint test is one lookup per pixel.
     Gathering is the dearer step, so callers test every pixel first and
     gather only the pixels they keep.
+
+    The cell and row tables cover the exemplar's mask window, a few
+    thousand entries rather than the whole frame, plus one unmasked pixel
+    of margin on each side, so that a 1-px-wide or empty window still has
+    a cell on each axis. A sample whose cell leaves the tables has no full
+    footprint.
     """
 
     def __init__(self, exemplar: Exemplar, crop_exemplar: CropTransform):
@@ -127,13 +135,17 @@ class CropSampler:
         self.size = size = crop_exemplar.out_size
         axis = np.arange(size) + 0.5
         grid = apply_homography(crop_exemplar.inverse_matrix(), np.stack([axis, axis], axis=-1))
-        self._holder = np.floor(grid).astype(np.int64)  # exemplar pixel holding each sample
-        mask = exemplar.mask()
+        window = exemplar.window
+        mask = np.zeros((window.height + 2, window.width + 2), dtype=bool)
+        mask[1:-1, 1:-1] = window.unpack()  # mask[0, 0] is frame pixel (row - 1, col - 1)
+        top, left = window.row - 1, window.col - 1
+        # the window pixel holding each sample
+        self._holder = np.floor(grid).astype(np.int64) - [left, top]
         self._width = mask.shape[1]
-        self._x0, self._fx, self._x_in = _axis_cells(grid[:, 0], mask.shape[1])
-        self._y0, self._fy, self._y_in = _axis_cells(grid[:, 1], mask.shape[0])
+        self._x0, self._fx, self._x_in = _axis_cells(grid[:, 0], left, mask.shape[1])
+        self._y0, self._fy, self._y_in = _axis_cells(grid[:, 1], top, mask.shape[0])
         self._cells = mask[:-1, :-1] & mask[:-1, 1:] & mask[1:, :-1] & mask[1:, 1:]
-        self._row_of = np.full(mask.size, -1, dtype=np.int32)  # exemplar pixel -> stored row
+        self._row_of = np.full(mask.size, -1, dtype=np.int32)  # window pixel -> stored row
         self._row_of[mask.reshape(-1)] = np.arange(len(exemplar.points), dtype=np.int32)
 
     def footprint(self, rows=None, cols=None) -> np.ndarray:

@@ -533,7 +533,8 @@ def load_manifest(path, config: ExperimentConfig, mesh: MeshModel) -> dict:
     Raises:
         ConfigurationError: naming the JSON path of a malformed value or a
             repeated trial id, or ``trials[i]``, whose scene cannot be built.
-        MeshHashMismatchError: if the manifest was built for another mesh.
+        MeshHashMismatchError: naming ``config.mesh_path``, if the manifest
+            was built for another mesh.
         ArtifactMismatchError: if its target camera is missing or is not
             the config's.
     """
@@ -542,7 +543,8 @@ def load_manifest(path, config: ExperimentConfig, mesh: MeshModel) -> dict:
         built_for = _parse_value("CameraIntrinsics | None", manifest.get("target_camera"),
                                  ("manifest", "target_camera"))
         if manifest.get("mesh_hash") != mesh.digest.hex():
-            raise MeshHashMismatchError("manifest was built for a different mesh")
+            raise MeshHashMismatchError(f"mesh {config.mesh_path} is not the mesh the manifest "
+                                        "was built from (mesh digests differ)")
         if built_for != config.target_camera:
             raise ArtifactMismatchError(
                 f"manifest target_camera {built_for or 'missing'} differs from "

@@ -7,6 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from pfa.exemplars import Exemplar, MaskWindow
 from pfa.geometry import CameraIntrinsics, RigidPose
 from pfa.mesh import MeshModel, make_box
 from pfa.raster import DEPTH_TIE, NEAR_CLIP, CoordinateMap, rasterize
@@ -396,6 +397,39 @@ def bilinear_masked(values: np.ndarray, mask: np.ndarray, pixels: np.ndarray):
         + w11[..., None] * values[y0c + 1, x0c + 1]
     )
     return samples, ok
+
+
+def window_edge_masks() -> dict:
+    """256 x 256 exemplar-frame masks at the edge cases of the bounding-box
+    window, by name."""
+    size = 256
+    masks = {name: np.zeros((size, size), dtype=bool)
+             for name in ("top", "bottom", "left", "right", "full", "column", "row",
+                          "hole", "empty")}
+    masks["top"][:40, 90:150] = True
+    masks["bottom"][size - 31:, 60:170] = True
+    masks["left"][100:160, :25] = True
+    masks["right"][70:130, size - 45:] = True
+    masks["full"][:] = True
+    masks["column"][80:200, 131] = True
+    masks["row"][77, 40:220] = True
+    rows, cols = np.mgrid[:size, :size]
+    radius = np.hypot(rows - 120.3, cols - 140.6)
+    masks["hole"][(radius < 50) & (radius > 12)] = True
+    return masks
+
+
+def exemplar_of_mask(index: int, mask: np.ndarray, rng: np.random.Generator):
+    """An exemplar over a given frame mask, with random finite points and
+    triangle ids in the mask's row-major order; its window is built as
+    ``load_set`` builds it from a file."""
+    n = int(mask.sum())
+    window = MaskWindow.from_frame_bits(np.packbits(mask.reshape(-1)))
+    pose = RigidPose(np.eye(3), [0.0, 0.0, 1.0])
+    camera = CameraIntrinsics(400.0, 400.0, 128.0, 128.0, 256, 256)
+    points = rng.uniform(-0.1, 0.1, size=(n, 3)).astype("<f4")
+    tri = rng.integers(0, 1000, size=n).astype("<i4")
+    return Exemplar(index, pose, camera, window, points, tri, bytes(32))
 
 
 def dense_oracle_flow(exemplar, crop_exemplar, scene, target_pose, crop_target):

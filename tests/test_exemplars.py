@@ -7,7 +7,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import make_tetrahedron, reprojection_residual_max
+from helpers import (
+    exemplar_of_mask,
+    make_tetrahedron,
+    reprojection_residual_max,
+    window_edge_masks,
+)
 from pfa.errors import (
     BadMagicError,
     ConfigurationError,
@@ -17,7 +22,10 @@ from pfa.errors import (
     VersionMismatchError,
 )
 from pfa.exemplars import (
+    _MASK_BYTES,
     EXEMPLAR_SIZE,
+    FORMAT_VERSION,
+    MAGIC,
     ExemplarSet,
     ensure_mesh_binding,
     generate_exemplar_set,
@@ -29,6 +37,7 @@ from pfa.exemplars import (
 from pfa.geometry import RigidPose, geodesic_distance, sample_rotations
 from pfa.geometry import CameraIntrinsics
 from pfa.mesh import make_box
+from pfa.pipeline import DEFAULT_EXEMPLAR_CAMERA
 from pfa.raster import rasterize
 
 K_R = CameraIntrinsics(400.0, 400.0, 128.0, 128.0, 256, 256)
@@ -164,7 +173,7 @@ class TestPersistence:
         save_set(a, tmp_path / "n4.pfax")
         save_set(b, tmp_path / "n8.pfax")
         per_exemplar = [
-            4 + 72 + len(ex.mask_bits) + 16 * len(ex.points) for ex in b.exemplars
+            4 + 72 + _MASK_BYTES + 16 * len(ex.points) for ex in b.exemplars
         ]
         size4 = (tmp_path / "n4.pfax").stat().st_size
         size8 = (tmp_path / "n8.pfax").stat().st_size
@@ -239,7 +248,7 @@ class TestPersistence:
         path = tmp_path / "set.pfax"
         save_set(small_set, path)
         first = small_set.exemplars[0]
-        offset = self._header_size(small_set) + 4 + 72 + len(first.mask_bits) + 16 * len(first.points)
+        offset = self._header_size(small_set) + 4 + 72 + _MASK_BYTES + 16 * len(first.points)
         data = bytearray(path.read_bytes())
         data[offset + 4 : offset + 12] = struct.pack("<d", 2.0)  # exemplar 1, R[0, 0]
         path.write_bytes(bytes(data))
@@ -327,3 +336,79 @@ class TestPersistence:
         loaded = load_set(path)
         for ex in loaded.exemplars[:4]:
             assert reprojection_residual_max(ex.coordinate_map(), ex.pose, K_R) < 0.71
+
+
+def _pfax_bytes(exemplar_set, masks) -> bytes:
+    """A PFAX file written from dense masks, as the format documents it."""
+    cam = exemplar_set.camera
+    name = exemplar_set.object_name.encode("utf-8")
+    parts = [
+        MAGIC, struct.pack("<IId", FORMAT_VERSION, len(exemplar_set), exemplar_set.z_bar),
+        struct.pack("<6d", cam.fx, cam.fy, cam.cx, cam.cy, cam.width, cam.height),
+        exemplar_set.mesh_hash, struct.pack("<I", len(name)), name,
+    ]
+    for ex, mask in zip(exemplar_set.exemplars, masks):
+        parts += [
+            struct.pack("<I", ex.id), ex.pose.rotation.astype("<f8").tobytes(),
+            np.packbits(mask.reshape(-1)).tobytes(), ex.points.tobytes(), ex.tri.tobytes(),
+        ]
+    return b"".join(parts)
+
+
+def _array_bytes(obj) -> int:
+    """Bytes of every buffer the arrays reachable from ``obj``'s attributes
+    keep alive; a view counts the whole buffer behind it."""
+    buffers, pending = {}, [obj]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, np.ndarray):
+            while isinstance(item.base, np.ndarray):
+                item = item.base
+            held = item.base
+            buffers[id(item)] = item.nbytes if held is None else memoryview(held).nbytes
+        elif hasattr(item, "__dict__"):
+            pending.extend(vars(item).values())
+    return sum(buffers.values())
+
+
+class TestMaskWindow:
+    def test_edge_masks_load_and_save_byte_exact(self, tmp_path):
+        rng = np.random.default_rng(12)
+        masks = list(window_edge_masks().values())
+        built = [exemplar_of_mask(i, mask, rng) for i, mask in enumerate(masks)]
+        exemplar_set = ExemplarSet("edges", bytes(32), 1.0, built[0].camera, built)
+        path, again = tmp_path / "edges.pfax", tmp_path / "again.pfax"
+        path.write_bytes(_pfax_bytes(exemplar_set, masks))
+        loaded = load_set(path)
+        assert loaded.equals(exemplar_set)
+        for ex, mask in zip(loaded.exemplars, masks):
+            assert np.array_equal(ex.mask(), mask)
+            assert ex.window.unpack().sum() == mask.sum() == len(ex.points)
+        save_set(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_window_is_the_mask_bounding_box(self):
+        rng = np.random.default_rng(13)
+        for name, mask in window_edge_masks().items():
+            window = exemplar_of_mask(0, mask, rng).window
+            rows, cols = np.nonzero(mask)
+            if name == "empty":
+                assert (window.row, window.col, window.height, window.width) == (0, 0, 0, 0)
+                continue
+            assert (window.row, window.col) == (rows.min(), cols.min()), name
+            assert (window.height, window.width) == (np.ptp(rows) + 1, np.ptp(cols) + 1), name
+            assert window.bits.shape == (window.height, -(-window.width // 8)), name
+
+    def test_exemplar_holds_no_full_frame_buffer(self, small_set, tmp_path):
+        # its arrays: 12 bytes of points and 4 of triangle id per masked
+        # pixel, the packed window, and the pose's 96 bytes
+        path = tmp_path / "set.pfax"
+        save_set(small_set, path)
+        rng = np.random.default_rng(14)
+        edge_cases = [exemplar_of_mask(0, m, rng) for m in window_edge_masks().values()]
+        for ex in (*small_set.exemplars, *load_set(path).exemplars, *edge_cases):
+            assert _array_bytes(ex) <= 16 * len(ex.points) + ex.window.bits.nbytes + 256
+
+    def test_box_set_of_512_holds_at_most_12_mib(self):
+        box_set = generate_exemplar_set(BOX, 512, 1.0, DEFAULT_EXEMPLAR_CAMERA, seed=21)
+        assert sum(_array_bytes(ex) for ex in box_set.exemplars) <= 12 * 2**20

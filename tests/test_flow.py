@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    bilinear_masked,
     crop_pixel_centers,
     dense_degrade_flow,
     dense_lift,
@@ -12,9 +13,11 @@ from helpers import (
     dense_save_flow,
     dense_subsample,
     dense_view,
+    exemplar_of_mask,
     make_tetrahedron,
     same_flow,
     sparse_field,
+    window_edge_masks,
 )
 from pfa.correspond import aggregate, lift_correspondences, subsample_per_exemplar
 from pfa.crops import CropTransform, apply_homography, compute_crop, lift_to_image
@@ -27,6 +30,7 @@ from pfa.errors import (
 )
 from pfa.exemplars import generate_exemplar_set, load_set, save_set
 from pfa.flow import (
+    CropSampler,
     FlowNoiseSpec,
     OracleFlowSource,
     degrade_flow,
@@ -342,6 +346,42 @@ class TestDenseEquivalence:
             axes = apply_homography(inverse, np.stack([axis, axis], axis=-1))
             assert np.array_equal(grid[..., 0], np.broadcast_to(axes[:, 0], (256, 256)))
             assert np.array_equal(grid[..., 1], np.broadcast_to(axes[:, 1, None], (256, 256)))
+
+
+class TestCropSamplerWindow:
+    """The sampler's window tables against the dense reference over
+    ``coordinate_map()``, at the edges of the window."""
+
+    @staticmethod
+    def _crops():
+        yield IDENTITY_CROP
+        rng = np.random.default_rng(23)
+        for _ in range(5):
+            # zoomed in or out, so the window edges and the frame edges fall
+            # inside the crop at fractional sample positions
+            scale = rng.uniform(0.5, 3.0)
+            shift = rng.uniform(40 - 256 * scale, 216, size=2)
+            yield CropTransform([[scale, 0, shift[0]], [0, scale, shift[1]], [0, 0, 1]], 256)
+
+    @pytest.mark.parametrize("name", list(window_edge_masks()))
+    def test_matches_dense_reference(self, name):
+        ex = exemplar_of_mask(0, window_edge_masks()[name], np.random.default_rng(9))
+        cmap = ex.coordinate_map()
+        every = np.divmod(np.arange(256 * 256), 256)
+        for crop in self._crops():
+            sampler = CropSampler(ex, crop)
+            samples = apply_homography(crop.inverse_matrix(), crop_pixel_centers(256))
+            reference, ok = bilinear_masked(cmap.points, cmap.mask, samples.reshape(-1, 2))
+            assert np.array_equal(sampler.footprint(), ok)
+            assert np.array_equal(sampler.footprint(*every), ok)
+            pixels = np.flatnonzero(ok)
+            assert np.array_equal(sampler.points(pixels), reference[pixels])
+            holder = np.floor(samples.reshape(-1, 2)[pixels]).astype(np.int64)
+            assert np.array_equal(sampler.triangles(pixels), cmap.tri[holder[:, 1], holder[:, 0]])
+        if name in ("column", "row", "empty"):
+            assert not CropSampler(ex, IDENTITY_CROP).footprint().any()
+        else:
+            assert CropSampler(ex, IDENTITY_CROP).footprint().any()
 
 
 class TestDegradeFlow:

@@ -1124,6 +1124,21 @@ class TestCli:
         assert f"{other_set}: mesh {mesh_path} is not the mesh the exemplar set was built from" in err
         assert "Traceback" not in err and not (tmp_path / "run").exists()
 
+    def test_manifest_for_another_mesh_names_the_file_and_the_mesh(
+        self, workspace, tmp_path, capsys
+    ):
+        _, _, config_path = workspace
+        other_mesh, manifest_path = tmp_path / "other.obj", tmp_path / "manifest.json"
+        save_obj(make_box((0.12, 0.08, 0.06)), other_mesh)
+        assert main(["synth-scenes", "--config", str(config_path), "--out", str(manifest_path)]) == 0
+        capsys.readouterr()
+        assert main(["refine", "--config", str(config_path), "--manifest", str(manifest_path),
+                     "--mesh", str(other_mesh), "--out", str(tmp_path / "run")]) == 4
+        err = capsys.readouterr().err
+        assert (f"{manifest_path}: mesh {other_mesh} is not the mesh the manifest was built "
+                "from (mesh digests differ)") in err
+        assert "Traceback" not in err and not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("flag, value, path", [
         ("--zbar", "inf", "exemplars.generate.z_bar"),
         ("--seed", "-1", "exemplars.generate.seed"),

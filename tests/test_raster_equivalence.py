@@ -12,7 +12,14 @@ from helpers import (
     reference_rasterize,
     reference_scene_depth_map,
 )
-from pfa.exemplars import EXEMPLAR_SIZE, Exemplar, ExemplarSet, generate_exemplar_set, save_set
+from pfa.exemplars import (
+    EXEMPLAR_SIZE,
+    Exemplar,
+    ExemplarSet,
+    MaskWindow,
+    generate_exemplar_set,
+    save_set,
+)
 from pfa.geometry import CameraIntrinsics, RigidPose, sample_rotations
 from pfa.mesh import MeshModel, make_box
 from pfa.pipeline import (
@@ -157,14 +164,17 @@ class TestScenes:
 
 
 def _reference_exemplar_set(mesh, count, z_bar, camera, seed) -> ExemplarSet:
-    """An exemplar set rendered by the reference rasterizer and compacted."""
+    """An exemplar set rendered by the reference rasterizer and compacted; each
+    mask enters as the full-frame bits a PFAX file holds, as ``load_set``
+    reads them."""
     digest = mesh.digest
     exemplars = []
     for i, rotation in enumerate(sample_rotations(count, seed)):
         pose = RigidPose(rotation, np.array([0.0, 0.0, z_bar]))
         cmap = reference_rasterize(mesh, pose, camera, EXEMPLAR_SIZE)
         exemplars.append(Exemplar(
-            i, pose, camera, np.packbits(cmap.mask.reshape(-1)),
+            i, pose, camera,
+            MaskWindow.from_frame_bits(np.packbits(cmap.mask.reshape(-1))),
             cmap.points[cmap.mask].astype("<f4"), cmap.tri[cmap.mask].astype("<i4"), digest,
         ))
     return ExemplarSet("object", digest, float(z_bar), camera, exemplars)
