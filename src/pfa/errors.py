@@ -39,14 +39,12 @@ class RobustFailureError(SolverError):
     """RANSAC found no hypothesis with enough inliers.
 
     ``inliers`` is the best hypothesis's (N,) inlier mask over the input
-    correspondences, all False if no sample yielded one. ``refine_pose``
-    sets ``exemplar_reports`` from it before re-raising.
+    correspondences, all False if no sample yielded one.
     """
 
     def __init__(self, message, inliers):
         super().__init__(message)
         self.inliers = inliers
-        self.exemplar_reports = None
 
 
 class MeshError(PfaError):
@@ -102,6 +100,16 @@ class TruncationError(FileFormatError):
 
 class FlowFileMissingError(PfaError):
     """An externally supplied flow file was not found, or not readable, for a trial."""
+
+
+# errors local to one trial: ``refine_pose`` returns each as that trial's failed result
+TRIAL_FAILURES = (
+    SolverError,  # RobustFailureError included
+    FlowFileMissingError,
+    FileFormatError,  # a corrupt or wrong-size flow file
+    DegeneracyError,
+    BehindCameraError,
+)
 
 
 @contextmanager

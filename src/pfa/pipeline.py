@@ -23,14 +23,11 @@ import numpy as np
 from .crops import DEFAULT_CROP_PAD
 from .errors import (
     ArtifactMismatchError,
-    BehindCameraError,
     ConfigurationError,
-    DegeneracyError,
     FileFormatError,
     FlowFileMissingError,
     MeshHashMismatchError,
     PfaError,
-    SolverError,
     UndefinedInputError,
     naming_file,
 )
@@ -63,23 +60,16 @@ DEFAULT_EXEMPLAR_CAMERA = CameraIntrinsics(
     400.0, 400.0, 128.0, 128.0, EXEMPLAR_SIZE, EXEMPLAR_SIZE
 )
 
-# errors local to one trial: each becomes that trial's failure record
-_TRIAL_FAILURES = (
-    SolverError,  # RobustFailureError included
-    FlowFileMissingError,
-    FileFormatError,  # a corrupt or wrong-size flow file
-    DegeneracyError,
-    BehindCameraError,
-)
-
-
 def worker_count() -> int:
-    """Trial-level parallelism, capped by the PFA_THREADS env var."""
+    """Trial-level parallelism: the PFA_THREADS env var, a positive integer (default 1)."""
     raw = os.environ.get("PFA_THREADS", "1")
     try:
-        return max(1, int(raw))
+        count = int(raw)
     except ValueError:
-        raise ConfigurationError(f"PFA_THREADS must be an integer, got {raw!r}") from None
+        count = 0  # refused below, as a count below 1 is
+    if count < 1:
+        raise ConfigurationError(f"PFA_THREADS must be a positive integer, got {raw!r}")
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -645,6 +635,13 @@ def run_trial(
     exemplar_set: ExemplarSet,
     entry: dict,
 ) -> dict:
+    """Refine one manifest trial and return its record.
+
+    A failed refinement is a record too: ``refine_pose``'s ``failure_reason``
+    is copied into it, ``refined_pose`` and ``refined_report`` stay None,
+    and ``exemplars`` holds whatever reports the failure kept.
+    ``wall_time_ms`` times the refinement and the record it fills.
+    """
     trial_id = int(entry["trial_id"])
     scene, gt, initial = scene_from_manifest_entry(entry, mesh, config.target_camera)
 
@@ -670,22 +667,18 @@ def run_trial(
     }
 
     start = time.perf_counter()
-    try:
-        result = refine_pose(
-            initial, exemplar_set, mesh, config.target_camera, source,
-            config.n_exemplars, config.ransac, derive_seed(config.seed, "ransac", trial_id),
-            crop_pad=config.crop_pad,
-            max_correspondences=config.max_correspondences,
-        )
-    except _TRIAL_FAILURES as failure:
-        record["failure_reason"] = f"{type(failure).__name__}: {failure}"
-        reports = getattr(failure, "exemplar_reports", None) or []
-    else:
+    result = refine_pose(
+        initial, exemplar_set, mesh, config.target_camera, source,
+        config.n_exemplars, config.ransac, derive_seed(config.seed, "ransac", trial_id),
+        crop_pad=config.crop_pad,
+        max_correspondences=config.max_correspondences,
+    )
+    if result.estimate is not None:
         refined = result.estimate.pose
         record["refined_pose"] = pose_to_dict(refined)
         record["refined_report"] = asdict(pose_error_report(gt, refined, mesh))
-        reports = result.exemplar_reports
-    record["exemplars"] = [asdict(r) for r in reports]
+    record["failure_reason"] = result.failure_reason
+    record["exemplars"] = [asdict(r) for r in result.exemplar_reports]
     record["wall_time_ms"] = (time.perf_counter() - start) * 1000.0
     return record
 

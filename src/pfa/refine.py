@@ -15,7 +15,7 @@ from .correspond import (
     subsample_per_exemplar,
 )
 from .crops import DEFAULT_CROP_PAD, DEFAULT_CROP_SIZE, CropTransform, compute_crop
-from .errors import RobustFailureError, SolverError
+from .errors import TRIAL_FAILURES, RobustFailureError, SolverError
 from .exemplars import ExemplarSet, ensure_mesh_binding, query_nearest
 from .flow import FlowField
 from .geometry import CameraIntrinsics, RigidPose, geodesic_distance
@@ -88,14 +88,26 @@ class ExemplarReport:
 
 @dataclass(eq=False)
 class RefineResult:
-    """Estimate plus the per-exemplar diagnostics that produced it."""
+    """One trial's refinement outcome and the per-exemplar diagnostics behind it.
 
-    estimate: PoseEstimate
+    ``estimate`` is None exactly when ``failure_reason`` holds the text of
+    the per-trial error that ended the pass.
+    """
+
+    estimate: PoseEstimate | None
+    failure_reason: str | None
     exemplar_reports: list
 
 
 class FlowSource(Protocol):
-    """Anything that can produce a flow field for a retrieved exemplar."""
+    """Anything that can produce a flow field for a retrieved exemplar.
+
+    A source fails one trial by raising a per-trial error
+    (``errors.TRIAL_FAILURES``): ``FlowFileMissingError`` for a flow file
+    that is missing or unreadable, ``FileFormatError`` for one that is
+    malformed or sized for other crops. ``refine_pose`` returns either as a
+    failed result; any other error propagates.
+    """
 
     def flow_for(
         self, exemplar, rank: int, crop_exemplar: CropTransform, crop_target: CropTransform
@@ -313,38 +325,52 @@ def refine_pose(
     subsampling quotas are fixed from the lifted counts, and aggregation
     gathers the points of the kept rows only. ``seed`` seeds the RANSAC
     draws (``ransac_pnp``).
+
+    Returns:
+        A ``RefineResult`` for every per-trial outcome. A per-trial error
+        (``errors.TRIAL_FAILURES``) raised by the crops, the flow source,
+        the lift or RANSAC ends the pass with ``estimate`` None and
+        ``failure_reason`` ``"<ErrorClass>: <message>"``. A
+        ``RobustFailureError`` keeps one report per retrieved exemplar, its
+        inliers counted on the best hypothesis's mask; every other failure
+        has no reports.
+
+    Raises:
+        MeshHashMismatchError: ``exemplar_set`` was not generated from ``mesh``.
+        Every error outside ``errors.TRIAL_FAILURES`` propagates unchanged,
+        such as an ``OSError`` from a flow source that writes flow files.
     """
     ensure_mesh_binding(exemplar_set, mesh)
     neighbors = query_nearest(exemplar_set, initial, n_exemplars)
-    crop_target = compute_crop(initial, exemplar_set.camera, mesh, DEFAULT_CROP_SIZE, crop_pad)
-
-    per_exemplar = []
-    distances = []
-    for rank, exemplar in enumerate(neighbors):
-        crop_exemplar = compute_crop(
-            exemplar.pose, exemplar.camera, mesh, DEFAULT_CROP_SIZE, crop_pad
-        )
-        field = flow_source.flow_for(exemplar, rank, crop_exemplar, crop_target)
-        per_exemplar.append(
-            lift_correspondences(exemplar, field, crop_exemplar, crop_target, target_camera)
-        )
-        distances.append(geodesic_distance(initial.rotation, exemplar.pose.rotation))
-
-    per_exemplar = subsample_per_exemplar(per_exemplar, max_correspondences)
-    merged = aggregate(per_exemplar)
-
-    def _reports(inlier_mask):
-        reports = []
-        for exemplar, corr, dist in zip(neighbors, per_exemplar, distances):
-            inl = int(inlier_mask[merged.exemplar_ids == exemplar.id].sum())
-            reports.append(
-                ExemplarReport(exemplar.id, float(dist), len(corr), inl)
-            )
-        return reports
 
     try:
+        crop_target = compute_crop(initial, exemplar_set.camera, mesh, DEFAULT_CROP_SIZE, crop_pad)
+        per_exemplar = []
+        distances = []
+        for rank, exemplar in enumerate(neighbors):
+            crop_exemplar = compute_crop(
+                exemplar.pose, exemplar.camera, mesh, DEFAULT_CROP_SIZE, crop_pad
+            )
+            field = flow_source.flow_for(exemplar, rank, crop_exemplar, crop_target)
+            per_exemplar.append(
+                lift_correspondences(exemplar, field, crop_exemplar, crop_target, target_camera)
+            )
+            distances.append(geodesic_distance(initial.rotation, exemplar.pose.rotation))
+
+        per_exemplar = subsample_per_exemplar(per_exemplar, max_correspondences)
+        merged = aggregate(per_exemplar)
         estimate = ransac_pnp(merged, target_camera, cfg, seed)
-    except RobustFailureError as failure:
-        failure.exemplar_reports = _reports(failure.inliers)
-        raise
-    return RefineResult(estimate, _reports(estimate.inlier_ids))
+    except TRIAL_FAILURES as failure:
+        reason = f"{type(failure).__name__}: {failure}"
+        if not isinstance(failure, RobustFailureError):
+            return RefineResult(None, reason, [])
+        # only ransac_pnp raises it, so every retrieved exemplar was lifted
+        estimate, inliers = None, failure.inliers
+    else:
+        reason, inliers = None, estimate.inlier_ids
+
+    reports = []
+    for exemplar, corr, dist in zip(neighbors, per_exemplar, distances):
+        inl = int(inliers[merged.exemplar_ids == exemplar.id].sum())
+        reports.append(ExemplarReport(exemplar.id, float(dist), len(corr), inl))
+    return RefineResult(estimate, reason, reports)

@@ -1,7 +1,8 @@
 """Package structure: the modules of ``pfa`` import one another without a cycle,
 every name a module or a test imports is used, ``pfa/__init__.py`` holds only
-its docstring, and every function the package defines is read somewhere in
-it, unless something outside the package pins it."""
+its docstring, every function the package defines is read somewhere in
+it, unless something outside the package pins it, and no exception handler
+hangs data on the exception it caught."""
 
 import ast
 import functools
@@ -293,3 +294,53 @@ def test_bench_patch_table_names_real_attributes():
     missing = [f"{patch.owner.__name__}.{patch.attr}" for patch in patches
                if patch.attr not in vars(patch.owner)]
     assert patches and not missing, f"bench/layers.py patches missing attributes {missing}"
+
+
+def exception_attribute_writes(path: Path) -> list:
+    """``line: name.attr`` for every attribute other than ``args`` that an
+    ``except ... as name:`` handler assigns on the exception it caught,
+    directly or through ``setattr``. Data a caller needs travels in a
+    returned value, not on an exception in flight; rewriting ``args``, as
+    ``errors.naming_file`` does, only rewords the message."""
+    found = []
+    for handler in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(handler, ast.ExceptHandler) or handler.name is None:
+            continue
+        for node in ast.walk(ast.Module(body=handler.body, type_ignores=[])):
+            targets = []
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                targets.append((node.value, node.attr))
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "setattr" and len(node.args) >= 2
+                  and isinstance(node.args[1], ast.Constant)):
+                targets.append((node.args[0], node.args[1].value))
+            for owner, attr in targets:
+                if isinstance(owner, ast.Name) and owner.id == handler.name and attr != "args":
+                    found.append(f"{node.lineno}: {owner.id}.{attr}")
+    return found
+
+
+def test_no_handler_sets_attributes_on_its_exception():
+    found = {
+        str(path.relative_to(ROOT)): writes
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (writes := exception_attribute_writes(path))
+    }
+    assert not found, found
+
+
+def test_exception_attribute_check_reads_every_handler(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        "try:\n    pass\n"
+        "except ValueError as failure:\n"
+        "    failure.reports = []\n"  # flagged
+        "    failure.args = ('reworded',)\n"  # rewording the message is allowed
+        "    other.reports = []\n"  # not the caught exception
+        "except KeyError as e:\n"
+        "    if e:\n        setattr(e, 'extra', 1)\n"  # flagged, nested and via setattr
+        "except OSError:\n"
+        "    pass\n",
+        encoding="utf-8",
+    )
+    assert exception_attribute_writes(path) == ["4: failure.reports", "9: e.extra"]

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -438,6 +439,32 @@ def run_artifacts(workspace):
     return config, mesh, exemplar_set, manifest, records
 
 
+@pytest.fixture(scope="module")
+def dumped_flows(run_artifacts, tmp_path_factory):
+    """The flow files of run_artifacts' oracle run."""
+    config, mesh, exemplar_set, manifest, _ = run_artifacts
+    flows = tmp_path_factory.mktemp("flows")
+    run_refinement(replace(config, dump_flow_dir=str(flows)), mesh, exemplar_set, manifest)
+    return flows
+
+
+def _empty_flows(flows, trial_id):
+    for rank in range(2):
+        empty = FlowField(DEFAULT_CROP_SIZE, DEFAULT_CROP_SIZE, [], [])
+        save_flow(empty, flows / flow_file_name(trial_id, rank))
+
+
+# (error, edit of the failing trial's flow files, or its initial depth): each fails one trial
+TRIAL_FAILURE_KINDS = [
+    ("RobustFailureError", _empty_flows, None),  # no correspondence reaches RANSAC
+    ("FlowFileMissingError", lambda flows, t: (flows / flow_file_name(t, 0)).unlink(), None),
+    ("FileFormatError",  # a flow file sized for other crops
+     lambda flows, t: save_flow(FlowField(8, 8, [], []), flows / flow_file_name(t, 0)), None),
+    ("DegeneracyError", None, 1e13),  # the target's crop collapses to a point
+    ("BehindCameraError", None, -1.0),  # the target's crop projects points behind the camera
+]
+
+
 _NO_SCIPY_RUN = """
 import sys
 from pfa.exemplars import generate_exemplar_set
@@ -620,6 +647,36 @@ class TestRunRefinement:
             else:
                 assert b["failure_reason"] is None
                 assert a["refined_pose"] == b["refined_pose"]
+
+    @pytest.mark.parametrize("error, edit_flows, depth", TRIAL_FAILURE_KINDS,
+                             ids=[row[0] for row in TRIAL_FAILURE_KINDS])
+    def test_each_failure_kind_fails_only_its_trial(
+        self, run_artifacts, dumped_flows, tmp_path, error, edit_flows, depth
+    ):
+        config, mesh, exemplar_set, manifest, records = run_artifacts
+        edited = json.loads(json.dumps(manifest))
+        if edit_flows is None:
+            edited["trials"][1]["initial_pose"]["translation"][2] = depth
+        else:
+            flows = shutil.copytree(dumped_flows, tmp_path / "flows")
+            edit_flows(flows, 1)
+            config = replace(config, flow_source="files", flow_directory=str(flows))
+        write_json(edited, tmp_path / "manifest.json")
+        loaded = load_manifest(tmp_path / "manifest.json", config, mesh)
+        trials = run_refinement(config, mesh, exemplar_set, loaded)["trials"]
+
+        bad = trials[1]
+        assert bad["failure_reason"].startswith(f"{error}: ")
+        assert bad["refined_pose"] is None and bad["refined_report"] is None
+        if error == "RobustFailureError":  # every retrieved exemplar reports, with nothing lifted
+            assert bad["exemplars"] == [{**e, "n_correspondences": 0, "inlier_count": 0}
+                                        for e in records["trials"][1]["exemplars"]]
+        else:
+            assert bad["exemplars"] == []
+        for before, after in zip(records["trials"], trials):
+            if after is not bad:
+                assert after["failure_reason"] is None
+                assert after["refined_pose"] == before["refined_pose"]
 
 
 def _occluded_run_in_units(scale: float) -> list:
@@ -879,6 +936,20 @@ class TestCli:
         ])
         assert code == 3
         assert "/nonexistent-dir/set.pfax" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["two", "0", "-4"])
+    def test_pfa_threads_must_be_a_positive_integer(
+        self, workspace, tmp_path, capsys, monkeypatch, threads
+    ):
+        _, _, config_path = workspace
+        manifest_path, run_dir = tmp_path / "manifest.json", tmp_path / "run"
+        assert main(["synth-scenes", "--config", str(config_path), "--out", str(manifest_path)]) == 0
+        monkeypatch.setenv("PFA_THREADS", threads)
+        assert main(["refine", "--config", str(config_path), "--manifest", str(manifest_path),
+                     "--out", str(run_dir)]) == 2
+        err = capsys.readouterr().err
+        assert f"PFA_THREADS must be a positive integer, got {threads!r}" in err
+        assert not run_dir.exists()
 
     def test_refine_mesh_mismatch_is_exit_4(self, workspace, tmp_path):
         root, mesh_path, config_path = workspace

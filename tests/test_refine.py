@@ -1,5 +1,7 @@
 """Correspondence lifting, aggregation, RANSAC-PnP, and the one-shot pass."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -495,7 +497,6 @@ class TestRefinePose:
     def test_dropout_aggregation_helps(self, box_set):
         # dropout so heavy that one exemplar sometimes starves below
         # min_inliers: N=4 must succeed at least as often as N=1
-        from pfa.errors import SolverError
         from pfa.flow import FlowNoiseSpec
 
         rng = np.random.default_rng(85)
@@ -507,13 +508,36 @@ class TestRefinePose:
             scene = SceneSpec(BOX, target, (), K_T)
             for n in (1, 4):
                 source = OracleFlowSource(scene, target, noise, base_seed=trial)
-                try:
-                    result = refine_pose(
-                        initial, box_set, BOX, K_T, source, n, RansacConfig(), trial
-                    )
-                except (RobustFailureError, SolverError):
+                result = refine_pose(
+                    initial, box_set, BOX, K_T, source, n, RansacConfig(), trial
+                )
+                if result.estimate is None:
                     continue
                 if add_error(target, result.estimate.pose, BOX) < 0.1 * BOX.diameter:
                     success[n] += 1
         assert success[4] >= success[1]
         assert success[4] >= 8  # aggregation rescues the starved trials
+
+    def test_starved_pass_returns_a_failed_result(self, box_set):
+        # the draws of test_dropout_aggregation_helps: one exemplar at 99.9%
+        # dropout lifts a few tens of points, and some trials get fewer than
+        # min_inliers; their result names N, and each exemplar's report its share
+        from pfa.flow import FlowNoiseSpec
+
+        rng = np.random.default_rng(85)
+        noise = FlowNoiseSpec.default_preset(dropout_ratio=0.999)
+        failed = []
+        for trial in range(10):
+            target = _random_target(rng)
+            initial = pose_jitter(target, K_T, BOX, 20.0, 10.0, seed=trial)
+            source = OracleFlowSource(SceneSpec(BOX, target, (), K_T), target, noise,
+                                      base_seed=trial)
+            result = refine_pose(initial, box_set, BOX, K_T, source, 1, RansacConfig(), trial)
+            if result.estimate is None:
+                failed.append(result)
+        assert failed
+        for result in failed:
+            assert result.failure_reason.startswith("RobustFailureError: ")
+            named = int(re.findall(r"\d+", result.failure_reason)[-1])  # "got N" or "c/N)"
+            assert len(result.exemplar_reports) == 1
+            assert sum(r.n_correspondences for r in result.exemplar_reports) == named
