@@ -11,6 +11,7 @@ flow source). Precedence: flag, config-file key, noise preset, default.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -41,6 +42,18 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_MISMATCH = 4
+
+
+def worker_count() -> int:
+    """Trial-level parallelism: the PFA_THREADS env var, a positive integer (default 1)."""
+    raw = os.environ.get("PFA_THREADS", "1")
+    try:
+        count = int(raw)
+    except ValueError:
+        count = 0  # refused below, as a count below 1 is
+    if count < 1:
+        raise ConfigurationError(f"PFA_THREADS must be a positive integer, got {raw!r}")
+    return count
 
 
 def _config_from_args(args) -> ExperimentConfig:
@@ -78,14 +91,18 @@ def cmd_synth_scenes(args) -> int:
 
 
 def cmd_refine(args) -> int:
+    workers = worker_count()  # before any work, so a refused count costs none
     config = _config_from_args(args)
     mesh = load_mesh(config.mesh_path)
     manifest = load_manifest(args.manifest, config, mesh)
     check_flow_directory(config)
     exemplar_set = resolve_exemplar_set(config, mesh)  # after the checks: it may be generated
-    records = run_refinement(config, mesh, exemplar_set, manifest)
+    # made before the first trial, so an output that cannot be made costs no trial
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    if config.dump_flow_dir:
+        Path(config.dump_flow_dir).mkdir(parents=True, exist_ok=True)
+    records = run_refinement(config, mesh, exemplar_set, manifest, workers)
     write_json(records, out / "records.json")
     summary = summarize_records(records)
     write_json(summary, out / "report.json")

@@ -46,7 +46,6 @@ from .geometry import (
     CameraIntrinsics,
     RigidPose,
     angles_from_traces,
-    geodesic_distances,
     sample_rotations,
 )
 from .mesh import MeshModel
@@ -289,11 +288,10 @@ def generate_exemplar_set(
 def query_nearest(exemplar_set: ExemplarSet, query: RigidPose, count: int) -> list:
     """The ``count`` exemplars nearest to the query by rotation angle.
 
-    Ties break toward the lower id. Returns min(count, set size) exemplars
-    in non-decreasing distance order.
+    Ranked by trace(R_e^T R_q), highest first, as the angle falls with it; ties
+    break toward the lower id. Returns min(count, set size) exemplars, nearest first.
     """
-    distances = geodesic_distances(exemplar_set.rotation_stack, query.rotation)
-    order = np.argsort(distances, kind="stable")
+    order = np.argsort(-(exemplar_set.rotation_stack @ query.rotation.reshape(9)), kind="stable")
     return [exemplar_set.exemplars[i] for i in order[: min(count, len(order))]]
 
 

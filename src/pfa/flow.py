@@ -36,7 +36,7 @@ from .errors import (
     naming_file,
 )
 from .exemplars import Exemplar
-from .geometry import CameraIntrinsics, project_camera_points
+from .geometry import project_camera_points, project_points
 from .mesh import face_normals
 # bench/layers.py patches rasterize here; nothing in this module renders exemplars
 from .raster import SceneSpec, rasterize, scene_depth_map  # noqa: F401
@@ -181,22 +181,20 @@ class CropSampler:
         return self.exemplar.tri[self._row_of[holder]]
 
 
-def target_window(
-    crop_target: CropTransform, k_render: CameraIntrinsics, k_target: CameraIntrinsics
-) -> tuple[int, int, int, int]:
-    """Target-image pixels that can map into the target crop.
+def object_window(scene: SceneSpec) -> tuple[int, int, int, int]:
+    """Image pixels the scene's target object can cover.
 
-    Returns half-open bounds (x0, y0, x1, y1) of the crop's preimage under
-    the intrinsics alignment, widened by one pixel against rounding and
-    clipped to the image; the window is empty when the crop misses it.
+    Returns half-open bounds (x0, y0, x1, y1) of the box of the object's
+    vertices projected under ``scene.object_pose``, widened by one pixel
+    against rounding and clipped to the image; the window is empty when the
+    box misses the image.
     """
-    size = crop_target.out_size
-    warp = image_to_crop_matrix(crop_target, k_render, k_target)
-    corners = apply_homography(np.linalg.inv(warp), np.array([[0.0, 0.0], [size, size]]))
+    camera = scene.camera
+    corners = project_points(camera, scene.object_pose, scene.object_mesh.vertices)
     lo = np.floor(corners.min(axis=0)).astype(np.int64) - 1
     hi = np.ceil(corners.max(axis=0)).astype(np.int64) + 1
-    x0, x1 = np.clip([lo[0], hi[0]], 0, k_target.width)
-    y0, y1 = np.clip([lo[1], hi[1]], 0, k_target.height)
+    x0, x1 = np.clip([lo[0], hi[0]], 0, camera.width)
+    y0, y1 = np.clip([lo[1], hi[1]], 0, camera.height)
     return int(x0), int(y0), int(x1), int(y1)
 
 
@@ -225,12 +223,14 @@ def oracle_flow(
     each later one sees only the survivors of the earlier ones; triangle
     ids and normals are gathered for the final survivors alone. Every test
     reads one pixel's own values, so the kept set and its vectors do not
-    depend on the order. Only pixels landing in the crop are depth tested,
-    so the z-buffer covers the crop's ``target_window`` alone;
-    ``scene_depth``, if given, must be ``scene_depth_map`` over that window.
-    No rendering happens here.
+    depend on the order. A depth-tested point blends four stored surface
+    points, so it lies in the mesh's convex hull, in front of the camera, and
+    projects into the box of the projected vertices: the z-buffer covers
+    ``object_window(scene)`` alone. ``scene_depth``, if given, is
+    ``scene_depth_map`` over that window; tests may leave it to be rendered here.
 
-    The caller gives crops of one size and an exemplar of ``scene.object_mesh``.
+    The caller gives crops of one size, an exemplar of ``scene.object_mesh``
+    and ``scene.object_pose`` as ``target_pose``.
     """
     size = crop_exemplar.out_size
     sampler = CropSampler(exemplar, crop_exemplar)
@@ -260,7 +260,7 @@ def oracle_flow(
     live = live[inside]
     u_target, u_crop = u_target.take(inside, axis=0), u_crop.take(inside, axis=0)
 
-    x0, y0, _, _ = window = target_window(crop_target, exemplar.camera, k_target)
+    x0, y0, _, _ = window = object_window(scene)
     if scene_depth is None:
         scene_depth = scene_depth_map(scene, window=window)
     eps = 1e-3 * exemplar.z_bar
@@ -311,6 +311,10 @@ def degrade_flow(flow: FlowField, spec: FlowNoiseSpec, seed: int) -> FlowField:
 class OracleFlowSource:
     """Flow provider backed by the geometric oracle, optionally degraded.
 
+    ``target_pose`` is the scene's object pose. The first ``flow_for``
+    renders the z-buffer over ``object_window(scene)`` (see ``oracle_flow``);
+    that window is the scene's alone, so every later call reuses the render.
+
     Degradation seeds derive from (base_seed, exemplar id) so a given
     exemplar sees the same noise regardless of how many neighbors are
     retrieved alongside it.
@@ -322,15 +326,11 @@ class OracleFlowSource:
         self.target_pose = target_pose
         self.noise = noise
         self.base_seed = base_seed
-        self._window = None
         self._scene_depth = None
 
     def flow_for(self, exemplar, rank, crop_exemplar, crop_target) -> FlowField:
-        # one z-buffer per target window: a trial's exemplars share it
-        window = target_window(crop_target, exemplar.camera, self.scene.camera)
-        if window != self._window:
-            self._window = window
-            self._scene_depth = scene_depth_map(self.scene, window=window)
+        if self._scene_depth is None:
+            self._scene_depth = scene_depth_map(self.scene, window=object_window(self.scene))
         field = oracle_flow(
             exemplar, crop_exemplar, self.scene, self.target_pose, crop_target,
             scene_depth=self._scene_depth,

@@ -160,13 +160,6 @@ def angles_from_traces(traces: np.ndarray) -> np.ndarray:
     return np.degrees(angles)
 
 
-def geodesic_distances(rotations: np.ndarray, reference) -> np.ndarray:
-    """Vectorized geodesic distance of (N, 3, 3) rotations to one reference."""
-    rs = np.asarray(rotations, dtype=np.float64).reshape(-1, 9)
-    ref = np.asarray(reference, dtype=np.float64).reshape(9)
-    return angles_from_traces(rs @ ref)
-
-
 def rotation_about_axis(axis, angle_deg: float) -> np.ndarray:
     """Rodrigues rotation about a (not necessarily unit) axis."""
     a = np.asarray(axis, dtype=np.float64).reshape(3)

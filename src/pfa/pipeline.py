@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
@@ -59,17 +58,6 @@ DEFAULT_TARGET_CAMERA = CameraIntrinsics(600.0, 600.0, 320.0, 240.0, 640, 480)
 DEFAULT_EXEMPLAR_CAMERA = CameraIntrinsics(
     400.0, 400.0, 128.0, 128.0, EXEMPLAR_SIZE, EXEMPLAR_SIZE
 )
-
-def worker_count() -> int:
-    """Trial-level parallelism: the PFA_THREADS env var, a positive integer (default 1)."""
-    raw = os.environ.get("PFA_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        count = 0  # refused below, as a count below 1 is
-    if count < 1:
-        raise ConfigurationError(f"PFA_THREADS must be a positive integer, got {raw!r}")
-    return count
 
 
 # ---------------------------------------------------------------------------
@@ -688,11 +676,13 @@ def run_refinement(
     mesh: MeshModel,
     exemplar_set: ExemplarSet,
     manifest: dict,
+    workers: int = 1,
 ) -> dict:
     """Run every trial of a manifest from ``load_manifest`` or ``synth_scene_manifest``,
-    which check it against ``config`` and ``mesh``; returns the records document."""
+    which check it against ``config`` and ``mesh``, on ``workers`` threads;
+    returns the records document."""
     entries = sorted(manifest["trials"], key=lambda e: int(e["trial_id"]))
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         records = list(pool.map(lambda e: run_trial(config, mesh, exemplar_set, e), entries))
 
     return {

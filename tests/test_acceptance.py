@@ -145,13 +145,12 @@ def test_criterion_2_outlier_robustness():
         mark(passed)
 
 
-def test_criterion_3_aggregation_trend(box_mesh_path, monkeypatch):
+def test_criterion_3_aggregation_trend(box_mesh_path):
     mark = _announce(3, "aggregation trend: ADD-0.1d(N=4) >= ADD-0.1d(N=1) and "
                         "ADD-0.1d(N=2) >= ADD-0.1d(N=1) over 200 trials with 60% "
                         "dropout + default degradation")
     passed = False
     try:
-        monkeypatch.setenv("PFA_THREADS", "4")
         mesh = BOX
         exemplar_set = generate_exemplar_set(mesh, 512, Z_BAR, DEFAULT_EXEMPLAR_CAMERA, 21)
         base = ExperimentConfig(
@@ -162,7 +161,8 @@ def test_criterion_3_aggregation_trend(box_mesh_path, monkeypatch):
         manifest = synth_scene_manifest(base, mesh)
         add01 = {}
         for n in (1, 2, 4):
-            records = run_refinement(replace(base, n_exemplars=n), mesh, exemplar_set, manifest)
+            records = run_refinement(
+                replace(base, n_exemplars=n), mesh, exemplar_set, manifest, workers=4)
             add01[n] = summarize_records(records)["refined"]["add_01d"]
         print(f"\n  ADD-0.1d by N: {add01}")
         assert add01[4] >= add01[1], f"N=4 ({add01[4]}) worse than N=1 ({add01[1]})"
@@ -274,7 +274,7 @@ def test_criterion_7_jacobian_check():
         mark(passed)
 
 
-def test_criterion_8_round_trips(box_set, box_mesh_path, tmp_path, monkeypatch):
+def test_criterion_8_round_trips(box_set, box_mesh_path, tmp_path):
     mark = _announce(8, "bit-exact container round-trips, transform compositions "
                         "within 1e-9, byte-identical pipeline reports")
     passed = False
@@ -312,7 +312,6 @@ def test_criterion_8_round_trips(box_set, box_mesh_path, tmp_path, monkeypatch):
         assert np.abs(align_intrinsics(align_intrinsics(pixels, k_r, K_T), K_T, k_r) - pixels).max() < 1e-9
 
         # byte-identical reports for two identical runs
-        monkeypatch.setenv("PFA_THREADS", "1")
         config = ExperimentConfig(
             mesh_path=str(box_mesh_path), trials=5, seed=42, n_exemplars=2,
             noise=FlowNoiseSpec.default_preset(),

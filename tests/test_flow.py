@@ -35,13 +35,14 @@ from pfa.flow import (
     OracleFlowSource,
     degrade_flow,
     load_flow,
+    object_window,
     oracle_flow,
     save_flow,
-    target_window,
 )
 from pfa.geometry import CameraIntrinsics, RigidPose, project_points, rotation_about_axis
 from pfa.mesh import MeshModel, make_box
-from pfa.raster import SceneSpec
+from pfa.pipeline import ExperimentConfig
+from pfa.raster import SceneSpec, scene_depth_map
 from pfa.refine import RansacConfig, refine_pose
 
 K_R = CameraIntrinsics(400.0, 400.0, 128.0, 128.0, 256, 256)
@@ -206,7 +207,7 @@ def _dense_case(name):
     """Target camera, gt rotation relative to the exemplar, gt translation, occluders."""
     rotation = rotation_about_axis([0.3, 1.0, 0.2], 7.0)
     camera = CameraIntrinsics(600.0, 600.0, 320.0, 240.0, 640, 480)
-    if name == "occluded":
+    if name in ("occluded", "jittered"):  # "jittered": the test crops at the jitter bound
         translation = [0.01, -0.005, 0.9]
         occluders = (
             (make_box((0.05, 0.12, 0.02)), RigidPose(np.eye(3), [0.02, 0.0, 0.7])),
@@ -243,7 +244,7 @@ class TestDenseEquivalence:
         return load_set(path)
 
     @pytest.mark.parametrize(
-        "case", ["occluded", "overflow", "border", "anisotropic", "heavy", "hidden"]
+        "case", ["occluded", "jittered", "overflow", "border", "anisotropic", "heavy", "hidden"]
     )
     @pytest.mark.parametrize("pad", [1.2, 1.6])
     @pytest.mark.parametrize("loaded", [False, True])
@@ -253,25 +254,33 @@ class TestDenseEquivalence:
         exemplar_set = loaded_box_set if loaded else box_set
         camera, rotation, translation, occluders = _dense_case(case)
         jitter = rotation_about_axis([1.0, 0.0, 0.5], 3.0)
+        shift = [0.004, -0.003, 0.01]
+        if case == "jittered":  # the initial pose is off by the full jitter bounds
+            bounds = ExperimentConfig()
+            jitter = rotation_about_axis([1.0, 0.0, 0.5], bounds.jitter_max_rot_deg)
+            shift = [bounds.jitter_max_reproj_px * translation[2] / camera.fx, 0.0, 0.0]
         checked = 0
         low, high = np.full(2, np.inf), np.full(2, -np.inf)  # valid target-crop extent
         lifted, reference = [], []  # per exemplar: lazily gathered, dense
         for index in (0, 5, 11):
             ex = exemplar_set.exemplars[index]
             gt = RigidPose(rotation @ ex.pose.rotation, translation)
-            initial = RigidPose(jitter @ gt.rotation, translation + [0.004, -0.003, 0.01])
+            initial = RigidPose(jitter @ gt.rotation, translation + shift)
             scene = SceneSpec(BOX, gt, occluders, camera)
             crop_r = compute_crop(ex.pose, K_R, BOX, pad=pad)
             # "overflow" halves the target crop so the object crosses all four
             # of its edges and valid pixels reach every side of the window
             crop_t = compute_crop(initial, K_R, BOX, pad=pad / 2 if case == "overflow" else pad)
-            if case == "border":
-                x0, _, x1, _ = target_window(crop_t, K_R, camera)
-                unclipped = apply_homography(
+            if case == "border":  # the object's box runs off the image's left edge
+                x0, _, x1, _ = object_window(scene)
+                assert x0 == 0 and project_points(camera, gt, BOX.vertices)[:, 0].min() < 0 < x1
+            if case == "jittered":  # the crop's preimage is centered off the object's box
+                x0, _, x1, _ = object_window(scene)
+                preimage = apply_homography(
                     np.linalg.inv(crop_t.matrix @ K_R.matrix @ camera.inverse_matrix),
-                    np.zeros(2),
+                    np.array([[0.0, 0.0], [256.0, 256.0]]),
                 )
-                assert x0 == 0 and unclipped[0] < 0 < x1
+                assert abs(preimage[:, 0].mean() - (x0 + x1) / 2) > 5.0
 
             source = OracleFlowSource(scene, gt)
             sparse = source.flow_for(ex, 0, crop_r, crop_t)
@@ -320,6 +329,27 @@ class TestDenseEquivalence:
             kept = dense_subsample(reference, cap)
             assert np.array_equal(merged.points, np.concatenate([p for p, _ in kept]))
             assert np.array_equal(merged.pixels, np.concatenate([q for _, q in kept]))
+
+    def test_source_renders_one_z_buffer_for_every_crop(self, box_set, monkeypatch):
+        camera, rotation, translation, occluders = _dense_case("occluded")
+        ex = box_set.exemplars[0]
+        gt = RigidPose(rotation @ ex.pose.rotation, translation)
+        scene = SceneSpec(BOX, gt, occluders, camera)
+        windows = []
+
+        def counted(scene, window=None):
+            windows.append(window)
+            return scene_depth_map(scene, window)
+
+        monkeypatch.setattr("pfa.flow.scene_depth_map", counted)
+        source = OracleFlowSource(scene, gt)
+        assert windows == []  # nothing is rendered before the first flow_for
+        crop_r = compute_crop(ex.pose, K_R, BOX)
+        for pad in (1.2, 1.6):
+            crop_t = compute_crop(gt, K_R, BOX, pad=pad)
+            field = source.flow_for(ex, 0, crop_r, crop_t)
+            assert same_flow(field, dense_oracle_flow(ex, crop_r, scene, gt, crop_t))
+        assert windows == [object_window(scene)]
 
     def test_occluders_remove_pixels(self, box_set):
         camera, rotation, translation, occluders = _dense_case("occluded")

@@ -527,23 +527,21 @@ class TestRunRefinement:
 
         assert strip(records) == strip(again)
 
-    def test_reports_identical_across_thread_counts(self, run_artifacts, monkeypatch):
+    def test_reports_identical_across_thread_counts(self, run_artifacts):
         # noisy flow from two exemplars: RANSAC sees more than 2048 points
         config, mesh, exemplar_set, manifest, _ = run_artifacts
         noisy = replace(config, noise=FlowNoiseSpec.default_preset(dropout_ratio=0.3))
         reports = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("PFA_THREADS", threads)
-            records = run_refinement(noisy, mesh, exemplar_set, manifest)
+        for workers in (1, 2):
+            records = run_refinement(noisy, mesh, exemplar_set, manifest, workers)
             assert min(sum(e["n_correspondences"] for e in t["exemplars"])
                        for t in records["trials"]) > 2048
             reports.append(json.dumps(summarize_records(records), sort_keys=True).encode())
         assert reports[0] == reports[1]
 
-    def test_threaded_run_matches_sequential(self, run_artifacts, monkeypatch):
+    def test_threaded_run_matches_sequential(self, run_artifacts):
         config, mesh, exemplar_set, manifest, records = run_artifacts
-        monkeypatch.setenv("PFA_THREADS", "4")
-        threaded = run_refinement(config, mesh, exemplar_set, manifest)
+        threaded = run_refinement(config, mesh, exemplar_set, manifest, workers=4)
 
         def strip(doc):
             doc = json.loads(json.dumps(doc))
@@ -950,6 +948,36 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"PFA_THREADS must be a positive integer, got {threads!r}" in err
         assert not run_dir.exists()
+
+    def test_pfa_threads_is_refused_before_any_input_is_read(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        # the config names a mesh that does not exist; the thread count is refused first
+        _, _, config_path = workspace
+        config = json.loads(config_path.read_text())
+        config["mesh"] = str(tmp_path / "no-such-mesh.obj")
+        no_mesh = tmp_path / "config.json"
+        no_mesh.write_text(json.dumps(config))
+        monkeypatch.setenv("PFA_THREADS", "0")
+        run_dir = tmp_path / "run"
+        assert main(["refine", "--config", str(no_mesh), "--manifest", str(tmp_path / "m.json"),
+                     "--out", str(run_dir)]) == 2
+        assert "PFA_THREADS" in capsys.readouterr().err
+        assert not run_dir.exists()
+
+    def test_out_that_cannot_be_made_is_refused_before_the_first_trial(
+        self, workspace, tmp_path, capsys
+    ):
+        _, _, config_path = workspace
+        manifest_path = tmp_path / "manifest.json"
+        assert main(["synth-scenes", "--config", str(config_path), "--out", str(manifest_path)]) == 0
+        a_file, flows = tmp_path / "out.txt", tmp_path / "flows"
+        a_file.write_text("not a directory")
+        flows.mkdir()
+        assert main(["refine", "--config", str(config_path), "--manifest", str(manifest_path),
+                     "--out", str(a_file), "--dump-flows", str(flows)]) == 3
+        assert str(a_file) in capsys.readouterr().err
+        assert list(flows.iterdir()) == []
 
     def test_refine_mesh_mismatch_is_exit_4(self, workspace, tmp_path):
         root, mesh_path, config_path = workspace
