@@ -97,11 +97,10 @@ def cmd_refine(args) -> int:
     manifest = load_manifest(args.manifest, config, mesh)
     check_flow_directory(config)
     exemplar_set = resolve_exemplar_set(config, mesh)  # after the checks: it may be generated
-    # made before the first trial, so an output that cannot be made costs no trial
+    # made before run_refinement makes the dump directory and runs the first
+    # trial, so an output that cannot be made costs no trial
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if config.dump_flow_dir:
-        Path(config.dump_flow_dir).mkdir(parents=True, exist_ok=True)
     records = run_refinement(config, mesh, exemplar_set, manifest, workers)
     write_json(records, out / "records.json")
     summary = summarize_records(records)

@@ -6,12 +6,15 @@ buffer is kept. The oracle writes this form, degradation and the file
 format below walk it in index order, and lifting reads it.
 
 The in-tree flow provider is a geometric oracle: for every valid pixel of
-the exemplar crop it projects the known model point into the target view
-and records the crop-frame displacement. Pixels are invalidated when the
-point is occluded in the target scene, leaves the crop or image, or faces
-away from the target camera. A configurable degradation stage stands in
-for the error profile of a learned flow estimator; externally produced
-flow enters exclusively through the file format below.
+the exemplar crop it projects the known model point into the target view,
+with the scene's object at ``scene.object_pose``, and records the
+crop-frame displacement. Pixels are invalidated when the point is occluded
+in the target scene, leaves the crop or image, or faces away from the
+target camera. ``OracleFlowSource`` renders the scene's z-buffer once, on
+its first ``flow_for``, and passes it to every ``oracle_flow`` call. A
+configurable degradation stage stands in for the error profile of a
+learned flow estimator; externally produced flow enters exclusively
+through the file format below.
 
 Flow file format (little-endian), magic "PFAF", version 1:
 
@@ -202,22 +205,20 @@ def oracle_flow(
     exemplar: Exemplar,
     crop_exemplar: CropTransform,
     scene: SceneSpec,
-    target_pose,
     crop_target: CropTransform,
-    *,
-    scene_depth: np.ndarray | None = None,
+    scene_depth: np.ndarray,
 ) -> FlowField:
     """Ground-truth flow from an exemplar crop to the target crop.
 
     Every exemplar-crop pixel whose sample has a full 2x2 footprint in the
     exemplar mask takes the bilinearly interpolated stored model point
     (``CropSampler``). The point is projected into the target image under
-    ``target_pose``, re-expressed under the exemplar camera's intrinsics,
-    and mapped by the target crop. A pixel is kept when its point lies in
-    front of the target camera, lands inside the image and the crop, is not
-    occluded in the scene (joint z-buffer strictly nearer than the point by
-    more than a depth tolerance), and its surface, by the stored triangle
-    id, faces the target camera.
+    ``scene.object_pose``, re-expressed under the exemplar camera's
+    intrinsics, and mapped by the target crop. A pixel is kept when its
+    point lies in front of the target camera, lands inside the image and
+    the crop, is not occluded in the scene (joint z-buffer strictly nearer
+    than the point by more than a depth tolerance), and its surface, by the
+    stored triangle id, faces the target camera.
 
     The tests run in that order, cheapest and most selective first, and
     each later one sees only the survivors of the earlier ones; triangle
@@ -225,12 +226,10 @@ def oracle_flow(
     reads one pixel's own values, so the kept set and its vectors do not
     depend on the order. A depth-tested point blends four stored surface
     points, so it lies in the mesh's convex hull, in front of the camera, and
-    projects into the box of the projected vertices: the z-buffer covers
-    ``object_window(scene)`` alone. ``scene_depth``, if given, is
-    ``scene_depth_map`` over that window; tests may leave it to be rendered here.
+    projects into the box of the projected vertices: ``scene_depth`` is
+    ``scene_depth_map`` over ``object_window(scene)`` alone.
 
-    The caller gives crops of one size, an exemplar of ``scene.object_mesh``
-    and ``scene.object_pose`` as ``target_pose``.
+    The caller gives crops of one size and an exemplar of ``scene.object_mesh``.
     """
     size = crop_exemplar.out_size
     sampler = CropSampler(exemplar, crop_exemplar)
@@ -238,7 +237,7 @@ def oracle_flow(
     if len(pixels) == 0:
         return FlowField(size, size, pixels, np.empty((0, 2)))
     points = sampler.points(pixels)
-    q_target = target_pose.transform(points)
+    q_target = scene.object_pose.transform(points)
 
     # ``live`` indexes the survivors into pixels, points and q_target; rows
     # are gathered with ``take``, much faster than fancy indexing on (N, k)
@@ -260,9 +259,7 @@ def oracle_flow(
     live = live[inside]
     u_target, u_crop = u_target.take(inside, axis=0), u_crop.take(inside, axis=0)
 
-    x0, y0, _, _ = window = object_window(scene)
-    if scene_depth is None:
-        scene_depth = scene_depth_map(scene, window=window)
+    x0, y0, _, _ = object_window(scene)
     eps = 1e-3 * exemplar.z_bar
     px = np.floor(u_target[:, 0]).astype(np.int64) - x0
     py = np.floor(u_target[:, 1]).astype(np.int64) - y0
@@ -276,7 +273,7 @@ def oracle_flow(
     n_exemplar = n_model @ exemplar.pose.rotation.T
     toward_exemplar = np.sum(n_exemplar * q_exemplar, axis=1)
     flip = np.where(toward_exemplar > 0, -1.0, 1.0)
-    n_target = (n_model * flip[:, None]) @ target_pose.rotation.T
+    n_target = (n_model * flip[:, None]) @ scene.object_pose.rotation.T
     front = np.flatnonzero(np.sum(n_target * q_target.take(live, axis=0), axis=1) < 0)
     live, u_crop = live[front], u_crop.take(front, axis=0)
 
@@ -311,9 +308,13 @@ def degrade_flow(flow: FlowField, spec: FlowNoiseSpec, seed: int) -> FlowField:
 class OracleFlowSource:
     """Flow provider backed by the geometric oracle, optionally degraded.
 
-    ``target_pose`` is the scene's object pose. The first ``flow_for``
-    renders the z-buffer over ``object_window(scene)`` (see ``oracle_flow``);
-    that window is the scene's alone, so every later call reuses the render.
+    The oracle's target is the scene's object at ``scene.object_pose``. The
+    constructor keeps its ``target_pose`` parameter only because
+    ``bench/workloads.py`` passes the ground-truth pose positionally, and
+    refuses any pose other than ``scene.object_pose``. One source renders
+    one z-buffer, over ``object_window(scene)`` (see ``oracle_flow``), on
+    its first ``flow_for``, so the render is timed with the flow; every
+    later call reuses it.
 
     Degradation seeds derive from (base_seed, exemplar id) so a given
     exemplar sees the same noise regardless of how many neighbors are
@@ -322,8 +323,11 @@ class OracleFlowSource:
 
     def __init__(self, scene: SceneSpec, target_pose, noise: FlowNoiseSpec | None = None,
                  base_seed: int = 0):
+        pose = scene.object_pose
+        if not (np.array_equal(target_pose.rotation, pose.rotation)
+                and np.array_equal(target_pose.translation, pose.translation)):
+            raise ValueError("the oracle's target pose must be the scene's object pose")
         self.scene = scene
-        self.target_pose = target_pose
         self.noise = noise
         self.base_seed = base_seed
         self._scene_depth = None
@@ -331,10 +335,7 @@ class OracleFlowSource:
     def flow_for(self, exemplar, rank, crop_exemplar, crop_target) -> FlowField:
         if self._scene_depth is None:
             self._scene_depth = scene_depth_map(self.scene, window=object_window(self.scene))
-        field = oracle_flow(
-            exemplar, crop_exemplar, self.scene, self.target_pose, crop_target,
-            scene_depth=self._scene_depth,
-        )
+        field = oracle_flow(exemplar, crop_exemplar, self.scene, crop_target, self._scene_depth)
         if self.noise is not None:
             field = degrade_flow(
                 field, self.noise, derive_seed(self.base_seed, "flow-noise", exemplar.id)

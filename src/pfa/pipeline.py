@@ -607,7 +607,6 @@ class _DumpingSource:
 
     def flow_for(self, exemplar, rank, crop_exemplar, crop_target):
         field = self.inner.flow_for(exemplar, rank, crop_exemplar, crop_target)
-        self.directory.mkdir(parents=True, exist_ok=True)
         save_flow(field, self.directory / flow_file_name(self.trial_id, rank))
         return field
 
@@ -628,7 +627,9 @@ def run_trial(
     A failed refinement is a record too: ``refine_pose``'s ``failure_reason``
     is copied into it, ``refined_pose`` and ``refined_report`` stay None,
     and ``exemplars`` holds whatever reports the failure kept.
-    ``wall_time_ms`` times the refinement and the record it fills.
+    ``wall_time_ms`` times the refinement and the record it fills. With
+    ``config.dump_flow_dir`` set, each flow is written into that directory,
+    which must exist.
     """
     trial_id = int(entry["trial_id"])
     scene, gt, initial = scene_from_manifest_entry(entry, mesh, config.target_camera)
@@ -680,8 +681,11 @@ def run_refinement(
 ) -> dict:
     """Run every trial of a manifest from ``load_manifest`` or ``synth_scene_manifest``,
     which check it against ``config`` and ``mesh``, on ``workers`` threads;
-    returns the records document."""
+    returns the records document. The ``config.dump_flow_dir`` directory, if
+    set, is made here, before the first trial."""
     entries = sorted(manifest["trials"], key=lambda e: int(e["trial_id"]))
+    if config.dump_flow_dir:
+        Path(config.dump_flow_dir).mkdir(parents=True, exist_ok=True)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         records = list(pool.map(lambda e: run_trial(config, mesh, exemplar_set, e), entries))
 
@@ -819,10 +823,10 @@ def write_table_csv(rows: list, path) -> None:
 
 def load_records_documents(records_dir) -> list:
     root = Path(records_dir)
-    if root.is_file():
-        paths = [root]
-    else:
+    if root.is_dir():
         paths = sorted(root.rglob("records*.json"))
+    else:  # a file, or a missing path whose read raises FileNotFoundError
+        paths = [root]
     documents = [_load_document(path, "records", RECORDS_FIELDS) for path in paths]
     if not documents:
         raise ConfigurationError(f"no records files found under {records_dir}")

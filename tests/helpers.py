@@ -8,6 +8,7 @@ from typing import NamedTuple
 import numpy as np
 
 from pfa.exemplars import Exemplar, MaskWindow
+from pfa.flow import OracleFlowSource
 from pfa.geometry import CameraIntrinsics, RigidPose
 from pfa.mesh import MeshModel, make_box
 from pfa.raster import DEPTH_TIE, NEAR_CLIP, CoordinateMap, rasterize
@@ -432,8 +433,15 @@ def exemplar_of_mask(index: int, mask: np.ndarray, rng: np.random.Generator):
     return Exemplar(index, pose, camera, window, points, tri, bytes(32))
 
 
-def dense_oracle_flow(exemplar, crop_exemplar, scene, target_pose, crop_target):
-    """Reference ground-truth flow over the full crop grid and full image."""
+def oracle_flow_for(exemplar, crop_exemplar, scene, crop_target):
+    """The undegraded oracle's flow toward ``scene``'s object, as a source gives it."""
+    source = OracleFlowSource(scene, scene.object_pose)
+    return source.flow_for(exemplar, 0, crop_exemplar, crop_target)
+
+
+def dense_oracle_flow(exemplar, crop_exemplar, scene, crop_target):
+    """Reference ground-truth flow toward ``scene``'s object, over the full
+    crop grid and full image."""
     from pfa.crops import apply_homography, intrinsics_align_matrix
     from pfa.geometry import project_camera_points
     from pfa.mesh import face_normals
@@ -453,6 +461,7 @@ def dense_oracle_flow(exemplar, crop_exemplar, scene, target_pose, crop_target):
         return DenseFlow(zero, zero.copy(), np.zeros((size, size), dtype=bool))
 
     k_target = scene.camera
+    target_pose = scene.object_pose
     q_target = target_pose.transform(flat_points)
     keep = q_target[:, 2] > 0
     u_target = np.zeros((len(flat_points), 2))

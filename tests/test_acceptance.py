@@ -12,7 +12,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import make_plate, make_tetrahedron, ray_trace_reference, random_small_mesh
+from helpers import (
+    make_plate,
+    make_tetrahedron,
+    oracle_flow_for,
+    ray_trace_reference,
+    random_small_mesh,
+)
 from pfa.correspond import CorrespondenceSet
 from pfa.crops import CropTransform, align_intrinsics, compute_crop, lift_to_image
 from pfa.exemplars import (
@@ -21,7 +27,7 @@ from pfa.exemplars import (
     mean_query_distance,
     save_set,
 )
-from pfa.flow import FlowNoiseSpec, OracleFlowSource, load_flow, oracle_flow, save_flow
+from pfa.flow import FlowNoiseSpec, OracleFlowSource, load_flow, save_flow
 from pfa.geometry import (
     CameraIntrinsics,
     RigidPose,
@@ -291,9 +297,7 @@ def test_criterion_8_round_trips(box_set, box_mesh_path, tmp_path):
         # flow container
         ex = box_set.exemplars[0]
         scene = SceneSpec(BOX, ex.pose, (), DEFAULT_EXEMPLAR_CAMERA)
-        field = oracle_flow(
-            ex, CropTransform.identity(256), scene, ex.pose, CropTransform.identity(256)
-        )
+        field = oracle_flow_for(ex, CropTransform.identity(256), scene, CropTransform.identity(256))
         flow_path = tmp_path / "f.pfaf"
         save_flow(field, flow_path)
         back = load_flow(flow_path)

@@ -15,6 +15,7 @@ from helpers import (
     dense_view,
     exemplar_of_mask,
     make_tetrahedron,
+    oracle_flow_for,
     same_flow,
     sparse_field,
     window_edge_masks,
@@ -36,7 +37,6 @@ from pfa.flow import (
     degrade_flow,
     load_flow,
     object_window,
-    oracle_flow,
     save_flow,
 )
 from pfa.geometry import CameraIntrinsics, RigidPose, project_points, rotation_about_axis
@@ -65,7 +65,7 @@ class TestOracleGeometry:
     def test_identical_views_zero_flow(self, tetra_set):
         ex = tetra_set.exemplars[3]
         scene = SceneSpec(TETRA, ex.pose, (), K_R)
-        field = oracle_flow(ex, IDENTITY_CROP, scene, ex.pose, IDENTITY_CROP)
+        field = oracle_flow_for(ex, IDENTITY_CROP, scene, IDENTITY_CROP)
         assert field.valid.sum() > 100
         assert abs(field.vectors[:, 0]).max() < 1e-3
         assert abs(field.vectors[:, 1]).max() < 1e-3
@@ -77,7 +77,7 @@ class TestOracleGeometry:
         ex = tetra_set.exemplars[3]
         shifted = RigidPose(ex.pose.rotation, ex.pose.translation + [5.0 / 400.0, 0, 0])
         scene = SceneSpec(TETRA, shifted, (), K_R)
-        field = oracle_flow(ex, IDENTITY_CROP, scene, shifted, IDENTITY_CROP)
+        field = oracle_flow_for(ex, IDENTITY_CROP, scene, IDENTITY_CROP)
         assert field.valid.sum() > 100
         assert np.abs(field.vectors[:, 0] - 5.0).max() < 0.75
         assert np.abs(field.vectors[:, 1]).max() < 0.75
@@ -90,8 +90,8 @@ class TestOracleGeometry:
         )
         occ_pose = RigidPose(np.eye(3), [0, 0, 0.5])
         scene = SceneSpec(BOX, ex.pose, ((occluder, occ_pose),), K_R)
-        clear = oracle_flow(ex, IDENTITY_CROP, SceneSpec(BOX, ex.pose, (), K_R), ex.pose, IDENTITY_CROP)
-        blocked = oracle_flow(ex, IDENTITY_CROP, scene, ex.pose, IDENTITY_CROP)
+        clear = oracle_flow_for(ex, IDENTITY_CROP, SceneSpec(BOX, ex.pose, (), K_R), IDENTITY_CROP)
+        blocked = oracle_flow_for(ex, IDENTITY_CROP, scene, IDENTITY_CROP)
         centers = crop_pixel_centers(256)
         # with identity crops and identical cameras the target pixel of a
         # valid pixel is (center + flow); the occluder removes exactly the
@@ -110,8 +110,8 @@ class TestOracleGeometry:
         occ_pose = RigidPose(np.eye(3), [0.01, 0.0, 0.6])
         scene = SceneSpec(BOX, ex.pose, ((occluder, occ_pose),), K_R)
         clear_scene = SceneSpec(BOX, ex.pose, (), K_R)
-        clear = oracle_flow(ex, IDENTITY_CROP, clear_scene, ex.pose, IDENTITY_CROP)
-        blocked = oracle_flow(ex, IDENTITY_CROP, scene, ex.pose, IDENTITY_CROP)
+        clear = oracle_flow_for(ex, IDENTITY_CROP, clear_scene, IDENTITY_CROP)
+        blocked = oracle_flow_for(ex, IDENTITY_CROP, scene, IDENTITY_CROP)
 
         from pfa.raster import rasterize, scene_depth_map
 
@@ -141,7 +141,7 @@ class TestOracleGeometry:
         scene = SceneSpec(BOX, target, (), k_t)
         crop_r = compute_crop(ex.pose, K_R, BOX)
         crop_t = compute_crop(ex.pose, K_R, BOX, pad=1.6)  # initial-pose crop
-        field = oracle_flow(ex, crop_r, scene, target, crop_t)
+        field = oracle_flow_for(ex, crop_r, scene, crop_t)
         assert field.valid.sum() > 200
 
         centers = crop_pixel_centers(256)
@@ -182,8 +182,8 @@ class TestOracleGeometry:
         ex_a, ex_b = box_set.exemplars[4], loaded.exemplars[4]
         target = RigidPose(ex_a.pose.rotation, ex_a.pose.translation + [0.004, 0.002, -0.01])
         scene = SceneSpec(BOX, target, (), K_R)
-        fresh = oracle_flow(ex_a, IDENTITY_CROP, scene, target, IDENTITY_CROP)
-        re_read = oracle_flow(ex_b, IDENTITY_CROP, scene, target, IDENTITY_CROP)
+        fresh = oracle_flow_for(ex_a, IDENTITY_CROP, scene, IDENTITY_CROP)
+        re_read = oracle_flow_for(ex_b, IDENTITY_CROP, scene, IDENTITY_CROP)
         assert (fresh.width, fresh.height) == (re_read.width, re_read.height)
         assert np.array_equal(fresh.indices, re_read.indices)
         assert np.array_equal(fresh.vectors, re_read.vectors)
@@ -198,7 +198,7 @@ class TestOracleGeometry:
             ex.pose.translation,
         )
         scene = SceneSpec(TETRA, flipped, (), K_R)
-        field = oracle_flow(ex, IDENTITY_CROP, scene, flipped, IDENTITY_CROP)
+        field = oracle_flow_for(ex, IDENTITY_CROP, scene, IDENTITY_CROP)
         # a tetrahedron has no face visible from both opposite directions
         assert field.valid.sum() == 0
 
@@ -284,10 +284,10 @@ class TestDenseEquivalence:
 
             source = OracleFlowSource(scene, gt)
             sparse = source.flow_for(ex, 0, crop_r, crop_t)
-            dense = dense_oracle_flow(ex, crop_r, scene, gt, crop_t)
+            dense = dense_oracle_flow(ex, crop_r, scene, crop_t)
             assert same_flow(sparse, dense)
             if case == "hidden":  # the object fills the crop; only the depth test empties it
-                clear = oracle_flow(ex, crop_r, SceneSpec(BOX, gt, (), camera), gt, crop_t)
+                clear = oracle_flow_for(ex, crop_r, SceneSpec(BOX, gt, (), camera), crop_t)
                 assert len(clear.indices) > 1000
             checked += int(dense.valid.sum())
             centers = crop_pixel_centers(256)[dense.valid]
@@ -348,8 +348,26 @@ class TestDenseEquivalence:
         for pad in (1.2, 1.6):
             crop_t = compute_crop(gt, K_R, BOX, pad=pad)
             field = source.flow_for(ex, 0, crop_r, crop_t)
-            assert same_flow(field, dense_oracle_flow(ex, crop_r, scene, gt, crop_t))
+            assert same_flow(field, dense_oracle_flow(ex, crop_r, scene, crop_t))
         assert windows == [object_window(scene)]
+
+    @pytest.mark.parametrize("shift_px", [33.0, -33.0])
+    def test_source_refuses_a_target_off_the_scene_object(self, box_set, shift_px):
+        # the z-buffer covers the scene object's box; a target shifted right of
+        # it would index past the buffer, one shifted left would wrap silently
+        camera, rotation, translation, occluders = _dense_case("occluded")
+        ex = box_set.exemplars[0]
+        gt = RigidPose(rotation @ ex.pose.rotation, translation)
+        scene = SceneSpec(BOX, gt, occluders, camera)
+        dx = shift_px * translation[2] / camera.fx  # meters that move the object shift_px
+        shifted = RigidPose(gt.rotation, translation + [dx, 0.0, 0.0])
+        crop_r = compute_crop(ex.pose, K_R, BOX)
+        crop_t = compute_crop(shifted, K_R, BOX)
+        with pytest.raises(ValueError, match="scene's object pose"):
+            source = OracleFlowSource(scene, shifted)
+            # a source that took the pose would still owe the scene's own oracle flow
+            field = source.flow_for(ex, 0, crop_r, crop_t)
+            assert same_flow(field, dense_oracle_flow(ex, crop_r, scene, crop_t))
 
     def test_occluders_remove_pixels(self, box_set):
         camera, rotation, translation, occluders = _dense_case("occluded")
@@ -357,8 +375,8 @@ class TestDenseEquivalence:
         gt = RigidPose(rotation @ ex.pose.rotation, translation)
         crop_r = compute_crop(ex.pose, K_R, BOX)
         crop_t = compute_crop(gt, K_R, BOX)
-        clear = oracle_flow(ex, crop_r, SceneSpec(BOX, gt, (), camera), gt, crop_t)
-        blocked = oracle_flow(ex, crop_r, SceneSpec(BOX, gt, occluders, camera), gt, crop_t)
+        clear = oracle_flow_for(ex, crop_r, SceneSpec(BOX, gt, (), camera), crop_t)
+        blocked = oracle_flow_for(ex, crop_r, SceneSpec(BOX, gt, occluders, camera), crop_t)
         assert blocked.valid.sum() < clear.valid.sum()
 
     def test_crop_sample_grid_is_separable(self):
@@ -472,7 +490,7 @@ class TestFlowFiles:
     def test_round_trip_bit_exact(self, tetra_set, tmp_path):
         ex = tetra_set.exemplars[2]
         scene = SceneSpec(TETRA, ex.pose, (), K_R)
-        field = oracle_flow(ex, IDENTITY_CROP, scene, ex.pose, IDENTITY_CROP)
+        field = oracle_flow_for(ex, IDENTITY_CROP, scene, IDENTITY_CROP)
         path = tmp_path / "f.pfaf"
         save_flow(field, path)
         back, ref = dense_view(load_flow(path)), dense_view(field)

@@ -1275,6 +1275,12 @@ class TestCli:
         empty.mkdir()
         assert main(["eval", "--records", str(empty), "--out", str(tmp_path / "o")]) == 2
 
+    def test_eval_of_a_missing_records_path_is_io_error(self, tmp_path, capsys):
+        missing = tmp_path / "no-such-run"
+        assert main(["eval", "--records", str(missing), "--out", str(tmp_path / "o")]) == 3
+        assert str(missing) in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_byte_identical_reports(self, workspace, tmp_path):
         _, mesh_path, config_path = workspace
         manifest_path = tmp_path / "manifest.json"

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from helpers import oracle_flow_for
 from pfa.correspond import (
     CorrespondenceSet,
     aggregate,
@@ -14,7 +15,7 @@ from pfa.correspond import (
 from pfa.crops import CropTransform, compute_crop
 from pfa.errors import RobustFailureError
 from pfa.exemplars import generate_exemplar_set
-from pfa.flow import OracleFlowSource, oracle_flow
+from pfa.flow import OracleFlowSource
 from pfa.geometry import (
     CameraIntrinsics,
     RigidPose,
@@ -59,7 +60,7 @@ class TestLift:
     def test_zero_flow_self_consistency(self, box_set):
         ex = box_set.exemplars[0]
         scene = SceneSpec(BOX, ex.pose, (), K_R)
-        field = oracle_flow(ex, IDENTITY_CROP, scene, ex.pose, IDENTITY_CROP)
+        field = oracle_flow_for(ex, IDENTITY_CROP, scene, IDENTITY_CROP)
         corr = lift_correspondences(ex, field, IDENTITY_CROP, IDENTITY_CROP, K_R)
         assert len(corr) == int(field.valid.sum())
         direct = project_points(K_R, ex.pose, corr.points)
@@ -72,7 +73,7 @@ class TestLift:
         scene = SceneSpec(BOX, target, (), K_T)
         crop_r = compute_crop(ex.pose, K_R, BOX)
         crop_t = compute_crop(target, K_R, BOX)
-        field = oracle_flow(ex, crop_r, scene, target, crop_t)
+        field = oracle_flow_for(ex, crop_r, scene, crop_t)
         corr = lift_correspondences(ex, field, crop_r, crop_t, K_T)
         assert len(corr) == int(field.valid.sum())
         assert np.all(corr.exemplar_ids == ex.id)
@@ -89,7 +90,7 @@ class TestLift:
             ex = query_nearest(box_set, initial, 1)[0]
             crop_r = compute_crop(ex.pose, K_R, BOX)
             crop_t = compute_crop(initial, K_R, BOX)
-            field = oracle_flow(ex, crop_r, scene, target, crop_t)
+            field = oracle_flow_for(ex, crop_r, scene, crop_t)
             corr = lift_correspondences(ex, field, crop_r, crop_t, K_T)
             res = np.linalg.norm(
                 reprojection_residuals(K_T, target, corr.points, corr.pixels), axis=1
@@ -110,7 +111,7 @@ class TestLift:
         inputs = []
         for ex in box_set.exemplars[:3]:
             crop_r = compute_crop(ex.pose, K_R, BOX)
-            inputs.append((ex, oracle_flow(ex, crop_r, scene, target, crop_t), crop_r))
+            inputs.append((ex, oracle_flow_for(ex, crop_r, scene, crop_t), crop_r))
         gathered = []
         gather = CropSampler.points
         monkeypatch.setattr(
@@ -139,7 +140,7 @@ class TestColumnLayout:
         sets = []
         for ex in box_set.exemplars[:3]:
             crop_r = compute_crop(ex.pose, K_R, BOX)
-            field = oracle_flow(ex, crop_r, scene, target, crop_t)
+            field = oracle_flow_for(ex, crop_r, scene, crop_t)
             sets.append(lift_correspondences(ex, field, crop_r, crop_t, K_T))
         merged = aggregate(subsample_per_exemplar(sets, sum(len(s) for s in sets) // 2))
         n = len(merged)
