@@ -248,21 +248,32 @@ def p3p_batch(points, pixels, camera: CameraIntrinsics):
     distance equations polish them. The pose aligns orthonormal frames
     built on the model and the camera-frame triangles, so every rotation
     is orthonormal to machine precision.
+
+    The solver's cost is per numpy call, not per sample: a RANSAC round
+    solves tens of samples, so each call works on tiny arrays. The
+    arithmetic therefore runs on component arrays, coordinates and points
+    on leading axes and samples last: a ray, edge or cosine is one (K,)
+    array per coordinate, and a depth one (4, K) array per point, one row
+    per root. Cross and dot products are written out over those arrays;
+    only the results are laid out sample first.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    obs = np.asarray(pixels, dtype=np.float64)
-    k = len(pts)
+    # (3 coordinates, 3 points, K) and (2 coordinates, 3 points, K)
+    pts = np.asarray(points, dtype=np.float64).transpose(2, 1, 0)
+    obs = np.asarray(pixels, dtype=np.float64).transpose(2, 1, 0)
+    k = pts.shape[2]
     first, second = np.array(_PAIRS3).T
-    rays = np.concatenate(
-        [(obs - [camera.cx, camera.cy]) / [camera.fx, camera.fy], np.ones((k, 3, 1))], axis=2
-    )
-    rays /= np.linalg.norm(rays, axis=2, keepdims=True)
-    cos12, cos13, cos23 = np.einsum("kpd,kpd->kp", rays[:, first], rays[:, second]).T
-    edges = pts[:, first] - pts[:, second]  # pairs (0, 1), (0, 2), (1, 2)
-    sq_dists = np.einsum("kpd,kpd->kp", edges, edges)
-    a12, a13, a23 = sq_dists.T
-    area = np.linalg.norm(np.cross(edges[:, 0], edges[:, 1]), axis=1)
-    spread = area > DEGENERACY_TOL * sq_dists.max(axis=1)
+    rays = np.empty((3, 3, k))
+    rays[0] = (obs[0] - camera.cx) / camera.fx
+    rays[1] = (obs[1] - camera.cy) / camera.fy
+    rays[2] = 1.0
+    rays /= np.sqrt((rays * rays).sum(axis=0))
+    cos = (rays[:, first] * rays[:, second]).sum(axis=0)  # pairs (0, 1), (0, 2), (1, 2)
+    cos12, cos13, cos23 = cos
+    edges = pts[:, first] - pts[:, second]  # (3 coordinates, 3 pairs, K)
+    sq_dists = (edges * edges).sum(axis=0)
+    a12, a13, a23 = sq_dists
+    normal = _cross(edges[:, 0], edges[:, 1], np.empty((3, k)))
+    spread = np.sqrt((normal * normal).sum(axis=0)) > DEGENERACY_TOL * sq_dists.max(axis=0)
 
     with np.errstate(all="ignore"):
         # the cubic det(D1 + g D2) = 0 of the paper, made monic
@@ -287,43 +298,55 @@ def p3p_batch(points, pixels, camera: CameraIntrinsics):
         values, vectors = np.linalg.eigh(conic)
         order = np.argsort(-np.abs(values), axis=1)
         values = np.take_along_axis(values, order, axis=1)
-        vectors = np.take_along_axis(vectors, order[:, None, :], axis=2)
+        # v[i, j]: component i of eigenvector j, (K,)
+        v = np.take_along_axis(vectors, order[:, None, :], axis=2).transpose(1, 2, 0)
         slope = np.sqrt(np.maximum(0.0, -values[:, 1] / values[:, 0]))
 
-        # each plane: l1 = w0 l2 + w1 l3; then tau = l3 / l2 solves a quadratic
-        s = np.stack([slope, -slope], axis=1)[:, :, None]  # (K, 2 planes, 1)
-        v = vectors[:, None, :, :, None]  # v[:, :, i, j]: component i of eigenvector j
-        w2 = 1.0 / (s * v[:, :, 0, 1] - v[:, :, 0, 0])
-        w0 = (v[:, :, 1, 0] - s * v[:, :, 1, 1]) * w2
-        w1 = (v[:, :, 2, 0] - s * v[:, :, 2, 1]) * w2
-        a12, a13, a23 = a12[:, None, None], a13[:, None, None], a23[:, None, None]
-        b12, b13 = -2.0 * cos12[:, None, None], -2.0 * cos13[:, None, None]
+        # each plane: l1 = w0 l2 + w1 l3; then tau = l3 / l2 solves a quadratic.
+        # Arrays are (2 planes, 1, K), then (2 planes, 2 roots, K): root r of
+        # a sample is plane r // 2, quadratic root r % 2
+        s = slope * np.array([1.0, -1.0])[:, None, None]
+        w2 = 1.0 / (s * v[0, 1] - v[0, 0])
+        w0 = (v[1, 0] - s * v[1, 1]) * w2
+        w1 = (v[2, 0] - s * v[2, 1]) * w2
+        pair_b = -2.0 * cos  # the distance equations' cross terms
+        b12, b13 = pair_b[:2]
         inv = 1.0 / ((a13 - a12) * w1 * w1 - a12 * b13 * w1 - a12)
         b = (a13 * b12 * w1 - a12 * b13 * w0 - 2.0 * w0 * w1 * (a12 - a13)) * inv
         c = ((a13 - a12) * w0 * w0 + a13 * b12 * w0 + a13) * inv
         disc = b * b - 4.0 * c
         far = np.where(b < 0, -b + np.sqrt(disc), -b - np.sqrt(disc)) * 0.5
-        tau = np.concatenate([far, c / far], axis=2)  # (K, 2 planes, 2 roots)
-        l2_sq = a23 / (tau * (tau - 2.0 * cos23[:, None, None]) + 1.0)
+        tau = np.concatenate([far, c / far], axis=1)
+        l2_sq = a23 / (tau * (tau - 2.0 * cos23) + 1.0)
         l2 = np.sqrt(l2_sq)
-        depths = np.stack([w0 * l2 + w1 * tau * l2, l2, tau * l2], axis=3).reshape(k, 4, 3)
-        valid = (ok & (p3 != 0))[:, None] & ((disc >= 0) & (tau > 0) & (l2_sq > 0)).reshape(k, 4)
-        depths[~valid] = 1.0
-        depths = _refine_depths(depths, sq_dists, -2.0 * np.stack([cos12, cos13, cos23], axis=1))
-        valid &= np.isfinite(depths).all(axis=2) & (depths > 0).all(axis=2)
-        depths[~valid] = 1.0
+        depths = np.empty((3, 2, 2, k))  # point, plane, quadratic root, sample
+        depths[0] = w0 * l2 + w1 * tau * l2
+        depths[1] = l2
+        depths[2] = tau * l2
+        depths = depths.reshape(3, 4, k)
+        valid = (ok & (p3 != 0)) & ((disc >= 0) & (tau > 0) & (l2_sq > 0)).reshape(4, k)
+        depths[:, ~valid] = 1.0
+        depths = _refine_depths(depths, sq_dists, pair_b)
+        valid &= np.isfinite(depths).all(axis=0) & (depths > 0).all(axis=0)
+        depths[:, ~valid] = 1.0
 
-        cam = depths[..., None] * rays[:, None]  # (K, 4, 3 points, 3)
-        cam_edges = cam[..., first, :] - cam[..., second, :]
-        cam_frames = _triangle_frames(cam_edges[..., 0, :], cam_edges[..., 1, :])
+        cam = depths * rays[:, :, None]  # (3 coordinates, 3 points, 4, K)
+        cam_edges = cam[:, :1] - cam[:, 1:]  # pairs (0, 1) and (0, 2)
+        cam_frames = _triangle_frames(cam_edges[:, 0], cam_edges[:, 1])
         model_frames = _triangle_frames(edges[:, 0], edges[:, 1])
-        rotations = cam_frames @ np.swapaxes(model_frames, 1, 2)[:, None]
-        translations = cam.mean(axis=2) - (rotations @ pts.mean(axis=1)[:, None, :, None])[..., 0]
+        # rotation[i, j] = sum over frame axes a of cam_frames[a, i] model_frames[a, j]
+        rotations = (cam_frames[:, :, None] * model_frames[:, None, :, None]).sum(axis=0)
+        centroid = pts.mean(axis=1)
+        translations = cam.mean(axis=1) - (rotations * centroid[None, :, None]).sum(axis=1)
         # a root whose depths miss the distance equations aligns a different
         # triangle, so the depths are checked again under the pose itself
-        z = (rotations[..., 2:, :] @ np.swapaxes(pts, 1, 2)[:, None])[..., 0, :]
-        valid &= (z + translations[..., 2:] > 0).all(axis=2)
-    valid &= np.isfinite(rotations).all(axis=(2, 3)) & np.isfinite(translations).all(axis=2)
+        z = (rotations[2][:, None] * pts[:, :, None]).sum(axis=0) + translations[2]
+        valid &= (z > 0).all(axis=0)
+    valid &= np.isfinite(rotations).all(axis=(0, 1)) & np.isfinite(translations).all(axis=0)
+    # sample-first results: (K, 4, 3, 3), (K, 4, 3) and (K, 4)
+    rotations = np.ascontiguousarray(rotations.transpose(3, 2, 0, 1))
+    translations = np.ascontiguousarray(translations.transpose(2, 1, 0))
+    valid = np.ascontiguousarray(valid.T)
     rotations[~valid] = np.eye(3)
     translations[~valid] = 0.0
     return rotations, translations, valid
@@ -372,49 +395,61 @@ def _cubic_root(b, c, d):
 def _refine_depths(depths, sq_dists, b):
     """Gauss-Newton on the P3P distance equations, per root.
 
-    ``depths`` is (K, R, 3); equation p of pair (i, j) reads
-    l_i^2 + l_j^2 + b_p l_i l_j = a_p. A step is kept only where it lowers
-    the summed absolute residual, so a root never gets worse; the loop ends
-    early once no root improves.
+    ``depths`` is (3, R, K): the three points' depth arrays, one row per
+    root and one column per sample. ``sq_dists`` and ``b`` are (3, K), one
+    row per pair (1, 2), (1, 3) and (2, 3); equation p of pair (i, j)
+    reads l_i^2 + l_j^2 + b_p l_i l_j = a_p. A step is kept only where it
+    lowers the summed absolute residual, so a root never gets worse; the
+    loop ends early once no root improves.
     """
     first, second = np.array(_PAIRS3).T
     a, b = sq_dists[:, None], b[:, None]
-    b12, b13, b23 = np.moveaxis(b, -1, 0)
 
     def residual(lam):
-        li, lj = lam[..., first], lam[..., second]
+        li, lj = lam[first], lam[second]
         return li * li + lj * lj + b * li * lj - a
 
     res = residual(depths)
+    step = np.empty_like(depths)
     for _ in range(LAMBDA_ITERATIONS):
-        l1, l2, l3 = np.moveaxis(depths, -1, 0)
-        r0, r1, r2 = np.moveaxis(res, -1, 0)
+        li, lj = depths[first], depths[second]
+        r0, r1, r2 = res
         # Jacobian [[j00, j01, 0], [j10, 0, j12], [0, j21, j22]], inverted by its adjugate
-        j00, j01 = 2.0 * l1 + b12 * l2, 2.0 * l2 + b12 * l1
-        j10, j12 = 2.0 * l1 + b13 * l3, 2.0 * l3 + b13 * l1
-        j21, j22 = 2.0 * l2 + b23 * l3, 2.0 * l3 + b23 * l2
+        j00, j10, j21 = 2.0 * li + b * lj
+        j01, j12, j22 = 2.0 * lj + b * li
         det = -(j00 * j12 * j21 + j01 * j10 * j22)
-        step = np.stack([
-            -j12 * j21 * r0 - j01 * j22 * r1 + j01 * j12 * r2,
-            -j10 * j22 * r0 + j00 * j22 * r1 - j00 * j12 * r2,
-            j10 * j21 * r0 - j00 * j21 * r1 - j01 * j10 * r2,
-        ], axis=-1) / det[..., None]
-        candidate = depths - step
+        step[0] = -j12 * j21 * r0 - j01 * j22 * r1 + j01 * j12 * r2
+        step[1] = -j10 * j22 * r0 + j00 * j22 * r1 - j00 * j12 * r2
+        step[2] = j10 * j21 * r0 - j00 * j21 * r1 - j01 * j10 * r2
+        candidate = depths - step / det
         new = residual(candidate)
-        better = np.abs(new).sum(axis=-1) < np.abs(res).sum(axis=-1)
+        better = np.abs(new).sum(axis=0) < np.abs(res).sum(axis=0)
         if not better.any():
             break
-        depths = np.where(better[..., None], candidate, depths)
-        res = np.where(better[..., None], new, res)
+        depths = np.where(better, candidate, depths)
+        res = np.where(better, new, res)
     return depths
 
 
+def _cross(a, b, out):
+    """The cross product of (3, ...) vectors a and b, written into ``out``."""
+    out[0] = a[1] * b[2] - a[2] * b[1]
+    out[1] = a[2] * b[0] - a[0] * b[2]
+    out[2] = a[0] * b[1] - a[1] * b[0]
+    return out
+
+
 def _triangle_frames(e1, e2):
-    """Orthonormal frames (..., 3, 3), columns: e1, in-plane normal, plane normal."""
-    normal = np.cross(e1, e2)
-    x = e1 / np.linalg.norm(e1, axis=-1, keepdims=True)
-    z = normal / np.linalg.norm(normal, axis=-1, keepdims=True)
-    return np.stack([x, np.cross(z, x), z], axis=-1)
+    """Orthonormal frames (3 axes, 3 coordinates, ...) of (3, ...) edges e1, e2.
+
+    Axes: e1, the in-plane normal, the plane normal.
+    """
+    frames = np.empty((3,) + e1.shape)
+    frames[0] = e1 / np.sqrt((e1 * e1).sum(axis=0))
+    z = _cross(e1, e2, frames[2])
+    z /= np.sqrt((z * z).sum(axis=0))
+    _cross(z, frames[0], frames[1])
+    return frames
 
 
 # ---------------------------------------------------------------------------

@@ -205,6 +205,33 @@ class TestP3pBatch:
             pose = RigidPose(rotations[k, r], translations[k, r])  # orthonormal, det +1
             assert (pose.transform(points[k])[:, 2] > 0).all()
 
+    def test_samples_are_solved_independently_of_their_batch(self):
+        # 200 seeded samples, noise-free, with 1-px noise and collinear,
+        # solved in 64-sample batches and one at a time: a component layout
+        # that mixed samples (a wrong transpose) would break the agreement
+        rng = np.random.default_rng(64)
+        count = 200
+        points = rng.uniform(-0.06, 0.06, size=(count, 3, 3))
+        points[::10] = np.outer(np.linspace(-1, 1, 3), [0.05, 0.02, 0.01])  # collinear
+        pixels = np.empty((count, 3, 2))
+        for k in range(count):
+            pixels[k] = project_points(K, _random_pose(rng), points[k])
+        pixels[1::2] += rng.normal(0.0, 1.0, size=(count // 2, 3, 2))
+        batched = [
+            np.concatenate(parts)
+            for parts in zip(*(
+                p3p_batch(points[lo : lo + 64], pixels[lo : lo + 64], K)
+                for lo in range(0, count, 64)
+            ))
+        ]
+        assert batched[2][::10].sum() == 0 and batched[2].sum() > count
+        for k in range(count):
+            rotations, translations, valid = p3p_batch(points[k : k + 1], pixels[k : k + 1], K)
+            assert np.array_equal(valid[0], batched[2][k]), k
+            roots = valid[0]
+            assert np.abs(rotations[0, roots] - batched[0][k, roots]).max(initial=0) < 1e-9
+            assert np.abs(translations[0, roots] - batched[1][k, roots]).max(initial=0) < 1e-9
+
 
 class TestGaussNewton:
     def test_costs_monotone_nonincreasing(self):

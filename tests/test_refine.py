@@ -30,9 +30,11 @@ from pfa.mesh import make_box
 from pfa.metrics import add_error
 from pfa.pnp import gauss_newton, reprojection_residuals, solve_pnp
 from pfa.raster import SceneSpec
+from pfa import refine
 from pfa.refine import (
     RansacConfig,
     _adaptive_iterations,
+    _draw_samples,
     ransac_pnp,
     refine_pose,
     score_hypotheses,
@@ -391,11 +393,10 @@ class TestRansac:
         assert geodesic_distance(truth.rotation, est.pose.rotation) < 1.0
         assert np.linalg.norm(truth.translation - est.pose.translation) < 0.01
 
-    def test_subset_first_scoring(self, monkeypatch):
-        # above 2048 points every root is scored on one fixed sorted subset
-        # and only each round's winner on all points
-        rng = np.random.default_rng(91)
-        gt, corr = _synthetic_correspondences(rng, 6000, outlier_ratio=0.5, sigma=1.0)
+    @staticmethod
+    def _scored_shapes(monkeypatch, corr, seed):
+        """Run ransac_pnp; returns its estimate and, per score_hypotheses call,
+        the (poses, columns) shape and the points scored."""
         shapes, columns = [], []
 
         def recording(rotations, translations, points, pixels, camera, threshold):
@@ -404,16 +405,52 @@ class TestRansac:
             return score_hypotheses(rotations, translations, points, pixels, camera, threshold)
 
         monkeypatch.setattr("pfa.refine.score_hypotheses", recording)
-        est = ransac_pnp(corr, K_T, RansacConfig(), 4)
+        return ransac_pnp(corr, K_T, RansacConfig(), seed), shapes, columns
+
+    def test_subset_first_scoring(self, monkeypatch):
+        # above _SCORE_SUBSET points every root is scored on one fixed sorted
+        # subset and only each round's winner on all points
+        self._check_subset_first(monkeypatch, 6000)
+
+    def test_subset_drawn_from_1500_points(self, monkeypatch):
+        # 1500 points fill more than the subset, so they are drawn from too
+        self._check_subset_first(monkeypatch, 1500)
+
+    def _check_subset_first(self, monkeypatch, n):
+        rng = np.random.default_rng(91)
+        gt, corr = _synthetic_correspondences(rng, n, outlier_ratio=0.5, sigma=1.0)
+        est, shapes, columns = self._scored_shapes(monkeypatch, corr, 4)
         assert geodesic_distance(gt.rotation, est.pose.rotation) < 0.5
         assert len(shapes) % 2 == 0
         for (k, n_subset), (one, n_all) in zip(shapes[::2], shapes[1::2]):
-            assert n_subset == 2048 and k >= 1
-            assert one == 1 and n_all == 6000
+            assert n_subset == refine._SCORE_SUBSET and k >= 1
+            assert one == 1 and n_all == n
         subset = columns[0]
         assert all(np.array_equal(c, subset) for c in columns[::2])
         rows = [np.flatnonzero((corr.points == p).all(axis=1))[0] for p in subset[:50]]
         assert rows == sorted(rows)
+
+    @pytest.mark.parametrize("n", [400, 512])
+    def test_small_set_votes_on_every_point(self, monkeypatch, n):
+        # at most _SCORE_SUBSET points: every root votes on all N in order,
+        # and the generator's first draw is the first sample, not a subset
+        rng = np.random.default_rng(94)
+        gt, corr = _synthetic_correspondences(rng, n, outlier_ratio=0.3, sigma=1.0)
+        first_state = []
+
+        def draw(rng, n, k):
+            first_state.append(rng.bit_generator.state)
+            return _draw_samples(rng, n, k)
+
+        monkeypatch.setattr("pfa.refine._draw_samples", draw)
+        est, shapes, columns = self._scored_shapes(monkeypatch, corr, 8)
+        assert geodesic_distance(gt.rotation, est.pose.rotation) < 0.5
+        assert first_state[0] == np.random.default_rng(8).bit_generator.state
+        assert len(shapes) % 2 == 0
+        for (k, n_votes), (one, n_all) in zip(shapes[::2], shapes[1::2]):
+            assert n_votes == n and k >= 1
+            assert one == 1 and n_all == n
+        assert all(np.array_equal(c, corr.points) for c in columns)
 
     def test_refit_runs_epnp_once_then_warm_starts(self, monkeypatch):
         rng = np.random.default_rng(92)
