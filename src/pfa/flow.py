@@ -8,13 +8,17 @@ format below walk it in index order, and lifting reads it.
 The in-tree flow provider is a geometric oracle: for every valid pixel of
 the exemplar crop it projects the known model point into the target view,
 with the scene's object at ``scene.object_pose``, and records the
-crop-frame displacement. Pixels are invalidated when the point is occluded
-in the target scene, leaves the crop or image, or faces away from the
-target camera. ``OracleFlowSource`` renders the scene's z-buffer once, on
-its first ``flow_for``, and passes it to every ``oracle_flow`` call. A
-configurable degradation stage stands in for the error profile of a
-learned flow estimator; externally produced flow enters exclusively
-through the file format below.
+crop-frame displacement. It maps the exemplar's stored points, one per
+masked pixel, once into the target camera and blends those camera-frame
+points at the crop pixels: a rigid map is affine and bilinear weights sum
+to one, so that equals mapping each pixel's blended model point, up to
+float64 rounding. Pixels are invalidated when the point is occluded in the
+target scene, leaves the crop or image, or faces away from the target
+camera. ``OracleFlowSource`` renders the scene's z-buffer once, on its
+first ``flow_for``, and passes it and its window origin to every
+``oracle_flow`` call. A configurable degradation stage stands in for the
+error profile of a learned flow estimator; externally produced flow
+enters exclusively through the file format below.
 
 Flow file format (little-endian), magic "PFAF", version 1:
 
@@ -39,7 +43,7 @@ from .errors import (
     naming_file,
 )
 from .exemplars import Exemplar
-from .geometry import project_camera_points, project_points
+from .geometry import project_points
 from .mesh import face_normals
 # bench/layers.py patches rasterize here; nothing in this module renders exemplars
 from .raster import SceneSpec, rasterize, scene_depth_map  # noqa: F401
@@ -126,6 +130,11 @@ class CropSampler:
     Gathering is the dearer step, so callers test every pixel first and
     gather only the pixels they keep.
 
+    ``points`` gathers model points for lifting, whose points feed the
+    solvers bit for bit. ``blend`` blends any per-stored-row table, such as
+    the stored points mapped into a camera, in a cheaper separable order;
+    the oracle uses it, and its values only meet thresholds and float32.
+
     The cell and row tables cover the exemplar's mask window, a few
     thousand entries rather than the whole frame, plus one unmasked pixel
     of margin on each side, so that a 1-px-wide or empty window still has
@@ -148,15 +157,18 @@ class CropSampler:
         self._x0, self._fx, self._x_in = _axis_cells(grid[:, 0], left, mask.shape[1])
         self._y0, self._fy, self._y_in = _axis_cells(grid[:, 1], top, mask.shape[0])
         self._cells = mask[:-1, :-1] & mask[:-1, 1:] & mask[1:, :-1] & mask[1:, 1:]
+        self._stored = mask.reshape(-1)  # window pixels that hold a stored row, in row order
         self._row_of = np.full(mask.size, -1, dtype=np.int32)  # window pixel -> stored row
-        self._row_of[mask.reshape(-1)] = np.arange(len(exemplar.points), dtype=np.int32)
+        self._row_of[self._stored] = np.arange(len(exemplar.points), dtype=np.int32)
 
     def footprint(self, rows=None, cols=None) -> np.ndarray:
         """Bool mask over the crop pixels at ``rows``, ``cols`` (every crop
         pixel, row-major, when None): full footprint."""
-        if rows is None:
-            ok = self._cells[np.ix_(self._y0, self._x0)]
-            return (ok & self._y_in[:, None] & self._x_in[None, :]).reshape(-1)
+        if rows is None:  # two 1-D takes are about 3x faster than np.ix_
+            ok = self._cells.take(self._y0, axis=0).take(self._x0, axis=1)
+            ok &= self._y_in[:, None]
+            ok &= self._x_in
+            return ok.reshape(-1)
         return self._cells[self._y0[rows], self._x0[cols]] & self._y_in[rows] & self._x_in[cols]
 
     def points(self, pixels) -> np.ndarray:
@@ -176,6 +188,31 @@ class CropSampler:
         for weight, offset in zip(weights[1:], (1, self._width, self._width + 1)):
             points += weight * values.take(self._row_of[corner + offset], axis=1)
         return points.T
+
+    def blend(self, values, pixels) -> list:
+        """C float64 (M,) bilinear blends of per-stored-row ``values`` (N, C),
+        one per component, at pixels with a full footprint.
+
+        The values are laid out as a table over the window cells, zero at
+        the unmasked ones, and blended separably: a horizontal pass over
+        every window row at the crop's columns, then a vertical pass per
+        pixel. That is another rounding order than ``points``' four-corner
+        formula, so it serves values that feed only threshold tests and
+        float32 flow; lifting's points stay on ``points``.
+        """
+        rows = pixels // self.size  # np.divmod takes about twice as long
+        cols = pixels - rows * self.size
+        upper = self._y0[rows] * self.size + cols
+        fy = self._fy[rows]
+        table = np.zeros((values.shape[1], len(self._stored)))
+        table[:, self._stored] = values.T
+        table = table.reshape(len(table), -1, self._width)
+        fx = self._fx
+        across = (1 - fx) * table.take(self._x0, axis=2) + fx * table.take(self._x0 + 1, axis=2)
+        # one component at a time: a 1-D take and a 1-D blend are much faster
+        # than the same work on (C, M)
+        return [(1 - fy) * plane.take(upper) + fy * plane.take(upper + self.size)
+                for plane in across.reshape(len(table), -1)]
 
     def triangles(self, pixels) -> np.ndarray:
         """Triangle id of the exemplar pixel holding each sample, one of its four."""
@@ -207,6 +244,7 @@ def oracle_flow(
     scene: SceneSpec,
     crop_target: CropTransform,
     scene_depth: np.ndarray,
+    depth_origin: tuple[int, int],
 ) -> FlowField:
     """Ground-truth flow from an exemplar crop to the target crop.
 
@@ -220,14 +258,25 @@ def oracle_flow(
     than the point by more than a depth tolerance), and its surface, by the
     stored triangle id, faces the target camera.
 
+    A rigid map is affine and the bilinear weights sum to one, so mapping
+    the blend equals blending the mapped points. The oracle maps the
+    exemplar's stored points, one per masked window pixel, once into the
+    target camera and blends those camera-frame points at the crop pixels
+    (``CropSampler.blend``); no model point is gathered per pixel. The
+    order changes only float64 rounding, by a few ulps. The target crop's
+    warp is a similarity after an intrinsics alignment, affine with exact
+    zero terms, so it is applied without the homogeneous divide by 1.
+
     The tests run in that order, cheapest and most selective first, and
     each later one sees only the survivors of the earlier ones; triangle
-    ids and normals are gathered for the final survivors alone. Every test
-    reads one pixel's own values, so the kept set and its vectors do not
-    depend on the order. A depth-tested point blends four stored surface
-    points, so it lies in the mesh's convex hull, in front of the camera, and
-    projects into the box of the projected vertices: ``scene_depth`` is
-    ``scene_depth_map`` over ``object_window(scene)`` alone.
+    ids, normals and the stored points mapped into the exemplar camera are
+    blended or gathered for the final survivors alone. Every test reads one
+    pixel's own values, so the kept set and its vectors do not depend on
+    the order. A depth-tested point blends four stored surface points, so
+    it lies in the mesh's convex hull, in front of the camera, and projects
+    into the box of the projected vertices: ``scene_depth`` is
+    ``scene_depth_map`` over ``object_window(scene)`` alone, and
+    ``depth_origin`` is that window's (x0, y0).
 
     The caller gives crops of one size and an exemplar of ``scene.object_mesh``.
     """
@@ -236,49 +285,46 @@ def oracle_flow(
     pixels = np.flatnonzero(sampler.footprint())
     if len(pixels) == 0:
         return FlowField(size, size, pixels, np.empty((0, 2)))
-    points = sampler.points(pixels)
-    q_target = scene.object_pose.transform(points)
+    qx, qy, qz = sampler.blend(scene.object_pose.transform(exemplar.points), pixels)
 
-    # ``live`` indexes the survivors into pixels, points and q_target; rows
-    # are gathered with ``take``, much faster than fancy indexing on (N, k)
+    # ``live`` indexes the survivors into pixels and the (M,) components
+    # qx, qy, qz; the projection is ``project_camera_points``' own arithmetic
     k_target = scene.camera
-    live = np.flatnonzero(q_target[:, 2] > 0)
-    u_target = project_camera_points(k_target, q_target.take(live, axis=0))
+    live = np.flatnonzero(qz > 0)
+    z = qz.take(live)
+    u = k_target.fx * qx.take(live) / z + k_target.cx
+    v = k_target.fy * qy.take(live) / z + k_target.cy
     warp = image_to_crop_matrix(crop_target, exemplar.camera, k_target)
-    u_crop = apply_homography(warp, u_target)
+    u_crop = warp[0, 0] * u + warp[0, 2]
+    v_crop = warp[1, 1] * v + warp[1, 2]
     inside = np.flatnonzero(
-        (u_target[:, 0] >= 0.0)
-        & (u_target[:, 0] < k_target.width)
-        & (u_target[:, 1] >= 0.0)
-        & (u_target[:, 1] < k_target.height)
-        & (u_crop[:, 0] >= 0.0)
-        & (u_crop[:, 0] < size)
-        & (u_crop[:, 1] >= 0.0)
-        & (u_crop[:, 1] < size)
+        (u >= 0.0) & (u < k_target.width) & (v >= 0.0) & (v < k_target.height)
+        & (u_crop >= 0.0) & (u_crop < size) & (v_crop >= 0.0) & (v_crop < size)
     )
-    live = live[inside]
-    u_target, u_crop = u_target.take(inside, axis=0), u_crop.take(inside, axis=0)
+    live, u, v, z = live[inside], u.take(inside), v.take(inside), z.take(inside)
+    u_crop, v_crop = u_crop.take(inside), v_crop.take(inside)
 
-    x0, y0, _, _ = object_window(scene)
+    x0, y0 = depth_origin
     eps = 1e-3 * exemplar.z_bar
-    px = np.floor(u_target[:, 0]).astype(np.int64) - x0
-    py = np.floor(u_target[:, 1]).astype(np.int64) - y0
-    seen = np.flatnonzero(~(scene_depth[py, px] < q_target[live, 2] - eps))
-    live, u_crop = live[seen], u_crop.take(seen, axis=0)
+    px = np.floor(u).astype(np.int64) - x0
+    py = np.floor(v).astype(np.int64) - y0
+    seen = np.flatnonzero(~(scene_depth[py, px] < z - eps))
+    live, u_crop, v_crop = live[seen], u_crop.take(seen), v_crop.take(seen)
 
     # back-face cull against the target view; triangle orientation is fixed
     # per pixel so that the normal faces the exemplar camera
     n_model = face_normals(scene.object_mesh).take(sampler.triangles(pixels[live]), axis=0)
-    q_exemplar = exemplar.pose.transform(points.T.take(live, axis=1).T)
+    q_exemplar = sampler.blend(exemplar.pose.transform(exemplar.points), pixels[live])
     n_exemplar = n_model @ exemplar.pose.rotation.T
-    toward_exemplar = np.sum(n_exemplar * q_exemplar, axis=1)
+    toward_exemplar = sum(n * q for n, q in zip(n_exemplar.T, q_exemplar))
     flip = np.where(toward_exemplar > 0, -1.0, 1.0)
     n_target = (n_model * flip[:, None]) @ scene.object_pose.rotation.T
-    front = np.flatnonzero(np.sum(n_target * q_target.take(live, axis=0), axis=1) < 0)
-    live, u_crop = live[front], u_crop.take(front, axis=0)
+    toward_target = sum(n * q.take(live) for n, q in zip(n_target.T, (qx, qy, qz)))
+    front = np.flatnonzero(toward_target < 0)
+    live, u_crop, v_crop = live[front], u_crop.take(front), v_crop.take(front)
 
     rows, cols = np.divmod(pixels[live], size)
-    vectors = u_crop - np.stack([cols + 0.5, rows + 0.5], axis=-1)
+    vectors = np.stack([u_crop - (cols + 0.5), v_crop - (rows + 0.5)], axis=-1)
     return FlowField(size, size, pixels[live], vectors.astype(np.float32))
 
 
@@ -331,11 +377,15 @@ class OracleFlowSource:
         self.noise = noise
         self.base_seed = base_seed
         self._scene_depth = None
+        self._depth_origin = None  # (x0, y0) of the z-buffer's window
 
     def flow_for(self, exemplar, rank, crop_exemplar, crop_target) -> FlowField:
         if self._scene_depth is None:
-            self._scene_depth = scene_depth_map(self.scene, window=object_window(self.scene))
-        field = oracle_flow(exemplar, crop_exemplar, self.scene, crop_target, self._scene_depth)
+            window = object_window(self.scene)
+            self._scene_depth = scene_depth_map(self.scene, window=window)
+            self._depth_origin = window[:2]
+        field = oracle_flow(exemplar, crop_exemplar, self.scene, crop_target,
+                            self._scene_depth, self._depth_origin)
         if self.noise is not None:
             field = degrade_flow(
                 field, self.noise, derive_seed(self.base_seed, "flow-noise", exemplar.id)

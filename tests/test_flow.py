@@ -16,6 +16,7 @@ from helpers import (
     exemplar_of_mask,
     make_tetrahedron,
     oracle_flow_for,
+    random_pose,
     same_flow,
     sparse_field,
     window_edge_masks,
@@ -29,7 +30,7 @@ from pfa.errors import (
     TruncationError,
     VersionMismatchError,
 )
-from pfa.exemplars import generate_exemplar_set, load_set, save_set
+from pfa.exemplars import generate_exemplar_set, load_set, query_nearest, save_set
 from pfa.flow import (
     CropSampler,
     FlowNoiseSpec,
@@ -37,11 +38,12 @@ from pfa.flow import (
     degrade_flow,
     load_flow,
     object_window,
+    oracle_flow,
     save_flow,
 )
 from pfa.geometry import CameraIntrinsics, RigidPose, project_points, rotation_about_axis
 from pfa.mesh import MeshModel, make_box
-from pfa.pipeline import ExperimentConfig
+from pfa.pipeline import ExperimentConfig, scene_from_manifest_entry, synth_scene_manifest
 from pfa.raster import SceneSpec, scene_depth_map
 from pfa.refine import RansacConfig, refine_pose
 
@@ -330,6 +332,54 @@ class TestDenseEquivalence:
             assert np.array_equal(merged.points, np.concatenate([p for p, _ in kept]))
             assert np.array_equal(merged.pixels, np.concatenate([q for _, q in kept]))
 
+    def test_benchmark_occluded_scenes_match_dense(self, box_set):
+        # the occluded benchmark's scene settings: three occluders at coverage 0.8
+        config = ExperimentConfig(trials=8, seed=2203, occluder_count=3, occluder_coverage=0.8)
+        checked = unoccluded = 0
+        for entry in synth_scene_manifest(config, BOX)["trials"]:
+            scene, gt, initial = scene_from_manifest_entry(entry, BOX, config.target_camera)
+            assert len(scene.occluders) == 3
+            source = OracleFlowSource(scene, gt)
+            clear = SceneSpec(BOX, gt, (), scene.camera)
+            crop_t = compute_crop(initial, K_R, BOX, pad=config.crop_pad)
+            for ex in query_nearest(box_set, initial, 2):
+                crop_r = compute_crop(ex.pose, K_R, BOX, pad=config.crop_pad)
+                dense = dense_oracle_flow(ex, crop_r, scene, crop_t)
+                assert same_flow(source.flow_for(ex, 0, crop_r, crop_t), dense)
+                checked += int(dense.valid.sum())
+                unoccluded += len(oracle_flow_for(ex, crop_r, clear, crop_t).indices)
+        # the occluders hide most of the pixels an unoccluded scene keeps
+        assert 10000 < checked < 0.5 * unoccluded
+
+    def test_oracle_maps_stored_points_once_per_camera(self, box_set, monkeypatch):
+        # the oracle blends mapped stored points: no per-pixel model gather,
+        # and no stored point is mapped twice into one camera
+        camera, rotation, translation, occluders = _dense_case("occluded")
+        ex = box_set.exemplars[0]
+        gt = RigidPose(rotation @ ex.pose.rotation, translation)
+        scene = SceneSpec(BOX, gt, occluders, camera)
+        window = object_window(scene)
+        depth = scene_depth_map(scene, window)
+        crop_r, crop_t = compute_crop(ex.pose, K_R, BOX), compute_crop(gt, K_R, BOX)
+        mapped = {}  # pose id -> points mapped under it
+        transform = RigidPose.transform
+
+        def counted(pose, points):
+            mapped[id(pose)] = mapped.get(id(pose), 0) + len(points)
+            return transform(pose, points)
+
+        def refused(sampler, pixels):
+            raise AssertionError("oracle_flow gathered model points per pixel")
+
+        monkeypatch.setattr(RigidPose, "transform", counted)
+        monkeypatch.setattr(CropSampler, "points", refused)
+        field = oracle_flow(ex, crop_r, scene, crop_t, depth, window[:2])
+        monkeypatch.undo()
+        assert len(field.indices) > 1000
+        assert set(mapped) <= {id(gt), id(ex.pose)}
+        assert all(count <= len(ex.points) for count in mapped.values())
+        assert same_flow(field, dense_oracle_flow(ex, crop_r, scene, crop_t))
+
     def test_source_renders_one_z_buffer_for_every_crop(self, box_set, monkeypatch):
         camera, rotation, translation, occluders = _dense_case("occluded")
         ex = box_set.exemplars[0]
@@ -430,6 +480,27 @@ class TestCropSamplerWindow:
             assert not CropSampler(ex, IDENTITY_CROP).footprint().any()
         else:
             assert CropSampler(ex, IDENTITY_CROP).footprint().any()
+
+    @pytest.mark.parametrize("crop", range(6))
+    @pytest.mark.parametrize("name", list(window_edge_masks()))
+    def test_blend_of_mapped_points_matches_mapped_dense_blend(self, name, crop):
+        # a rigid map is affine and the bilinear weights sum to one, so
+        # blending mapped stored points is mapping the blend, up to rounding:
+        # within 4 ulps of the largest mapped coordinate (2 measured)
+        ex = exemplar_of_mask(0, window_edge_masks()[name], np.random.default_rng(9))
+        cmap = ex.coordinate_map()
+        crop = list(self._crops())[crop]
+        pose = random_pose(np.random.default_rng(31))
+        sampler = CropSampler(ex, crop)
+        samples = apply_homography(crop.inverse_matrix(), crop_pixel_centers(256))
+        reference, ok = bilinear_masked(cmap.points, cmap.mask, samples.reshape(-1, 2))
+        pixels = np.flatnonzero(ok)
+        mapped = pose.transform(ex.points)
+        blended = sampler.blend(mapped, pixels)
+        assert len(blended) == 3 and all(b.shape == pixels.shape for b in blended)
+        if len(pixels):
+            bound = 4 * np.spacing(np.abs(mapped).max())
+            assert np.abs(np.stack(blended) - pose.transform(reference[pixels]).T).max() <= bound
 
 
 class TestDegradeFlow:
