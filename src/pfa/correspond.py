@@ -100,7 +100,8 @@ def lift_correspondences(
     """
     size = crop_exemplar.out_size
     sampler = CropSampler(exemplar, crop_exemplar)
-    rows, cols = np.divmod(flow.indices, size)
+    rows = flow.indices // size
+    cols = flow.indices - rows * size
     back = crop_to_image_matrix(crop_target, exemplar.camera, target_camera)
     # the flow-displaced pixel centers, lifted column by column
     x, y = homography_xy(back, cols + 0.5 + flow.vectors[:, 0], rows + 0.5 + flow.vectors[:, 1])

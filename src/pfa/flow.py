@@ -14,11 +14,15 @@ points at the crop pixels: a rigid map is affine and bilinear weights sum
 to one, so that equals mapping each pixel's blended model point, up to
 float64 rounding. Pixels are invalidated when the point is occluded in the
 target scene, leaves the crop or image, or faces away from the target
-camera. ``OracleFlowSource`` renders the scene's z-buffer once, on its
-first ``flow_for``, and passes it and its window origin to every
-``oracle_flow`` call. A configurable degradation stage stands in for the
-error profile of a learned flow estimator; externally produced flow
-enters exclusively through the file format below.
+camera. The first test is per exemplar cell, before any pixel is blended: a
+cell whose four mapped corners the z-buffer hides everywhere over the box
+of their projections hides every pixel that blends them, because such a
+pixel's point projects into that box no nearer than the corners' least
+depth. ``OracleFlowSource`` renders the scene's z-buffer and its block
+maximum once, on its first ``flow_for``, and passes them and the window
+origin to every ``oracle_flow`` call. A configurable degradation stage
+stands in for the error profile of a learned flow estimator; externally
+produced flow enters exclusively through the file format below.
 
 Flow file format (little-endian), magic "PFAF", version 1:
 
@@ -177,7 +181,8 @@ class CropSampler:
         The points are gathered as (3, M) columns and returned as their
         transposed view, which ``CorrespondenceSet`` stores uncopied.
         """
-        rows, cols = np.divmod(pixels, self.size)
+        rows = pixels // self.size
+        cols = pixels - rows * self.size
         corner = self._y0[rows] * self._width + self._x0[cols]
         fx, fy = self._fx[cols], self._fy[rows]
         weights = ((1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy, fx * fy)
@@ -214,11 +219,67 @@ class CropSampler:
         return [(1 - fy) * plane.take(upper) + fy * plane.take(upper + self.size)
                 for plane in across.reshape(len(table), -1)]
 
+    def cell_bounds(self, values):
+        """Least and largest of per-stored-row ``values`` (N, C) over the four
+        corners of every window cell: two (C, h, w) float64 arrays over the
+        cells of the footprint table, NaN where a corner is unmasked or NaN."""
+        table = np.full((values.shape[1], len(self._stored)), np.nan)
+        table[:, self._stored] = values.T
+        table = table.reshape(len(table), -1, self._width)
+        bounds = []
+        for extreme in (np.minimum, np.maximum):  # propagate NaN
+            across = extreme(table[:, :, :-1], table[:, :, 1:])
+            bounds.append(extreme(across[:, :-1], across[:, 1:]))
+        return bounds
+
+    def hide(self, cells) -> None:
+        """Take the window cells where the (h, w) bool ``cells`` holds out of
+        the footprint table: no later sample through them has a full footprint."""
+        self._cells &= ~cells
+
     def triangles(self, pixels) -> np.ndarray:
         """Triangle id of the exemplar pixel holding each sample, one of its four."""
-        rows, cols = np.divmod(pixels, self.size)
+        rows = pixels // self.size
+        cols = pixels - rows * self.size
         holder = self._holder[rows, 1] * self._width + self._holder[cols, 0]
         return self.exemplar.tri[self._row_of[holder]]
+
+
+DEPTH_BLOCK = 8  # px, a power of two: the block maximum takes log2 doubling steps
+
+
+def depth_block_max(scene_depth: np.ndarray) -> np.ndarray:
+    """Largest z-buffer depth over the DEPTH_BLOCK x DEPTH_BLOCK pixels that
+    start at each pixel, the block cut off at the buffer's far edges."""
+    block = scene_depth.copy()
+    step = 1
+    while step < DEPTH_BLOCK:
+        block[:, :-step] = np.maximum(block[:, :-step], block[:, step:])
+        block[:-step] = np.maximum(block[:-step], block[step:])
+        step *= 2
+    return block
+
+
+def _hidden_cells(sampler, q_target, camera, depth_max, depth_origin, eps) -> np.ndarray:
+    """Bool mask over ``sampler``'s cell table: the cells whose every sample
+    the z-buffer certainly hides (see ``oracle_flow``), from ``q_target``,
+    the stored points mapped into the target camera. Against the blend's
+    float64 rounding the corners' box is widened by 1e-6 px, and the depth
+    bound lowered by 1e-9 of the largest stored depth."""
+    z = q_target[:, 2]
+    zc = np.where(z > 0, z, np.nan)  # a corner at z <= 0 keeps its cells: NaN fails every test
+    u = camera.fx * q_target[:, 0] / zc + camera.cx
+    v = camera.fy * q_target[:, 1] / zc + camera.cy
+    (u_lo, v_lo, z_lo), (u_hi, v_hi, _) = sampler.cell_bounds(np.stack([u, v, zc], axis=1))
+    x0, y0 = depth_origin
+    height, width = depth_max.shape
+    col, col_end = np.floor(u_lo - 1e-6) - x0, np.floor(u_hi + 1e-6) - x0
+    row, row_end = np.floor(v_lo - 1e-6) - y0, np.floor(v_hi + 1e-6) - y0
+    fits = ((col >= 0) & (col_end < width) & (col_end - col < DEPTH_BLOCK)
+            & (row >= 0) & (row_end < height) & (row_end - row < DEPTH_BLOCK))
+    near = z_lo[fits] - eps - 1e-9 * z.max(initial=0.0)
+    fits[fits] = depth_max[row[fits].astype(np.int64), col[fits].astype(np.int64)] < near
+    return fits
 
 
 def object_window(scene: SceneSpec) -> tuple[int, int, int, int]:
@@ -245,6 +306,7 @@ def oracle_flow(
     crop_target: CropTransform,
     scene_depth: np.ndarray,
     depth_origin: tuple[int, int],
+    depth_max: np.ndarray,
 ) -> FlowField:
     """Ground-truth flow from an exemplar crop to the target crop.
 
@@ -257,6 +319,19 @@ def oracle_flow(
     the crop, is not occluded in the scene (joint z-buffer strictly nearer
     than the point by more than a depth tolerance), and its surface, by the
     stored triangle id, faces the target camera.
+
+    First, before anything is blended, every footprint cell that the
+    z-buffer certainly hides leaves the sampler's footprint table, so its
+    pixels are never blended, projected or depth-tested. The test is exact:
+    a pixel's point is a convex blend of its cell's four corners, the
+    stored points mapped into the target camera. When all four lie in front
+    of the camera, the point projects into the box of the corners'
+    projections, no nearer than their least depth. A cell is dropped when
+    its box lies in the window and in one block of ``depth_max``
+    (``depth_block_max`` of the z-buffer) whose largest depth is nearer than
+    that least depth by more than the depth tolerance; then every pixel of
+    the cell that reaches the depth test below fails it. Other cells take
+    the tests below as before, so the kept set and its vectors do not change.
 
     A rigid map is affine and the bilinear weights sum to one, so mapping
     the blend equals blending the mapped points. The oracle maps the
@@ -281,15 +356,18 @@ def oracle_flow(
     The caller gives crops of one size and an exemplar of ``scene.object_mesh``.
     """
     size = crop_exemplar.out_size
+    k_target = scene.camera
+    eps = 1e-3 * exemplar.z_bar
     sampler = CropSampler(exemplar, crop_exemplar)
+    q_target = scene.object_pose.transform(exemplar.points)
+    sampler.hide(_hidden_cells(sampler, q_target, k_target, depth_max, depth_origin, eps))
     pixels = np.flatnonzero(sampler.footprint())
     if len(pixels) == 0:
         return FlowField(size, size, pixels, np.empty((0, 2)))
-    qx, qy, qz = sampler.blend(scene.object_pose.transform(exemplar.points), pixels)
+    qx, qy, qz = sampler.blend(q_target, pixels)
 
     # ``live`` indexes the survivors into pixels and the (M,) components
     # qx, qy, qz; the projection is ``project_camera_points``' own arithmetic
-    k_target = scene.camera
     live = np.flatnonzero(qz > 0)
     z = qz.take(live)
     u = k_target.fx * qx.take(live) / z + k_target.cx
@@ -305,7 +383,6 @@ def oracle_flow(
     u_crop, v_crop = u_crop.take(inside), v_crop.take(inside)
 
     x0, y0 = depth_origin
-    eps = 1e-3 * exemplar.z_bar
     px = np.floor(u).astype(np.int64) - x0
     py = np.floor(v).astype(np.int64) - y0
     seen = np.flatnonzero(~(scene_depth[py, px] < z - eps))
@@ -323,7 +400,8 @@ def oracle_flow(
     front = np.flatnonzero(toward_target < 0)
     live, u_crop, v_crop = live[front], u_crop.take(front), v_crop.take(front)
 
-    rows, cols = np.divmod(pixels[live], size)
+    rows = pixels[live] // size
+    cols = pixels[live] - rows * size
     vectors = np.stack([u_crop - (cols + 0.5), v_crop - (rows + 0.5)], axis=-1)
     return FlowField(size, size, pixels[live], vectors.astype(np.float32))
 
@@ -358,9 +436,10 @@ class OracleFlowSource:
     constructor keeps its ``target_pose`` parameter only because
     ``bench/workloads.py`` passes the ground-truth pose positionally, and
     refuses any pose other than ``scene.object_pose``. One source renders
-    one z-buffer, over ``object_window(scene)`` (see ``oracle_flow``), on
-    its first ``flow_for``, so the render is timed with the flow; every
-    later call reuses it.
+    one z-buffer, over ``object_window(scene)`` (see ``oracle_flow``), and
+    builds its ``depth_block_max`` together with it, on its first
+    ``flow_for``, so both are timed with the flow; every later call reuses
+    them.
 
     Degradation seeds derive from (base_seed, exemplar id) so a given
     exemplar sees the same noise regardless of how many neighbors are
@@ -377,15 +456,17 @@ class OracleFlowSource:
         self.noise = noise
         self.base_seed = base_seed
         self._scene_depth = None
+        self._depth_max = None  # depth_block_max of the z-buffer
         self._depth_origin = None  # (x0, y0) of the z-buffer's window
 
     def flow_for(self, exemplar, rank, crop_exemplar, crop_target) -> FlowField:
         if self._scene_depth is None:
             window = object_window(self.scene)
             self._scene_depth = scene_depth_map(self.scene, window=window)
+            self._depth_max = depth_block_max(self._scene_depth)
             self._depth_origin = window[:2]
         field = oracle_flow(exemplar, crop_exemplar, self.scene, crop_target,
-                            self._scene_depth, self._depth_origin)
+                            self._scene_depth, self._depth_origin, self._depth_max)
         if self.noise is not None:
             field = degrade_flow(
                 field, self.noise, derive_seed(self.base_seed, "flow-noise", exemplar.id)

@@ -474,7 +474,7 @@ def dense_oracle_flow(exemplar, crop_exemplar, scene, crop_target):
     )
 
     scene_depth = scene_depth_map(scene)
-    eps = max(1e-4, 1e-3 * exemplar.z_bar)
+    eps = 1e-3 * exemplar.z_bar  # the oracle's depth tolerance, in any length unit
     px = np.clip(np.floor(u_target[:, 0]).astype(np.int64), 0, k_target.width - 1)
     py = np.clip(np.floor(u_target[:, 1]).astype(np.int64), 0, k_target.height - 1)
     keep &= ~(scene_depth[py, px] < q_target[:, 2] - eps)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     bilinear_masked,
@@ -32,10 +34,12 @@ from pfa.errors import (
 )
 from pfa.exemplars import generate_exemplar_set, load_set, query_nearest, save_set
 from pfa.flow import (
+    DEPTH_BLOCK,
     CropSampler,
     FlowNoiseSpec,
     OracleFlowSource,
     degrade_flow,
+    depth_block_max,
     load_flow,
     object_window,
     oracle_flow,
@@ -119,7 +123,7 @@ class TestOracleGeometry:
 
         joint = scene_depth_map(scene)
         cmap = ex.coordinate_map()
-        eps = max(1e-4, 1e-3 * ex.z_bar)
+        eps = 1e-3 * ex.z_bar  # the oracle's depth tolerance
         expected = clear.valid.copy()
         ys, xs = np.nonzero(clear.valid)
         centers = crop_pixel_centers(256)
@@ -233,6 +237,42 @@ def _dense_case(name):
         translation = [0.02, 0.015, 1.1]
         occluders = ((make_box((0.03, 0.10, 0.02)), RigidPose(np.eye(3), [0.02, 0.01, 0.9])),)
     return camera, rotation, np.array(translation), occluders
+
+
+def _box_counts(indicator, row0, row1, col0, col1):
+    """Count of true pixels of ``indicator`` in each inclusive box, by an integral image."""
+    total = np.zeros((indicator.shape[0] + 1, indicator.shape[1] + 1))
+    total[1:, 1:] = indicator.cumsum(axis=0).cumsum(axis=1)
+    return (total[row1 + 1, col1 + 1] - total[row0, col1 + 1]
+            - total[row1 + 1, col0] + total[row0, col0])
+
+
+def _cell_features(ex, crop_r, scene) -> dict:
+    """How many of the exemplar's full cells, in front of the camera, have a
+    box of projected corners that is cut by the image border, wider than a
+    block, or inside the z-buffer's window over background or an occluder's edge."""
+    camera = scene.camera
+    q = scene.object_pose.transform(ex.points)
+    z = np.where(q[:, 2] > 0, q[:, 2], np.nan)
+    corners = np.stack([camera.fx * q[:, 0] / z + camera.cx,
+                        camera.fy * q[:, 1] / z + camera.cy, z], axis=1)
+    lo, hi = CropSampler(ex, crop_r).cell_bounds(corners)
+    full = np.isfinite(lo[2])
+    u_lo, u_hi, v_lo, v_hi = (np.floor(b[full]).astype(np.int64)
+                              for b in (lo[0], hi[0], lo[1], hi[1]))
+    x0, y0, x1, y1 = window = object_window(scene)
+    depth = scene_depth_map(scene, window)
+    clear = scene_depth_map(SceneSpec(scene.object_mesh, scene.object_pose, (), camera), window)
+    inside = (u_lo >= x0) & (u_hi < x1) & (v_lo >= y0) & (v_hi < y1)
+    box = (v_lo[inside] - y0, v_hi[inside] - y0, u_lo[inside] - x0, u_hi[inside] - x0)
+    area = (box[1] - box[0] + 1) * (box[3] - box[2] + 1)
+    occluder = _box_counts(depth < clear, *box)
+    return {
+        "border": int(((u_lo < 0) & (u_hi >= 0)).sum()),
+        "wide": int(((u_hi - u_lo >= DEPTH_BLOCK) | (v_hi - v_lo >= DEPTH_BLOCK)).sum()),
+        "background": int((_box_counts(np.isinf(depth), *box) > 0).sum()),
+        "edge": int(((occluder > 0) & (occluder < area)).sum()),
+    }
 
 
 class TestDenseEquivalence:
@@ -373,7 +413,7 @@ class TestDenseEquivalence:
 
         monkeypatch.setattr(RigidPose, "transform", counted)
         monkeypatch.setattr(CropSampler, "points", refused)
-        field = oracle_flow(ex, crop_r, scene, crop_t, depth, window[:2])
+        field = oracle_flow(ex, crop_r, scene, crop_t, depth, window[:2], depth_block_max(depth))
         monkeypatch.undo()
         assert len(field.indices) > 1000
         assert set(mapped) <= {id(gt), id(ex.pose)}
@@ -391,15 +431,23 @@ class TestDenseEquivalence:
             windows.append(window)
             return scene_depth_map(scene, window)
 
+        def counted_max(scene_depth):
+            maxima.append(scene_depth.shape)
+            return depth_block_max(scene_depth)
+
+        maxima = []
         monkeypatch.setattr("pfa.flow.scene_depth_map", counted)
+        monkeypatch.setattr("pfa.flow.depth_block_max", counted_max)
         source = OracleFlowSource(scene, gt)
-        assert windows == []  # nothing is rendered before the first flow_for
+        assert windows == [] and maxima == []  # nothing is built before the first flow_for
         crop_r = compute_crop(ex.pose, K_R, BOX)
         for pad in (1.2, 1.6):
             crop_t = compute_crop(gt, K_R, BOX, pad=pad)
             field = source.flow_for(ex, 0, crop_r, crop_t)
             assert same_flow(field, dense_oracle_flow(ex, crop_r, scene, crop_t))
-        assert windows == [object_window(scene)]
+        x0, y0, x1, y1 = object_window(scene)
+        assert windows == [(x0, y0, x1, y1)]
+        assert maxima == [(y1 - y0, x1 - x0)]  # one block maximum, of that z-buffer
 
     @pytest.mark.parametrize("shift_px", [33.0, -33.0])
     def test_source_refuses_a_target_off_the_scene_object(self, box_set, shift_px):
@@ -429,6 +477,104 @@ class TestDenseEquivalence:
         blocked = oracle_flow_for(ex, crop_r, SceneSpec(BOX, gt, occluders, camera), crop_t)
         assert blocked.valid.sum() < clear.valid.sum()
 
+    @pytest.mark.parametrize("case, share", [("hidden", 0.01), ("occluded", 0.5)])
+    def test_hidden_cells_are_not_blended(self, case, share, box_set, monkeypatch):
+        # measured over these six crops: "hidden" blends none of its 11-29K
+        # footprint pixels and "occluded" at most 43%; without the cell bound
+        # both blend every footprint pixel
+        camera, rotation, translation, occluders = _dense_case(case)
+        blend = CropSampler.blend
+        blended = []
+
+        def counted(sampler, values, pixels):
+            blended.append(len(pixels))
+            return blend(sampler, values, pixels)
+
+        monkeypatch.setattr(CropSampler, "blend", counted)
+        for pad in (1.2, 1.6):
+            for index in (0, 5, 11):
+                ex = box_set.exemplars[index]
+                gt = RigidPose(rotation @ ex.pose.rotation, translation)
+                scene = SceneSpec(BOX, gt, occluders, camera)
+                crop_r = compute_crop(ex.pose, K_R, BOX, pad=pad)
+                crop_t = compute_crop(gt, K_R, BOX, pad=pad)
+                blended.clear()
+                OracleFlowSource(scene, gt).flow_for(ex, 0, crop_r, crop_t)
+                footprint = CropSampler(ex, crop_r).footprint().sum()
+                assert footprint > 10000
+                assert max(blended, default=0) <= share * footprint
+
+    def test_small_length_units_match_dense(self):
+        # z_bar 0.01: the depth tolerance 1e-3 * z_bar is 1e-5, where a floor
+        # of 1e-4 in the reference would differ from the oracle
+        scale = 0.01
+        box = make_box(np.array([0.10, 0.08, 0.06]) * scale)
+        small_set = generate_exemplar_set(box, 24, scale, K_R, seed=7)
+        camera, rotation, translation, occluders = _dense_case("occluded")
+        occluders = tuple(
+            (MeshModel(mesh.vertices * scale, mesh.triangles),
+             RigidPose(pose.rotation, pose.translation * scale))
+            for mesh, pose in occluders
+        )
+        checked = unoccluded = 0
+        for index in (0, 5, 11):
+            ex = small_set.exemplars[index]
+            gt = RigidPose(rotation @ ex.pose.rotation, translation * scale)
+            scene = SceneSpec(box, gt, occluders, camera)
+            crop_r, crop_t = compute_crop(ex.pose, K_R, box), compute_crop(gt, K_R, box)
+            dense = dense_oracle_flow(ex, crop_r, scene, crop_t)
+            assert same_flow(OracleFlowSource(scene, gt).flow_for(ex, 0, crop_r, crop_t), dense)
+            checked += int(dense.valid.sum())
+            unoccluded += len(oracle_flow_for(ex, crop_r, SceneSpec(box, gt, (), camera),
+                                              crop_t).indices)
+        assert 1000 < checked < unoccluded  # the occluders hide part of the object
+
+    def test_cell_bound_matches_dense_over_random_occluders(self, box_set):
+        # boxes between the camera and the object, their edges across its
+        # cells; every layout must give the dense reference's flow exactly
+        seen = dict.fromkeys(["edge", "border", "wide", "background", "dropped"], 0)
+        hide = CropSampler.hide
+        extent = st.floats(0.2, 1.5)
+        occluder = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(0.6, 0.9),
+                             extent, extent)
+
+        @settings(max_examples=24, derandomize=True, database=None, deadline=None)
+        @given(view=st.sampled_from(["front", "border", "grazing"]),
+               index=st.sampled_from([0, 5, 11]),
+               layout=st.lists(occluder, min_size=1, max_size=3))
+        def check(view, index, layout):
+            case = "border" if view == "border" else "occluded"
+            camera, rotation, translation, _ = _dense_case(case)
+            if view == "grazing":  # near and turned: an exemplar cell spans many target pixels
+                rotation = rotation_about_axis([1.0, 0.3, 0.0], 75.0)
+                translation = np.array([0.01, -0.005, 0.45])
+            ex = box_set.exemplars[index]
+            gt = RigidPose(rotation @ ex.pose.rotation, translation)
+            occluders = tuple(  # (dx, dy) in object half-widths, at a fraction of its depth
+                (make_box((0.1 * sx, 0.1 * sy, 0.02)),
+                 RigidPose(np.eye(3), (translation + [0.05 * dx, 0.05 * dy, 0.0]) * depth))
+                for dx, dy, depth, sx, sy in layout
+            )
+            scene = SceneSpec(BOX, gt, occluders, camera)
+            crop_r, crop_t = compute_crop(ex.pose, K_R, BOX), compute_crop(gt, K_R, BOX, pad=1.2)
+            hidden = []
+
+            def counted(sampler, cells):
+                hidden.append(int(cells.sum()))
+                hide(sampler, cells)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(CropSampler, "hide", counted)
+                sparse = OracleFlowSource(scene, gt).flow_for(ex, 0, crop_r, crop_t)
+            # the sparse flow with the bound against the reference without it
+            assert same_flow(sparse, dense_oracle_flow(ex, crop_r, scene, crop_t))
+            seen["dropped"] += hidden[0]
+            for feature, count in _cell_features(ex, crop_r, scene).items():
+                seen[feature] += count
+
+        check()
+        assert all(seen.values()), seen
+
     def test_crop_sample_grid_is_separable(self):
         # the sampler reads a crop's exemplar x from the column and y from
         # the row; on the full grid apply_homography gives the same bits
@@ -444,6 +590,17 @@ class TestDenseEquivalence:
             axes = apply_homography(inverse, np.stack([axis, axis], axis=-1))
             assert np.array_equal(grid[..., 0], np.broadcast_to(axes[:, 0], (256, 256)))
             assert np.array_equal(grid[..., 1], np.broadcast_to(axes[:, 1, None], (256, 256)))
+
+
+def test_depth_block_max_is_the_largest_depth_of_each_block():
+    rng = np.random.default_rng(31)
+    for height, width in [(1, 1), (3, 5), (8, 8), (9, 17), (40, 23)]:
+        depth = rng.uniform(0.5, 2.0, size=(height, width))
+        depth[rng.random((height, width)) < 0.2] = np.inf
+        block = depth_block_max(depth)
+        for y in range(height):
+            for x in range(width):
+                assert block[y, x] == depth[y:y + DEPTH_BLOCK, x:x + DEPTH_BLOCK].max()
 
 
 class TestCropSamplerWindow:
